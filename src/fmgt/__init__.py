@@ -3,6 +3,7 @@ Moore-Gibson-Thompson acoustics.
 
 Subpackages by responsibility:
 
+- ``convolution``: the causal-convolution primitive behind every history sum
 - ``fractional``: discrete Caputo/Abel operators and coercivity forms
 - ``mittag_leffler``: two-parameter Mittag-Leffler functions and relaxation kernels
 - ``spectral``: Dirichlet-Laplacian sine bases on intervals and rectangles

@@ -1,7 +1,8 @@
 """Configuration-driven command line: runs, model listing, kernel reports,
 limit studies, and convergence tables with bit-stable CSV/JSON artifacts.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 solver blow-up.
+Exit codes: 0 success, 2 configuration/validation error, 3 solver failure
+(blow-up or a non-converged inner solve).
 Data files carry no timestamps and floats are printed with 17 significant
 digits, so identical configs give byte-identical artifacts.
 """
@@ -35,7 +36,7 @@ from .models import (
     validate,
 )
 from .volterra import (
-    SolverBlowUpError,
+    SolverError,
     classical_mgt_reference,
     picard_nonlinear,
     solve_linear,
@@ -80,6 +81,7 @@ def _solve(cfg: RunConfig):
         extras = {
             "picard_iterations": res.iterations,
             "contraction_ratio": res.contraction_ratio,
+            "inner_sweeps_max": traj.diagnostics["inner_sweeps_max"],
         }
     return spec, basis, grid, data, f, traj, extras
 
@@ -308,8 +310,8 @@ def main(argv=None) -> int:
     except (ConfigError, ModelError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverBlowUpError as exc:
-        print(f"solver blow-up: {exc}", file=sys.stderr)
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
 
 

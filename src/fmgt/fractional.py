@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
+from .convolution import causal_conv
+
 # Default quadrature tolerance for analytic kernels at N >= 256.
 EPS_QUAD = 1e-8
 
@@ -164,10 +166,7 @@ def _power_convolve_linear(values: np.ndarray, p: float, h: float) -> np.ndarray
     out = np.zeros_like(v2)
     if n >= 1:
         # sum_{j=1..n} d[n-j] w_j is a causal convolution of d with w_1..w_n
-        from scipy.signal import fftconvolve
-
-        conv = fftconvolve(d[:n, None], v2[1:], axes=0)[:n]
-        out[1:] = conv + c0[1:, None] * v2[0]
+        out[1:] = causal_conv(d, v2[1:]) + c0[1:, None] * v2[0]
     return out[:, 0] if was_1d else out
 
 
@@ -232,11 +231,8 @@ def caputo_derivative(w: SampledSignal, gamma_: float) -> SampledSignal:
         n = v2.shape[0] - 1
         out = np.zeros_like(v2)
         if n >= 1:
-            from scipy.signal import fftconvolve
-
             b = l1_weights(gamma_, n, h)
-            dw = np.diff(v2, axis=0)
-            conv = fftconvolve(b[:, None], dw, axes=0)[:n]
+            conv = causal_conv(b, np.diff(v2, axis=0))
             out[1:] = conv * (h ** (-gamma_) / gamma_fn(2 - gamma_))
         return w.with_values(out[:, 0] if was_1d else out)
     if 1 < gamma_ < 2:

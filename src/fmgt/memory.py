@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
+from .convolution import OnlineHistory, causal_conv
 from .fractional import TimeGrid, first_derivative, l1_weights, second_derivative
 from .mittag_leffler import RelaxationKernel, kernel_cell_moments, ml
 from .models import Family, InitialData, ModelError, ModelSpec, Nonlinearity
@@ -55,13 +56,6 @@ def _memory_weights(kernel: RelaxationKernel, h: float, n_cells: int):
     w += m0 - q
     w[1:] += q[:-1]
     return w, q
-
-
-def _memory_conv(w, q, z, n):
-    """(k*z)(t_n) from the weights of _memory_weights."""
-    if n == 0:
-        return np.zeros_like(z[0])
-    return w[:n][::-1].T @ z[1 : n + 1] + q[n - 1] * z[0]
 
 
 def z_initial(spec: ModelSpec, data: InitialData):
@@ -114,11 +108,10 @@ def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Z
 
     w0 = w[0]
     denom = 1.0 + 0.25 * h * h * (B * lam - C * lam * w0)
+    history = OnlineHistory(w, z, start=1)
     for n in range(1, n_steps + 1):
         # lags 1..n-1 plus the oldest-node boundary weight; z_n excluded
-        conv_known = q[n - 1] * z[0]
-        if n >= 2:
-            conv_known = conv_known + w[1:n][::-1].T @ z[1:n]
+        conv_known = history.at(n)[0] + q[n - 1] * z[0]
         rhs = (
             z[n - 1]
             + h * v[n - 1]
@@ -154,8 +147,7 @@ def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
         [ml(a, 1.0, -((t / p.tau) ** a)) if t > 0 else 1.0 for t in grid.nodes]
     )
     psi = e_vals[:, None] * psi0_coeffs[None, :]
-    for n in range(1, n_steps + 1):
-        psi[n] += _memory_conv(w, q, z, n)
+    psi[1:] += causal_conv(w, z[1:]) + q[:, None] * z[0]
 
     # independent route: L1 marching of the relaxation equation
     psi_l1 = np.zeros_like(psi)

@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from .convolution import causal_conv
 from .fractional import (
     DomainError,
     SampledSignal,
@@ -224,14 +225,11 @@ def _abel_on_signal(values: np.ndarray, order: float, h: float) -> np.ndarray:
 
 
 def _l1_caputo_signal(values: np.ndarray, gamma_: float, h: float) -> np.ndarray:
-    from scipy.signal import fftconvolve
-
     n = values.shape[0] - 1
     out = np.zeros_like(values)
     if n >= 1:
         b = l1_weights(gamma_, n, h)
-        dw = np.diff(values, axis=0)
-        out[1:] = fftconvolve(b[:, None], dw, axes=0)[:n] * (
+        out[1:] = causal_conv(b, np.diff(values, axis=0)) * (
             h ** (-gamma_) / gamma_fn(2 - gamma_)
         )
     return out

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
+from .convolution import OnlineHistory, causal_conv
 from .fractional import DomainError, TimeGrid
 from .models import (
     Family,
@@ -32,12 +33,34 @@ from .models import (
 from .spectral import EigenBasis, SpectralField
 
 
-class SolverBlowUpError(RuntimeError):
-    """Non-finite values during marching; carries the offending node index."""
+class SolverError(RuntimeError):
+    """A solve that cannot deliver a trustworthy result.  ``node`` is the grid
+    node where the failure showed, or None where no node is to blame."""
 
-    def __init__(self, node: int):
-        super().__init__(f"solution became non-finite at node {node}")
+    def __init__(self, message: str, node: int | None = None):
+        super().__init__(message)
         self.node = node
+
+
+class SolverBlowUpError(SolverError):
+    """Non-finite values at a node, or a solve that diverged as a whole (then
+    ``cause`` says how and ``node`` is None)."""
+
+    def __init__(self, node: int | None = None, cause: str | None = None):
+        super().__init__(cause or f"solution became non-finite at node {node}", node)
+
+
+class InnerSolveError(SolverError):
+    """The per-node fixed point of the marcher did not converge."""
+
+    def __init__(self, node: int, sweeps: int, update: float):
+        super().__init__(
+            f"inner fixed point at node {node} did not converge in {sweeps} "
+            f"sweeps (last update {update:.3e})",
+            node,
+        )
+        self.sweeps = sweeps
+        self.update = update
 
 
 def p_power(gamma_: float, t):
@@ -132,7 +155,17 @@ def _apply_term(problem: VolterraProblem, term: KernelTerm, n: int, vec: np.ndar
 
 class _PIWeights:
     """Weights for int_0^{t_n} p^g(t_n - s) q(s) ds with q piecewise linear on
-    the first cell and backward quadratic on interior cells."""
+    the first cell and backward quadratic on interior cells.
+
+    The cell weights W0/W1/W2 (interior, lag m = n-1-cell) and A0/A1 (first
+    cell) fold into one stationary lag kernel C on mu_2, mu_3, ... plus two
+    boundary weights on mu_0 and mu_1:
+
+        conv_n = sum_{j=2}^{n} C[n-j] mu_j + b0[n] mu_0 + b1[n] mu_1,
+
+    where b1[1] is the self weight of the first node and C[0] that of every
+    later node.
+    """
 
     def __init__(self, gamma_: float, n_steps: int, h: float):
         self.gamma = gamma_
@@ -158,29 +191,25 @@ class _PIWeights:
         self.A1 = n_arr * M0[: n_steps] - M1[: n_steps] / h
         self.A0 = (1.0 - n_arr) * M0[: n_steps] + M1[: n_steps] / h
 
+        # mu_j (j >= 2) meets W2 of cell j-1, W1 of cell j and W0 of cell j+1
+        self.C = self.W2.copy()
+        self.C[1:] += self.W1[:-1]
+        self.C[2:] += self.W0[:-2]
+        self.b0 = np.zeros(n_steps + 1)
+        self.b0[1:] = self.A0
+        self.b0[2:] += self.W0[: n_steps - 1]
+        self.b1 = np.zeros(n_steps + 1)
+        self.b1[1:] = self.A1
+        self.b1[2:] += self.W1[: n_steps - 1]
+        self.b1[3:] += self.W0[: max(n_steps - 2, 0)]
+
     def self_weight(self, n: int) -> float:
-        return self.A1[0] if n == 1 else self.W2[0]
-
-    def conv_known(self, mu: np.ndarray, n: int) -> np.ndarray:
-        """Convolution at t_n using mu[0..n-1] only (mu_n slot excluded)."""
-        out = self.A0[n - 1] * mu[0] + self.A1[n - 1] * mu[1] if n >= 2 else self.A0[0] * mu[0]
-        if n >= 2:
-            out = out + self.W0[n - 2 :: -1] @ mu[0 : n - 1]
-            out = out + self.W1[n - 2 :: -1] @ mu[1:n]
-            if n >= 3:
-                out = out + self.W2[n - 2 : 0 : -1] @ mu[2:n]
-        return out
-
-    def conv_at(self, mu: np.ndarray, n: int) -> np.ndarray:
-        """Full convolution at t_n including the mu_n contribution."""
-        if n == 0:
-            return np.zeros_like(mu[0])
-        return self.conv_known(mu, n) + self.self_weight(n) * mu[n]
+        return self.b1[1] if n == 1 else self.C[0]
 
     def conv_all(self, mu: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(mu)
-        for n in range(1, mu.shape[0]):
-            out[n] = self.conv_at(mu, n)
+        """The convolution at every node, from the complete mu."""
+        out = np.outer(self.b0, mu[0]) + np.outer(self.b1, mu[1])
+        out[2:] += causal_conv(self.C, mu[2:])
         return out
 
 
@@ -414,59 +443,85 @@ class Trajectory:
         )
 
 
-def solve_mu(problem: VolterraProblem) -> np.ndarray:
+MAX_SWEEPS = 60  # per-node fixed-point sweeps before InnerSolveError
+
+
+def solve_mu(problem: VolterraProblem, diagnostics: dict | None = None) -> np.ndarray:
     """March the mu equation; deterministic, unconditionally solvable since
-    the diagonal block is lead + O(h^{1+min g})."""
+    the diagonal block is lead + O(h^{1+min g}).  If ``diagnostics`` is given,
+    its "inner_sweeps_max" receives the largest number of per-node
+    fixed-point sweeps (0 when every kernel term is diagonal)."""
     grid = problem.grid
     n_steps = grid.steps
-    h = grid.h
-    basis = problem.basis
-    mu = np.zeros((n_steps + 1, basis.size))
+    mu = np.zeros((n_steps + 1, problem.basis.size))
     mu[0] = problem.forcing[0] / problem.lead
 
     weights = {}
     for term in problem.kernel.terms:
         if term.exponent not in weights:
-            weights[term.exponent] = _PIWeights(term.exponent, n_steps, h)
-
-    diag_terms = [t for t in problem.kernel.terms if t.kind == "diag"]
-    other_terms = [t for t in problem.kernel.terms if t.kind != "diag"]
+            weights[term.exponent] = _PIWeights(term.exponent, n_steps, grid.h)
 
     # overflow is handled by the explicit non-finite check per node
     with np.errstate(over="ignore", invalid="ignore"):
-        return _march(problem, mu, weights, diag_terms, other_terms, n_steps)
+        sweeps = _march(problem, mu, list(weights.values()))
+    if diagnostics is not None:
+        diagnostics["inner_sweeps_max"] = sweeps
+    return mu
 
 
-def _march(problem, mu, weights, diag_terms, other_terms, n_steps):
-    basis = problem.basis
+def _march(problem, mu, weights):
+    """Fill mu[1:] node by node; return the largest inner sweep count.
+
+    One history per distinct kernel exponent serves every term with that
+    exponent; diagonal terms are folded into one per-exponent coefficient.
+    """
+    n_steps = mu.shape[0] - 1
+    slot = {w.gamma: i for i, w in enumerate(weights)}
+    diag = np.zeros((len(weights), problem.basis.size))
+    other = []
+    for term in problem.kernel.terms:
+        if term.kind == "diag":
+            diag[slot[term.exponent]] += term.coeff * term.diag
+        else:
+            other.append((term, slot[term.exponent]))
+    shape = (len(weights), n_steps + 1)  # also when no kernel term exists
+    history = OnlineHistory(np.reshape([w.C for w in weights], shape), mu, start=2)
+    b0 = np.reshape([w.b0 for w in weights], shape)
+    b1 = np.reshape([w.b1 for w in weights], shape)
+    self_first = np.array([w.self_weight(1) for w in weights])
+    self_later = np.array([w.self_weight(2) for w in weights])
+
+    sweeps_max = 0
     for n in range(1, n_steps + 1):
-        rhs = problem.forcing[n].copy()
-        dcoef = np.full(basis.size, problem.lead)
-        for term in diag_terms:
-            w = weights[term.exponent]
-            rhs -= term.coeff * term.diag * w.conv_known(mu, n)
-            dcoef += term.coeff * term.diag * w.self_weight(n)
-        sw_other = []
-        for term in other_terms:
-            w = weights[term.exponent]
-            rhs -= _apply_term(problem, term, n, w.conv_known(mu, n))
-            sw_other.append(w.self_weight(n))
+        known = history.at(n) + b0[:, n, None] * mu[0]
+        if n >= 2:
+            known += b1[:, n, None] * mu[1]
+        sw = self_first if n == 1 else self_later
+        rhs = problem.forcing[n] - np.sum(diag * known, axis=0)
+        dcoef = problem.lead + sw @ diag
+        for term, i in other:
+            rhs -= _apply_term(problem, term, n, known[i])
 
         x = rhs / dcoef
-        if other_terms:
-            for _ in range(60):
-                corr = np.zeros(basis.size)
-                for term, sw in zip(other_terms, sw_other):
-                    corr += _apply_term(problem, term, n, sw * x)
+        if other:
+            for sweeps in range(1, MAX_SWEEPS + 1):
+                corr = np.zeros_like(x)
+                for term, i in other:
+                    corr += _apply_term(problem, term, n, sw[i] * x)
                 x_new = (rhs - corr) / dcoef
-                if np.max(np.abs(x_new - x)) <= 1e-14 * (1.0 + np.max(np.abs(x_new))):
-                    x = x_new
-                    break
+                update = np.max(np.abs(x_new - x))
                 x = x_new
+                if update <= 1e-14 * (1.0 + np.max(np.abs(x))):
+                    break
+                if not np.all(np.isfinite(x)):
+                    raise SolverBlowUpError(n)
+            else:
+                raise InnerSolveError(n, MAX_SWEEPS, float(update))
+            sweeps_max = max(sweeps_max, sweeps)
         if not np.all(np.isfinite(x)):
             raise SolverBlowUpError(n)
         mu[n] = x
-    return mu
+    return sweeps_max
 
 
 def reconstruct(problem: VolterraProblem, mu: np.ndarray) -> Trajectory:
@@ -491,7 +546,10 @@ def reconstruct(problem: VolterraProblem, mu: np.ndarray) -> Trajectory:
 
 def solve(problem: VolterraProblem) -> Trajectory:
     """Solve for mu and reconstruct the state trajectory."""
-    return reconstruct(problem, solve_mu(problem))
+    diagnostics = {}
+    traj = reconstruct(problem, solve_mu(problem, diagnostics))
+    traj.diagnostics.update(diagnostics)
+    return traj
 
 
 def solve_linear(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
@@ -548,7 +606,9 @@ def classical_mgt_reference(
         rhs, (0.0, grid.horizon), y0, method="DOP853", t_eval=nodes, rtol=rtol, atol=atol
     )
     if not sol.success:
-        raise SolverBlowUpError(grid.steps)
+        raise SolverBlowUpError(
+            cause=f"classical ODE oracle failed at t = {sol.t[-1]:.6g}: {sol.message}"
+        )
     y = sol.y.T
     mu = np.gradient(y[:, 2 * m :], grid.h, axis=0)
     return Trajectory(basis, grid, mu, y[:, :m], y[:, m : 2 * m], y[:, 2 * m :], spec)
@@ -611,6 +671,7 @@ def picard_nonlinear(
         f,
     )
     distances = []
+    sweeps = 0
     t = grid.nodes
     xi1, xi2 = data.psi1.coeffs, data.psi2.coeffs
     for it in range(1, max_iter + 1):
@@ -631,6 +692,7 @@ def picard_nonlinear(
             spec, data, f, grid, sigma=sigma, grad_w=grad_w, grad_data_term=grad_data
         )
         nxt = solve(problem)
+        sweeps = max(sweeps, nxt.diagnostics["inner_sweeps_max"])
         d = _iterate_distance(basis, nxt, current)
         distances.append(d)
         current = nxt
@@ -639,7 +701,10 @@ def picard_nonlinear(
                 np.max(np.sum(basis.eigenvalues[None, :] ** 2 * nxt.psi_t**2, axis=1))
             )
             if size > ball_radius:
-                raise SolverBlowUpError(grid.steps)
+                raise SolverBlowUpError(
+                    cause=f"Picard iterate {it} left the ball of radius {ball_radius:.3e} "
+                    f"(size {size:.3e}, last distance {d:.3e})"
+                )
         if d < tol:
             ratios = [
                 distances[i + 1] / distances[i]
@@ -649,6 +714,7 @@ def picard_nonlinear(
             ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
             current.diagnostics["picard_iterations"] = it
             current.diagnostics["contraction_ratio"] = ratio
+            current.diagnostics["inner_sweeps_max"] = sweeps
             return PicardResult(current, it, distances, ratio, True)
     raise ModelError(
         f"Picard iteration did not contract within {max_iter} iterations "

@@ -1,5 +1,8 @@
 """CLI and configuration: round-trips, exit codes, artifacts, determinism."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fmgt.cli
 from fmgt.cli import main
 from fmgt.config import ConfigError, RunConfig
+from fmgt.volterra import MAX_SWEEPS, InnerSolveError
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args):
@@ -73,6 +79,19 @@ class TestExitCodes:
         )
         assert run_cli(["--out", tmp_path / "o", "run", "--config", blow]) == 3
 
+    def test_inner_solve_failure_is_3(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise InnerSolveError(7, 60, 1.5e-3)
+
+        monkeypatch.setattr(fmgt.cli, "picard_nonlinear", failing)
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(
+            "schema = 1\nmodel.family = iii\nmodel.nonlinearity = westervelt\n"
+            "model.alpha = 0.7\nmodel.k = 0.1\ndomain.cutoff = 4\ntime.N = 32\n"
+        )
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 3
+        assert "node 7" in capsys.readouterr().err
+
     def test_success_is_0(self, tmp_path):
         assert (
             run_cli(["--out", tmp_path / "o", "run", "--config", PRESETS / "mgt-classical.cfg"])
@@ -105,6 +124,43 @@ class TestArtifacts:
         col = s["limit_study"]["columns"]["W1inf_H1"]
         assert all(a > b for a, b in zip(col, col[1:]))
         assert (out / "limit_study.csv").exists()
+
+    def test_picard_summary_reports_inner_sweeps(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["--out", out, "run", "--config", PRESETS / "picard-w3.cfg"]) == 0
+        s = json.loads((out / "summary.json").read_text())
+        assert 1 <= s["inner_sweeps_max"] < MAX_SWEEPS
+
+    def test_run_does_not_import_scipy_signal(self, tmp_path):
+        # scipy.signal costs a large share of a CLI run's start-up
+        configs = {
+            "w3": "model.family = iii\nmodel.nonlinearity = westervelt\nmodel.k = 0.1\n",
+            "ii": "model.family = ii\nmodel.nonlinearity = linear\n",
+        }
+        script = (
+            "import json, sys\nfrom fmgt.cli import main\n"
+            "codes = [main(['--out', d, 'run', '--config', c]) for c, d in "
+            "zip(sys.argv[1::2], sys.argv[2::2])]\n"
+            "print(json.dumps([codes, 'scipy.signal' in sys.modules]))\n"
+        )
+        args = []
+        for name, body in configs.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(
+                f"schema = 1\n{body}model.alpha = 0.7\ndomain.cutoff = 4\n"
+                "time.N = 32\ndata.preset = bump\ndata.amplitude = 1e-3\n"
+            )
+            args += [str(cfg), str(tmp_path / f"o-{name}")]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, imported = json.loads(proc.stdout)
+        assert codes == [0, 0]
+        assert not imported
 
     def test_kernels_subcommand(self, tmp_path):
         out = tmp_path / "k"

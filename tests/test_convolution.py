@@ -1,0 +1,112 @@
+"""The causal-convolution primitive against the naive lagged sum, and the
+folded product-integration weights against the three-term cell sum."""
+import numpy as np
+import pytest
+
+from fmgt.convolution import LEAF, OnlineHistory, causal_conv
+from fmgt.volterra import _PIWeights
+
+# every leaf and dyadic block boundary is crossed at least once
+SIZES = [0, 1, 2, 3, 31, 32, 33, 63, 64, 65, 1000, 2049]
+RTOL = 1e-12
+
+
+def naive_sum(kernel, x, start, stop_lag):
+    """out[n] = sum_{j=start}^{n - stop_lag} kernel[n-j] x[j]: the outer loop
+    over nodes, the inner sum over j as one dot product."""
+    out = np.zeros_like(x)
+    for n in range(x.shape[0]):
+        j = np.arange(start, n - stop_lag + 1)
+        out[n] = kernel[n - j] @ x[j] if j.size else 0.0
+    return out
+
+
+def kernels(length):
+    m = np.arange(length, dtype=float)
+    rng = np.random.default_rng(length)
+    return np.array([
+        rng.normal(size=length),  # no structure
+        (m + 1.0) ** -1.5,  # decaying, like p^g with g < 0
+        (m + 1.0) ** 2,  # growing, like p^2
+    ])
+
+
+def signal(n, cols):
+    rng = np.random.default_rng(1000 + n)
+    t = np.linspace(0.0, 1.0, n)
+    shape = (n,) if cols is None else (n, cols)
+    return np.cos(7.0 * t).reshape((n,) + (1,) * (len(shape) - 1)) + rng.normal(size=shape)
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want)) if want.size else 0.0
+    assert np.max(np.abs(got - want), initial=0.0) <= RTOL * scale
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("cols", [None, 3])
+def test_causal_conv_matches_naive(n, cols):
+    x = signal(n, cols)
+    for K in kernels(n + 4):
+        assert_close(causal_conv(K, x), naive_sum(K, x, 0, 0))
+
+
+def test_causal_conv_short_kernel():
+    # lags the kernel does not hold count as zero
+    x = signal(100, 2)
+    K = kernels(10)[1]
+    padded = np.concatenate([K, np.zeros(90)])
+    assert_close(causal_conv(K, x), naive_sum(padded, x, 0, 0))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("cols", [None, 3])
+@pytest.mark.parametrize("start", [0, 2])
+def test_online_history_matches_naive(n, cols, start):
+    x = signal(n, cols)
+    K = kernels(max(n, 1))
+    filled = np.zeros_like(x)
+    history = OnlineHistory(K, filled, start=start)
+    got = np.zeros((K.shape[0],) + x.shape)
+    for node in range(n):
+        got[:, node] = history.at(node)
+        filled[node] = x[node]  # node becomes final only after its history
+    for e in range(K.shape[0]):
+        assert_close(got[e], naive_sum(K[e], x, start, 1))
+
+
+def test_online_history_never_reads_the_target_row():
+    n = 3 * LEAF + 5
+    clean = signal(n, 2)
+    x = np.full_like(clean, np.nan)  # rows not yet final are poison
+    history = OnlineHistory(kernels(n), x, start=0)
+    for node in range(n):
+        assert np.all(np.isfinite(history.at(node)))
+        x[node] = clean[node]
+
+
+def test_online_history_rejects_short_kernels():
+    with pytest.raises(ValueError, match="lags"):
+        OnlineHistory(np.ones((2, 10)), np.zeros((20, 1)))
+
+
+def three_term_pi_sum(w, mu):
+    """The product-integration sum cell by cell: the first cell linear in
+    (mu_0, mu_1), each later cell quadratic through its backward stencil."""
+    out = np.zeros_like(mu)
+    for n in range(1, mu.shape[0]):
+        out[n] = w.A0[n - 1] * mu[0] + w.A1[n - 1] * mu[1]
+        for j in range(1, n):  # cell [t_j, t_{j+1}], lag m = n-1-j
+            m = n - 1 - j
+            out[n] += w.W0[m] * mu[j - 1] + w.W1[m] * mu[j] + w.W2[m] * mu[j + 1]
+    return out
+
+
+@pytest.mark.parametrize("g", [-0.5, 0.0, 0.7, 1.0, 2.0])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 40, 70])
+def test_folded_weights_reproduce_three_term_sum(g, n_steps):
+    h = 1.0 / n_steps
+    w = _PIWeights(g, n_steps, h)
+    mu = signal(n_steps + 1, 2)
+    assert_close(w.conv_all(mu), three_term_pi_sum(w, mu))

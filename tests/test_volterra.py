@@ -17,6 +17,8 @@ from fmgt.models import (
 )
 from fmgt.spectral import SpectralField
 from fmgt.volterra import (
+    MAX_SWEEPS,
+    InnerSolveError,
     KernelTerm,
     PowerKernelSum,
     SolverBlowUpError,
@@ -107,6 +109,51 @@ class TestScalarSolves:
         with pytest.raises(SolverBlowUpError) as exc:
             solve_mu(prob)
         assert 0 < exc.value.node <= 64
+
+    def test_march_satisfies_discrete_equation(self):
+        # lead mu_n + sum_k c_k (PI conv of p^{g_k})(t_n) = F_n at every node,
+        # with the full convolution taken from the complete mu afterwards
+        grid = TimeGrid(1.0, 100)  # crosses leaf and block boundaries
+        F = np.cos(3.0 * grid.nodes)[:, None]
+        terms = [
+            KernelTerm(g, "diag", c, diag=np.ones(1))
+            for g, c in ((-0.5, 0.8), (0.0, -1.0), (0.7, 2.0), (2.0, 0.5))
+        ]
+        prob = scalar_problem(grid, terms, F, lead=1.5)
+        mu = solve_mu(prob)
+        lhs = 1.5 * mu
+        for term in terms:
+            lhs += term.coeff * _PIWeights(term.exponent, grid.steps, grid.h).conv_all(mu)
+        assert np.max(np.abs(lhs[1:] - F[1:])) < 1e-12 * np.max(np.abs(F))
+
+    def test_inner_solve_failure_is_loud(self):
+        # a collocation term whose self weight outweighs the lead makes the
+        # per-node fixed point diverge: the marcher refuses, naming the node
+        grid = TimeGrid(1.0, 64)
+        b = EigenBasis(Domain.interval(1.0), 1)
+        sigma = np.full((65, b.eval_matrix().shape[0]), -1000.0)
+        prob = scalar_problem(
+            grid, [KernelTerm(0.0, "colloc", 1.0, grid_values=sigma)], np.ones((65, 1))
+        )
+        with pytest.raises(InnerSolveError) as exc:
+            solve_mu(prob)
+        assert exc.value.node == 1
+        assert exc.value.sweeps == MAX_SWEEPS
+        assert "node 1" in str(exc.value) and "last update" in str(exc.value)
+
+    def test_inner_sweeps_recorded(self):
+        grid = TimeGrid(1.0, 64)
+        b = EigenBasis(Domain.interval(1.0), 1)
+        sigma = np.ones((65, b.eval_matrix().shape[0]))
+        prob = scalar_problem(
+            grid, [KernelTerm(0.0, "colloc", 1.0, grid_values=sigma)], np.ones((65, 1))
+        )
+        traj = solve(prob)
+        assert 1 <= traj.diagnostics["inner_sweeps_max"] < MAX_SWEEPS
+        diag_only = scalar_problem(
+            grid, [KernelTerm(0.0, "diag", 1.0, diag=np.ones(1))], np.ones((65, 1))
+        )
+        assert solve(diag_only).diagnostics["inner_sweeps_max"] == 0
 
 
 @pytest.fixture
@@ -208,6 +255,24 @@ class TestDegenerations:
         ref = classical_mgt_reference(spec, data, grid)
         assert np.max(np.abs(traj.psi - ref.psi)) < 1e-8
         assert np.max(np.abs(traj.psi_tt - ref.psi_tt)) < 1e-7
+
+    def test_ode_oracle_failure_reports_cause(self, single_mode_setup, monkeypatch):
+        import types
+
+        import scipy.integrate
+
+        def failing(*args, **kwargs):
+            return types.SimpleNamespace(
+                success=False, message="step size underflow", t=np.array([0.0, 0.25])
+            )
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
+        b, data = single_mode_setup
+        spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 1.0)
+        with pytest.raises(SolverBlowUpError) as exc:
+            classical_mgt_reference(spec, data, TimeGrid(1.0, 16))
+        assert exc.value.node is None
+        assert "step size underflow" in str(exc.value) and "t = 0.25" in str(exc.value)
 
     def test_all_families_coincide_at_alpha_one(self, single_mode_setup):
         b, _ = single_mode_setup
@@ -314,6 +379,22 @@ class TestPicard:
         )
         with pytest.raises(ModelError):
             picard_nonlinear(spec, self.data, TimeGrid(1.0, 64))
+
+    def test_ball_exit_reports_iteration_and_distance(self):
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=0.1), 0.7
+        )
+        with pytest.raises(SolverBlowUpError) as exc:
+            picard_nonlinear(spec, self.data, TimeGrid(1.0, 64), ball_radius=1e-12)
+        assert exc.value.node is None  # the whole iterate left the ball
+        assert "iterate 1" in str(exc.value) and "last distance" in str(exc.value)
+
+    def test_inner_sweeps_reach_the_result(self):
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=0.1), 0.7
+        )
+        res = picard_nonlinear(spec, self.data, TimeGrid(1.0, 64), tol=1e-10)
+        assert 1 <= res.trajectory.diagnostics["inner_sweeps_max"] < MAX_SWEEPS
 
     def test_iterates_satisfy_frozen_equation(self):
         # after convergence, the trajectory's nonlinear residual is at the
