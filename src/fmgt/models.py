@@ -235,6 +235,15 @@ def _l1_caputo_signal(values: np.ndarray, gamma_: float, h: float) -> np.ndarray
     return out
 
 
+def _add_nonlinear_terms(total, basis, k, l, psi, psi_t, psi_tt):
+    """total += 2k psi_t psi_tt + 2l grad psi . grad psi_t, by collocation."""
+    if k != 0.0:
+        total += 2.0 * k * basis.project_values(basis.evaluate(psi_t) * basis.evaluate(psi_tt))
+    if l != 0.0:
+        gsum = sum(a * b for a, b in zip(basis.evaluate_grad(psi), basis.evaluate_grad(psi_t)))
+        total += 2.0 * l * basis.project_values(gsum)
+
+
 def residual(
     spec: ModelSpec,
     basis: EigenBasis,
@@ -283,17 +292,7 @@ def residual(
         damping = psi_t if a == 1.0 else _abel_on_signal(psi_t, 1 - a, h)
     total += p.delta * lam[None, :] * damping
 
-    k = spec.k_eff
-    if k != 0.0:
-        E, P = basis.eval_matrix(), basis.proj_matrix()
-        prod = ((psi_t @ E.T) * (psi_tt @ E.T)) @ P.T
-        total += 2.0 * k * prod
-    l = spec.l_eff
-    if l != 0.0:
-        P = basis.proj_matrix()
-        gmats = basis.grad_matrices()
-        gsum = sum((psi @ G.T) * (psi_t @ G.T) for G in gmats)
-        total += 2.0 * l * (gsum @ P.T)
+    _add_nonlinear_terms(total, basis, spec.k_eff, spec.l_eff, psi, psi_t, psi_tt)
 
     if f is not None:
         total = total - f
@@ -321,13 +320,7 @@ def classical_residual(
         + params.c**2 * lam[None, :] * psi
         + (params.tau * params.c**2 + params.delta) * lam[None, :] * psi_t
     )
-    if k != 0.0:
-        E, P = basis.eval_matrix(), basis.proj_matrix()
-        total += 2.0 * k * (((psi_t @ E.T) * (psi_tt @ E.T)) @ P.T)
-    if l != 0.0:
-        P = basis.proj_matrix()
-        gsum = sum((psi @ G.T) * (psi_t @ G.T) for G in basis.grad_matrices())
-        total += 2.0 * l * (gsum @ P.T)
+    _add_nonlinear_terms(total, basis, k, l, psi, psi_t, psi_tt)
     if f is not None:
         total = total - f
     return SampledSignal(grid, np.sqrt(np.sum(total**2, axis=1)))

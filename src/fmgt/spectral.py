@@ -46,8 +46,16 @@ class EigenBasis:
     """Truncated Dirichlet sine basis with collocation transforms.
 
     Eigenvalues are stored sorted ascending with a map back to per-axis mode
-    indices.  All transform matrices are built once and never mutated, so one
-    basis may be shared between concurrent solves.
+    indices.  The transforms (``evaluate``, ``evaluate_grad``,
+    ``project_values``) are separable: in 2-D they apply the per-axis
+    (2m-1) x m factors on both sides of the coefficient tensor,
+    E_x T E_y^T, in 1-D one matmul with the per-axis matrix.  Grid values
+    use the flat layout (..., grid points), C order over the axes, and any
+    leading batch axes pass through.  The dense Kronecker matrices
+    (``eval_matrix``, ``proj_matrix``, ``grad_matrices``) are an independent
+    oracle for the tests; no solver path builds them.  Every matrix is built
+    once and never mutated, so one basis may be shared between concurrent
+    solves.
     """
 
     def __init__(self, domain: Domain, cutoff):
@@ -72,6 +80,8 @@ class EigenBasis:
             self._deriv_mats.append(D)
             self._proj_mats.append((L / M) * E.T)
             axis_lams.append((np.pi * j[0] / L) ** 2)
+        self._grid_shape = tuple(E.shape[0] for E in self._eval_mats)
+        self.grid_size = int(np.prod(self._grid_shape))
 
         if domain.ndim == 1:
             lams = axis_lams[0]
@@ -88,7 +98,7 @@ class EigenBasis:
         self.eigenvalues = lams[order]
         self.mode_index_map = [pairs[p] for p in order]
         self._tensor_pos = order  # sorted slot -> C-order tensor slot
-        self._inv_pos = np.argsort(order)
+        self._inv_pos = np.argsort(order)  # C-order tensor slot -> sorted slot
 
     @property
     def size(self) -> int:
@@ -103,40 +113,46 @@ class EigenBasis:
         return pts
 
     def _to_tensor(self, coeffs: np.ndarray) -> np.ndarray:
-        t = np.empty(self.size)
-        t[self._tensor_pos] = coeffs
-        return t.reshape(self.cutoff)
+        """(..., modes) sorted coefficients -> (..., m_x, m_y) tensors."""
+        return coeffs[..., self._inv_pos].reshape(coeffs.shape[:-1] + self.cutoff)
 
     def _from_tensor(self, tensor: np.ndarray) -> np.ndarray:
-        return tensor.ravel()[self._tensor_pos]
+        """(..., m_x, m_y) tensors -> (..., modes) sorted coefficients."""
+        flat = tensor.reshape(tensor.shape[: tensor.ndim - 2] + (self.size,))
+        return flat[..., self._tensor_pos]
+
+    def _synthesize(self, t: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+        """ax T ay^T for each (m_x, m_y) tensor, flattened to grid points."""
+        vals = ax @ t @ ay.T
+        return vals.reshape(t.shape[:-2] + (self.grid_size,))
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
-        """Field values on the collocation grid."""
-        t = self._to_tensor(coeffs)
+        """Field values (..., grid points) on the collocation grid."""
         if self.domain.ndim == 1:
-            return self._eval_mats[0] @ t
-        return self._eval_mats[0] @ t @ self._eval_mats[1].T
+            return coeffs @ self._eval_mats[0].T
+        Ex, Ey = self._eval_mats
+        return self._synthesize(self._to_tensor(coeffs), Ex, Ey)
 
     def evaluate_grad(self, coeffs: np.ndarray):
-        """Per-axis partial derivatives on the collocation grid."""
-        t = self._to_tensor(coeffs)
+        """Per-axis partial derivatives (..., grid points) on the grid."""
         if self.domain.ndim == 1:
-            return [self._deriv_mats[0] @ t]
-        return [
-            self._deriv_mats[0] @ t @ self._eval_mats[1].T,
-            self._eval_mats[0] @ t @ self._deriv_mats[1].T,
-        ]
+            return [coeffs @ self._deriv_mats[0].T]
+        (Ex, Ey), (Dx, Dy) = self._eval_mats, self._deriv_mats
+        t = self._to_tensor(coeffs)
+        return [self._synthesize(t, Dx, Ey), self._synthesize(t, Ex, Dy)]
 
     def project_values(self, grid_values: np.ndarray) -> np.ndarray:
-        """L2 projection of collocation-grid values onto the basis."""
+        """L2 projection of (..., grid points) collocation values onto the
+        basis, (..., modes)."""
         if self.domain.ndim == 1:
-            t = self._proj_mats[0] @ grid_values
-        else:
-            t = self._proj_mats[0] @ grid_values @ self._proj_mats[1].T
-        return self._from_tensor(t)
+            return grid_values @ self._proj_mats[0].T
+        Px, Py = self._proj_mats
+        v = grid_values.reshape(grid_values.shape[:-1] + self._grid_shape)
+        return self._from_tensor(Px @ v @ Py.T)
 
     def eval_matrix(self) -> np.ndarray:
-        """Dense (grid points, modes) evaluation matrix, sorted mode order."""
+        """Dense (grid points, modes) evaluation matrix, sorted mode order.
+        Test oracle for ``evaluate``."""
         if "_emat" not in self.__dict__:
             if self.domain.ndim == 1:
                 E = self._eval_mats[0]
@@ -146,7 +162,8 @@ class EigenBasis:
         return self._emat
 
     def proj_matrix(self) -> np.ndarray:
-        """Dense (modes, grid points) projection matrix, sorted mode order."""
+        """Dense (modes, grid points) projection matrix, sorted mode order.
+        Test oracle for ``project_values``."""
         if "_pmat" not in self.__dict__:
             if self.domain.ndim == 1:
                 P = self._proj_mats[0]
@@ -156,7 +173,8 @@ class EigenBasis:
         return self._pmat
 
     def grad_matrices(self):
-        """Per-axis dense (grid points, modes) derivative evaluation matrices."""
+        """Per-axis dense (grid points, modes) derivative evaluation matrices.
+        Test oracle for ``evaluate_grad``."""
         if "_gmats" not in self.__dict__:
             if self.domain.ndim == 1:
                 self._gmats = [self._deriv_mats[0][:, self._tensor_pos]]

@@ -79,7 +79,9 @@ class KernelTerm:
 
     kind 'diag' applies a per-mode diagonal; 'colloc' applies the collocation
     multiplier v -> P(sigma_n ⊙ E v); 'graddot' applies
-    v -> P(sum_axis grad_w[axis]_n ⊙ G_axis v).
+    v -> P(sum_axis grad_w[axis]_n ⊙ G_axis v).  E, G_axis and P stand for
+    the basis's separable transforms ``evaluate``, ``evaluate_grad`` and
+    ``project_values``; the dense matrices are never formed.
     """
 
     exponent: float
@@ -136,16 +138,16 @@ class VolterraProblem:
 def _apply_term(problem: VolterraProblem, term: KernelTerm, n: int, vec: np.ndarray):
     if term.kind == "diag":
         return term.coeff * term.diag * vec
+    basis = problem.basis
     if term.kind == "colloc":
-        E, P = problem.basis.eval_matrix(), problem.basis.proj_matrix()
-        return term.coeff * (P @ (term.grid_values[n] * (E @ vec)))
+        return term.coeff * basis.project_values(term.grid_values[n] * basis.evaluate(vec))
     if term.kind == "graddot":
-        P = problem.basis.proj_matrix()
-        G = problem.basis.grad_matrices()
-        acc = np.zeros(P.shape[1])
-        for g_vals, Gmat in zip(term.grad_values, G):
-            acc += g_vals[n] * (Gmat @ vec)
-        return term.coeff * (P @ acc)
+        # in place, not sum(): per call overhead is most of the 1-D cost
+        grads = basis.evaluate_grad(vec)
+        acc = term.grad_values[0][n] * grads[0]
+        for g_vals, g in zip(term.grad_values[1:], grads[1:]):
+            acc += g_vals[n] * g
+        return term.coeff * basis.project_values(acc)
     raise ValueError(f"unknown kernel term kind {term.kind}")
 
 
@@ -248,7 +250,7 @@ def _sigma_grid_values(basis, grid, sigma):
     if sigma is None:
         return None
     sigma = np.asarray(sigma, dtype=float)
-    expected = (grid.steps + 1, basis.eval_matrix().shape[0])
+    expected = (grid.steps + 1, basis.grid_size)
     if sigma.shape != expected:
         raise DomainError(
             f"sigma must be collocation values of shape {expected}, got {sigma.shape}"
@@ -311,9 +313,7 @@ def assemble_fmgt3(
     sig = _sigma_grid_values(basis, grid, sigma)
     if sig is not None:
         terms.append(KernelTerm(0.0, "colloc", 1.0, grid_values=sig))
-        P = basis.proj_matrix()
-        E = basis.eval_matrix()
-        F = F - (sig * (xi2 @ E.T)) @ P.T
+        F = F - basis.project_values(sig * basis.evaluate(xi2))
     if grad_w is not None:
         terms.append(KernelTerm(1.0, "graddot", 2.0 * spec.l_eff, grad_values=grad_w))
         F = F - grad_data_term
@@ -397,9 +397,7 @@ def assemble_fmgt1(
     sig = _sigma_grid_values(basis, grid, sigma)
     if sig is not None:
         terms.append(KernelTerm(a - 1.0, "colloc", 1.0, grid_values=sig))
-        P = basis.proj_matrix()
-        E = basis.eval_matrix()
-        F = F - (sig * (xi2 @ E.T)) @ P.T
+        F = F - basis.project_values(sig * basis.evaluate(xi2))
     if grad_w is not None:
         terms.append(KernelTerm(a, "graddot", 2.0 * spec.l_eff, grad_values=grad_w))
         F = F - grad_data_term
@@ -636,6 +634,22 @@ def _iterate_distance(basis, a, b) -> float:
     return d_psi + d_psit + d_psitt
 
 
+def _check_nondegenerate(sigma: np.ndarray, t: np.ndarray, iterate: int):
+    """Refuse a frozen coefficient 1 + sigma = 1 + 2k w_t that is not
+    positive on the collocation grid: the models are only well posed while
+    1 + 2k psi_t stays bounded away from zero."""
+    n, i = np.unravel_index(np.argmin(sigma), sigma.shape)
+    low = 1.0 + sigma[n, i]
+    if not low > 0.0:
+        raise SolverBlowUpError(
+            node=int(n),
+            cause=f"degenerate coefficient: 1 + 2k psi_t reaches {low:.6g} at node {n} "
+            f"(t = {t[n]:.6g}) in Picard iterate {iterate}; the models assume "
+            "1 + 2k psi_t stays bounded away from zero (nondegeneracy), so "
+            "decrease k or the data",
+        )
+
+
 def picard_nonlinear(
     spec: ModelSpec,
     data: InitialData,
@@ -650,7 +664,8 @@ def picard_nonlinear(
     psi_t for Kuznetsov).  The initial guess is the linear solution, which
     lies inside the contraction ball for small data.  Raises if max_iter is
     exceeded: the iteration has left the contraction regime, so shrink the
-    horizon or the data."""
+    horizon or the data.  Raises SolverBlowUpError before assembling an
+    iterate whose 1 + 2k w_t is not positive on the collocation grid."""
     validate(spec)
     if spec.family is Family.II:
         raise ModelError("family ii admits linear solves only")
@@ -661,7 +676,6 @@ def picard_nonlinear(
     basis = data.basis
     k = spec.k_eff
     l = spec.l_eff
-    E = basis.eval_matrix()
     assemble = assemble_fmgt3 if spec.family is Family.III else assemble_fmgt1
 
     current = solve_linear(
@@ -673,21 +687,21 @@ def picard_nonlinear(
     distances = []
     sweeps = 0
     t = grid.nodes
-    xi1, xi2 = data.psi1.coeffs, data.psi2.coeffs
+    if l != 0.0:
+        # data part of the gradient term: 2 l~ G_w(t)(xi1 + t xi2)
+        xi1, xi2 = data.psi1.coeffs, data.psi2.coeffs
+        grad_lin = basis.evaluate_grad(xi1[None, :] + t[:, None] * xi2[None, :])
     for it in range(1, max_iter + 1):
-        sigma = 2.0 * k * (current.psi_t @ E.T) if k != 0.0 else None
+        sigma = None
+        if k != 0.0:
+            sigma = 2.0 * k * basis.evaluate(current.psi_t)
+            _check_nondegenerate(sigma, t, it)
         grad_w = None
         grad_data = None
         if l != 0.0:
-            G = basis.grad_matrices()
-            grad_w = [current.psi @ Gm.T for Gm in G]
-            # data part of the gradient term: 2 l~ G_w(t)(xi1 + t xi2)
-            P = basis.proj_matrix()
-            lin = xi1[None, :] + t[:, None] * xi2[None, :]
-            acc = np.zeros_like(grad_w[0])
-            for gw, Gm in zip(grad_w, G):
-                acc += gw * (lin @ Gm.T)
-            grad_data = 2.0 * l * (acc @ P.T)
+            grad_w = basis.evaluate_grad(current.psi)
+            acc = sum(gw * gl for gw, gl in zip(grad_w, grad_lin))
+            grad_data = 2.0 * l * basis.project_values(acc)
         problem = assemble(
             spec, data, f, grid, sigma=sigma, grad_w=grad_w, grad_data_term=grad_data
         )

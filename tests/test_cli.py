@@ -92,6 +92,22 @@ class TestExitCodes:
         assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 3
         assert "node 7" in capsys.readouterr().err
 
+    def test_degenerate_coefficient_is_3(self, tmp_path, capsys):
+        # picard-w3 with order-one data: 1 + 2k psi_t turns negative on the
+        # first iterate, and the run names the coefficient instead of an
+        # inner fixed point that failed to converge
+        text = (PRESETS / "picard-w3.cfg").read_text()
+        text = text.replace("model.k = 0.1", "model.k = 5").replace(
+            "data.amplitude = 1e-3", "data.amplitude = 1"
+        )
+        assert "model.k = 5\n" in text and "data.amplitude = 1\n" in text
+        cfg = tmp_path / "degenerate.cfg"
+        cfg.write_text(text)
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "1 + 2k psi_t reaches -" in err
+        assert "bounded away from zero" in err
+
     def test_success_is_0(self, tmp_path):
         assert (
             run_cli(["--out", tmp_path / "o", "run", "--config", PRESETS / "mgt-classical.cfg"])

@@ -188,6 +188,92 @@ class TestProducts:
         prod = pointwise_product(u, u)
         vals = b.evaluate(prod.coeffs)
         X, Y = np.meshgrid(*b.collocation_points(), indexing="ij")
-        exact = (2 / np.pi) ** 2 * np.sin(X) ** 2 * np.sin(Y) ** 2
+        exact = ((2 / np.pi) ** 2 * np.sin(X) ** 2 * np.sin(Y) ** 2).ravel()
         # truncated sine expansion of an even profile: moderate accuracy
         assert np.max(np.abs(vals - exact)) < 0.05
+
+
+# The separable transforms against the dense Kronecker matrices.  An
+# asymmetric rectangle with m_x != m_y exposes a transposed axis or a wrong
+# sort permutation, which a square basis would hide.
+SEPARABLE_BASES = {
+    "rectangle": (Domain.rectangle(1.0, 0.7), (5, 3)),
+    "interval": (Domain.interval(1.0), 7),
+}
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.fixture(params=sorted(SEPARABLE_BASES))
+def sep_basis(request):
+    return EigenBasis(*SEPARABLE_BASES[request.param])
+
+
+class TestSeparableTransforms:
+    N1 = 9  # batch of N + 1 time nodes
+
+    def test_grid_size(self, sep_basis):
+        assert sep_basis.grid_size == sep_basis.eval_matrix().shape[0]
+        assert sep_basis.grid_size == np.prod([p.size for p in sep_basis.collocation_points()])
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_evaluate(self, sep_basis, batched):
+        rng = np.random.default_rng(21)
+        c = rng.normal(size=(self.N1, sep_basis.size) if batched else sep_basis.size)
+        vals = sep_basis.evaluate(c)
+        assert vals.shape == c.shape[:-1] + (sep_basis.grid_size,)
+        assert _rel_err(vals, c @ sep_basis.eval_matrix().T) < 1e-13
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_evaluate_grad(self, sep_basis, batched):
+        rng = np.random.default_rng(22)
+        c = rng.normal(size=(self.N1, sep_basis.size) if batched else sep_basis.size)
+        grads = sep_basis.evaluate_grad(c)
+        dense = sep_basis.grad_matrices()
+        assert len(grads) == len(dense) == sep_basis.domain.ndim
+        for g, G in zip(grads, dense):
+            assert g.shape == c.shape[:-1] + (sep_basis.grid_size,)
+            assert _rel_err(g, c @ G.T) < 1e-13
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_project_values(self, sep_basis, batched):
+        rng = np.random.default_rng(23)
+        v = rng.normal(size=(self.N1, sep_basis.grid_size) if batched else sep_basis.grid_size)
+        coeffs = sep_basis.project_values(v)
+        assert coeffs.shape == v.shape[:-1] + (sep_basis.size,)
+        assert _rel_err(coeffs, v @ sep_basis.proj_matrix().T) < 1e-13
+
+    def test_kernel_apply_matches_dense_formula(self, sep_basis):
+        # kernel_apply(t, s, v) = -(1/lead) sum_k w_k Op_k(t) v with the
+        # 'colloc' multiplier P(sigma_n ⊙ E v) and the 'graddot' multiplier
+        # P(sum_axis g_n ⊙ G_axis v), spelled out with the dense matrices
+        from fmgt import TimeGrid
+        from fmgt.volterra import KernelTerm, PowerKernelSum, VolterraProblem, p_power
+
+        b = sep_basis
+        grid = TimeGrid(1.0, self.N1 - 1)
+        rng = np.random.default_rng(24)
+        sigma = rng.normal(size=(self.N1, b.grid_size))
+        grads = [rng.normal(size=(self.N1, b.grid_size)) for _ in range(b.domain.ndim)]
+        colloc = KernelTerm(0.0, "colloc", 0.8, grid_values=sigma)
+        graddot = KernelTerm(1.0, "graddot", -0.3, grad_values=grads)
+        zeros = np.zeros(b.size)
+        lead = 1.7
+        v = rng.normal(size=b.size)
+        E, P, G = b.eval_matrix(), b.proj_matrix(), b.grad_matrices()
+        node, t, s = 5, 0.625, 0.25
+        dense = {
+            "colloc": 0.8 * p_power(0.0, t - s) * (P @ (sigma[node] * (E @ v))),
+            "graddot": -0.3
+            * p_power(1.0, t - s)
+            * (P @ sum(g[node] * (Gm @ v) for g, Gm in zip(grads, G))),
+        }
+        for term in (colloc, graddot):
+            prob = VolterraProblem(
+                b, grid, lead, PowerKernelSum([term]), np.zeros((self.N1, b.size)),
+                (2.0, 1.0, 0.0), zeros, zeros, zeros,
+            )
+            got = prob.kernel_apply(t, s, v, node=node)
+            assert _rel_err(got, -dense[term.kind] / lead) < 1e-13

@@ -389,6 +389,32 @@ class TestPicard:
         assert exc.value.node is None  # the whole iterate left the ball
         assert "iterate 1" in str(exc.value) and "last distance" in str(exc.value)
 
+    def test_degenerate_coefficient_refused(self):
+        # order-one data with k = 5 drives 1 + 2k w_t negative on the first
+        # (linear) iterate; the solve is refused before it is assembled,
+        # at the node where the dense-matrix evaluation puts the minimum
+        b = EigenBasis(Domain.interval(1.0), 8)
+        data = small_data(b, 1.0)
+        grid = TimeGrid(1.0, 64)
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=5.0), 0.7
+        )
+        linear = solve_linear(
+            ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), spec.params, 0.7),
+            data,
+            grid,
+        )
+        coef = 1.0 + 2.0 * 5.0 * (linear.psi_t @ b.eval_matrix().T)
+        node = int(np.argmin(np.min(coef, axis=1)))
+        assert coef.min() < 0
+        with pytest.raises(SolverBlowUpError) as exc:
+            picard_nonlinear(spec, data, grid)
+        msg = str(exc.value)
+        assert exc.value.node == node
+        assert f"reaches {coef.min():.6g} at node {node} (t = {grid.nodes[node]:.6g})" in msg
+        assert "1 + 2k psi_t stays bounded away from zero" in msg
+        assert "Picard iterate 1" in msg
+
     def test_inner_sweeps_reach_the_result(self):
         spec = ModelSpec(
             ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=0.1), 0.7
@@ -514,6 +540,71 @@ class TestTwoDimensional:
         )
         res = picard_nonlinear(spec, small, TimeGrid(1.0, 128), tol=1e-10)
         assert res.converged and res.contraction_ratio < 1
+
+    def test_picard_numerics_unchanged(self):
+        # small Kuznetsov III case with nonzero psi1 and psi2, so that both
+        # collocation data corrections enter; the literals below were
+        # produced by commit ae9a5f7, which still applied the collocation
+        # terms through the dense Kronecker matrices.  psi must agree to
+        # 1e-12 of its largest value (some modes are zero up to rounding)
+        basis = EigenBasis(Domain.rectangle(1.0, 0.7), 6)
+        bump = basis.project(lambda x, y: x * (1 - x) * y * (0.7 - y)).coeffs
+        wave = basis.project(lambda x, y: np.sin(2 * np.pi * x) * y * (0.7 - y)).coeffs
+        scale = 1e-3 / np.max(np.abs(bump))
+        data = InitialData(
+            SpectralField(basis, scale * bump),
+            SpectralField(basis, 0.5 * scale * wave),
+            SpectralField(basis, -0.3 * scale * bump),
+        )
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
+            MediumParams(k_tilde=0.1, l_tilde=0.1),
+            0.7,
+        )
+        res = picard_nonlinear(spec, data, TimeGrid(1.0, 64), tol=1e-12)
+        psi = res.trajectory.psi
+        assert res.iterations == 3
+        assert res.trajectory.diagnostics["picard_iterations"] == 3
+        assert res.trajectory.diagnostics["inner_sweeps_max"] == 3
+        for got, want in (
+            (psi[-1], KUZNETSOV_2D_PSI_LAST),
+            (np.sum(np.abs(psi), axis=0), KUZNETSOV_2D_PSI_ABS_SUM),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+KUZNETSOV_2D_PSI_LAST = np.array(
+    [
+        0.00034527460187459955, 0.00025530078589419366, -1.7453009758967765e-20,
+        1.3088536663009429e-05, -7.299525222533802e-21, -2.1913863098576856e-21,
+        1.9508136138840232e-09, 1.5330227086338805e-05, 3.7552648337504637e-06,
+        2.7534012640325647e-22, 3.058930985604517e-06, 5.248384957817498e-07,
+        8.778870599525902e-23, 1.7534079332847857e-20, 1.3258155547936975e-10,
+        1.1551394056181556e-22, -9.594685427868578e-11, 8.2567597045538815e-22,
+        1.1574064691606975e-07, 2.7702312856740814e-22, -2.7469087289354057e-22,
+        3.1879206402114727e-06, 3.693361097799748e-11, 1.030466605715717e-06,
+        -8.962622378122386e-22, 1.2012068836410807e-07, 4.4490175432687397e-11,
+        -4.700789340474266e-22, -9.23002143441122e-22, 2.527377954673462e-08,
+        1.104613526185996e-22, 8.611133892673355e-22, 7.459231674768754e-12,
+        5.225836614276775e-22, -1.8819145618074547e-22, 3.317497359465113e-22,
+    ]
+)
+KUZNETSOV_2D_PSI_ABS_SUM = np.array(
+    [
+        0.04228144360907858, 0.008877943272825152, 2.1289157708158783e-18,
+        0.001596224637480699, 7.44262257507754e-19, 1.8167845775301718e-19,
+        1.8091889407337258e-07, 0.0016009901593524328, 0.0002259650700508113,
+        1.890971781868183e-20, 0.0003445197759604508, 5.9009015794792534e-05,
+        6.102596649949014e-21, 1.840854799246236e-18, 2.5770999724608452e-08,
+        3.239773030633204e-20, 2.4430180298017146e-08, 9.752510783073373e-20,
+        1.2767244967790519e-05, 4.756769424110123e-20, 1.9401914829204687e-20,
+        0.000344541954928651, 4.568882244302277e-09, 4.440565827350025e-05,
+        1.1220131688173267e-19, 1.2755259679935165e-05, 4.6278256357932664e-09,
+        4.902386674868677e-20, 1.2331476737530417e-19, 2.7551077483458366e-06,
+        7.170015142051264e-21, 9.53633398315124e-20, 9.084381478736776e-10,
+        6.115550777161467e-20, 2.5544005222589526e-20, 3.23896093732625e-20,
+    ]
+)
 
 
 class TestForcing:
