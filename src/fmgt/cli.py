@@ -46,14 +46,10 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
+    """Numeric rows, every value printed with 17 significant digits."""
+    row_format = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [row_format % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -93,43 +89,26 @@ def cmd_run(args) -> int:
     spec, basis, grid, data, f, traj, extras = _solve(cfg)
 
     lam = basis.eigenvalues[None, :]
-    rows = []
-    for n, t in enumerate(grid.nodes):
-        rows.append(
-            (
-                t,
-                np.sqrt(np.sum(traj.psi[n] ** 2)),
-                np.sqrt(np.sum(lam[0] * traj.psi[n] ** 2)),
-                np.sqrt(np.sum(traj.psi_t[n] ** 2)),
-                np.sqrt(np.sum(lam[0] * traj.psi_t[n] ** 2)),
-                np.sqrt(np.sum(traj.psi_tt[n] ** 2)),
-            )
-        )
+    norms = (
+        np.sqrt(np.sum(traj.psi**2, axis=1)),
+        np.sqrt(np.sum(lam * traj.psi**2, axis=1)),
+        np.sqrt(np.sum(traj.psi_t**2, axis=1)),
+        np.sqrt(np.sum(lam * traj.psi_t**2, axis=1)),
+        np.sqrt(np.sum(traj.psi_tt**2, axis=1)),
+    )
     _write_csv(
         out / "trajectory.csv",
         ["t", "l2_psi", "h1_psi", "l2_psi_t", "h1_psi_t", "l2_psi_tt"],
-        rows,
+        zip(grid.nodes, *norms),
     )
 
     rep_low = energy_low(traj, spec, data, f)
     rep_high = energy_high(traj, spec, data, f)
-    erows = []
-    for n, t in enumerate(grid.nodes):
-        erows.append(
-            (
-                t,
-                rep_low.columns["l2_psi_tt"][n],
-                rep_low.columns["h1_psi_t"][n],
-                rep_low.columns["h1_psi"][n],
-                rep_low.columns["h2_psi_t"][n],
-                rep_low.columns["h2_psi_tt"][n],
-                rep_low.columns["h3_psi_t"][n],
-            )
-        )
+    energy_header = ["t", "l2_psi_tt", "h1_psi_t", "h1_psi", "h2_psi_t", "h2_psi_tt", "h3_psi_t"]
     _write_csv(
         out / "energy.csv",
-        ["t", "l2_psi_tt", "h1_psi_t", "h1_psi", "h2_psi_t", "h2_psi_tt", "h3_psi_t"],
-        erows,
+        energy_header,
+        zip(grid.nodes, *(rep_low.columns[name] for name in energy_header[1:])),
     )
 
     summary = {

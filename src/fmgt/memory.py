@@ -25,37 +25,54 @@ from scipy.special import gamma as gamma_fn
 
 from .convolution import OnlineHistory, causal_conv
 from .fractional import TimeGrid, first_derivative, l1_weights, second_derivative
-from .mittag_leffler import RelaxationKernel, kernel_cell_moments, ml
+from .mittag_leffler import RelaxationKernel, kernel_cell_moments
 from .models import Family, InitialData, ModelError, ModelSpec, Nonlinearity
 from .spectral import EigenBasis
 from .volterra import SolverBlowUpError, Trajectory, _forcing_array
 
 
+@dataclass(frozen=True)
+class MemoryTables:
+    """The relaxation-kernel tables of one (alpha, tau, grid): built once per
+    z-form solve and shared by the march and the psi recovery.
+
+    e1[n] = E_{a,1}(-(t_n/tau)^a) on the nodes; (w, q) are the convolution
+    weights of the kernel against piecewise-linear z, such that
+    (k*z)(t_n) = sum_{j=0}^{n-1} w[j] z_{n-j} + q[n-1] z_0: interior lags
+    share weights between adjacent cells, while the oldest lag carries only
+    the left-node weight of its cell."""
+
+    e1: np.ndarray
+    w: np.ndarray
+    q: np.ndarray
+
+
+def memory_tables(spec: ModelSpec, grid: TimeGrid) -> MemoryTables:
+    """The tables of the kernel of order spec.alpha and time tau on grid."""
+    h, n_cells = grid.h, grid.steps
+    kernel = RelaxationKernel(order=spec.alpha, tau=spec.params.tau)
+    # the cell edges are the nodes, so the edge table e1 is the node table
+    m0, m1, e1 = kernel_cell_moments(kernel, h, n_cells)
+    k = np.arange(n_cells)
+    q = (m1 - k * h * m0) / h  # weight toward the older node of each cell
+    w = np.zeros(n_cells)
+    w += m0 - q
+    w[1:] += q[:-1]
+    return MemoryTables(e1, w, q)
+
+
 @dataclass
 class ZTrajectory:
-    """State of the memory-form solve: z and z_t coefficient signals."""
+    """State of the memory-form solve: z and z_t coefficient signals, and
+    the kernel tables they were marched with."""
 
     basis: EigenBasis
     grid: TimeGrid
     z: np.ndarray
     z_t: np.ndarray
     spec: ModelSpec
+    tables: MemoryTables
     diagnostics: dict = field(default_factory=dict)
-
-
-def _memory_weights(kernel: RelaxationKernel, h: float, n_cells: int):
-    """Convolution weights of the kernel against piecewise-linear z.
-
-    Returns (w, q) such that (k*z)(t_n) = sum_{j=0}^{n-1} w[j] z_{n-j}
-    + q[n-1] z_0: interior lags share weights between adjacent cells, while
-    the oldest lag carries only the left-node weight of its cell."""
-    m0, m1 = kernel_cell_moments(kernel, h, n_cells)
-    k = np.arange(n_cells)
-    q = (m1 - k * h * m0) / h  # weight toward the older node of each cell
-    w = np.zeros(n_cells)
-    w += m0 - q
-    w[1:] += q[:-1]
-    return w, q
 
 
 def z_initial(spec: ModelSpec, data: InitialData):
@@ -88,17 +105,14 @@ def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Z
     h = grid.h
     n_steps = grid.steps
 
-    kernel = RelaxationKernel(order=a, tau=p.tau)
-    w, q = _memory_weights(kernel, h, n_steps)
+    tables = memory_tables(spec, grid)
+    w, q = tables.w, tables.q
     B = p.c**2 + p.delta / p.tau**a
     C = p.delta / p.tau**a
 
     farr = _forcing_array(f, basis, grid)
     # data forcing - delta tau^{-a} E_{a,1}(-(t/tau)^a) Lap psi0, per node
-    e_vals = np.array(
-        [ml(a, 1.0, -((t / p.tau) ** a)) if t > 0 else 1.0 for t in grid.nodes]
-    )
-    F = farr + (p.delta / p.tau**a) * e_vals[:, None] * lam[None, :] * data.psi0.coeffs[None, :]
+    F = farr + (p.delta / p.tau**a) * tables.e1[:, None] * lam[None, :] * data.psi0.coeffs[None, :]
 
     z = np.zeros((n_steps + 1, basis.size))
     v = np.zeros_like(z)
@@ -122,7 +136,7 @@ def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Z
         v[n] = v[n - 1] + 0.5 * h * (acc[n - 1] + acc[n])
         if not np.all(np.isfinite(z[n])):
             raise SolverBlowUpError(n)
-    return ZTrajectory(basis, grid, z, v, spec)
+    return ZTrajectory(basis, grid, z, v, spec, tables)
 
 
 def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
@@ -141,13 +155,9 @@ def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
     n_steps = grid.steps
     z = ztraj.z
 
-    kernel = RelaxationKernel(order=a, tau=p.tau)
-    w, q = _memory_weights(kernel, h, n_steps)
-    e_vals = np.array(
-        [ml(a, 1.0, -((t / p.tau) ** a)) if t > 0 else 1.0 for t in grid.nodes]
-    )
-    psi = e_vals[:, None] * psi0_coeffs[None, :]
-    psi[1:] += causal_conv(w, z[1:]) + q[:, None] * z[0]
+    tables = ztraj.tables
+    psi = tables.e1[:, None] * psi0_coeffs[None, :]
+    psi[1:] += causal_conv(tables.w, z[1:]) + tables.q[:, None] * z[0]
 
     # independent route: L1 marching of the relaxation equation
     psi_l1 = np.zeros_like(psi)

@@ -245,7 +245,9 @@ def _sigma_grid_values(basis, grid, sigma):
 
     The contract is grid values, never mode coefficients: the two shapes
     coincide at cutoff 1, so no dispatch-by-shape is possible.  Values must
-    be finite (the analysis assumes a uniformly bounded coefficient).
+    be finite (the analysis assumes a uniformly bounded coefficient), and
+    1 + sigma must be positive (the coefficient of the leading term may not
+    degenerate).
     """
     if sigma is None:
         return None
@@ -257,6 +259,13 @@ def _sigma_grid_values(basis, grid, sigma):
         )
     if not np.all(np.isfinite(sigma)):
         raise DomainError("sigma must be uniformly bounded (finite grid values)")
+    n, i = np.unravel_index(np.argmin(sigma), sigma.shape)
+    low = 1.0 + sigma[n, i]
+    if not low > 0.0:
+        raise DomainError(
+            f"1 + sigma must stay positive, but reaches {low:.6g} at node {n} "
+            f"(t = {grid.nodes[n]:.6g})"
+        )
     return sigma
 
 

@@ -1,9 +1,19 @@
 """Memory-form solver for the linear type-II model and psi recovery."""
+import sys
+
 import numpy as np
 import pytest
 
+import fmgt.mittag_leffler
 from fmgt import Domain, EigenBasis, TimeGrid
-from fmgt.memory import ZTrajectory, recover_psi, solve_fmgt2, solve_zform, z_initial
+from fmgt.memory import (
+    ZTrajectory,
+    memory_tables,
+    recover_psi,
+    solve_fmgt2,
+    solve_zform,
+    z_initial,
+)
 from fmgt.mittag_leffler import ml
 from fmgt.models import (
     Family,
@@ -87,7 +97,8 @@ class TestRecovery:
         b = basis_pi
         grid = TimeGrid(1.0, 256)
         spec = linear_ii(0.5)
-        zt = ZTrajectory(b, grid, np.full((257, 1), 0.7), np.zeros((257, 1)), spec)
+        tables = memory_tables(spec, grid)
+        zt = ZTrajectory(b, grid, np.full((257, 1), 0.7), np.zeros((257, 1)), spec, tables)
         psi, disc = recover_psi(zt, np.array([0.7]))
         assert np.max(np.abs(psi - 0.7)) < 1e-14
         assert disc < 1e-13
@@ -96,7 +107,8 @@ class TestRecovery:
         b = basis_pi
         grid = TimeGrid(1.0, 512)
         spec = linear_ii(1.0, tau=1.0)
-        zt = ZTrajectory(b, grid, np.zeros((513, 1)), np.zeros((513, 1)), spec)
+        tables = memory_tables(spec, grid)
+        zt = ZTrajectory(b, grid, np.zeros((513, 1)), np.zeros((513, 1)), spec, tables)
         psi, disc = recover_psi(zt, np.array([1.0]))
         assert np.max(np.abs(psi[:, 0] - np.exp(-grid.nodes))) < 1e-13
         assert disc < 1e-6  # trapezoid route carries its own O(h^2)
@@ -105,7 +117,8 @@ class TestRecovery:
         b = basis_pi
         grid = TimeGrid(1.0, 512)
         spec = linear_ii(0.5, tau=1.0)
-        zt = ZTrajectory(b, grid, np.zeros((513, 1)), np.zeros((513, 1)), spec)
+        tables = memory_tables(spec, grid)
+        zt = ZTrajectory(b, grid, np.zeros((513, 1)), np.zeros((513, 1)), spec, tables)
         psi, disc = recover_psi(zt, np.array([1.0]))
         exact = np.array([ml(0.5, 1.0, -np.sqrt(t)) if t > 0 else 1.0 for t in grid.nodes])
         assert np.max(np.abs(psi[:, 0] - exact)) < 1e-13
@@ -149,6 +162,41 @@ class TestCrossFormulation:
         traj = solve_fmgt2(linear_ii(0.7), data, TimeGrid(1.0, 256))
         assert "recovery_discrepancy" in traj.diagnostics
         assert traj.diagnostics["recovery_discrepancy"] < 1e-2
+
+
+class TestKernelTables:
+    """The z-form solve takes every Mittag-Leffler value from array tables."""
+
+    def test_no_scalar_ml_in_production(self, bump_setup, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scalar ml called")
+
+        # every fmgt namespace that bound the scalar evaluator
+        scalar = fmgt.mittag_leffler.ml
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fmgt") and getattr(module, "ml", None) is scalar:
+                monkeypatch.setattr(module, "ml", refuse)
+        traj = solve_fmgt2(linear_ii(0.7), bump_setup[1], TimeGrid(2.0, 128))
+        assert np.all(np.isfinite(traj.psi))
+
+    def test_each_table_built_once(self, bump_setup, monkeypatch):
+        calls = []
+        ml_array = fmgt.mittag_leffler.ml_array
+
+        def counting(alpha, beta, x):
+            calls.append((alpha, beta, len(x)))
+            return ml_array(alpha, beta, x)
+
+        monkeypatch.setattr(fmgt.mittag_leffler, "ml_array", counting)
+        solve_fmgt2(linear_ii(0.7), bump_setup[1], TimeGrid(2.0, 128))
+        assert sorted(calls) == [(0.7, 1.0, 129), (0.7, 2.0, 129)]
+
+    def test_tables_match_scalar_ml(self):
+        spec = linear_ii(0.6, tau=0.25)
+        grid = TimeGrid(2.0, 64)
+        tables = memory_tables(spec, grid)
+        exact = [ml(0.6, 1.0, -((t / 0.25) ** 0.6)) if t > 0 else 1.0 for t in grid.nodes]
+        assert np.allclose(tables.e1, exact, rtol=1e-11, atol=0)
 
 
 class TestForcedRuns:

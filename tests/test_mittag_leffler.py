@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import rgamma
 
 from fmgt import DomainError, RelaxationKernel, kernel_mass, kernel_value, ml
-from fmgt.mittag_leffler import kernel_cell_moments
+from fmgt.mittag_leffler import _SERIES_TRY_LIMIT, _ml_series, kernel_cell_moments, ml_array
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -96,6 +97,116 @@ class TestMl:
             ml(0.5, 0.0, -1.0)
 
 
+def asymptotic(a: float, b: float, x: float, terms: int = 40) -> float:
+    """E_{a,b}(x) ~ -sum_{k>=1} x^-k / Gamma(b - a k) as x -> -inf, 0 < a < 1:
+    the tail after 40 terms is far below rounding for x <= -50."""
+    return -sum(x ** (-k) * rgamma(b - a * k) for k in range(1, terms + 1))
+
+
+def series_switch(a: float, b: float) -> float | None:
+    """The x in [-5, 0] where the series' cancellation estimate starts to
+    fail, by bisection on the scalar flag; None if it passes on all of it."""
+    if _ml_series(a, b, -_SERIES_TRY_LIMIT)[1]:
+        return None
+    lo, hi = -_SERIES_TRY_LIMIT, 0.0  # fails at lo, passes at hi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if not _ml_series(a, b, mid)[1] else (lo, mid)
+    return hi
+
+
+# E_{a,b}(x) near alpha = 1 by mpmath.quad of the integral representation
+# at 40 and at 60 digits (agreeing to 1e-32), with breakpoints around the
+# near-pole of the integrand at r = |x| cos(pi (1 - a)); frozen
+NEAR_ONE_ORACLE = {
+    (0.9999, 1.0, -8.0): 0.00035312192614565895288,
+    (0.99999, 0.99999, -7.0): 0.00091226238959534828674,
+    (0.9999, 2.0, -12.0): 0.083336008324509633665,
+}
+
+ARRAY_CASES = [
+    (a, b)
+    for a in (0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.9999, 1.0)
+    for b in dict.fromkeys((a, 1.0, 2.0))
+]
+
+
+class TestMlArray:
+    """ml_array against scalar ml, its independent oracle."""
+
+    @staticmethod
+    def grid(a, b):
+        x = [*(-np.geomspace(1e-3, 200.0)), 0.0]
+        for edge in (-_SERIES_TRY_LIMIT, series_switch(a, b)):
+            if edge is not None:
+                x += [edge * (1 + 1e-9), edge, edge * (1 - 1e-9)]
+        return np.array(x)
+
+    @pytest.mark.parametrize("a,b", ARRAY_CASES)
+    def test_against_scalar(self, a, b):
+        x = self.grid(a, b)
+        got = ml_array(a, b, x)
+        want = np.array([ml(a, b, v) for v in x])
+        closed = a == 1.0
+        series = np.array(
+            [v == 0.0 or closed or (abs(v) <= _SERIES_TRY_LIMIT and _ml_series(a, b, v)[1])
+             for v in x]
+        )
+        assert series.any() and (closed or not series.all())
+        # series, closed forms and x = 0 bit for bit; the integral to 1e-11
+        assert np.array_equal(got[series], want[series])
+        rel = np.abs(got[~series] - want[~series]) / np.abs(want[~series])
+        assert np.all(rel <= 1e-11), (x[~series][np.argmax(rel)], rel.max())
+
+    @pytest.mark.parametrize("a,b,x", list(SERIES_ORACLE))
+    def test_against_series_oracle(self, a, b, x):
+        got = ml_array(a, b, np.array([x, 0.0]))
+        assert got[0] == pytest.approx(SERIES_ORACLE[(a, b, x)], rel=1e-10)
+        assert got[1] == ml(a, b, 0.0)
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("b", ["a", 1.0, 2.0])
+    def test_integral_branch_against_asymptotics(self, a, b):
+        b = a if b == "a" else b
+        x = np.array([-50.0, -57.6, -100.0, -200.0])
+        want = np.array([asymptotic(a, b, v) for v in x])
+        assert np.allclose(ml_array(a, b, x), want, rtol=1e-12, atol=0)
+        assert np.allclose([ml(a, b, v) for v in x], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("a,b,x", list(NEAR_ONE_ORACLE))
+    def test_near_alpha_one(self, a, b, x):
+        # the integrand's near-pole sharpens as alpha -> 1
+        want = NEAR_ONE_ORACLE[(a, b, x)]
+        assert ml_array(a, b, np.array([x]))[0] == pytest.approx(want, rel=1e-11)
+        assert ml(a, b, x) == pytest.approx(want, rel=1e-11)
+
+    def test_more_points_than_one_batch(self):
+        # 300 integral-branch points: the quadrature runs them in batches
+        x = -np.geomspace(5.5, 300.0, 300)
+        want = np.array([ml(0.7, 0.7, v) for v in x])
+        assert np.allclose(ml_array(0.7, 0.7, x), want, rtol=1e-11, atol=0)
+
+    def test_empty(self):
+        out = ml_array(0.5, 1.0, np.array([]))
+        assert out.shape == (0,) and out.dtype == float
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            ml_array(0.5, 1.0, np.array([-1.0, 0.5]))
+        with pytest.raises(DomainError):
+            ml_array(0.0, 1.0, np.array([-1.0]))
+        with pytest.raises(DomainError):
+            ml_array(1.2, 1.0, np.array([-1.0]))
+        with pytest.raises(DomainError):
+            ml_array(0.5, 0.0, np.array([-1.0]))
+        with pytest.raises(DomainError):
+            ml_array(0.5, 1.0, np.zeros((2, 2)))
+        with pytest.raises(DomainError):
+            ml_array(0.5, 1.0, np.array([-1.0, np.nan]))
+        with pytest.raises(DomainError):
+            ml_array(1.0, 0.5, np.array([-10.0]))  # alpha = 1 has no integral
+
+
 class TestRelaxationKernel:
     def test_exponential_at_order_one(self):
         k = RelaxationKernel(order=1.0, tau=0.5)
@@ -112,6 +223,17 @@ class TestRelaxationKernel:
         # tau^-0.7 * 1^{-0.3} * E_{0.7,0.7}(-1); frozen oracle value
         k = RelaxationKernel(order=0.7, tau=1.0)
         assert kernel_value(k, 1.0) == pytest.approx(0.2103933463890237074, rel=1e-11)
+
+    @pytest.mark.parametrize("order", [0.3, 0.7, 1.0])
+    def test_value_matches_scalar_composition(self, order):
+        k = RelaxationKernel(order=order, tau=0.5)
+        ts = np.logspace(-3, 2, 40).reshape(8, 5)
+        vals = kernel_value(k, ts)
+        assert vals.shape == ts.shape
+        want = [0.5**-order * t ** (order - 1) * ml(order, order, -((t / 0.5) ** order))
+                for t in ts.ravel()]
+        assert np.allclose(vals.ravel(), want, rtol=1e-11, atol=0)
+        assert isinstance(kernel_value(k, 2.0), float)
 
     @pytest.mark.parametrize("order", [0.3, 0.5, 0.7, 0.9, 1.0])
     def test_nonnegative_and_nonincreasing(self, order):
@@ -161,7 +283,7 @@ class TestRelaxationKernel:
         # symmetric Toeplitz matrix of exact cell masses: numerical face of
         # complete monotonicity (Schoenberg); no eigenvalue below -eps
         k = RelaxationKernel(order=order, tau=1.0)
-        m0, _ = kernel_cell_moments(k, h=0.05, n_cells=40)
+        m0, _, _ = kernel_cell_moments(k, h=0.05, n_cells=40)
         gram = np.empty((40, 40))
         for i in range(40):
             for j in range(40):
@@ -174,7 +296,7 @@ class TestRelaxationKernel:
         from scipy.integrate import quad
 
         k = RelaxationKernel(order=0.6, tau=1.0)
-        m0, m1 = kernel_cell_moments(k, h=0.25, n_cells=8)
+        m0, m1, _ = kernel_cell_moments(k, h=0.25, n_cells=8)
         assert m0.sum() == pytest.approx(kernel_mass(k, 2.0), rel=1e-12)
         ref, _ = quad(lambda u: u * kernel_value(k, u), 0.25, 0.5, epsrel=1e-12)
         assert m1[1] == pytest.approx(ref, rel=1e-9)

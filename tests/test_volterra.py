@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from fmgt import Domain, EigenBasis, TimeGrid
+from fmgt import Domain, DomainError, EigenBasis, TimeGrid
 from fmgt.mittag_leffler import ml
 from fmgt.models import (
     Family,
@@ -500,6 +500,18 @@ class TestVariableCoefficient:
         bad = np.full((513, self.ngrid), np.inf)
         with pytest.raises(Exception, match="bounded"):
             assemble_fmgt3(self.spec, self.data, None, self.grid, sigma=bad)
+
+    def test_degenerate_sigma_refused_fmgt3(self):
+        bad = np.full((513, self.ngrid), -2.0)
+        with pytest.raises(DomainError, match=r"1 \+ sigma .* reaches -1 at node 0 \(t = 0\)"):
+            assemble_fmgt3(self.spec, self.data, None, self.grid, sigma=bad)
+
+    def test_degenerate_sigma_refused_fmgt1(self):
+        spec = ModelSpec(ModelVariant(Family.I, Nonlinearity.LINEAR), MediumParams(), 0.8)
+        bad = np.full((513, self.ngrid), 0.4)
+        bad[300] = -2.0
+        with pytest.raises(DomainError, match=r"reaches -1 at node 300 \(t = 0.585938\)"):
+            assemble_fmgt1(spec, self.data, None, self.grid, sigma=bad)
 
 
 class TestTwoDimensional:
