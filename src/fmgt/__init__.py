@@ -10,7 +10,8 @@ Subpackages by responsibility:
 - ``models``: the catalog of fractional (J)MGT variants, validation, residuals
 - ``volterra``: product-integration marching for the mu-reformulated systems
 - ``memory``: wave-with-memory solver for the z-form of the type-II model
-- ``analysis``: energy reports, limit studies, kernel and convergence tables
+- ``analysis``: the one solver dispatch, energy reports, limit studies, kernel
+  and convergence tables
 - ``cli``: configuration-driven runs with deterministic CSV/JSON artifacts
 """
 
@@ -19,7 +20,6 @@ from .fractional import (
     DomainError,
     FractionalOrder,
     SampledSignal,
-    SingularKernel,
     TimeGrid,
     abel_integral,
     alikhanov_gap,
@@ -48,7 +48,6 @@ __all__ = [
     "DomainError",
     "FractionalOrder",
     "SampledSignal",
-    "SingularKernel",
     "TimeGrid",
     "abel_integral",
     "alikhanov_gap",

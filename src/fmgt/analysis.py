@@ -1,6 +1,7 @@
-"""Numerical verification harness: energy functionals and their fitted
-constants, order-of-differentiation limit studies, relaxation-kernel property
-tables, convergence-order estimation, and a product-rule sanity diagnostic.
+"""Numerical verification harness: the one solver dispatch, energy
+functionals and their fitted constants, order-of-differentiation limit
+studies, relaxation-kernel property tables, convergence-order estimation, and
+a product-rule sanity diagnostic.
 
 All reported norms are computed from spectral coefficients only, so reports
 do not drift against solver output; reruns are pure functions of the inputs.
@@ -10,9 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
-from .fractional import TimeGrid, first_derivative
+from .fractional import (
+    SampledSignal,
+    TimeGrid,
+    _trapezoid_weights,
+    abel_integral,
+    first_derivative,
+)
+from .memory import solve_fmgt2
 from .mittag_leffler import RelaxationKernel, kernel_mass, kernel_value
 from .models import (
     Family,
@@ -22,6 +29,8 @@ from .models import (
     ModelSpec,
     ModelVariant,
     Nonlinearity,
+    solver_backend,
+    validate,
 )
 from .spectral import sobolev_norm
 from .volterra import (
@@ -33,16 +42,26 @@ from .volterra import (
 )
 
 
-def _trapezoid_weights(n, h):
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = h / 2
-    return w
+# ---------------------------------------------------------------------------
+# solver dispatch
 
 
-def _abel_signal(values, order, h):
-    from .fractional import _power_convolve_linear
+def solve(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
+    """Solve one catalog model: the single route from a spec to its solver.
 
-    return _power_convolve_linear(values, order - 1.0, h) / gamma_fn(order)
+    Linear family II goes to the z-form memory solver, the other linear
+    models to the Volterra marcher and the nonlinear ones to its Picard
+    iteration; nonlinear family II is refused with ModelError.  What a solver
+    reports for the run summary is in ``traj.diagnostics``:
+    ``recovery_discrepancy`` (memory solver) or ``picard_iterations``,
+    ``contraction_ratio`` and ``inner_sweeps_max`` (Picard).
+    """
+    validate(spec)
+    if solver_backend(spec.variant) == "memory":
+        return solve_fmgt2(spec, data, grid, f)
+    if spec.nonlinearity is Nonlinearity.LINEAR:
+        return solve_linear(spec, data, grid, f)
+    return picard_nonlinear(spec, data, grid, f).trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +124,11 @@ def _damping_forms(traj: Trajectory, alpha: float):
         v = traj.psi_t  # I^1 psi_tt up to data; use carried derivative
         damping = float(np.dot(wq, np.sum(lam[None, :] * traj.psi_tt**2, axis=1)))
         return damping, float(np.max(np.sum(lam[None, :] * v**2, axis=1)))
-    v = _abel_signal(traj.psi_tt, alpha, grid.h)  # I^a psi_tt = D^{2-a} psi - data
+    v = abel_integral(SampledSignal(grid, traj.psi_tt), alpha).values  # D^{2-a} psi - data
     inner = np.sum(lam[None, :] * v * traj.psi_tt, axis=1)
     damping = float(np.dot(wq, inner))
     s = np.sum(lam[None, :] * v**2, axis=1)
-    acc = _abel_signal(s, 1.0 - alpha, grid.h)
+    acc = abel_integral(SampledSignal(grid, s), 1.0 - alpha).values
     return damping, float(np.max(acc))
 
 
@@ -192,16 +211,6 @@ class LimitStudy:
         return all(x > y for x, y in zip(v, v[1:]))
 
 
-def _solve_for(spec: ModelSpec, data: InitialData, grid: TimeGrid, f):
-    from .memory import solve_fmgt2
-
-    if spec.family is Family.II:
-        return solve_fmgt2(spec, data, grid, f)
-    if spec.nonlinearity is Nonlinearity.LINEAR:
-        return solve_linear(spec, data, grid, f)
-    return picard_nonlinear(spec, data, grid, f).trajectory
-
-
 def limit_study(
     variant: ModelVariant,
     params: MediumParams,
@@ -209,7 +218,6 @@ def limit_study(
     grid: TimeGrid,
     alphas,
     f=None,
-    jobs: int = 1,
 ) -> LimitStudy:
     """Solve on one grid for each alpha and against alpha = 1; tabulate
     difference norms.  Requires psi1 = 0 (families base/I/III limit results)
@@ -231,17 +239,10 @@ def limit_study(
     lam = data.basis.eigenvalues[None, :]
     specs = [ModelSpec(variant, params, a) for a in alphas]
     ref_spec = ModelSpec(variant, params, 1.0)
-    ref = _solve_for(ref_spec, data, grid, f)
+    ref = solve(ref_spec, data, grid, f)
     h = grid.h
     wq = _trapezoid_weights(grid.steps, h)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trajectories = list(pool.map(lambda s: _solve_for(s, data, grid, f), specs))
-    else:
-        trajectories = [_solve_for(s, data, grid, f) for s in specs]
+    trajectories = [solve(s, data, grid, f) for s in specs]
 
     cols = {"W1inf_H1": [], "W2inf_L2": [], "Linf_H1": [], "W1p4_L2": [], "W1inf_L2": []}
     for tr in trajectories:
@@ -370,12 +371,12 @@ def convergence_table(
         ref_traj = None
     else:
         fine_grid = TimeGrid(horizon, 4 * steps_seq[-1])
-        ref_traj = _solve_for(spec, data, fine_grid, f)
+        ref_traj = solve(spec, data, fine_grid, f)
 
     errors = []
     for n in steps_seq:
         grid = TimeGrid(horizon, n)
-        tr = _solve_for(spec, data, grid, f)
+        tr = solve(spec, data, grid, f)
         if reference == "ode":
             ref = classical_mgt_reference(spec, data, grid, f)
             ref_psi = ref.psi

@@ -22,25 +22,18 @@ from .analysis import (
     kato_ponce_check,
     kernel_report,
     limit_study,
+    solve,
 )
 from .config import ConfigError, RunConfig
-from .fractional import SampledSignal, TimeGrid, alikhanov_gap, coercivity_quadform
-from .models import (
-    Family,
-    ModelError,
-    ModelSpec,
-    Nonlinearity,
-    catalog,
-    describe,
-    solver_backend,
-    validate,
+from .fractional import (
+    DomainError,
+    SampledSignal,
+    TimeGrid,
+    alikhanov_gap,
+    coercivity_quadform,
 )
-from .volterra import (
-    SolverError,
-    classical_mgt_reference,
-    picard_nonlinear,
-    solve_linear,
-)
+from .models import ModelError, catalog, describe
+from .volterra import SolverError, classical_mgt_reference
 
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
@@ -58,35 +51,19 @@ def _write_json(path: Path, obj):
 
 
 def _solve(cfg: RunConfig):
-    from .memory import solve_fmgt2
-
-    spec = validate(cfg.spec())
+    spec = cfg.spec()
     basis = cfg.basis()
     grid = cfg.grid()
     data = cfg.initial_data(basis)
     f = cfg.forcing(basis, grid)
-    if spec.family is Family.II:
-        traj = solve_fmgt2(spec, data, grid, f)
-        extras = {"recovery_discrepancy": traj.diagnostics["recovery_discrepancy"]}
-    elif spec.nonlinearity is Nonlinearity.LINEAR:
-        traj = solve_linear(spec, data, grid, f)
-        extras = {}
-    else:
-        res = picard_nonlinear(spec, data, grid, f)
-        traj = res.trajectory
-        extras = {
-            "picard_iterations": res.iterations,
-            "contraction_ratio": res.contraction_ratio,
-            "inner_sweeps_max": traj.diagnostics["inner_sweeps_max"],
-        }
-    return spec, basis, grid, data, f, traj, extras
+    return spec, basis, grid, data, f, solve(spec, data, grid, f)
 
 
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
     out = Path(args.out or cfg.entries.get("output.directory", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    spec, basis, grid, data, f, traj, extras = _solve(cfg)
+    spec, basis, grid, data, f, traj = _solve(cfg)
 
     lam = basis.eigenvalues[None, :]
     norms = (
@@ -120,7 +97,7 @@ def cmd_run(args) -> int:
         "energy_low": rep_low.as_dict(),
         "energy_high": rep_high.as_dict(),
     }
-    summary.update(extras)
+    summary.update(traj.diagnostics)  # the solver keys of this run kind
 
     if cfg.entries.get("study.crosscheck") == "ode" and spec.alpha == 1.0:
         ref = classical_mgt_reference(spec, data, grid, f)
@@ -128,7 +105,7 @@ def cmd_run(args) -> int:
 
     if "study.alpha_sweep" in cfg.entries:
         alphas = cfg._floats("study.alpha_sweep")
-        study = limit_study(spec.variant, spec.params, data, grid, alphas, f, jobs=args.jobs)
+        study = limit_study(spec.variant, spec.params, data, grid, alphas, f)
         summary["limit_study"] = {
             "alphas": study.alphas,
             "columns": study.columns,
@@ -254,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fmgt",
         description="Solvers and verification studies for time-fractional MGT acoustics",
     )
-    p.add_argument("--jobs", type=int, default=1, help="concurrent sweep entries")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized property suites")
     p.add_argument("--out", default=None, help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
@@ -286,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelError) as exc:
+    except (ConfigError, ModelError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -28,9 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import Family, MediumParams, ModelSpec, ModelVariant, Nonlinearity
+from .models import (
+    Family,
+    InitialData,
+    MediumParams,
+    ModelError,
+    ModelSpec,
+    ModelVariant,
+    Nonlinearity,
+    beta_of,
+)
 from .spectral import Domain, EigenBasis, SpectralField
-from .models import InitialData
 from .fractional import TimeGrid
 
 SCHEMA_VERSION = 1
@@ -69,7 +77,6 @@ _KNOWN_KEYS = {
     "study.crosscheck",
     "study.selfcheck_signals",
     "output.directory",
-    "output.formats",
 }
 
 _DEFAULTS = {
@@ -93,7 +100,6 @@ _DEFAULTS = {
     "source.preset": "zero",
     "source.amplitude": "1.0",
     "source.omega": "3.0",
-    "output.formats": "csv,json",
 }
 
 
@@ -161,13 +167,10 @@ class RunConfig:
             raise ConfigError(
                 f"model.nonlinearity must be linear/westervelt/kuznetsov, got {nl!r}"
             )
-        variant = ModelVariant(Family(fam), Nonlinearity(nl))
-        alpha = self._float("model.alpha")
-        if not variant.admits(alpha):
-            lo, _ = variant.alpha_range
-            raise ConfigError(
-                f"model.alpha: alpha must lie in ({lo}, 1] for family {fam}, got {alpha}"
-            )
+        try:
+            beta_of(ModelVariant(Family(fam), Nonlinearity(nl)), self._float("model.alpha"))
+        except ModelError as exc:
+            raise ConfigError(f"model.alpha: {exc}") from exc
         if self.entries["domain.kind"] not in ("interval", "rectangle"):
             raise ConfigError("domain.kind must be interval or rectangle")
         if self._int("time.N") < 4:

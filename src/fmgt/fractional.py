@@ -46,34 +46,6 @@ class FractionalOrder:
 
 
 @dataclass(frozen=True)
-class SingularKernel:
-    """Weakly singular kernel scale * t^(-exponent)/Gamma(1-exponent).
-
-    Integrable on (0, T] for exponent in (-1, 1); the zero-exponent kernel
-    is identically the constant scale.
-    """
-
-    exponent: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (-1.0 < self.exponent < 1.0):
-            raise DomainError(
-                f"kernel exponent must lie in (-1, 1), got {self.exponent}"
-            )
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.exponent == 0.0:
-            out = self.scale * np.ones_like(t)
-        else:
-            if np.any(t <= 0):
-                raise DomainError("singular kernel requires t > 0")
-            out = self.scale * t ** (-self.exponent) / gamma_fn(1.0 - self.exponent)
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_n = n*T/N on [0, T]."""
 

@@ -194,5 +194,4 @@ def solve_fmgt2(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> T
     mu = np.gradient(psi_tt, grid.h, axis=0)
     traj = Trajectory(data.basis, grid, mu, psi, psi_t, psi_tt, spec)
     traj.diagnostics["recovery_discrepancy"] = disc
-    traj.diagnostics["z"] = ztraj
     return traj

@@ -25,17 +25,14 @@ from enum import Enum
 
 import numpy as np
 
-from .convolution import causal_conv
 from .fractional import (
-    DomainError,
     SampledSignal,
     TimeGrid,
-    _power_convolve_linear,
+    abel_integral,
+    caputo_derivative,
     first_derivative,
-    l1_weights,
 )
 from .spectral import EigenBasis, SpectralField, sobolev_norm
-from scipy.special import gamma as gamma_fn
 
 
 class ModelError(ValueError):
@@ -121,12 +118,7 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))  # accepts FractionalOrder
-        if not variant_admits(self.variant, self.alpha):
-            lo, _ = self.variant.alpha_range
-            raise ModelError(
-                f"alpha must lie in ({lo}, 1] for family "
-                f"{self.variant.family.value}, got {self.alpha}"
-            )
+        beta_of(self.variant, self.alpha)  # refuses alpha outside the admissible range
 
     @property
     def beta(self) -> float:
@@ -158,10 +150,6 @@ class ModelSpec:
         return self.params.l_tilde if self.nonlinearity is Nonlinearity.KUZNETSOV else 0.0
 
 
-def variant_admits(variant: ModelVariant, alpha: float) -> bool:
-    return variant.admits(alpha)
-
-
 def validate(spec: ModelSpec) -> ModelSpec:
     """Solver-admission check; raises with a descriptive message.
 
@@ -169,12 +157,6 @@ def validate(spec: ModelSpec) -> ModelSpec:
     equation leaves the delta-damping term with differentiation orders too far
     apart to yield a sign, so the damping cannot absorb perturbation terms.
     """
-    # alpha range is enforced at construction; re-check for safety
-    if not variant_admits(spec.variant, spec.alpha):
-        lo, _ = spec.variant.alpha_range
-        raise ModelError(
-            f"alpha must lie in ({lo}, 1] for family {spec.family.value}"
-        )
     if spec.family is Family.II and spec.nonlinearity is not Nonlinearity.LINEAR:
         raise ModelError(
             "family ii admits linear solves only: its damping is too weak to "
@@ -219,22 +201,6 @@ class InitialData:
 # residual evaluation
 
 
-def _abel_on_signal(values: np.ndarray, order: float, h: float) -> np.ndarray:
-    """I^order applied column-wise to a (N+1, modes) signal."""
-    return _power_convolve_linear(values, order - 1.0, h) / gamma_fn(order)
-
-
-def _l1_caputo_signal(values: np.ndarray, gamma_: float, h: float) -> np.ndarray:
-    n = values.shape[0] - 1
-    out = np.zeros_like(values)
-    if n >= 1:
-        b = l1_weights(gamma_, n, h)
-        out[1:] = causal_conv(b, np.diff(values, axis=0)) * (
-            h ** (-gamma_) / gamma_fn(2 - gamma_)
-        )
-    return out
-
-
 def _add_nonlinear_terms(total, basis, k, l, psi, psi_t, psi_tt):
     """total += 2k psi_t psi_tt + 2l grad psi . grad psi_t, by collocation."""
     if k != 0.0:
@@ -268,28 +234,25 @@ def residual(
     h = grid.h
     fam = spec.family
 
-    if fam is Family.III:
+    if fam is Family.III or a == 1.0:
         lead = p.tau * first_derivative(psi_tt, h)
     else:
-        if a == 1.0:
-            lead = p.tau * first_derivative(psi_tt, h)
-        else:
-            lead = p.tau**a * _l1_caputo_signal(psi_tt, a, h)
+        lead = p.tau**a * caputo_derivative(SampledSignal(grid, psi_tt), a).values
 
     total = lead + psi_tt + p.c**2 * lam[None, :] * psi
 
     if fam is Family.III:
         total += p.tau * p.c**2 * lam[None, :] * psi_t
     else:
-        d_alpha_psi = psi_t if a == 1.0 else _abel_on_signal(psi_t, 1 - a, h)
+        d_alpha_psi = psi_t if a == 1.0 else abel_integral(SampledSignal(grid, psi_t), 1 - a).values
         total += p.tau**a * p.c**2 * lam[None, :] * d_alpha_psi
 
-    if fam is Family.BASE:
+    if fam is Family.BASE or a == 1.0:
         damping = psi_t
-    elif fam in (Family.I, Family.III):
-        damping = psi_t if a == 1.0 else _abel_on_signal(psi_tt, a, h)
-    else:  # Family.II
-        damping = psi_t if a == 1.0 else _abel_on_signal(psi_t, 1 - a, h)
+    elif fam is Family.II:
+        damping = d_alpha_psi
+    else:  # families I and III
+        damping = abel_integral(SampledSignal(grid, psi_tt), a).values
     total += p.delta * lam[None, :] * damping
 
     _add_nonlinear_terms(total, basis, spec.k_eff, spec.l_eff, psi, psi_t, psi_tt)

@@ -269,6 +269,23 @@ def _sigma_grid_values(basis, grid, sigma):
     return sigma
 
 
+def _add_frozen_terms(
+    terms, F, spec, data, grid, sigma, grad_w, grad_data_term, sigma_exponent, grad_exponent
+):
+    """Append the frozen-coefficient terms of a Picard iterate to ``terms``
+    and return F less their data parts: sigma on p^{sigma_exponent} * mu and
+    2 l~ G_w(t) on p^{grad_exponent} * mu."""
+    basis = data.basis
+    sig = _sigma_grid_values(basis, grid, sigma)
+    if sig is not None:
+        terms.append(KernelTerm(sigma_exponent, "colloc", 1.0, grid_values=sig))
+        F = F - basis.project_values(sig * basis.evaluate(data.psi2.coeffs))
+    if grad_w is not None:
+        terms.append(KernelTerm(grad_exponent, "graddot", 2.0 * spec.l_eff, grad_values=grad_w))
+        F = F - grad_data_term
+    return F
+
+
 def assemble_fmgt3(
     spec: ModelSpec,
     data: InitialData,
@@ -319,14 +336,7 @@ def assemble_fmgt3(
         + delta_data
     )
 
-    sig = _sigma_grid_values(basis, grid, sigma)
-    if sig is not None:
-        terms.append(KernelTerm(0.0, "colloc", 1.0, grid_values=sig))
-        F = F - basis.project_values(sig * basis.evaluate(xi2))
-    if grad_w is not None:
-        terms.append(KernelTerm(1.0, "graddot", 2.0 * spec.l_eff, grad_values=grad_w))
-        F = F - grad_data_term
-
+    F = _add_frozen_terms(terms, F, spec, data, grid, sigma, grad_w, grad_data_term, 0.0, 1.0)
     return VolterraProblem(
         basis, grid, p.tau, PowerKernelSum(terms), F, (2.0, 1.0, 0.0), xi0, xi1, xi2, spec
     )
@@ -350,8 +360,6 @@ def assemble_fmgt1(
     if spec.family not in (Family.BASE, Family.I):
         raise ModelError("assemble_fmgt1 serves families base and i")
     a = spec.alpha
-    if not (0.5 < a <= 1.0):
-        raise ModelError(f"alpha must lie in (1/2, 1] for family {spec.family.value}")
     basis = data.basis
     lam = basis.eigenvalues
     p = spec.params
@@ -403,14 +411,7 @@ def assemble_fmgt1(
         + delta_data
     )
 
-    sig = _sigma_grid_values(basis, grid, sigma)
-    if sig is not None:
-        terms.append(KernelTerm(a - 1.0, "colloc", 1.0, grid_values=sig))
-        F = F - basis.project_values(sig * basis.evaluate(xi2))
-    if grad_w is not None:
-        terms.append(KernelTerm(a, "graddot", 2.0 * spec.l_eff, grad_values=grad_w))
-        F = F - grad_data_term
-
+    F = _add_frozen_terms(terms, F, spec, data, grid, sigma, grad_w, grad_data_term, a - 1.0, a)
     return VolterraProblem(
         basis, grid, p.tau**a, PowerKernelSum(terms), F, (a + 1.0, a, a - 1.0), xi0, xi1, xi2, spec
     )
@@ -564,11 +565,10 @@ def solve_linear(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> 
     validate(spec)
     if spec.family is Family.II:
         raise ModelError("family ii linear solves are served by the memory solver")
-    if spec.family is Family.III:
-        problem = assemble_fmgt3(spec, data, f, grid)
-    else:
-        problem = assemble_fmgt1(spec, data, f, grid)
-    return solve(problem)
+    assemble = assemble_fmgt3 if spec.family is Family.III else assemble_fmgt1
+    # every kernel term is diagonal, so there is no inner sweep count to record
+    problem = assemble(spec, data, f, grid)
+    return reconstruct(problem, solve_mu(problem))
 
 
 # ---------------------------------------------------------------------------

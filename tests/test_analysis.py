@@ -11,7 +11,9 @@ from fmgt.analysis import (
     kato_ponce_check,
     kernel_report,
     limit_study,
+    solve,
 )
+from fmgt.memory import solve_fmgt2
 from fmgt.models import (
     Family,
     InitialData,
@@ -20,9 +22,10 @@ from fmgt.models import (
     ModelSpec,
     ModelVariant,
     Nonlinearity,
+    catalog,
 )
 from fmgt.spectral import SpectralField
-from fmgt.volterra import solve_linear
+from fmgt.volterra import picard_nonlinear, solve_linear
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +35,34 @@ def setup():
     psi0 = SpectralField(b, bump.coeffs / np.max(np.abs(bump.coeffs)))
     data = InitialData(psi0, SpectralField(b, 0.3 * psi0.coeffs), SpectralField(b, -0.5 * psi0.coeffs))
     return b, data
+
+
+class TestSolveDispatch:
+    @pytest.mark.parametrize(
+        "variant", catalog(), ids=lambda v: f"{v.family.value}-{v.nonlinearity.value}"
+    )
+    def test_routes_to_its_solver(self, setup, variant):
+        b, _ = setup
+        bump = b.project(lambda x: x * (1 - x))
+        psi0 = SpectralField(b, 1e-3 * bump.coeffs / np.max(np.abs(bump.coeffs)))
+        data = InitialData(psi0, b.zero_field(), b.zero_field())  # z-form compatible
+        spec = ModelSpec(variant, MediumParams(k=0.1, k_tilde=0.1, l_tilde=0.1), 0.75)
+        grid = TimeGrid(1.0, 32)
+        linear = variant.nonlinearity is Nonlinearity.LINEAR
+        if variant.family is Family.II and not linear:
+            with pytest.raises(ModelError, match="linear solves only"):
+                solve(spec, data, grid)
+            return
+        if variant.family is Family.II:
+            want = solve_fmgt2(spec, data, grid)
+        elif linear:
+            want = solve_linear(spec, data, grid)
+        else:
+            want = picard_nonlinear(spec, data, grid).trajectory
+        got = solve(spec, data, grid)
+        for name in ("psi", "psi_t", "psi_tt"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.diagnostics == want.diagnostics
 
 
 class TestEnergyReports:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fmgt.analysis
 import fmgt.cli
 from fmgt.cli import main
 from fmgt.config import ConfigError, RunConfig
@@ -33,6 +34,15 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             RunConfig.from_text("schema = 1\nmodel.bogus = 2\n")
+
+    def test_output_formats_key_rejected(self, tmp_path, capsys):
+        # the key was accepted and then ignored; it is an unknown key now
+        with pytest.raises(ConfigError, match="unknown key 'output.formats'"):
+            RunConfig.from_text("schema = 1\noutput.formats = csv,json\n")
+        cfg = tmp_path / "formats.cfg"
+        cfg.write_text("schema = 1\noutput.formats = csv\n")
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_schema_version_required(self):
         with pytest.raises(ConfigError, match="schema"):
@@ -83,7 +93,7 @@ class TestExitCodes:
         def failing(*args, **kwargs):
             raise InnerSolveError(7, 60, 1.5e-3)
 
-        monkeypatch.setattr(fmgt.cli, "picard_nonlinear", failing)
+        monkeypatch.setattr(fmgt.analysis, "picard_nonlinear", failing)
         cfg = tmp_path / "w.cfg"
         cfg.write_text(
             "schema = 1\nmodel.family = iii\nmodel.nonlinearity = westervelt\n"
@@ -107,6 +117,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "1 + 2k psi_t reaches -" in err
         assert "bounded away from zero" in err
+
+    def test_domain_error_is_2(self, tmp_path, capsys):
+        # RelaxationKernel refuses the order with a DomainError
+        assert run_cli(["--out", tmp_path / "o", "kernels", "--alphas", "1.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "1.5" in err and "Traceback" not in err
 
     def test_success_is_0(self, tmp_path):
         assert (
@@ -231,11 +248,36 @@ class TestArtifacts:
         assert s["model"]["backend"] == "memory"
         assert s["recovery_discrepancy"] < 1e-2
 
-    def test_jobs_flag_preserves_results(self, tmp_path):
-        out1, out2 = tmp_path / "j1", tmp_path / "j2"
-        run_cli(["--out", out1, "run", "--config", PRESETS / "limit-ii.cfg"])
-        run_cli(["--jobs", "3", "--out", out2, "run", "--config", PRESETS / "limit-ii.cfg"])
-        assert (out1 / "limit_study.csv").read_text() == (out2 / "limit_study.csv").read_text()
+    def test_jobs_flag_refused(self, tmp_path):
+        # sweeps run serially; run-to-run identity of limit-ii is covered by
+        # TestDeterminism
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--jobs", "3", "--out", tmp_path, "run", "--config", PRESETS / "limit-ii.cfg"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "family,nonlinearity,keys",
+        [
+            ("base", "linear", []),
+            ("i", "linear", []),
+            ("iii", "linear", []),
+            ("ii", "linear", ["recovery_discrepancy"]),
+            ("iii", "westervelt", ["contraction_ratio", "inner_sweeps_max", "picard_iterations"]),
+            ("i", "kuznetsov", ["contraction_ratio", "inner_sweeps_max", "picard_iterations"]),
+        ],
+    )
+    def test_summary_solver_keys(self, tmp_path, family, nonlinearity, keys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"schema = 1\nmodel.family = {family}\nmodel.nonlinearity = {nonlinearity}\n"
+            "model.alpha = 0.7\nmodel.k = 0.1\nmodel.l = 0.1\ndomain.cutoff = 4\n"
+            "time.N = 32\ndata.preset = bump\ndata.amplitude = 1e-3\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["--out", out, "run", "--config", cfg]) == 0
+        s = json.loads((out / "summary.json").read_text())
+        common = {"schema", "config", "model", "beta", "z_order", "energy_low", "energy_high"}
+        assert sorted(set(s) - common) == keys
 
 
 class TestDeterminism:

@@ -10,7 +10,6 @@ from fmgt import (
     DomainError,
     FractionalOrder,
     SampledSignal,
-    SingularKernel,
     TimeGrid,
     abel_integral,
     alikhanov_gap,
@@ -46,14 +45,13 @@ class TestGammaKernel:
         with pytest.raises(DomainError):
             gamma_kernel(1.2, 1.0)
 
-    def test_singular_kernel_object(self):
-        k = SingularKernel(exponent=0.5, scale=2.0)
-        assert k(1.0) == pytest.approx(2.0 / np.sqrt(np.pi), rel=1e-14)
-        assert SingularKernel(exponent=0.0)(3.7) == 1.0
+    def test_scaled_kernel_and_bounds(self):
+        assert 2 * gamma_kernel(0.5, 1.0) == pytest.approx(2.0 / np.sqrt(np.pi), rel=1e-14)
+        assert gamma_kernel(0.0, 3.7) == 1.0
         with pytest.raises(DomainError):
-            SingularKernel(exponent=1.0)
+            gamma_kernel(1.0, 1.0)
         with pytest.raises(DomainError):
-            SingularKernel(exponent=0.3)(0.0)
+            gamma_kernel(0.3, 0.0)
 
     def test_fractional_order_ranges(self):
         assert float(FractionalOrder(0.7)) == 0.7
