@@ -30,7 +30,6 @@ from .models import (
     ModelVariant,
     Nonlinearity,
     solver_backend,
-    validate,
 )
 from .spectral import sobolev_norm
 from .volterra import (
@@ -50,13 +49,13 @@ def solve(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Traject
     """Solve one catalog model: the single route from a spec to its solver.
 
     Linear family II goes to the z-form memory solver, the other linear
-    models to the Volterra marcher and the nonlinear ones to its Picard
-    iteration; nonlinear family II is refused with ModelError.  What a solver
-    reports for the run summary is in ``traj.diagnostics``:
-    ``recovery_discrepancy`` (memory solver) or ``picard_iterations``,
-    ``contraction_ratio`` and ``inner_sweeps_max`` (Picard).
+    models to the Volterra solver and the nonlinear ones to its Picard
+    iteration, which refuses nonlinear family II with ModelError; each
+    solver validates the spec once.  What a solver reports for the run
+    summary is in ``traj.diagnostics``: ``recovery_discrepancy`` (memory
+    solver) or ``picard_iterations``, ``contraction_ratio``,
+    ``relaxation_sweeps`` and ``relaxation_windows`` (Picard).
     """
-    validate(spec)
     if solver_backend(spec.variant) == "memory":
         return solve_fmgt2(spec, data, grid, f)
     if spec.nonlinearity is Nonlinearity.LINEAR:

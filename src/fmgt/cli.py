@@ -2,7 +2,7 @@
 limit studies, and convergence tables with bit-stable CSV/JSON artifacts.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 solver failure
-(blow-up or a non-converged inner solve).
+(blow-up or a single node whose fixed point did not converge).
 Data files carry no timestamps and floats are printed with 17 significant
 digits, so identical configs give byte-identical artifacts.
 """
@@ -184,7 +184,12 @@ def cmd_list_models(args) -> int:
 def cmd_kernels(args) -> int:
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
-    alphas = [float(a) for a in args.alphas.split(",")]
+    try:
+        alphas = [float(a) for a in args.alphas.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--alphas takes comma-separated numbers, got {args.alphas!r}"
+        ) from None
     rep = kernel_report(alphas, args.tau)
     rows = []
     for r in rep.rows:

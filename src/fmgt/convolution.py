@@ -1,15 +1,18 @@
 """Causal convolution along the time axis: the one primitive behind every
-lagged-weight history sum of the marchers and their reconstructions.
+lagged-weight history sum of the solvers and their reconstructions.
 
 ``causal_conv`` evaluates out[n] = sum_{j<=n} kernel[n-j] x[j] for every n
-once all of x is known, by one real FFT product.  ``OnlineHistory`` gives
-the same kind of sums while x is filled one node at a time, as a time marcher
-needs them.  It is the dyadic blocked scheme of Hairer, Lubich & Schlichte
-(SIAM J. Sci. Stat. Comput. 6, 1985, 532): lags inside a leaf of ``LEAF``
-nodes are summed directly, and each completed block of s nodes is added to
-the next s targets with one length-2s FFT product, O(N log^2 N) in all.
-Both use the caller's weights unchanged, so they differ from the naive
-double loop by rounding only.
+once all of x is known, by one real FFT product; ``CausalFilter`` keeps the
+kernel's transform for repeated products.  ``series_reciprocal`` inverts a
+lower-triangular Toeplitz matrix, so one more product solves the system it
+defines.  ``OnlineHistory`` gives the same kind of sums while x is filled
+one node at a time, as a time marcher needs them.  It is the dyadic blocked
+scheme of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985,
+532): lags inside a leaf of ``LEAF`` nodes are summed directly, and each
+completed block of s nodes is added to the next s targets with one
+length-2s FFT product, O(N log^2 N) in all.  The sums use the caller's
+weights unchanged, so they differ from the naive double loop by rounding
+only.
 """
 from __future__ import annotations
 
@@ -21,16 +24,79 @@ LEAF = 32  # lags summed directly; blocks of LEAF * 2^k nodes use the FFT
 
 def causal_conv(kernel, x) -> np.ndarray:
     """out[n] = sum_{j=0}^{n} kernel[n-j] x[j] along axis 0 of x, for every
-    row n of x.  Kernel entries beyond the length of x are unused; missing
-    ones count as zero."""
+    row n of x.  A 1-D kernel serves every column of x; a kernel shaped like
+    x gives each column its own.  Kernel entries beyond the length of x are
+    unused; missing ones count as zero."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    kernel = np.asarray(kernel, dtype=float)[:n]
-    if n == 0 or kernel.size == 0:
-        return np.zeros_like(x)
-    size = next_fast_len(n + kernel.size - 1, real=True)
-    spec = rfft(kernel, size).reshape((-1,) + (1,) * (x.ndim - 1))
-    return irfft(spec * rfft(x, size, axis=0), size, axis=0)[:n]
+    return CausalFilter(kernel, x.shape[0])(x)
+
+
+class CausalFilter:
+    """x -> causal_conv(kernel, x) for signals x of ``n`` rows, with the
+    kernel's transform computed once for every signal it is applied to.
+
+    Kernel and signal are each scaled by a power of two before the
+    transforms and the product scaled back, which is exact: the result
+    overflows only where the sums themselves do, not where the transform's
+    partial sums would.  A kernel whose only nonzero row is its first is
+    applied as a plain product, exactly.
+    """
+
+    def __init__(self, kernel, n: int):
+        kernel = np.asarray(kernel, dtype=float)[:n]
+        self.n = n
+        self.kernel = kernel
+        self.plain = kernel.shape[0] > 0 and not np.any(kernel[1:])
+        if n == 0 or kernel.shape[0] == 0 or self.plain:
+            return
+        self.size = next_fast_len(n + kernel.shape[0] - 1, real=True)
+        self.binade = _binade(kernel)
+        self.spec = rfft(np.ldexp(kernel, -self.binade), self.size, axis=0)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self.n == 0 or self.kernel.shape[0] == 0:
+            return np.zeros_like(x)
+        if self.plain:
+            return self.kernel[0] * x
+        spec = self.spec
+        if spec.ndim == 1:
+            spec = spec.reshape((-1,) + (1,) * (x.ndim - 1))
+        e = _binade(x)
+        out = irfft(spec * rfft(np.ldexp(x, -e), self.size, axis=0), self.size, axis=0)
+        return np.ldexp(out[: self.n], self.binade + e)
+
+
+def _binade(a: np.ndarray) -> int:
+    """e with max|a| in [2^(e-1), 2^e); 0 when a is all zero or not finite."""
+    top = np.max(np.abs(a), initial=0.0)
+    return int(np.frexp(top)[1]) if np.isfinite(top) else 0
+
+
+def series_reciprocal(symbol) -> np.ndarray:
+    """y with sum_{j=0}^{n} symbol[n-j] y[j] = [n == 0] for every row n: the
+    first column of the inverse of the lower-triangular Toeplitz matrix whose
+    first column is ``symbol``, column by column when symbol is 2-D.  Then
+    causal_conv(y, b) solves that Toeplitz system for any b.
+
+    Newton's iteration for the power-series reciprocal, y <- y + y (1 -
+    symbol y), doubles the number of final rows per step (Commenges &
+    Monsion, IEEE Trans. Autom. Control 29, 1984, 250): the rows m..2m-1 of
+    the new y are -y * e, where e holds rows m..2m-1 of symbol * y.  Two
+    causal_conv products per step, O(n log n) in all.
+    """
+    a = np.asarray(symbol, dtype=float)
+    n = a.shape[0]
+    y = np.zeros_like(a)
+    if n == 0:
+        return y
+    y[0] = 1.0 / a[0]
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        e = causal_conv(y[:m], a[:m2])[m:]  # the shorter operand as kernel
+        y[m:m2] = -causal_conv(y[: m2 - m], e)
+        m = m2
+    return y
 
 
 class OnlineHistory:

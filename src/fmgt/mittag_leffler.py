@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from .fractional import DomainError
@@ -88,6 +87,8 @@ def _ml_integral(alpha: float, beta: float, x: float) -> float:
         # nearly vanishes at r = |x|, where the expanded form cancels
         den = (r - x * cos_a) ** 2 + (x * sin_a) ** 2
         return pref * r**expo * np.exp(-(r ** (1.0 / alpha))) * num / den
+
+    from scipy.integrate import quad  # only the scalar oracle pays its import
 
     # integrand decays like exp(-r^{1/a}); split at the decay scale.  The
     # control is relative only: E_{a,a}(x) falls like x^-2, and an absolute

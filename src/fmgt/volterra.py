@@ -5,11 +5,14 @@ For family III, mu = xi_ttt and the kernel is a sum of nonnegative powers
 {0, 1, 2, alpha} of (t - s); for families base and I, mu = D^{2+alpha} xi and
 the exponent set is {alpha-1, alpha+1, 1, alpha} resp. {alpha-1, alpha+1, 1,
 2 alpha-1}.  All kernels are sums of normalized powers p^g(u) = u^g/Gamma(g+1)
-with g > -1, so one product-integration marcher covers every family: the
+with g > -1, so one product-integration scheme covers every family: the
 power kernel is integrated exactly against a piecewise interpolant of mu
 (linear on the first cell, backward quadratic afterwards, third order on
-smooth problems).  Nonlinear and variable-coefficient solves wrap the linear
-marcher in a Picard fixed-point iteration with frozen coefficients.
+smooth problems).  ``solve_mu`` solves the resulting equations without a
+loop over nodes: a triangular Toeplitz inverse for the diagonal terms and
+waveform relaxation over windows of nodes for the frozen coefficients.
+Nonlinear and variable-coefficient solves wrap it in a Picard fixed-point
+iteration with frozen coefficients.
 """
 from __future__ import annotations
 
@@ -18,14 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .convolution import OnlineHistory, causal_conv
+from .convolution import CausalFilter, causal_conv, series_reciprocal
 from .fractional import DomainError, TimeGrid
 from .models import (
     Family,
     InitialData,
     ModelError,
     ModelSpec,
-    ModelVariant,
     Nonlinearity,
     residual as model_residual,
     validate,
@@ -51,7 +53,8 @@ class SolverBlowUpError(SolverError):
 
 
 class InnerSolveError(SolverError):
-    """The per-node fixed point of the marcher did not converge."""
+    """The fixed point of a single node did not converge: the last resort
+    of ``solve_mu``, after halving its windows down to one node."""
 
     def __init__(self, node: int, sweeps: int, update: float):
         super().__init__(
@@ -74,27 +77,50 @@ def p_power(gamma_: float, t):
 
 
 @dataclass
-class KernelTerm:
-    """One kernel summand coeff * Op(t) applied to (p^exponent * mu)(t).
+class DiagonalTerm:
+    """A per-mode multiplier, v_n -> diag ⊙ v_n, on (p^exponent * mu)(t_n).
+    ``solve_mu`` folds these into its Toeplitz symbol."""
 
-    kind 'diag' applies a per-mode diagonal; 'colloc' applies the collocation
-    multiplier v -> P(sigma_n ⊙ E v); 'graddot' applies
-    v -> P(sum_axis grad_w[axis]_n ⊙ G_axis v).  E, G_axis and P stand for
-    the basis's separable transforms ``evaluate``, ``evaluate_grad`` and
-    ``project_values``; the dense matrices are never formed.
+    exponent: float
+    diag: np.ndarray  # (modes,), the coefficient included
+
+
+@dataclass
+class CollocationTerm:
+    """The collocation multiplier v_n -> P(sigma_n ⊙ E v_n) on
+    (p^exponent * mu)(t_n).  E and P stand for the basis's separable
+    transforms ``evaluate`` and ``project_values``; ``apply`` takes the
+    nodes ``rows`` (an index or a slice) and their vectors v at once.
     """
 
     exponent: float
-    kind: str
+    values: np.ndarray  # (N+1, Mgrid): sigma on the collocation grid
+
+    def apply(self, basis: EigenBasis, rows, v: np.ndarray) -> np.ndarray:
+        return basis.project_values(self.values[rows] * basis.evaluate(v))
+
+
+@dataclass
+class GradientTerm:
+    """v_n -> coeff P(sum_axis g_axis,n ⊙ G_axis v_n) on
+    (p^exponent * mu)(t_n), G_axis being ``evaluate_grad``; batched over
+    nodes like CollocationTerm."""
+
+    exponent: float
     coeff: float
-    diag: np.ndarray | None = None
-    grid_values: np.ndarray | None = None  # (N+1, Mgrid) for 'colloc'
-    grad_values: list | None = None  # per-axis (N+1, Mgrid) for 'graddot'
+    grads: list  # per-axis (N+1, Mgrid) grid values
+
+    def apply(self, basis: EigenBasis, rows, v: np.ndarray) -> np.ndarray:
+        grads = basis.evaluate_grad(v)
+        acc = self.grads[0][rows] * grads[0]
+        for g_vals, g in zip(self.grads[1:], grads[1:]):
+            acc += g_vals[rows] * g
+        return self.coeff * basis.project_values(acc)
 
 
 @dataclass
 class PowerKernelSum:
-    """K(t,s) = sum of coeff_k Op_k(t) p^{g_k}(t-s); exponents all > -1."""
+    """K(t,s) = sum of Op_k(t) p^{g_k}(t-s); exponents all > -1."""
 
     terms: list
 
@@ -123,32 +149,6 @@ class VolterraProblem:
     xi1: np.ndarray
     xi2: np.ndarray
     spec: ModelSpec | None = None
-
-    def kernel_apply(self, t: float, s: float, vec: np.ndarray, node: int = 0):
-        """-(1/lead) sum_k Op_k(t)(p^{g_k}(t-s) vec): the resolvent-form kernel
-        K(t, s) of the reformulated equation mu = f~ + int K mu, applied to a
-        mode vector.  Exposed for verification."""
-        out = np.zeros_like(vec)
-        for term in self.kernel.terms:
-            w = p_power(term.exponent, t - s)
-            out += _apply_term(self, term, node, float(w) * vec)
-        return -out / self.lead
-
-
-def _apply_term(problem: VolterraProblem, term: KernelTerm, n: int, vec: np.ndarray):
-    if term.kind == "diag":
-        return term.coeff * term.diag * vec
-    basis = problem.basis
-    if term.kind == "colloc":
-        return term.coeff * basis.project_values(term.grid_values[n] * basis.evaluate(vec))
-    if term.kind == "graddot":
-        # in place, not sum(): per call overhead is most of the 1-D cost
-        grads = basis.evaluate_grad(vec)
-        acc = term.grad_values[0][n] * grads[0]
-        for g_vals, g in zip(term.grad_values[1:], grads[1:]):
-            acc += g_vals[n] * g
-        return term.coeff * basis.project_values(acc)
-    raise ValueError(f"unknown kernel term kind {term.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +204,6 @@ class _PIWeights:
         self.b1[1:] = self.A1
         self.b1[2:] += self.W1[: n_steps - 1]
         self.b1[3:] += self.W0[: max(n_steps - 2, 0)]
-
-    def self_weight(self, n: int) -> float:
-        return self.b1[1] if n == 1 else self.C[0]
 
     def conv_all(self, mu: np.ndarray) -> np.ndarray:
         """The convolution at every node, from the complete mu."""
@@ -278,10 +275,10 @@ def _add_frozen_terms(
     basis = data.basis
     sig = _sigma_grid_values(basis, grid, sigma)
     if sig is not None:
-        terms.append(KernelTerm(sigma_exponent, "colloc", 1.0, grid_values=sig))
+        terms.append(CollocationTerm(sigma_exponent, sig))
         F = F - basis.project_values(sig * basis.evaluate(data.psi2.coeffs))
     if grad_w is not None:
-        terms.append(KernelTerm(grad_exponent, "graddot", 2.0 * spec.l_eff, grad_values=grad_w))
+        terms.append(GradientTerm(grad_exponent, 2.0 * spec.l_eff, grad_w))
         F = F - grad_data_term
     return F
 
@@ -312,13 +309,13 @@ def assemble_fmgt3(
     xi0, xi1, xi2 = _data_coeffs(data)
     t = grid.nodes
 
-    terms = [KernelTerm(0.0, "diag", 1.0, diag=np.ones(basis.size))]
+    terms = [DiagonalTerm(0.0, np.ones(basis.size))]
     if a == 1.0:
-        terms.append(KernelTerm(1.0, "diag", p.tau * p.c**2 + p.delta, diag=lam))
+        terms.append(DiagonalTerm(1.0, (p.tau * p.c**2 + p.delta) * lam))
     else:
-        terms.append(KernelTerm(1.0, "diag", p.tau * p.c**2, diag=lam))
-        terms.append(KernelTerm(a, "diag", p.delta, diag=lam))
-    terms.append(KernelTerm(2.0, "diag", p.c**2, diag=lam))
+        terms.append(DiagonalTerm(1.0, p.tau * p.c**2 * lam))
+        terms.append(DiagonalTerm(a, p.delta * lam))
+    terms.append(DiagonalTerm(2.0, p.c**2 * lam))
 
     # damping data: delta K I^a xi_tt -> delta p^a(t) xi2 for a < 1; the
     # a = 1 member is the true first derivative and also carries xi1
@@ -366,25 +363,25 @@ def assemble_fmgt1(
     xi0, xi1, xi2 = _data_coeffs(data)
     t = grid.nodes
 
-    terms = [KernelTerm(a - 1.0, "diag", 1.0, diag=np.ones(basis.size))]
-    terms.append(KernelTerm(a + 1.0, "diag", p.c**2, diag=lam))
+    terms = [DiagonalTerm(a - 1.0, np.ones(basis.size))]
+    terms.append(DiagonalTerm(a + 1.0, p.c**2 * lam))
     if spec.family is Family.I:
         if a == 1.0:
-            terms.append(KernelTerm(1.0, "diag", p.tau * p.c**2 + p.delta, diag=lam))
+            terms.append(DiagonalTerm(1.0, (p.tau * p.c**2 + p.delta) * lam))
             # order-1 damping is the true derivative: data carries xi1 too
             delta_data = (
                 p.delta * lam[None, :] * (t[:, None] * xi2[None, :] + xi1[None, :])
             )
         else:
-            terms.append(KernelTerm(1.0, "diag", p.tau**a * p.c**2, diag=lam))
-            terms.append(KernelTerm(2.0 * a - 1.0, "diag", p.delta, diag=lam))
+            terms.append(DiagonalTerm(1.0, p.tau**a * p.c**2 * lam))
+            terms.append(DiagonalTerm(2.0 * a - 1.0, p.delta * lam))
             delta_data = p.delta * lam[None, :] * p_power(a, t)[:, None] * xi2[None, :]
     else:
         if a == 1.0:
-            terms.append(KernelTerm(1.0, "diag", p.tau * p.c**2 + p.delta, diag=lam))
+            terms.append(DiagonalTerm(1.0, (p.tau * p.c**2 + p.delta) * lam))
         else:
-            terms.append(KernelTerm(1.0, "diag", p.tau**a * p.c**2, diag=lam))
-            terms.append(KernelTerm(a, "diag", p.delta, diag=lam))
+            terms.append(DiagonalTerm(1.0, p.tau**a * p.c**2 * lam))
+            terms.append(DiagonalTerm(a, p.delta * lam))
         delta_data = (
             p.delta
             * lam[None, :]
@@ -451,85 +448,153 @@ class Trajectory:
         )
 
 
-MAX_SWEEPS = 60  # per-node fixed-point sweeps before InnerSolveError
+MAX_SWEEPS = 60  # sweeps of one window before it is halved (one node: InnerSolveError)
+# A window has converged once its update, relative to the solution, is below
+# _SWEEP_RTOL, or once it stops shrinking below _FLOOR_RTOL: the rounding
+# floor of the FFT products, which a stiff window can reach above 1e-14
+_SWEEP_RTOL = 1e-14
+_FLOOR_RTOL = 1e-12
 
 
-def solve_mu(problem: VolterraProblem, diagnostics: dict | None = None) -> np.ndarray:
-    """March the mu equation; deterministic, unconditionally solvable since
-    the diagonal block is lead + O(h^{1+min g}).  If ``diagnostics`` is given,
-    its "inner_sweeps_max" receives the largest number of per-node
-    fixed-point sweeps (0 when every kernel term is diagonal)."""
-    grid = problem.grid
+def solve_mu(
+    problem: VolterraProblem, diagnostics: dict | None = None, guess: np.ndarray | None = None
+) -> np.ndarray:
+    """Solve the discrete mu equation at every node, all modes at once.
+
+    Node 0 is forcing / lead.  For nodes n >= 2 the diagonal terms of every
+    exponent fold into one lower-triangular Toeplitz system per mode, with
+    symbol T = lead δ + sum_e D_e C_e (the lag kernels of ``_PIWeights``),
+    inverted once by ``series_reciprocal``.  The collocation and gradient
+    terms S go to the right-hand side and are relaxed over a window of nodes
+    at once (waveform relaxation): x <- T^{-1}(F - boundary terms -
+    S(conv(x))).  Node 1, whose self weights differ, is a window of its own.
+
+    The first window holds all of nodes 2..N.  A window whose sweeps stop
+    contracting (an update no smaller than the one before, unless it is at
+    the rounding floor; a non-finite value; or MAX_SWEEPS sweeps) is halved
+    and solved again; the windows already solved reach later ones through
+    the causal convolution.  A window of one node is the per-node fixed
+    point: there a non-finite value raises SolverBlowUpError and MAX_SWEEPS
+    sweeps raise InnerSolveError, both naming the node.
+
+    ``guess`` ((N+1, modes), such as the previous Picard iterate) starts the
+    sweeps; they start from zero otherwise.  If ``diagnostics`` is given,
+    "relaxation_sweeps" receives the largest sweep count of a window (0 when
+    every kernel term is diagonal) and "relaxation_windows" the number of
+    windows nodes 2..N were solved in.
+    """
+    basis, grid = problem.basis, problem.grid
     n_steps = grid.steps
-    mu = np.zeros((n_steps + 1, problem.basis.size))
-    mu[0] = problem.forcing[0] / problem.lead
-
-    weights = {}
+    exponents = list(dict.fromkeys(term.exponent for term in problem.kernel.terms))
+    weights = [_PIWeights(g, n_steps, grid.h) for g in exponents]
+    slot = {g: i for i, g in enumerate(exponents)}
+    diag = np.zeros((len(exponents), basis.size))
+    ops = []
     for term in problem.kernel.terms:
-        if term.exponent not in weights:
-            weights[term.exponent] = _PIWeights(term.exponent, n_steps, grid.h)
+        if isinstance(term, DiagonalTerm):
+            diag[slot[term.exponent]] += term.diag
+        else:
+            ops.append((term, slot[term.exponent]))
+    shape = (len(exponents), n_steps + 1)  # also when no kernel term exists
+    lags = np.reshape([w.C for w in weights], shape)
+    b0 = np.reshape([w.b0 for w in weights], shape)
+    b1 = np.reshape([w.b1 for w in weights], shape)
+    start = np.zeros((n_steps + 1, basis.size)) if guess is None else guess
 
-    # overflow is handled by the explicit non-finite check per node
+    mu = np.zeros_like(start)
+    mu[0] = problem.forcing[0] / problem.lead
+    op_slots = {e for _, e in ops}
+
+    def filters(recip, lag_kernels, length):
+        # T^{-1} and the lag kernels C_e of the collocation terms on one window
+        solve_t = CausalFilter(recip, length)
+        return solve_t, {e: CausalFilter(lag_kernels[e], length) for e in op_slots}
+
+    sweeps_max = windows = 0
+    # overflow shows as non-finite values, which the windows check
     with np.errstate(over="ignore", invalid="ignore"):
-        sweeps = _march(problem, mu, list(weights.values()))
+        if n_steps >= 1:
+            # node 1: the first-cell self weights b1_e[1] make a 1 x 1 symbol
+            symbol = problem.lead + b1[:, 1] @ diag
+            known = (b0[:, 1, None] * mu[0])[:, None]
+            window = filters(1.0 / symbol[None], b1[:, 1:2], 1)
+            x, sweeps_max = _relax(problem, diag, ops, slice(1, 2), known, window, start)
+            mu[1] = x[0]
+        if n_steps >= 2:
+            symbol = np.einsum("em,ek->km", diag, lags[:, : n_steps - 1])
+            symbol[0] += problem.lead
+            recip = series_reciprocal(symbol)
+            cached = {}  # window length -> filters, shared by windows of one length
+            first, length = 2, n_steps - 1
+            while first <= n_steps:
+                length = min(length, n_steps + 1 - first)
+                rows = slice(first, first + length)
+                known = b0[:, rows, None] * mu[0] + b1[:, rows, None] * mu[1]
+                if first > 2:
+                    # what the solved nodes 2..first-1 add to the window
+                    prefix = np.zeros((first - 2 + length, basis.size))
+                    prefix[: first - 2] = mu[2:first]
+                    for e in range(len(weights)):
+                        known[e] += causal_conv(lags[e], prefix)[first - 2 :]
+                if length not in cached:
+                    cached[length] = filters(recip, lags, length)
+                x, sweeps = _relax(problem, diag, ops, rows, known, cached[length], start)
+                if x is None:
+                    length = (length + 1) // 2
+                    continue
+                mu[rows] = x
+                first += length
+                windows += 1
+                sweeps_max = max(sweeps_max, sweeps)
     if diagnostics is not None:
-        diagnostics["inner_sweeps_max"] = sweeps
+        diagnostics["relaxation_sweeps"] = sweeps_max
+        diagnostics["relaxation_windows"] = windows
     return mu
 
 
-def _march(problem, mu, weights):
-    """Fill mu[1:] node by node; return the largest inner sweep count.
+def _relax(problem, diag, ops, rows, known, filters, start):
+    """Solve the mu equations of the nodes ``rows``, whose earlier nodes are
+    final: ``known`` (exponents, nodes, modes) holds what those contribute
+    to each exponent's convolution.  With ``filters`` = (T^{-1}, {e: C_e})
+    on the window, it sweeps x <- T^{-1}(F - sum_e D_e known_e - S(known +
+    C x)) from start[rows].
 
-    One history per distinct kernel exponent serves every term with that
-    exponent; diagonal terms are folded into one per-exponent coefficient.
+    Returns (x, sweeps); x is None when a window of several nodes did not
+    converge.  A window of one node raises instead.
     """
-    n_steps = mu.shape[0] - 1
-    slot = {w.gamma: i for i, w in enumerate(weights)}
-    diag = np.zeros((len(weights), problem.basis.size))
-    other = []
-    for term in problem.kernel.terms:
-        if term.kind == "diag":
-            diag[slot[term.exponent]] += term.coeff * term.diag
-        else:
-            other.append((term, slot[term.exponent]))
-    shape = (len(weights), n_steps + 1)  # also when no kernel term exists
-    history = OnlineHistory(np.reshape([w.C for w in weights], shape), mu, start=2)
-    b0 = np.reshape([w.b0 for w in weights], shape)
-    b1 = np.reshape([w.b1 for w in weights], shape)
-    self_first = np.array([w.self_weight(1) for w in weights])
-    self_later = np.array([w.self_weight(2) for w in weights])
-
-    sweeps_max = 0
-    for n in range(1, n_steps + 1):
-        known = history.at(n) + b0[:, n, None] * mu[0]
-        if n >= 2:
-            known += b1[:, n, None] * mu[1]
-        sw = self_first if n == 1 else self_later
-        rhs = problem.forcing[n] - np.sum(diag * known, axis=0)
-        dcoef = problem.lead + sw @ diag
-        for term, i in other:
-            rhs -= _apply_term(problem, term, n, known[i])
-
-        x = rhs / dcoef
-        if other:
-            for sweeps in range(1, MAX_SWEEPS + 1):
-                corr = np.zeros_like(x)
-                for term, i in other:
-                    corr += _apply_term(problem, term, n, sw[i] * x)
-                x_new = (rhs - corr) / dcoef
-                update = np.max(np.abs(x_new - x))
-                x = x_new
-                if update <= 1e-14 * (1.0 + np.max(np.abs(x))):
-                    break
-                if not np.all(np.isfinite(x)):
-                    raise SolverBlowUpError(n)
-            else:
-                raise InnerSolveError(n, MAX_SWEEPS, float(update))
-            sweeps_max = max(sweeps_max, sweeps)
-        if not np.all(np.isfinite(x)):
-            raise SolverBlowUpError(n)
-        mu[n] = x
-    return sweeps_max
+    solve_t, lag = filters
+    single = rows.stop - rows.start == 1
+    rhs = problem.forcing[rows] - np.einsum("em,elm->lm", diag, known)
+    if not ops:
+        x, sweeps = solve_t(rhs), 0
+        converged = bool(np.all(np.isfinite(x)))
+    else:
+        x, last, converged = start[rows], np.inf, False
+        for sweeps in range(1, MAX_SWEEPS + 1):
+            conv = {e: known[e] + c(x) for e, c in lag.items()}
+            r = rhs.copy()
+            for term, e in ops:
+                r -= term.apply(problem.basis, rows, conv[e])
+            x_new = solve_t(r)
+            update = float(np.max(np.abs(x_new - x)))
+            x = x_new
+            if not np.all(np.isfinite(x)):
+                break
+            scale = 1.0 + np.max(np.abs(x))
+            if update <= _SWEEP_RTOL * scale:
+                converged = True
+                break
+            if update >= last and not single:
+                converged = update <= _FLOOR_RTOL * scale
+                break
+            last = update
+    if converged:
+        return x, sweeps
+    if not single:
+        return None, sweeps
+    if not np.all(np.isfinite(x)):
+        raise SolverBlowUpError(rows.start)
+    raise InnerSolveError(rows.start, MAX_SWEEPS, update)
 
 
 def reconstruct(problem: VolterraProblem, mu: np.ndarray) -> Trajectory:
@@ -552,10 +617,11 @@ def reconstruct(problem: VolterraProblem, mu: np.ndarray) -> Trajectory:
     return Trajectory(problem.basis, grid, mu, psi, psi_t, psi_tt, problem.spec)
 
 
-def solve(problem: VolterraProblem) -> Trajectory:
-    """Solve for mu and reconstruct the state trajectory."""
+def solve(problem: VolterraProblem, guess: np.ndarray | None = None) -> Trajectory:
+    """Solve for mu (sweeps starting from ``guess``, if given) and
+    reconstruct the state trajectory."""
     diagnostics = {}
-    traj = reconstruct(problem, solve_mu(problem, diagnostics))
+    traj = reconstruct(problem, solve_mu(problem, diagnostics, guess))
     traj.diagnostics.update(diagnostics)
     return traj
 
@@ -566,7 +632,7 @@ def solve_linear(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> 
     if spec.family is Family.II:
         raise ModelError("family ii linear solves are served by the memory solver")
     assemble = assemble_fmgt3 if spec.family is Family.III else assemble_fmgt1
-    # every kernel term is diagonal, so there is no inner sweep count to record
+    # every kernel term is diagonal, so there is no sweep count to record
     problem = assemble(spec, data, f, grid)
     return reconstruct(problem, solve_mu(problem))
 
@@ -670,31 +736,28 @@ def picard_nonlinear(
 ) -> PicardResult:
     """Fixed-point iteration w -> psi solving the frozen-coefficient linear
     problem with sigma = 2 k w_t (and the gradient term 2 l~ grad w . grad
-    psi_t for Kuznetsov).  The initial guess is the linear solution, which
-    lies inside the contraction ball for small data.  Raises if max_iter is
-    exceeded: the iteration has left the contraction regime, so shrink the
-    horizon or the data.  Raises SolverBlowUpError before assembling an
-    iterate whose 1 + 2k w_t is not positive on the collocation grid."""
+    psi_t for Kuznetsov), for the nonlinear models of families base, I and
+    III; other specs are refused with ModelError.  The initial guess is the
+    linear solution, which lies inside the contraction ball for small data;
+    each iterate's inner sweeps start from the previous iterate's mu.
+    Raises if max_iter is exceeded: the iteration has left the contraction
+    regime, so shrink the horizon or the data.  Raises SolverBlowUpError
+    before assembling an iterate whose 1 + 2k w_t is not positive on the
+    collocation grid."""
     validate(spec)
-    if spec.family is Family.II:
-        raise ModelError("family ii admits linear solves only")
     if spec.nonlinearity is Nonlinearity.LINEAR:
-        traj = solve_linear(spec, data, grid, f)
-        return PicardResult(traj, 1, [0.0], 0.0, True)
+        raise ModelError("Picard iteration serves nonlinear models; use solve_linear")
 
     basis = data.basis
     k = spec.k_eff
     l = spec.l_eff
     assemble = assemble_fmgt3 if spec.family is Family.III else assemble_fmgt1
 
-    current = solve_linear(
-        ModelSpec(ModelVariant(spec.family, Nonlinearity.LINEAR), spec.params, spec.alpha),
-        data,
-        grid,
-        f,
-    )
+    # without frozen coefficients the assembled problem is the linear one
+    linear = assemble(spec, data, f, grid)
+    current = reconstruct(linear, solve_mu(linear))
     distances = []
-    sweeps = 0
+    sweeps, windows = [], []
     t = grid.nodes
     if l != 0.0:
         # data part of the gradient term: 2 l~ G_w(t)(xi1 + t xi2)
@@ -714,8 +777,9 @@ def picard_nonlinear(
         problem = assemble(
             spec, data, f, grid, sigma=sigma, grad_w=grad_w, grad_data_term=grad_data
         )
-        nxt = solve(problem)
-        sweeps = max(sweeps, nxt.diagnostics["inner_sweeps_max"])
+        nxt = solve(problem, guess=current.mu)
+        sweeps.append(nxt.diagnostics["relaxation_sweeps"])
+        windows.append(nxt.diagnostics["relaxation_windows"])
         d = _iterate_distance(basis, nxt, current)
         distances.append(d)
         current = nxt
@@ -737,7 +801,8 @@ def picard_nonlinear(
             ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
             current.diagnostics["picard_iterations"] = it
             current.diagnostics["contraction_ratio"] = ratio
-            current.diagnostics["inner_sweeps_max"] = sweeps
+            current.diagnostics["relaxation_sweeps"] = sweeps
+            current.diagnostics["relaxation_windows"] = windows
             return PicardResult(current, it, distances, ratio, True)
     raise ModelError(
         f"Picard iteration did not contract within {max_iter} iterations "
@@ -757,7 +822,7 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
     tau^a D^a w + w + c^2 K psi + tau^a c^2 K D^a psi + delta K damp = f with
     psi, D^a psi, damp reconstructed from w by classical piecewise-linear
     product integration and D^a w by the L1 scheme: a genuinely different
-    algorithm from both the quadratic-PI mu marcher and the z-form stepper.
+    algorithm from both the quadratic-PI mu solver and the z-form stepper.
     """
     if spec.nonlinearity is not Nonlinearity.LINEAR:
         raise ModelError("direct L1 solver covers linear models only")

@@ -20,8 +20,44 @@ PRESETS = Path(__file__).resolve().parents[1] / "presets"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+PICARD_KEYS = ["contraction_ratio", "picard_iterations", "relaxation_sweeps", "relaxation_windows"]
+
+
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def _modules_after_runs(tmp_path):
+    """The modules loaded by a fresh interpreter after `fmgt run` of a
+    Westervelt III config and a type II config, both of which must pass."""
+    configs = {
+        "w3": "model.family = iii\nmodel.nonlinearity = westervelt\nmodel.k = 0.1\n",
+        "ii": "model.family = ii\nmodel.nonlinearity = linear\n",
+    }
+    script = (
+        "import json, sys\nfrom fmgt.cli import main\n"
+        "codes = [main(['--out', d, 'run', '--config', c]) for c, d in "
+        "zip(sys.argv[1::2], sys.argv[2::2])]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    args = []
+    for name, body in configs.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(
+            f"schema = 1\n{body}model.alpha = 0.7\ndomain.cutoff = 4\n"
+            "time.N = 32\ndata.preset = bump\ndata.amplitude = 1e-3\n"
+        )
+        args += [str(cfg), str(tmp_path / f"o-{name}")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    return set(modules)
 
 
 class TestConfig:
@@ -125,6 +161,12 @@ class TestExitCodes:
         assert err.startswith("configuration error: ")
         assert "1.5" in err and "Traceback" not in err
 
+    def test_unparsable_alphas_is_2(self, tmp_path, capsys):
+        assert run_cli(["--out", tmp_path / "o", "kernels", "--alphas", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "'abc'" in err and "Traceback" not in err
+
     def test_success_is_0(self, tmp_path):
         assert (
             run_cli(["--out", tmp_path / "o", "run", "--config", PRESETS / "mgt-classical.cfg"])
@@ -162,38 +204,19 @@ class TestArtifacts:
         out = tmp_path / "o"
         assert run_cli(["--out", out, "run", "--config", PRESETS / "picard-w3.cfg"]) == 0
         s = json.loads((out / "summary.json").read_text())
-        assert 1 <= s["inner_sweeps_max"] < MAX_SWEEPS
+        # one entry per Picard iterate; picard-w3 relaxes the whole time axis
+        assert len(s["relaxation_sweeps"]) == s["picard_iterations"]
+        assert all(1 <= n < MAX_SWEEPS for n in s["relaxation_sweeps"])
+        assert s["relaxation_windows"] == [1] * s["picard_iterations"]
 
     def test_run_does_not_import_scipy_signal(self, tmp_path):
         # scipy.signal costs a large share of a CLI run's start-up
-        configs = {
-            "w3": "model.family = iii\nmodel.nonlinearity = westervelt\nmodel.k = 0.1\n",
-            "ii": "model.family = ii\nmodel.nonlinearity = linear\n",
-        }
-        script = (
-            "import json, sys\nfrom fmgt.cli import main\n"
-            "codes = [main(['--out', d, 'run', '--config', c]) for c, d in "
-            "zip(sys.argv[1::2], sys.argv[2::2])]\n"
-            "print(json.dumps([codes, 'scipy.signal' in sys.modules]))\n"
-        )
-        args = []
-        for name, body in configs.items():
-            cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(
-                f"schema = 1\n{body}model.alpha = 0.7\ndomain.cutoff = 4\n"
-                "time.N = 32\ndata.preset = bump\ndata.amplitude = 1e-3\n"
-            )
-            args += [str(cfg), str(tmp_path / f"o-{name}")]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *args],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        codes, imported = json.loads(proc.stdout)
-        assert codes == [0, 0]
-        assert not imported
+        assert "scipy.signal" not in _modules_after_runs(tmp_path)
+
+    def test_run_does_not_import_scipy_integrate(self, tmp_path):
+        # so does scipy.integrate, which serves only the oracles and the
+        # kernel masses of `fmgt kernels`
+        assert "scipy.integrate" not in _modules_after_runs(tmp_path)
 
     def test_kernels_subcommand(self, tmp_path):
         out = tmp_path / "k"
@@ -262,8 +285,8 @@ class TestArtifacts:
             ("i", "linear", []),
             ("iii", "linear", []),
             ("ii", "linear", ["recovery_discrepancy"]),
-            ("iii", "westervelt", ["contraction_ratio", "inner_sweeps_max", "picard_iterations"]),
-            ("i", "kuznetsov", ["contraction_ratio", "inner_sweeps_max", "picard_iterations"]),
+            ("iii", "westervelt", PICARD_KEYS),
+            ("i", "kuznetsov", PICARD_KEYS),
         ],
     )
     def test_summary_solver_keys(self, tmp_path, family, nonlinearity, keys):

@@ -1,9 +1,11 @@
-"""The causal-convolution primitive against the naive lagged sum, and the
-folded product-integration weights against the three-term cell sum."""
+"""The causal-convolution primitives against the naive lagged sum and the
+naive triangular solve, and the folded product-integration weights against
+the three-term cell sum."""
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular, toeplitz
 
-from fmgt.convolution import LEAF, OnlineHistory, causal_conv
+from fmgt.convolution import LEAF, OnlineHistory, causal_conv, series_reciprocal
 from fmgt.volterra import _PIWeights
 
 # every leaf and dyadic block boundary is crossed at least once
@@ -50,6 +52,32 @@ def test_causal_conv_matches_naive(n, cols):
     x = signal(n, cols)
     for K in kernels(n + 4):
         assert_close(causal_conv(K, x), naive_sum(K, x, 0, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 1000])
+def test_causal_conv_per_column_kernels(n):
+    x = signal(n, 3)
+    K = kernels(n).T  # column c has its own kernel
+    got = causal_conv(K, x)
+    for c in range(3):
+        assert_close(got[:, c], naive_sum(K[:, c], x[:, c], 0, 0))
+
+
+def test_causal_conv_overflows_only_with_the_sums():
+    # the transform of 64 values of 2e307 would overflow; the sums
+    # 2e308 (1 - 0.9^(n+1)) stay finite up to n = 20
+    x = np.full((64, 2), 2e307)
+    K = 0.9 ** np.arange(64.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = causal_conv(K, x)
+        want = naive_sum(K, x, 0, 0)
+    assert np.all(np.isfinite(got[:21])) and np.all(np.isinf(got[21:]))
+    assert_close(got[:21], want[:21])
+
+
+def test_causal_conv_single_lag_is_exact():
+    x = signal(50, 3)
+    assert np.array_equal(causal_conv(np.array([2.5, 0.0, 0.0]), x), 2.5 * x)
 
 
 def test_causal_conv_short_kernel():
@@ -110,3 +138,33 @@ def test_folded_weights_reproduce_three_term_sum(g, n_steps):
     w = _PIWeights(g, n_steps, h)
     mu = signal(n_steps + 1, 2)
     assert_close(w.conv_all(mu), three_term_pi_sum(w, mu))
+
+
+# symbols lead δ + D C_g per column, as the Volterra solver folds them
+SYMBOL_COEFFS = np.array([1.0, 10.0, -3.0, 100.0])
+
+
+def folded_symbol(g, n):
+    w = _PIWeights(g, n, 1.0 / n)
+    symbol = np.outer(w.C[:n], SYMBOL_COEFFS)
+    symbol[0] += 1.5
+    return symbol
+
+
+@pytest.mark.parametrize("g", [-0.5, 0.0, 0.7, 1.0, 2.0])
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_series_reciprocal_matches_triangular_solve(g, n):
+    symbol = folded_symbol(g, n)
+    y = series_reciprocal(symbol)
+    b = signal(n, symbol.shape[1])
+    x = causal_conv(y, b)
+    assert y.shape == symbol.shape
+    for c in range(symbol.shape[1]):
+        T = toeplitz(symbol[:, c], np.zeros(n))
+        assert_close(y[:, c], solve_triangular(T, np.eye(n)[:, 0], lower=True))
+        assert_close(x[:, c], solve_triangular(T, b[:, c], lower=True))
+
+
+def test_series_reciprocal_one_column():
+    symbol = folded_symbol(0.7, 65)
+    assert np.array_equal(series_reciprocal(symbol[:, 1]), series_reciprocal(symbol)[:, 1])

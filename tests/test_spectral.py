@@ -245,35 +245,58 @@ class TestSeparableTransforms:
         assert coeffs.shape == v.shape[:-1] + (sep_basis.size,)
         assert _rel_err(coeffs, v @ sep_basis.proj_matrix().T) < 1e-13
 
-    def test_kernel_apply_matches_dense_formula(self, sep_basis):
+    def test_kernel_apply_matches_dense_formula(self, sep_basis, kernel_apply):
         # kernel_apply(t, s, v) = -(1/lead) sum_k w_k Op_k(t) v with the
-        # 'colloc' multiplier P(sigma_n ⊙ E v) and the 'graddot' multiplier
+        # collocation multiplier P(sigma_n ⊙ E v) and the gradient multiplier
         # P(sum_axis g_n ⊙ G_axis v), spelled out with the dense matrices
         from fmgt import TimeGrid
-        from fmgt.volterra import KernelTerm, PowerKernelSum, VolterraProblem, p_power
+        from fmgt.volterra import (
+            CollocationTerm, GradientTerm, PowerKernelSum, VolterraProblem, p_power,
+        )
 
         b = sep_basis
         grid = TimeGrid(1.0, self.N1 - 1)
         rng = np.random.default_rng(24)
         sigma = rng.normal(size=(self.N1, b.grid_size))
         grads = [rng.normal(size=(self.N1, b.grid_size)) for _ in range(b.domain.ndim)]
-        colloc = KernelTerm(0.0, "colloc", 0.8, grid_values=sigma)
-        graddot = KernelTerm(1.0, "graddot", -0.3, grad_values=grads)
+        colloc = CollocationTerm(0.0, 0.8 * sigma)
+        graddot = GradientTerm(1.0, -0.3, grads)
         zeros = np.zeros(b.size)
         lead = 1.7
         v = rng.normal(size=b.size)
         E, P, G = b.eval_matrix(), b.proj_matrix(), b.grad_matrices()
         node, t, s = 5, 0.625, 0.25
-        dense = {
-            "colloc": 0.8 * p_power(0.0, t - s) * (P @ (sigma[node] * (E @ v))),
-            "graddot": -0.3
-            * p_power(1.0, t - s)
-            * (P @ sum(g[node] * (Gm @ v) for g, Gm in zip(grads, G))),
-        }
-        for term in (colloc, graddot):
+        dense = [
+            (colloc, p_power(0.0, t - s) * (P @ (0.8 * sigma[node] * (E @ v)))),
+            (
+                graddot,
+                -0.3
+                * p_power(1.0, t - s)
+                * (P @ sum(g[node] * (Gm @ v) for g, Gm in zip(grads, G))),
+            ),
+        ]
+        for term, want in dense:
             prob = VolterraProblem(
                 b, grid, lead, PowerKernelSum([term]), np.zeros((self.N1, b.size)),
                 (2.0, 1.0, 0.0), zeros, zeros, zeros,
             )
-            got = prob.kernel_apply(t, s, v, node=node)
-            assert _rel_err(got, -dense[term.kind] / lead) < 1e-13
+            got = kernel_apply(prob, t, s, v, node=node)
+            assert _rel_err(got, -want / lead) < 1e-13
+
+    def test_term_operators_batched_over_nodes(self, sep_basis):
+        # one apply over a slice of nodes equals the dense formula node by node
+        from fmgt.volterra import CollocationTerm, GradientTerm
+
+        b = sep_basis
+        rng = np.random.default_rng(25)
+        sigma = rng.normal(size=(self.N1, b.grid_size))
+        grads = [rng.normal(size=(self.N1, b.grid_size)) for _ in range(b.domain.ndim)]
+        rows = slice(2, 7)
+        V = rng.normal(size=(5, b.size))
+        E, P, G = b.eval_matrix(), b.proj_matrix(), b.grad_matrices()
+        colloc = CollocationTerm(0.0, sigma).apply(b, rows, V)
+        graddot = GradientTerm(1.0, -0.3, grads).apply(b, rows, V)
+        for i, n in enumerate(range(2, 7)):
+            assert _rel_err(colloc[i], P @ (sigma[n] * (E @ V[i]))) < 1e-13
+            want = -0.3 * (P @ sum(g[n] * (Gm @ V[i]) for g, Gm in zip(grads, G)))
+            assert _rel_err(graddot[i], want) < 1e-13

@@ -19,7 +19,8 @@ from fmgt.spectral import SpectralField
 from fmgt.volterra import (
     MAX_SWEEPS,
     InnerSolveError,
-    KernelTerm,
+    CollocationTerm,
+    DiagonalTerm,
     PowerKernelSum,
     SolverBlowUpError,
     VolterraProblem,
@@ -81,7 +82,7 @@ class TestScalarSolves:
         grid = TimeGrid(1.0, 512)
         F = np.ones((513, 1))
         prob = scalar_problem(
-            grid, [KernelTerm(0.0, "diag", -1.0, diag=np.ones(1))], F
+            grid, [DiagonalTerm(0.0, -np.ones(1))], F
         )
         mu = solve_mu(prob)
         assert np.max(np.abs(mu[:, 0] - np.exp(grid.nodes))) < 1e-6
@@ -91,7 +92,7 @@ class TestScalarSolves:
         grid = TimeGrid(1.0, 512)
         F = np.ones((513, 1))
         prob = scalar_problem(
-            grid, [KernelTerm(-0.5, "diag", 1.0, diag=np.ones(1))], F
+            grid, [DiagonalTerm(-0.5, np.ones(1))], F
         )
         mu = solve_mu(prob)
         exact = np.array([ml(0.5, 1.0, -np.sqrt(t)) for t in grid.nodes])
@@ -104,11 +105,14 @@ class TestScalarSolves:
         grid = TimeGrid(25.0, 64)
         F = np.full((65, 1), 1e300)
         prob = scalar_problem(
-            grid, [KernelTerm(0.0, "diag", -1.0, diag=np.ones(1))], F
+            grid, [DiagonalTerm(0.0, -np.ones(1))], F
         )
         with pytest.raises(SolverBlowUpError) as exc:
             solve_mu(prob)
-        assert 0 < exc.value.node <= 64
+        # an overflow turns the whole FFT solve non-finite: the windows are
+        # halved down to single nodes, and the first one that overflows is
+        # the one the node-by-node march names
+        assert exc.value.node == 49
 
     def test_march_satisfies_discrete_equation(self):
         # lead mu_n + sum_k c_k (PI conv of p^{g_k})(t_n) = F_n at every node,
@@ -116,14 +120,14 @@ class TestScalarSolves:
         grid = TimeGrid(1.0, 100)  # crosses leaf and block boundaries
         F = np.cos(3.0 * grid.nodes)[:, None]
         terms = [
-            KernelTerm(g, "diag", c, diag=np.ones(1))
+            DiagonalTerm(g, np.full(1, c))
             for g, c in ((-0.5, 0.8), (0.0, -1.0), (0.7, 2.0), (2.0, 0.5))
         ]
         prob = scalar_problem(grid, terms, F, lead=1.5)
         mu = solve_mu(prob)
         lhs = 1.5 * mu
         for term in terms:
-            lhs += term.coeff * _PIWeights(term.exponent, grid.steps, grid.h).conv_all(mu)
+            lhs += term.diag * _PIWeights(term.exponent, grid.steps, grid.h).conv_all(mu)
         assert np.max(np.abs(lhs[1:] - F[1:])) < 1e-12 * np.max(np.abs(F))
 
     def test_inner_solve_failure_is_loud(self):
@@ -133,7 +137,7 @@ class TestScalarSolves:
         b = EigenBasis(Domain.interval(1.0), 1)
         sigma = np.full((65, b.eval_matrix().shape[0]), -1000.0)
         prob = scalar_problem(
-            grid, [KernelTerm(0.0, "colloc", 1.0, grid_values=sigma)], np.ones((65, 1))
+            grid, [CollocationTerm(0.0, sigma)], np.ones((65, 1))
         )
         with pytest.raises(InnerSolveError) as exc:
             solve_mu(prob)
@@ -146,14 +150,39 @@ class TestScalarSolves:
         b = EigenBasis(Domain.interval(1.0), 1)
         sigma = np.ones((65, b.eval_matrix().shape[0]))
         prob = scalar_problem(
-            grid, [KernelTerm(0.0, "colloc", 1.0, grid_values=sigma)], np.ones((65, 1))
+            grid, [CollocationTerm(0.0, sigma)], np.ones((65, 1))
         )
         traj = solve(prob)
-        assert 1 <= traj.diagnostics["inner_sweeps_max"] < MAX_SWEEPS
+        assert 1 <= traj.diagnostics["relaxation_sweeps"] < MAX_SWEEPS
+        assert traj.diagnostics["relaxation_windows"] == 1
         diag_only = scalar_problem(
-            grid, [KernelTerm(0.0, "diag", 1.0, diag=np.ones(1))], np.ones((65, 1))
+            grid, [DiagonalTerm(0.0, np.ones(1))], np.ones((65, 1))
         )
-        assert solve(diag_only).diagnostics["inner_sweeps_max"] == 0
+        assert solve(diag_only).diagnostics == {
+            "relaxation_sweeps": 0, "relaxation_windows": 1
+        }
+
+    def test_windows_halved_until_sweeps_contract(self):
+        # a large collocation coefficient: relaxation over the whole axis
+        # does not contract (|sigma| T = 20), over short windows it does.
+        # The result satisfies the discrete equation at every node
+        grid = TimeGrid(1.0, 64)
+        b = EigenBasis(Domain.interval(1.0), 1)
+        vals = 20.0 * (1.0 + 0.5 * np.sin(3.0 * grid.nodes))
+        sigma = np.tile(vals[:, None], (1, b.grid_size))
+        F = np.cos(2.0 * grid.nodes)[:, None]
+        terms = [DiagonalTerm(0.7, np.full(1, 2.0)), CollocationTerm(0.0, sigma)]
+        prob = scalar_problem(grid, terms, F, lead=1.5)
+        diagnostics = {}
+        mu = solve_mu(prob, diagnostics)
+        # the record of the halving rule: a window is halved as soon as an
+        # update stops shrinking, so 16 windows take at most 21 sweeps
+        assert diagnostics == {"relaxation_sweeps": 21, "relaxation_windows": 16}
+        lhs = 1.5 * mu
+        lhs += 2.0 * _PIWeights(0.7, grid.steps, grid.h).conv_all(mu)
+        conv0 = _PIWeights(0.0, grid.steps, grid.h).conv_all(mu)
+        lhs += b.project_values(sigma * b.evaluate(conv0))
+        assert np.max(np.abs(lhs[1:] - F[1:])) < 1e-12 * np.max(np.abs(F))
 
 
 @pytest.fixture
@@ -164,7 +193,7 @@ def single_mode_setup():
 
 
 class TestAssembly:
-    def test_kernel_hand_evaluation(self, single_mode_setup):
+    def test_kernel_hand_evaluation(self, single_mode_setup, kernel_apply):
         # single mode lam = pi^2, sigma = 0, tau = c = 1, delta = 0.1,
         # alpha = 0.5: K(1, 0.5) from the assembled form vs the display
         b, data = single_mode_setup
@@ -177,7 +206,7 @@ class TestAssembly:
         )
         prob = assemble_fmgt3(spec, data, None, grid)
         v = np.ones(1)
-        got = prob.kernel_apply(1.0, 0.5, v)[0]
+        got = kernel_apply(prob, 1.0, 0.5, v)[0]
         expected = -(1.0 + 0.5 * lam * 0.25 + lam * 0.5) - (
             0.1 / gamma_fn(1.5)
         ) * lam * np.sqrt(0.5)
@@ -420,7 +449,23 @@ class TestPicard:
             ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=0.1), 0.7
         )
         res = picard_nonlinear(spec, self.data, TimeGrid(1.0, 64), tol=1e-10)
-        assert 1 <= res.trajectory.diagnostics["inner_sweeps_max"] < MAX_SWEEPS
+        sweeps = res.trajectory.diagnostics["relaxation_sweeps"]
+        assert len(sweeps) == res.iterations
+        assert all(1 <= s < MAX_SWEEPS for s in sweeps)
+        assert res.trajectory.diagnostics["relaxation_windows"] == [1] * res.iterations
+
+    def test_stiff_sweeps_stop_at_rounding_floor(self):
+        # a small lead (tau = 0.01) puts the rounding floor of the updates
+        # just above 1e-14 of mu: the sweeps over the whole axis still
+        # converge there, instead of being taken for non-contracting
+        b = EigenBasis(Domain.interval(1.0), 8)
+        data = small_data(b, 5e-3)
+        data = InitialData(data.psi0, b.zero_field(), b.unit_mode(0, 5e-3))
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=4.0, tau=0.01), 0.7
+        )
+        res = picard_nonlinear(spec, data, TimeGrid(4.0, 2048), tol=1e-10)
+        assert res.trajectory.diagnostics["relaxation_windows"] == [1] * res.iterations
 
     def test_iterates_satisfy_frozen_equation(self):
         # after convergence, the trajectory's nonlinear residual is at the
@@ -577,7 +622,8 @@ class TestTwoDimensional:
         psi = res.trajectory.psi
         assert res.iterations == 3
         assert res.trajectory.diagnostics["picard_iterations"] == 3
-        assert res.trajectory.diagnostics["inner_sweeps_max"] == 3
+        assert res.trajectory.diagnostics["relaxation_sweeps"] == [4, 3, 2]
+        assert res.trajectory.diagnostics["relaxation_windows"] == [1, 1, 1]
         for got, want in (
             (psi[-1], KUZNETSOV_2D_PSI_LAST),
             (np.sum(np.abs(psi), axis=0), KUZNETSOV_2D_PSI_ABS_SUM),
