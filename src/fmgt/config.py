@@ -142,9 +142,12 @@ class RunConfig:
 
     def _float(self, key):
         try:
-            return float(self.entries[key])
+            value = float(self.entries[key])
         except ValueError as exc:
             raise ConfigError(f"key {key}: not a number: {self.entries[key]!r}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"key {key}: not a finite number: {self.entries[key]!r}")
+        return value
 
     def _int(self, key):
         try:
@@ -154,9 +157,12 @@ class RunConfig:
 
     def _floats(self, key):
         try:
-            return [float(v) for v in self.entries[key].split(",") if v.strip()]
+            values = [float(v) for v in self.entries[key].split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"key {key}: not a number list: {self.entries[key]!r}") from exc
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"key {key}: not a list of finite numbers: {self.entries[key]!r}")
+        return values
 
     def validate(self) -> "RunConfig":
         fam = self.entries["model.family"]

@@ -6,10 +6,12 @@ Substituting z = tau^a D^a psi + psi turns the type-II equation into
     z_tt - (c^2 + delta/tau^a) Lap z + (delta/tau^a) k_a * Lap z
         = f - delta tau^{-a} E_{a,1}(-(t/tau)^a) Lap psi0
 
-with the relaxation kernel k_a.  Per mode the solver is an implicit
-trapezoidal (average-acceleration) stepper; the memory convolution uses exact
-kernel cell moments (closed forms in E_{a,1} and E_{a,2}), never sampling the
-kernel at zero.  psi is recovered two independent ways which must agree:
+with the relaxation kernel k_a.  Per mode the scheme is the implicit
+trapezoidal (average-acceleration) stepper, solved for all nodes at once as
+one lower-triangular Toeplitz system in the accelerations; the memory
+convolution uses exact kernel cell moments (closed forms in E_{a,1} and
+E_{a,2}), never sampling the kernel at zero.  psi is recovered two
+independent ways which must agree:
 (a) psi = E_{a,1}(-(t/tau)^a) psi0 + k_a * z by product integration, and
 (b) an L1 solve of tau^a D^a psi + psi = z per mode.
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .convolution import OnlineHistory, causal_conv
+from .convolution import causal_conv, series_reciprocal
 from .fractional import TimeGrid, first_derivative, l1_weights, second_derivative
 from .mittag_leffler import RelaxationKernel, kernel_cell_moments
 from .models import Family, InitialData, ModelError, ModelSpec, Nonlinearity
@@ -34,7 +36,7 @@ from .volterra import SolverBlowUpError, Trajectory, _forcing_array
 @dataclass(frozen=True)
 class MemoryTables:
     """The relaxation-kernel tables of one (alpha, tau, grid): built once per
-    z-form solve and shared by the march and the psi recovery.
+    z-form solve and shared by the solve and the psi recovery.
 
     e1[n] = E_{a,1}(-(t_n/tau)^a) on the nodes; (w, q) are the convolution
     weights of the kernel against piecewise-linear z, such that
@@ -64,7 +66,7 @@ def memory_tables(spec: ModelSpec, grid: TimeGrid) -> MemoryTables:
 @dataclass
 class ZTrajectory:
     """State of the memory-form solve: z and z_t coefficient signals, and
-    the kernel tables they were marched with."""
+    the kernel tables they were solved with."""
 
     basis: EigenBasis
     grid: TimeGrid
@@ -95,7 +97,22 @@ def z_initial(spec: ModelSpec, data: InitialData):
 
 
 def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> ZTrajectory:
-    """March the z-form of the linear type-II model."""
+    """Solve the z-form of the linear type-II model, all nodes at once.
+
+    The average-acceleration (Newmark) steps, summed, give z_n = d_n +
+    (h^2/4) sum_{j=1}^{n} c[n-j] acc_j, where c holds the coefficients of
+    (1+s)^2/(1-s)^2 (c_0 = 1, c_m = 4m) and d_n = z_0 + n h v_0 + (n h^2/2 -
+    h^2/4) acc_0.  The memory law is acc_n = sum_{j=1}^{n} k[n-j] z_j + g_n,
+    with k_0 = -B lam + C lam w_0, k_m = C lam w_m and g_n = C lam q[n-1] z_0
+    + F_n.  Eliminating z leaves one lower-triangular Toeplitz system per
+    mode in the acceleration, (δ - (h^2/4) k*c) acc = k*d + g, solved by
+    ``series_reciprocal`` and one defect-correction step.  z follows by one
+    more product, z_t as the trapezoid sum of acc.
+
+    The unknown is the acceleration because that symbol is well
+    conditioned; eliminating v too leaves a symbol in z led by (1-s)^2,
+    whose inverse grows with N (that form diverged at N = 8192).
+    """
     if spec.family is not Family.II or spec.nonlinearity is not Nonlinearity.LINEAR:
         raise ModelError("the memory solver serves the linear family ii only")
     basis = data.basis
@@ -106,37 +123,38 @@ def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Z
     n_steps = grid.steps
 
     tables = memory_tables(spec, grid)
-    w, q = tables.w, tables.q
     B = p.c**2 + p.delta / p.tau**a
     C = p.delta / p.tau**a
 
     farr = _forcing_array(f, basis, grid)
     # data forcing - delta tau^{-a} E_{a,1}(-(t/tau)^a) Lap psi0, per node
-    F = farr + (p.delta / p.tau**a) * tables.e1[:, None] * lam[None, :] * data.psi0.coeffs[None, :]
+    F = farr + C * tables.e1[:, None] * lam[None, :] * data.psi0.coeffs[None, :]
 
-    z = np.zeros((n_steps + 1, basis.size))
-    v = np.zeros_like(z)
-    acc = np.zeros_like(z)
-    z[0], v[0] = z_initial(spec, data)
-    acc[0] = -B * lam * z[0] + F[0]
+    z0, v0 = z_initial(spec, data)
+    acc0 = -B * lam * z0 + F[0]
+    t = grid.nodes[1:, None]
+    d = z0 + t * v0 + (0.5 * h * t - 0.25 * h * h) * acc0
+    k = C * lam * tables.w[:, None]
+    k[0] -= B * lam
+    g = F[1:] + C * lam * tables.q[:, None] * z0
+    c = 4.0 * np.arange(n_steps)
+    c[0] = 1.0
 
-    w0 = w[0]
-    denom = 1.0 + 0.25 * h * h * (B * lam - C * lam * w0)
-    history = OnlineHistory(w, z, start=1)
-    for n in range(1, n_steps + 1):
-        # lags 1..n-1 plus the oldest-node boundary weight; z_n excluded
-        conv_known = history.at(n)[0] + q[n - 1] * z[0]
-        rhs = (
-            z[n - 1]
-            + h * v[n - 1]
-            + 0.25 * h * h * (acc[n - 1] + C * lam * conv_known + F[n])
-        )
-        z[n] = rhs / denom
-        acc[n] = -B * lam * z[n] + C * lam * (conv_known + w0 * z[n]) + F[n]
-        v[n] = v[n - 1] + 0.5 * h * (acc[n - 1] + acc[n])
-        if not np.all(np.isfinite(z[n])):
-            raise SolverBlowUpError(n)
-    return ZTrajectory(basis, grid, z, v, spec, tables)
+    # overflow shows as non-finite rows, which are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        symbol = -0.25 * h * h * causal_conv(c, k)
+        symbol[0] += 1.0
+        recip = series_reciprocal(symbol)
+        rhs = causal_conv(k, d) + g
+        acc = causal_conv(recip, rhs)
+        acc += causal_conv(recip, rhs - causal_conv(symbol, acc))
+        z = np.vstack([z0, d + 0.25 * h * h * causal_conv(c, acc)])
+        acc = np.vstack([acc0, acc])
+        z_t = np.vstack([v0, v0 + 0.5 * h * np.cumsum(acc[:-1] + acc[1:], axis=0)])
+    finite = np.isfinite(np.hstack([z, z_t])).all(axis=1)
+    if not np.all(finite):
+        raise SolverBlowUpError(int(np.argmin(finite)))
+    return ZTrajectory(basis, grid, z, z_t, spec, tables)
 
 
 def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
@@ -182,7 +200,7 @@ def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
 
 
 def solve_fmgt2(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
-    """Full pipeline for linear family II: z-form march plus psi recovery.
+    """Full pipeline for linear family II: z-form solve plus psi recovery.
 
     psi_t and psi_tt are difference derivatives of the recovered signal (the
     reconstruction identities hold to quadrature tolerance).

@@ -343,7 +343,7 @@ def catalog():
     return rows
 
 
-def describe(variant: ModelVariant, alpha: float = 0.75) -> dict:
+def describe(variant: ModelVariant) -> dict:
     lo, hi = variant.alpha_range
     return {
         "family": variant.family.value,

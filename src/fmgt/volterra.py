@@ -221,7 +221,9 @@ def _data_coeffs(data: InitialData):
 
 
 def _forcing_array(f, basis: EigenBasis, grid: TimeGrid) -> np.ndarray:
-    """Accept None, a callable t -> SpectralField/array, or an (N+1, modes) array."""
+    """Accept None, a callable t -> SpectralField/array, or an (N+1, modes)
+    array.  Non-finite forcing is refused: it would make every node of an
+    FFT solve non-finite, so no failing node could be named."""
     n1 = grid.steps + 1
     if f is None:
         return np.zeros((n1, basis.size))
@@ -230,10 +232,14 @@ def _forcing_array(f, basis: EigenBasis, grid: TimeGrid) -> np.ndarray:
         for t in grid.nodes:
             ft = f(t)
             rows.append(ft.coeffs if isinstance(ft, SpectralField) else np.asarray(ft))
-        return np.array(rows, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (n1, basis.size):
-        raise DomainError(f"forcing must have shape {(n1, basis.size)}, got {f.shape}")
+        f = np.array(rows, dtype=float)
+    else:
+        f = np.asarray(f, dtype=float)
+        if f.shape != (n1, basis.size):
+            raise DomainError(f"forcing must have shape {(n1, basis.size)}, got {f.shape}")
+    finite = np.isfinite(f).reshape(len(f), -1).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"forcing is not finite at node {int(np.argmin(finite))}")
     return f
 
 
@@ -432,13 +438,6 @@ class Trajectory:
     spec: ModelSpec | None = None
     diagnostics: dict = field(default_factory=dict)
 
-    def fields(self, n: int):
-        return (
-            SpectralField(self.basis, self.psi[n]),
-            SpectralField(self.basis, self.psi_t[n]),
-            SpectralField(self.basis, self.psi_tt[n]),
-        )
-
     def residual(self, f=None) -> np.ndarray:
         if self.spec is None:
             raise ModelError("trajectory carries no model spec")
@@ -629,6 +628,8 @@ def solve(problem: VolterraProblem, guess: np.ndarray | None = None) -> Trajecto
 def solve_linear(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
     """Linear solve for families base, I, III through the mu reformulation."""
     validate(spec)
+    if spec.nonlinearity is not Nonlinearity.LINEAR:
+        raise ModelError("solve_linear serves linear models; use picard_nonlinear")
     if spec.family is Family.II:
         raise ModelError("family ii linear solves are served by the memory solver")
     assemble = assemble_fmgt3 if spec.family is Family.III else assemble_fmgt1

@@ -22,6 +22,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PICARD_KEYS = ["contraction_ratio", "picard_iterations", "relaxation_sweeps", "relaxation_windows"]
 
+# each once reached a solver and failed there with exit code 3
+NON_FINITE_ENTRIES = [
+    "model.c = inf",
+    "model.tau = inf",
+    "time.T = inf",
+    "domain.lengths = inf",
+    "data.amplitude = nan",
+    "source.preset = pulse\nsource.amplitude = inf",
+    "model.k = nan",
+]
+
 
 def run_cli(args):
     return main([str(a) for a in args])
@@ -153,6 +164,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "1 + 2k psi_t reaches -" in err
         assert "bounded away from zero" in err
+
+    @pytest.mark.parametrize("entries", NON_FINITE_ENTRIES)
+    def test_non_finite_number_is_2(self, tmp_path, monkeypatch, capsys, entries):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a non-finite number reached the solver")
+
+        monkeypatch.setattr(fmgt.cli, "solve", no_solve)
+        cfg = tmp_path / "non-finite.cfg"
+        cfg.write_text(
+            "schema = 1\nmodel.family = iii\nmodel.nonlinearity = westervelt\n"
+            "model.alpha = 0.7\nmodel.k = 0.1\ndomain.cutoff = 4\ntime.N = 32\n"
+            + entries + "\n"
+        )
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        key = entries.splitlines()[-1].split(" = ")[0]
+        assert err.startswith(f"configuration error: key {key}: not a")
+        assert "finite" in err and "Traceback" not in err
 
     def test_domain_error_is_2(self, tmp_path, capsys):
         # RelaxationKernel refuses the order with a DomainError

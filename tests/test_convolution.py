@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular, toeplitz
 
-from fmgt.convolution import LEAF, OnlineHistory, causal_conv, series_reciprocal
+from fmgt.convolution import causal_conv, series_reciprocal
 from fmgt.volterra import _PIWeights
 
-# every leaf and dyadic block boundary is crossed at least once
+# sizes on both sides of powers of two, where Newton's doubling steps end
 SIZES = [0, 1, 2, 3, 31, 32, 33, 63, 64, 65, 1000, 2049]
 RTOL = 1e-12
 
 
-def naive_sum(kernel, x, start, stop_lag):
-    """out[n] = sum_{j=start}^{n - stop_lag} kernel[n-j] x[j]: the outer loop
-    over nodes, the inner sum over j as one dot product."""
+def naive_sum(kernel, x):
+    """out[n] = sum_{j=0}^{n} kernel[n-j] x[j]: the outer loop over nodes,
+    the inner sum over j as one dot product."""
     out = np.zeros_like(x)
     for n in range(x.shape[0]):
-        j = np.arange(start, n - stop_lag + 1)
-        out[n] = kernel[n - j] @ x[j] if j.size else 0.0
+        j = np.arange(n + 1)
+        out[n] = kernel[n - j] @ x[j]
     return out
 
 
@@ -51,7 +51,7 @@ def assert_close(got, want):
 def test_causal_conv_matches_naive(n, cols):
     x = signal(n, cols)
     for K in kernels(n + 4):
-        assert_close(causal_conv(K, x), naive_sum(K, x, 0, 0))
+        assert_close(causal_conv(K, x), naive_sum(K, x))
 
 
 @pytest.mark.parametrize("n", [1, 2, 33, 1000])
@@ -60,7 +60,7 @@ def test_causal_conv_per_column_kernels(n):
     K = kernels(n).T  # column c has its own kernel
     got = causal_conv(K, x)
     for c in range(3):
-        assert_close(got[:, c], naive_sum(K[:, c], x[:, c], 0, 0))
+        assert_close(got[:, c], naive_sum(K[:, c], x[:, c]))
 
 
 def test_causal_conv_overflows_only_with_the_sums():
@@ -70,7 +70,7 @@ def test_causal_conv_overflows_only_with_the_sums():
     K = 0.9 ** np.arange(64.0)
     with np.errstate(over="ignore", invalid="ignore"):
         got = causal_conv(K, x)
-        want = naive_sum(K, x, 0, 0)
+        want = naive_sum(K, x)
     assert np.all(np.isfinite(got[:21])) and np.all(np.isinf(got[21:]))
     assert_close(got[:21], want[:21])
 
@@ -85,38 +85,7 @@ def test_causal_conv_short_kernel():
     x = signal(100, 2)
     K = kernels(10)[1]
     padded = np.concatenate([K, np.zeros(90)])
-    assert_close(causal_conv(K, x), naive_sum(padded, x, 0, 0))
-
-
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("cols", [None, 3])
-@pytest.mark.parametrize("start", [0, 2])
-def test_online_history_matches_naive(n, cols, start):
-    x = signal(n, cols)
-    K = kernels(max(n, 1))
-    filled = np.zeros_like(x)
-    history = OnlineHistory(K, filled, start=start)
-    got = np.zeros((K.shape[0],) + x.shape)
-    for node in range(n):
-        got[:, node] = history.at(node)
-        filled[node] = x[node]  # node becomes final only after its history
-    for e in range(K.shape[0]):
-        assert_close(got[e], naive_sum(K[e], x, start, 1))
-
-
-def test_online_history_never_reads_the_target_row():
-    n = 3 * LEAF + 5
-    clean = signal(n, 2)
-    x = np.full_like(clean, np.nan)  # rows not yet final are poison
-    history = OnlineHistory(kernels(n), x, start=0)
-    for node in range(n):
-        assert np.all(np.isfinite(history.at(node)))
-        x[node] = clean[node]
-
-
-def test_online_history_rejects_short_kernels():
-    with pytest.raises(ValueError, match="lags"):
-        OnlineHistory(np.ones((2, 10)), np.zeros((20, 1)))
+    assert_close(causal_conv(K, x), naive_sum(padded, x))
 
 
 def three_term_pi_sum(w, mu):

@@ -92,6 +92,71 @@ class TestZForm:
             solve_zform(spec, data, TimeGrid(1.0, 64))
 
 
+def zform_loop(spec, data, grid, farr):
+    """The average-acceleration march of the z-form node by node, its memory
+    sum a plain dot product over the kernel weights: the oracle of the
+    Toeplitz solve.  Returns (z, z_t)."""
+    lam = data.basis.eigenvalues
+    p, a, h = spec.params, spec.alpha, grid.h
+    tables = memory_tables(spec, grid)
+    w, q = tables.w, tables.q
+    B = p.c**2 + p.delta / p.tau**a
+    C = p.delta / p.tau**a
+    F = farr + C * tables.e1[:, None] * lam * data.psi0.coeffs
+    z = np.zeros((grid.steps + 1, data.basis.size))
+    v = np.zeros_like(z)
+    acc = np.zeros_like(z)
+    z[0], v[0] = z_initial(spec, data)
+    acc[0] = -B * lam * z[0] + F[0]
+    denom = 1.0 + 0.25 * h * h * (B * lam - C * lam * w[0])
+    for n in range(1, grid.steps + 1):
+        # lags 1..n-1 plus the oldest node's boundary weight; z_n excluded
+        known = w[n - 1 : 0 : -1] @ z[1:n] + q[n - 1] * z[0]
+        rhs = z[n - 1] + h * v[n - 1] + 0.25 * h * h * (acc[n - 1] + C * lam * known + F[n])
+        z[n] = rhs / denom
+        acc[n] = -B * lam * z[n] + C * lam * (known + w[0] * z[n]) + F[n]
+        v[n] = v[n - 1] + 0.5 * h * (acc[n - 1] + acc[n])
+    return z, v
+
+
+def assert_matches_loop(spec, data, grid, farr=None):
+    if farr is None:
+        farr = np.zeros((grid.steps + 1, data.basis.size))
+    zt = solve_zform(spec, data, grid, farr)
+    z, z_t = zform_loop(spec, data, grid, farr)
+    for got, want in ((zt.z, z), (zt.z_t, z_t)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestZFormAgainstLoop:
+    """The one-solve z-form against the node-by-node march it replaces."""
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.99, 1.0])
+    def test_eight_modes(self, bump_setup, alpha):
+        b, data = bump_setup
+        if alpha == 1.0:  # z_t(0) = psi1 + tau psi2 is free only at order one
+            psi0 = data.psi0.coeffs
+            data = InitialData(
+                data.psi0, SpectralField(b, 0.3 * psi0), SpectralField(b, -0.2 * psi0)
+            )
+        grid = TimeGrid(2.0, 256)
+        farr = np.zeros((257, b.size))
+        farr[:, 0] = np.cos(3.0 * grid.nodes)
+        assert_matches_loop(linear_ii(alpha, tau=0.25), data, grid, farr)
+
+    def test_long_single_mode(self, basis_pi):
+        b = basis_pi
+        data = InitialData(b.unit_mode(0, 1.0), b.zero_field(), b.zero_field())
+        assert_matches_loop(linear_ii(0.5, delta=0.5), data, TimeGrid(12.0, 8192))
+
+    def test_two_dimensional(self):
+        # stiff enough that the solve needs its defect-correction step
+        b = EigenBasis(Domain.rectangle(1.0, 1.0), 12)
+        psi0 = b.project(lambda x, y: x * (1 - x) * y * (1 - y))
+        data = InitialData(psi0, b.zero_field(), b.zero_field())
+        assert_matches_loop(linear_ii(0.7), data, TimeGrid(8.0, 1024))
+
+
 class TestRecovery:
     def test_constant_fixed_point(self, basis_pi):
         b = basis_pi

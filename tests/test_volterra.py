@@ -402,6 +402,12 @@ class TestPicard:
         with pytest.raises(ModelError, match="decrease the horizon"):
             picard_nonlinear(spec, self.data, TimeGrid(1.0, 128), tol=1e-16, max_iter=1)
 
+    @pytest.mark.parametrize("nonlinearity", [Nonlinearity.WESTERVELT, Nonlinearity.KUZNETSOV])
+    def test_solve_linear_refuses_nonlinear_specs(self, nonlinearity):
+        spec = ModelSpec(ModelVariant(Family.III, nonlinearity), MediumParams(k=0.1), 0.7)
+        with pytest.raises(ModelError, match="serves linear models"):
+            solve_linear(spec, self.data, TimeGrid(1.0, 64))
+
     def test_family_ii_rejected(self):
         spec = ModelSpec(
             ModelVariant(Family.II, Nonlinearity.WESTERVELT), MediumParams(k=0.1), 0.7
@@ -696,6 +702,18 @@ class TestForcing:
         spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.7)
         with pytest.raises(Exception, match="shape"):
             solve_linear(spec, data, grid, np.zeros((10, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_forcing_refused(self, single_mode_setup, bad):
+        b, data = single_mode_setup
+        grid = TimeGrid(1.0, 64)
+        spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.7)
+        farr = np.zeros((65, 1))
+        farr[17, 0] = bad
+        with pytest.raises(DomainError, match="not finite at node 17"):
+            solve_linear(spec, data, grid, farr)
+        with pytest.raises(DomainError, match="not finite at node 17"):
+            solve_linear(spec, data, grid, lambda t: farr[round(t / grid.h)])
 
 
 class TestDeterminism:
