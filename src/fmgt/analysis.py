@@ -17,7 +17,6 @@ from .fractional import (
     TimeGrid,
     _trapezoid_weights,
     abel_integral,
-    first_derivative,
 )
 from .memory import solve_fmgt2
 from .mittag_leffler import RelaxationKernel, kernel_mass, kernel_value
@@ -203,7 +202,6 @@ class LimitStudy:
     columns: dict
     slopes: dict
     flags: dict = field(default_factory=dict)
-    reference_norms: dict = field(default_factory=dict)
 
     def decreasing(self, column: str) -> bool:
         v = self.columns[column]
@@ -239,8 +237,7 @@ def limit_study(
     specs = [ModelSpec(variant, params, a) for a in alphas]
     ref_spec = ModelSpec(variant, params, 1.0)
     ref = solve(ref_spec, data, grid, f)
-    h = grid.h
-    wq = _trapezoid_weights(grid.steps, h)
+    wq = _trapezoid_weights(grid.steps, grid.h)
     trajectories = [solve(s, data, grid, f) for s in specs]
 
     cols = {"W1inf_H1": [], "W2inf_L2": [], "Linf_H1": [], "W1p4_L2": [], "W1inf_L2": []}
@@ -275,23 +272,7 @@ def limit_study(
             "for psi0 != 0 (kernel difference unbounded at t = 0); finite-p "
             "columns remain valid"
         )
-
-    # extra-regularity annotation: discrete proxies of the norms the
-    # fractional-leading limit results assume on the alpha = 1 solution
-    ref_norms = {
-        "grad_psi_tt_L2L2": float(
-            np.sqrt(np.dot(wq, np.sum(lam * ref.psi_tt**2, axis=1)))
-        ),
-        "lap_psi_t_W11_proxy": float(
-            np.dot(
-                wq,
-                np.sqrt(
-                    np.sum((lam**2) * first_derivative(ref.psi_t, h) ** 2, axis=1)
-                ),
-            )
-        ),
-    }
-    return LimitStudy(variant.family.value, alphas, cols, slopes, flags, ref_norms)
+    return LimitStudy(variant.family.value, alphas, cols, slopes, flags)
 
 
 # ---------------------------------------------------------------------------

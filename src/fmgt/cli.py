@@ -125,7 +125,7 @@ def cmd_run(args) -> int:
         )
 
     if "study.n_sweep" in cfg.entries:
-        ns = [int(v) for v in cfg._floats("study.n_sweep")]
+        ns = cfg._ints("study.n_sweep")
         reference = "ode" if spec.alpha == 1.0 else "richardson"
         table = convergence_table(spec, data, grid.horizon, ns, f, reference=reference)
         summary["convergence"] = {
@@ -190,6 +190,8 @@ def cmd_kernels(args) -> int:
         raise ConfigError(
             f"--alphas takes comma-separated numbers, got {args.alphas!r}"
         ) from None
+    if not np.isfinite(args.tau):
+        raise ConfigError(f"--tau takes a finite number, got {args.tau!r}")
     rep = kernel_report(alphas, args.tau)
     rows = []
     for r in rep.rows:

@@ -155,6 +155,12 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"key {key}: not an integer: {self.entries[key]!r}") from exc
 
+    def _ints(self, key):
+        try:
+            return [int(v) for v in self.entries[key].split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"key {key}: not an integer list: {self.entries[key]!r}") from exc
+
     def _floats(self, key):
         try:
             values = [float(v) for v in self.entries[key].split(",") if v.strip()]
@@ -187,6 +193,13 @@ class RunConfig:
             raise ConfigError(f"unknown data.preset {self.entries['data.preset']!r}")
         if self.entries["source.preset"] not in ("zero", "mode-cos", "pulse"):
             raise ConfigError(f"unknown source.preset {self.entries['source.preset']!r}")
+        if "study.n_sweep" in self.entries:
+            steps = self._ints("study.n_sweep")
+            if not steps or min(steps) < 1 or any(4 * max(steps) % n for n in steps):
+                raise ConfigError(
+                    "key study.n_sweep: step counts must be positive and divide 4 x the "
+                    f"largest (the Richardson grid), got {self.entries['study.n_sweep']!r}"
+                )
         return self
 
     # object construction ---------------------------------------------------
@@ -238,7 +251,10 @@ class RunConfig:
             scale = amp / np.max(np.abs(raw.coeffs))
             psi0 = SpectralField(basis, raw.coeffs * scale)
         elif preset == "mode":
-            psi0 = basis.unit_mode(self._int("data.mode") - 1, amp)
+            mode = self._int("data.mode")
+            if not 1 <= mode <= basis.size:
+                raise ConfigError(f"key data.mode: must be in 1..{basis.size}, got {mode}")
+            psi0 = basis.unit_mode(mode - 1, amp)
         elif preset == "decay":
             j = np.arange(1, basis.size + 1)
             psi0 = SpectralField(basis, amp * j ** (-1.2))

@@ -11,12 +11,13 @@ power kernel is integrated exactly against a piecewise interpolant of mu
 smooth problems).  ``solve_mu`` solves the resulting equations without a
 loop over nodes: a triangular Toeplitz inverse for the diagonal terms and
 waveform relaxation over windows of nodes for the frozen coefficients.
-Nonlinear and variable-coefficient solves wrap it in a Picard fixed-point
-iteration with frozen coefficients.
+
+Nonlinear solves are a Picard iteration on one assembled linear problem, to
+which ``freeze`` adds each iterate's coefficients sigma = 2k w_t and grad w.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -131,6 +132,14 @@ class PowerKernelSum:
 
 
 @dataclass
+class _Tables:
+    """Built once per assembled problem, on first use, and shared by ``freeze``."""
+
+    weights: dict = field(default_factory=dict)  # exponent -> _PIWeights
+    reciprocal: np.ndarray | None = None  # T^{-1} of the diagonal terms (solve_mu)
+
+
+@dataclass
 class VolterraProblem:
     """lead * mu(t) + sum_k Op_k(t) (p^{g_k} * mu)(t) = forcing(t).
 
@@ -149,6 +158,13 @@ class VolterraProblem:
     xi1: np.ndarray
     xi2: np.ndarray
     spec: ModelSpec | None = None
+    tables: _Tables = field(default_factory=_Tables, init=False, repr=False, compare=False)
+
+    def weights(self, g: float) -> _PIWeights:
+        """The product-integration weights of exponent g, built on first use."""
+        if g not in self.tables.weights:
+            self.tables.weights[g] = _PIWeights(g, self.grid.steps, self.grid.h)
+        return self.tables.weights[g]
 
 
 # ---------------------------------------------------------------------------
@@ -272,36 +288,34 @@ def _sigma_grid_values(basis, grid, sigma):
     return sigma
 
 
-def _add_frozen_terms(
-    terms, F, spec, data, grid, sigma, grad_w, grad_data_term, sigma_exponent, grad_exponent
-):
-    """Append the frozen-coefficient terms of a Picard iterate to ``terms``
-    and return F less their data parts: sigma on p^{sigma_exponent} * mu and
-    2 l~ G_w(t) on p^{grad_exponent} * mu."""
-    basis = data.basis
-    sig = _sigma_grid_values(basis, grid, sigma)
-    if sig is not None:
-        terms.append(CollocationTerm(sigma_exponent, sig))
-        F = F - basis.project_values(sig * basis.evaluate(data.psi2.coeffs))
+def freeze(problem: VolterraProblem, sigma=None, grad_w=None, grad_data=None) -> VolterraProblem:
+    """The assembled linear ``problem`` plus one Picard iterate's terms, their
+    data parts taken from the forcing: sigma (collocation values) on psi_tt's
+    exponent, with data part sigma xi2, and 2 l~ grad w . grad psi_t (grad_w
+    per-axis grid values) on psi_t's, with data part ``grad_data``.  Freezing
+    adds no diagonal term, so the iterate shares the problem's tables."""
+    basis = problem.basis
+    _, e_psit, e_psitt = problem.recon_exponents
+    terms = list(problem.kernel.terms)
+    F = problem.forcing
+    sigma = _sigma_grid_values(basis, problem.grid, sigma)
+    if sigma is not None:
+        terms.append(CollocationTerm(e_psitt, sigma))
+        F = F - basis.project_values(sigma * basis.evaluate(problem.xi2))
     if grad_w is not None:
-        terms.append(GradientTerm(grad_exponent, 2.0 * spec.l_eff, grad_w))
-        F = F - grad_data_term
-    return F
+        terms.append(GradientTerm(e_psit, 2.0 * problem.spec.l_eff, grad_w))
+        F = F - grad_data
+    frozen = replace(problem, kernel=PowerKernelSum(terms), forcing=F)
+    frozen.tables = problem.tables
+    return frozen
 
 
 def assemble_fmgt3(
-    spec: ModelSpec,
-    data: InitialData,
-    f=None,
-    grid: TimeGrid = None,
-    sigma: np.ndarray | None = None,
-    grad_w: list | None = None,
-    grad_data_term: np.ndarray | None = None,
+    spec: ModelSpec, data: InitialData, f=None, grid: TimeGrid = None
 ) -> VolterraProblem:
     """Volterra problem for family III (integer-order leading term).
 
-    tau mu + M_sigma(t)(p^0*mu) + c^2 K (p^2*mu) + tau c^2 K (p^1*mu)
-          + delta K (p^a*mu) [+ 2 l~ G_w(t)(p^1*mu)] = F(t)
+    tau mu + p^0*mu + c^2 K (p^2*mu) + tau c^2 K (p^1*mu) + delta K (p^a*mu) = F(t)
     with mu = xi_ttt and F(t) = f(t) - data terms.  At alpha = 1 the
     delta-term exponent merges into the linear-exponent family and the kernel
     is continuous.
@@ -338,21 +352,13 @@ def assemble_fmgt3(
         + p.tau * p.c**2 * lam[None, :] * (xi1[None, :] + t[:, None] * xi2[None, :])
         + delta_data
     )
-
-    F = _add_frozen_terms(terms, F, spec, data, grid, sigma, grad_w, grad_data_term, 0.0, 1.0)
     return VolterraProblem(
         basis, grid, p.tau, PowerKernelSum(terms), F, (2.0, 1.0, 0.0), xi0, xi1, xi2, spec
     )
 
 
 def assemble_fmgt1(
-    spec: ModelSpec,
-    data: InitialData,
-    f=None,
-    grid: TimeGrid = None,
-    sigma: np.ndarray | None = None,
-    grad_w: list | None = None,
-    grad_data_term: np.ndarray | None = None,
+    spec: ModelSpec, data: InitialData, f=None, grid: TimeGrid = None
 ) -> VolterraProblem:
     """Volterra problem for families base and I (fractional leading term).
 
@@ -413,8 +419,6 @@ def assemble_fmgt1(
         )
         + delta_data
     )
-
-    F = _add_frozen_terms(terms, F, spec, data, grid, sigma, grad_w, grad_data_term, a - 1.0, a)
     return VolterraProblem(
         basis, grid, p.tau**a, PowerKernelSum(terms), F, (a + 1.0, a, a - 1.0), xi0, xi1, xi2, spec
     )
@@ -463,10 +467,10 @@ def solve_mu(
     Node 0 is forcing / lead.  For nodes n >= 2 the diagonal terms of every
     exponent fold into one lower-triangular Toeplitz system per mode, with
     symbol T = lead δ + sum_e D_e C_e (the lag kernels of ``_PIWeights``),
-    inverted once by ``series_reciprocal``.  The collocation and gradient
-    terms S go to the right-hand side and are relaxed over a window of nodes
-    at once (waveform relaxation): x <- T^{-1}(F - boundary terms -
-    S(conv(x))).  Node 1, whose self weights differ, is a window of its own.
+    inverted by ``series_reciprocal`` once per problem and its frozen
+    iterates.  The collocation and gradient terms S go to the right-hand side
+    and are relaxed over a window of nodes at once (waveform relaxation):
+    x <- T^{-1}(F - boundary terms - S(conv(x))).  Node 1, whose self weights differ, is a window of its own.
 
     The first window holds all of nodes 2..N.  A window whose sweeps stop
     contracting (an update no smaller than the one before, unless it is at
@@ -485,7 +489,7 @@ def solve_mu(
     basis, grid = problem.basis, problem.grid
     n_steps = grid.steps
     exponents = list(dict.fromkeys(term.exponent for term in problem.kernel.terms))
-    weights = [_PIWeights(g, n_steps, grid.h) for g in exponents]
+    weights = [problem.weights(g) for g in exponents]
     slot = {g: i for i, g in enumerate(exponents)}
     diag = np.zeros((len(exponents), basis.size))
     ops = []
@@ -520,9 +524,11 @@ def solve_mu(
             x, sweeps_max = _relax(problem, diag, ops, slice(1, 2), known, window, start)
             mu[1] = x[0]
         if n_steps >= 2:
-            symbol = np.einsum("em,ek->km", diag, lags[:, : n_steps - 1])
-            symbol[0] += problem.lead
-            recip = series_reciprocal(symbol)
+            recip = problem.tables.reciprocal
+            if recip is None:
+                symbol = np.einsum("em,ek->km", diag, lags[:, : n_steps - 1])
+                symbol[0] += problem.lead
+                recip = problem.tables.reciprocal = series_reciprocal(symbol)
             cached = {}  # window length -> filters, shared by windows of one length
             first, length = 2, n_steps - 1
             while first <= n_steps:
@@ -600,10 +606,7 @@ def reconstruct(problem: VolterraProblem, mu: np.ndarray) -> Trajectory:
     grid = problem.grid
     t = grid.nodes
     e_psi, e_psit, e_psitt = problem.recon_exponents
-    n_steps = grid.steps
-    conv = {
-        e: _PIWeights(e, n_steps, grid.h).conv_all(mu) for e in {e_psi, e_psit, e_psitt}
-    }
+    conv = {e: problem.weights(e).conv_all(mu) for e in {e_psi, e_psit, e_psitt}}
     xi0, xi1, xi2 = problem.xi0, problem.xi1, problem.xi2
     psi_tt = xi2[None, :] + conv[e_psitt]
     psi_t = xi1[None, :] + t[:, None] * xi2[None, :] + conv[e_psit]
@@ -743,7 +746,7 @@ def picard_nonlinear(
     each iterate's inner sweeps start from the previous iterate's mu.
     Raises if max_iter is exceeded: the iteration has left the contraction
     regime, so shrink the horizon or the data.  Raises SolverBlowUpError
-    before assembling an iterate whose 1 + 2k w_t is not positive on the
+    before freezing an iterate whose 1 + 2k w_t is not positive on the
     collocation grid."""
     validate(spec)
     if spec.nonlinearity is Nonlinearity.LINEAR:
@@ -754,7 +757,6 @@ def picard_nonlinear(
     l = spec.l_eff
     assemble = assemble_fmgt3 if spec.family is Family.III else assemble_fmgt1
 
-    # without frozen coefficients the assembled problem is the linear one
     linear = assemble(spec, data, f, grid)
     current = reconstruct(linear, solve_mu(linear))
     distances = []
@@ -762,23 +764,18 @@ def picard_nonlinear(
     t = grid.nodes
     if l != 0.0:
         # data part of the gradient term: 2 l~ G_w(t)(xi1 + t xi2)
-        xi1, xi2 = data.psi1.coeffs, data.psi2.coeffs
-        grad_lin = basis.evaluate_grad(xi1[None, :] + t[:, None] * xi2[None, :])
+        grad_lin = basis.evaluate_grad(linear.xi1 + t[:, None] * linear.xi2)
     for it in range(1, max_iter + 1):
         sigma = None
         if k != 0.0:
             sigma = 2.0 * k * basis.evaluate(current.psi_t)
             _check_nondegenerate(sigma, t, it)
-        grad_w = None
-        grad_data = None
+        grad_w = grad_data = None
         if l != 0.0:
             grad_w = basis.evaluate_grad(current.psi)
             acc = sum(gw * gl for gw, gl in zip(grad_w, grad_lin))
             grad_data = 2.0 * l * basis.project_values(acc)
-        problem = assemble(
-            spec, data, f, grid, sigma=sigma, grad_w=grad_w, grad_data_term=grad_data
-        )
-        nxt = solve(problem, guess=current.mu)
+        nxt = solve(freeze(linear, sigma, grad_w, grad_data), guess=current.mu)
         sweeps.append(nxt.diagnostics["relaxation_sweeps"])
         windows.append(nxt.diagnostics["relaxation_windows"])
         d = _iterate_distance(basis, nxt, current)

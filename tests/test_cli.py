@@ -196,6 +196,65 @@ class TestExitCodes:
         assert err.startswith("configuration error: ")
         assert "'abc'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "domain, mode, size",
+        [
+            ("domain.cutoff = 4", 0, 4),
+            ("domain.cutoff = 4", 9, 4),
+            ("domain.kind = rectangle\ndomain.lengths = 1.0,1.0\ndomain.cutoff = 3", 10, 9),
+        ],
+    )
+    def test_data_mode_out_of_range_is_2(self, tmp_path, monkeypatch, capsys, domain, mode, size):
+        monkeypatch.setattr(fmgt.cli, "solve", self._no_solve)
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text(
+            f"schema = 1\n{domain}\ntime.N = 16\ndata.preset = mode\ndata.mode = {mode}\n"
+        )
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: key data.mode: must be in 1..{size}, got {mode}\n"
+
+    def test_data_mode_last_of_a_rectangle(self):
+        # the 2-D basis size is the product of the cutoffs: mode 9 of 3 x 3
+        cfg = RunConfig.from_text(
+            "schema = 1\ndomain.kind = rectangle\ndomain.lengths = 1.0,1.0\n"
+            "domain.cutoff = 3\ndata.preset = mode\ndata.mode = 9\ndata.amplitude = 2\n"
+        )
+        basis = cfg.basis()
+        assert basis.size == 9
+        assert np.array_equal(cfg.initial_data(basis).psi0.coeffs, 2.0 * np.eye(9)[8])
+
+    @pytest.mark.parametrize("tau", ["inf", "-inf", "nan"])
+    def test_non_finite_tau_is_2(self, tmp_path, capsys, tau):
+        assert run_cli(["--out", tmp_path / "o", "kernels", f"--tau={tau}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --tau takes a finite number")
+        assert not (tmp_path / "o" / "kernels.json").exists()
+
+    @pytest.mark.parametrize(
+        "steps, reason",
+        [
+            ("16.7,32.2", "not an integer list: '16.7,32.2'"),
+            ("32,64.0", "not an integer list"),
+            ("48,64", "divide 4 x the largest"),
+            ("0,64", "must be positive"),
+        ],
+    )
+    def test_bad_n_sweep_is_2(self, tmp_path, monkeypatch, capsys, steps, reason):
+        monkeypatch.setattr(fmgt.cli, "solve", self._no_solve)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            f"schema = 1\nmodel.alpha = 0.5\ndomain.cutoff = 4\nstudy.n_sweep = {steps}\n"
+        )
+        assert run_cli(["--out", tmp_path / "o", "convergence", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: key study.n_sweep: ")
+        assert reason in err and "Traceback" not in err
+
+    @staticmethod
+    def _no_solve(*args, **kwargs):
+        raise AssertionError("a refused config reached the solver")
+
     def test_success_is_0(self, tmp_path):
         assert (
             run_cli(["--out", tmp_path / "o", "run", "--config", PRESETS / "mgt-classical.cfg"])

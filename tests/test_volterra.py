@@ -15,6 +15,7 @@ from fmgt.models import (
     ModelVariant,
     Nonlinearity,
 )
+import fmgt.volterra
 from fmgt.spectral import SpectralField
 from fmgt.volterra import (
     MAX_SWEEPS,
@@ -28,6 +29,7 @@ from fmgt.volterra import (
     assemble_fmgt1,
     assemble_fmgt3,
     classical_mgt_reference,
+    freeze,
     picard_nonlinear,
     solve,
     solve_direct_l1,
@@ -485,6 +487,111 @@ class TestPicard:
         assert np.max(r.values) < 5e-4 * 1e-3 * np.max(self.basis.eigenvalues)
 
 
+
+def _wave_data(basis):
+    # 1-D data with nonzero psi1 and psi2, so that both data parts of the
+    # frozen terms leave the forcing
+    bump = basis.project(lambda x: x * (1 - x)).coeffs
+    wave = basis.project(lambda x: np.sin(2 * np.pi * x)).coeffs
+    scale = 1e-3 / np.max(np.abs(bump))
+    return InitialData(
+        SpectralField(basis, scale * bump),
+        SpectralField(basis, 0.5 * scale * wave),
+        SpectralField(basis, -0.3 * scale * bump),
+    )
+
+
+class TestFrozenProblem:
+    """``freeze`` adds one Picard iterate's coefficients to the assembled
+    linear problem, whose weight tables and Toeplitz reciprocal it shares."""
+
+    def setup_method(self):
+        self.basis = EigenBasis(Domain.interval(1.0), 6)
+        self.data = _wave_data(self.basis)
+        self.spec = ModelSpec(
+            ModelVariant(Family.I, Nonlinearity.KUZNETSOV),
+            MediumParams(k_tilde=0.1, l_tilde=0.1),
+            0.7,
+        )
+
+    def test_freeze_without_coefficients_keeps_the_problem(self):
+        linear = assemble_fmgt1(self.spec, self.data, None, TimeGrid(1.0, 32))
+        frozen = freeze(linear)
+        assert len(frozen.kernel.terms) == len(linear.kernel.terms)
+        assert all(a is b for a, b in zip(frozen.kernel.terms, linear.kernel.terms))
+        assert frozen.forcing is linear.forcing
+        assert frozen.tables is linear.tables
+
+    def test_picard_builds_each_table_once(self, monkeypatch):
+        # family I: the gradient exponent alpha is not among the diagonal
+        # exponents, so only psi_t's reconstruction shares it
+        reciprocals = []
+        built = []
+        original = fmgt.volterra.series_reciprocal
+
+        def counting_reciprocal(symbol):
+            reciprocals.append(symbol.shape)
+            return original(symbol)
+
+        class CountingWeights(fmgt.volterra._PIWeights):
+            def __init__(self, g, n_steps, h):
+                built.append(g)
+                super().__init__(g, n_steps, h)
+
+        monkeypatch.setattr(fmgt.volterra, "series_reciprocal", counting_reciprocal)
+        monkeypatch.setattr(fmgt.volterra, "_PIWeights", CountingWeights)
+        res = picard_nonlinear(self.spec, self.data, TimeGrid(1.0, 32), tol=1e-12)
+        a = self.spec.alpha
+        assert res.iterations >= 2
+        assert len(reciprocals) == 1
+        assert sorted(built) == sorted({a - 1.0, a + 1.0, 1.0, 2.0 * a - 1.0, a})
+
+    @pytest.mark.parametrize(
+        "family, psi_last, psi_abs_sum",
+        [
+            (
+                Family.I,
+                [
+                    0.00018187580314756122, 0.00011421264739359081, 1.4033637215412484e-05,
+                    2.19067301391876e-11, 3.2834467979387946e-06, 1.394697089160087e-12,
+                ],
+                [
+                    0.04439698330309112, 0.008793789491102712, 0.0014879462679130292,
+                    2.2151608668907293e-07, 0.00032008645553550566, 3.5373495869788994e-08,
+                ],
+            ),
+            (
+                Family.BASE,
+                [
+                    0.0001592751701996113, 7.331355434136229e-05, 1.2082933979043909e-05,
+                    2.1691686548255015e-09, 3.0259626390511464e-06, 5.979974358889289e-11,
+                ],
+                [
+                    0.0438406067068312, 0.010368567003330826, 0.0014847047687775315,
+                    3.3861594359822e-07, 0.00031828862061569725, 4.663086291250397e-08,
+                ],
+            ),
+        ],
+    )
+    def test_kuznetsov_picard_1d_unchanged(self, family, psi_last, psi_abs_sum):
+        # the literals were produced by the solver that assembled every
+        # iterate anew; psi must agree to 1e-12 of its largest value
+        spec = ModelSpec(
+            ModelVariant(family, Nonlinearity.KUZNETSOV),
+            MediumParams(k_tilde=0.1, l_tilde=0.1),
+            0.7,
+        )
+        res = picard_nonlinear(spec, self.data, TimeGrid(1.0, 64), tol=1e-12)
+        psi = res.trajectory.psi
+        assert res.iterations == 3
+        assert res.trajectory.diagnostics["relaxation_sweeps"] == [4, 3, 2]
+        for got, want in (
+            (psi[-1], np.array(psi_last)),
+            (np.sum(np.abs(psi), axis=0), np.array(psi_abs_sum)),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestVariableCoefficient:
     """User-supplied sigma(x, t): the linearized equation with a bounded
     variable coefficient, checked against per-mode oracles at alpha = 1."""
@@ -528,7 +635,7 @@ class TestVariableCoefficient:
 
     def test_constant_sigma(self):
         sigma = np.full((513, self.ngrid), 0.4)
-        prob = assemble_fmgt3(self.spec, self.data, None, self.grid, sigma=sigma)
+        prob = freeze(assemble_fmgt3(self.spec, self.data, None, self.grid), sigma=sigma)
         traj = solve(prob)
         ref = self._oracle(lambda t: 0.4)
         assert np.max(np.abs(traj.psi[:, 0] - ref)) < 1e-7
@@ -536,33 +643,34 @@ class TestVariableCoefficient:
     def test_time_varying_sigma(self):
         vals = 0.3 * (1.0 + np.sin(self.grid.nodes))
         sigma = np.tile(vals[:, None], (1, self.ngrid))
-        prob = assemble_fmgt3(self.spec, self.data, None, self.grid, sigma=sigma)
+        prob = freeze(assemble_fmgt3(self.spec, self.data, None, self.grid), sigma=sigma)
         traj = solve(prob)
         ref = self._oracle(lambda t: 0.3 * (1.0 + np.sin(t)))
         assert np.max(np.abs(traj.psi[:, 0] - ref)) < 1e-7
 
     def test_sigma_shape_contract(self):
         with pytest.raises(Exception, match="collocation values"):
-            assemble_fmgt3(
-                self.spec, self.data, None, self.grid, sigma=np.zeros((10, self.ngrid))
+            freeze(
+                assemble_fmgt3(self.spec, self.data, None, self.grid),
+                sigma=np.zeros((10, self.ngrid)),
             )
 
     def test_sigma_must_be_bounded(self):
         bad = np.full((513, self.ngrid), np.inf)
         with pytest.raises(Exception, match="bounded"):
-            assemble_fmgt3(self.spec, self.data, None, self.grid, sigma=bad)
+            freeze(assemble_fmgt3(self.spec, self.data, None, self.grid), sigma=bad)
 
     def test_degenerate_sigma_refused_fmgt3(self):
         bad = np.full((513, self.ngrid), -2.0)
         with pytest.raises(DomainError, match=r"1 \+ sigma .* reaches -1 at node 0 \(t = 0\)"):
-            assemble_fmgt3(self.spec, self.data, None, self.grid, sigma=bad)
+            freeze(assemble_fmgt3(self.spec, self.data, None, self.grid), sigma=bad)
 
     def test_degenerate_sigma_refused_fmgt1(self):
         spec = ModelSpec(ModelVariant(Family.I, Nonlinearity.LINEAR), MediumParams(), 0.8)
         bad = np.full((513, self.ngrid), 0.4)
         bad[300] = -2.0
         with pytest.raises(DomainError, match=r"reaches -1 at node 300 \(t = 0.585938\)"):
-            assemble_fmgt1(spec, self.data, None, self.grid, sigma=bad)
+            freeze(assemble_fmgt1(spec, self.data, None, self.grid), sigma=bad)
 
 
 class TestTwoDimensional:
