@@ -342,9 +342,16 @@ def convergence_table(
     """Max-node L2 errors of psi on refining grids with a least-squares order.
 
     reference = 'richardson' solves once on a 4x finer grid; 'ode' uses the
-    adaptive classical integrator (alpha = 1 only).
+    adaptive classical integrator (alpha = 1 only).  Every step count must
+    divide 4 x the largest, so that the Richardson grid holds its nodes.
     """
-    steps_seq = sorted(int(n) for n in steps_seq)
+    given = list(steps_seq)
+    steps_seq = sorted(int(n) for n in given)
+    if not steps_seq or steps_seq[0] < 1 or any(4 * steps_seq[-1] % n for n in steps_seq):
+        raise ModelError(
+            "step counts must be positive and divide 4 x the largest (the Richardson "
+            f"grid), got {given}"
+        )
     if reference == "ode":
         if spec.alpha != 1.0:
             raise ModelError("the ODE reference serves alpha = 1 runs")

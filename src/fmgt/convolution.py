@@ -13,7 +13,7 @@ one Toeplitz solve per mode.  Only the oracles loop node by node.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 
 def causal_conv(kernel, x) -> np.ndarray:
@@ -43,7 +43,7 @@ class CausalFilter:
         self.plain = kernel.shape[0] > 0 and not np.any(kernel[1:])
         if n == 0 or kernel.shape[0] == 0 or self.plain:
             return
-        self.size = next_fast_len(n + kernel.shape[0] - 1, real=True)
+        self.size = _fast_len(n + kernel.shape[0] - 1)
         self.binade = _binade(kernel)
         self.spec = rfft(np.ldexp(kernel, -self.binade), self.size, axis=0)
 
@@ -58,6 +58,21 @@ class CausalFilter:
         e = _binade(x)
         out = irfft(spec * rfft(np.ldexp(x, -e), self.size, axis=0), self.size, axis=0)
         return np.ldexp(out[: self.n], self.binade + e)
+
+
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n: a transform length that the FFT
+    factors into radices 2, 3 and 5 only."""
+    best = 1 << (n - 1).bit_length()  # the least power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _binade(a: np.ndarray) -> int:

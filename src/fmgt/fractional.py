@@ -9,10 +9,10 @@ for the Caputo derivative).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .convolution import causal_conv
 
@@ -22,6 +22,119 @@ EPS_QUAD = 1e-8
 
 class DomainError(ValueError):
     """Argument outside the operator's admissible range."""
+
+
+# Coefficients of cephes' Gamma (S. L. Moshier, Methods and Programs for
+# Mathematical Functions, 1989): the rational approximation P/Q on [2, 3) and
+# Stirling's series, valid for 33 <= x <= 172
+_GAMMA_P = (
+    1.60119522476751861407e-4,
+    1.19135147006586384913e-3,
+    1.04213797561761569935e-2,
+    4.76367800457137231464e-2,
+    2.07448227648435975150e-1,
+    4.94214826801497100753e-1,
+    9.99999999999999996796e-1,
+)
+_GAMMA_Q = (
+    -2.31581873324120129819e-5,
+    5.39605580493303397842e-4,
+    -4.45641913851797240494e-3,
+    1.18139785222060435552e-2,
+    3.58236398605498653373e-2,
+    -2.34591795718243348568e-1,
+    7.14304917030273074085e-2,
+    1.00000000000000000320e0,
+)
+_STIRLING = (
+    7.87311395793093628397e-4,
+    -2.29549961613378126380e-4,
+    -2.68132617805781232825e-3,
+    3.47222221605458667310e-3,
+    8.33333333333482257126e-2,
+)
+_MAXGAM = 171.624376956302725  # Gamma overflows at and beyond this
+_MAXSTIR = 143.01608  # x^(x - 1/2) overflows beyond this; split the power
+_SQRT_2PI = 2.50662827463100050242e0
+
+
+def _polevl(x: float, coeffs) -> float:
+    """Horner's rule, highest coefficient first."""
+    out = coeffs[0]
+    for c in coeffs[1:]:
+        out = out * x + c
+    return out
+
+
+def _stirling(x: float) -> float:
+    """Gamma(x) by Stirling's series, 33 < x."""
+    if x >= _MAXGAM:
+        return math.inf
+    w = 1.0 / x
+    w = 1.0 + w * _polevl(w, _STIRLING)
+    y = math.exp(x)
+    if x > _MAXSTIR:
+        v = math.pow(x, 0.5 * x - 0.25)
+        y = v * (v / y)
+    else:
+        y = math.pow(x, x - 0.5) / y
+    return _SQRT_2PI * y * w
+
+
+def gamma(x: float) -> float:
+    """Gamma(x) for one real x, operation for operation cephes' Gamma, the
+    routine behind scipy.special.gamma, so the two agree bit for bit.
+
+    Recurrence down (or up) to [2, 3) and the rational approximation there;
+    Stirling's series for x > 33 and reflection for x < -33.  Poles: +inf at
+    +0.0, -inf at -0.0, nan at the negative integers; nan at -inf and nan.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        return x if x > 0 else math.nan
+    if x == 0.0:
+        return math.copysign(math.inf, x)
+    q = abs(x)
+    if q > 33.0:
+        if x > 0.0:
+            return _stirling(x)
+        p = float(math.floor(q))
+        if p == q:
+            return math.nan
+        sign = -1.0 if int(p) % 2 == 0 else 1.0
+        z = q - p
+        if z > 0.5:
+            p += 1.0
+            z = q - p
+        z = q * math.sin(math.pi * z)
+        if z == 0.0:
+            return sign * math.inf
+        return sign * (math.pi / (abs(z) * _stirling(q)))
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 0.0:
+        if x > -1e-9:
+            return _gamma_small(x, z)
+        z /= x
+        x += 1.0
+    while x < 2.0:
+        if x < 1e-9:
+            return _gamma_small(x, z)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
+
+def _gamma_small(x: float, z: float) -> float:
+    """z Gamma(x) for |x| < 1e-9, where 1/Gamma(x) = x + euler x^2 + O(x^3)."""
+    if x == 0.0:  # reached from a negative integer
+        return math.nan
+    return z / ((1.0 + 0.5772156649015329 * x) * x)
 
 
 @dataclass(frozen=True)
@@ -99,7 +212,7 @@ def gamma_kernel(gamma_: float, t):
         return np.ones_like(t) if t.ndim else 1.0
     if np.any(t <= 0):
         raise DomainError("kernel with gamma > 0 requires t > 0")
-    out = t ** (-gamma_) / gamma_fn(1 - gamma_)
+    out = t ** (-gamma_) / gamma(1 - gamma_)
     return out if out.ndim else float(out)
 
 
@@ -151,7 +264,7 @@ def abel_integral(w: SampledSignal, gamma_: float) -> SampledSignal:
     if not (0 < gamma_ <= 1):
         raise DomainError(f"integration order must lie in (0, 1], got {gamma_}")
     conv = _power_convolve_linear(w.values, gamma_ - 1.0, w.grid.h)
-    return w.with_values(conv / gamma_fn(gamma_))
+    return w.with_values(conv / gamma(gamma_))
 
 
 def l1_weights(gamma_: float, n_steps: int, h: float) -> np.ndarray:
@@ -205,12 +318,12 @@ def caputo_derivative(w: SampledSignal, gamma_: float) -> SampledSignal:
         if n >= 1:
             b = l1_weights(gamma_, n, h)
             conv = causal_conv(b, np.diff(v2, axis=0))
-            out[1:] = conv * (h ** (-gamma_) / gamma_fn(2 - gamma_))
+            out[1:] = conv * (h ** (-gamma_) / gamma(2 - gamma_))
         return w.with_values(out[:, 0] if was_1d else out)
     if 1 < gamma_ < 2:
         acc = second_derivative(w.values, h)
         conv = _power_convolve_linear(acc, (2 - gamma_) - 1.0, h)
-        return w.with_values(conv / gamma_fn(2 - gamma_))
+        return w.with_values(conv / gamma(2 - gamma_))
     raise DomainError(f"Caputo order must lie in (0,2), got {gamma_}")
 
 

@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .convolution import causal_conv, series_reciprocal
-from .fractional import TimeGrid, first_derivative, l1_weights, second_derivative
+from .fractional import TimeGrid, first_derivative, gamma, l1_weights, second_derivative
 from .mittag_leffler import RelaxationKernel, kernel_cell_moments
 from .models import Family, InitialData, ModelError, ModelSpec, Nonlinearity
 from .spectral import EigenBasis
@@ -182,7 +181,7 @@ def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
     psi_l1[0] = psi0_coeffs
     if a < 1.0:
         b = l1_weights(a, n_steps, h)
-        scale = p.tau**a * h ** (-a) / gamma_fn(2.0 - a)
+        scale = p.tau**a * h ** (-a) / gamma(2.0 - a)
         for n in range(1, n_steps + 1):
             hist = -b[n - 1] * psi_l1[0]
             if n >= 2:

@@ -10,9 +10,9 @@ reduced to b <= 1 with the recurrence E_{a,b}(x) = 1/Gamma(b) + x E_{a,b+a}(x)
 before integrating; on the negative axis this direction is stable.
 
 Two evaluators share that branch rule.  ``ml`` takes one point.
-``ml_array`` takes a whole table: one gamma call for all series
-coefficients, the Kahan sum run across the points at once (each point frozen
-where the scalar loop stops, so series values agree with ``ml`` bit for bit),
+``ml_array`` takes a whole table: the Kahan sum run across the points at
+once, one gamma value per term (each point frozen where the scalar loop
+stops, so series values agree with ``ml`` bit for bit),
 and one adaptive quadrature for every point left to the integral, with error
 control per point.  Every production table goes through ``ml_array``: the
 kernel cell moments (and so the z-form march and the psi recovery) and
@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
-from .fractional import DomainError
+from .fractional import DomainError, gamma
 
 # ml() targets this relative accuracy on the supported domain.
 ML_RTOL = 1e-10
@@ -41,7 +40,7 @@ def _ml_series(alpha: float, beta: float, x: float):
     a relative rounding noise amplified by psi(arg)*arg from the rounding of
     the gamma argument, and that noise scales with the largest term.
     """
-    total = 1.0 / gamma_fn(beta)
+    total = 1.0 / gamma(beta)
     comp = 0.0
     max_abs = abs(total)
     arg_at_max = beta
@@ -49,7 +48,7 @@ def _ml_series(alpha: float, beta: float, x: float):
     for k in range(1, _SERIES_MAX_TERMS + 1):
         term_pow *= x
         arg = alpha * k + beta
-        term = term_pow / gamma_fn(arg)
+        term = term_pow / gamma(arg)
         if abs(term) > max_abs:
             max_abs = abs(term)
             arg_at_max = arg
@@ -73,7 +72,7 @@ def _ml_integral(alpha: float, beta: float, x: float) -> float:
     """
     if beta > 1.0 + 1e-12:
         # reduce to beta' <= 1; stable since E_{a,b'}(x) stays O(1) and x < 0
-        return (_ml_integral(alpha, beta - alpha, x) - 1.0 / gamma_fn(beta - alpha)) / x
+        return (_ml_integral(alpha, beta - alpha, x) - 1.0 / gamma(beta - alpha)) / x
 
     sin_b = np.sin(np.pi * (1 - beta))
     sin_ab = np.sin(np.pi * (1 - beta + alpha))
@@ -113,7 +112,7 @@ def ml(alpha: float, beta: float, x: float) -> float:
         raise DomainError(f"only the non-positive real axis is supported, got x={x}")
     x = float(x)
     if x == 0.0:
-        return 1.0 / gamma_fn(beta)
+        return 1.0 / gamma(beta)
     if alpha == 1.0:
         if beta == 1.0:
             return float(np.exp(x))
@@ -137,13 +136,12 @@ def ml(alpha: float, beta: float, x: float) -> float:
 def _ml_series_array(alpha: float, beta: float, x: np.ndarray):
     """_ml_series at every point of x at once; returns (values, cancellation_ok).
 
-    The coefficients Gamma(a k + b) come from one gamma call.  Every point
-    runs the scalar loop's Kahan recursion and is frozen at the term where
-    that loop returns, so each value equals the scalar one bit for bit.
+    Every point runs the scalar loop's Kahan recursion, with the same
+    coefficients Gamma(a k + b), and is frozen at the term where that loop
+    returns, so each value equals the scalar one bit for bit.  A coefficient
+    is computed only once some point still needs its term.
     """
-    args = alpha * np.arange(1, _SERIES_MAX_TERMS + 1) + beta
-    gammas = gamma_fn(args)
-    total = np.full(x.shape, 1.0 / gamma_fn(beta))
+    total = np.full(x.shape, 1.0 / gamma(beta))
     comp = np.zeros(x.shape)
     max_abs = np.abs(total)
     arg_at_max = np.full(x.shape, float(beta))
@@ -151,22 +149,23 @@ def _ml_series_array(alpha: float, beta: float, x: np.ndarray):
     values = np.zeros(x.shape)
     ok = np.zeros(x.shape, dtype=bool)
     live = np.ones(x.shape, dtype=bool)
-    for k in range(_SERIES_MAX_TERMS):
+    for k in range(1, _SERIES_MAX_TERMS + 1):
         if not live.any():
             break
         term_pow *= x
-        term = term_pow / gammas[k]
+        arg = alpha * k + beta
+        term = term_pow / gamma(arg)
         grew = np.abs(term) > max_abs
         max_abs = np.where(grew, np.abs(term), max_abs)
-        arg_at_max = np.where(grew, args[k], arg_at_max)
+        arg_at_max = np.where(grew, arg, arg_at_max)
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         stop = live & (np.abs(term) <= 1e-17 * np.maximum(np.abs(total), 1e-300))
         if stop.any():
-            arg = arg_at_max[stop]
-            noise_eps = 2.5e-16 * np.maximum(4.0, arg * np.log(arg + 1.0))
+            at_max = arg_at_max[stop]
+            noise_eps = 2.5e-16 * np.maximum(4.0, at_max * np.log(at_max + 1.0))
             cancel = max_abs[stop] * noise_eps / np.maximum(np.abs(total[stop]), 1e-300)
             values[stop] = total[stop]
             ok[stop] = cancel < 0.5 * ML_RTOL
@@ -297,7 +296,7 @@ def _ml_integral_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         int_0^inf K(r) dr = c int_0^1 [K(c u) + K(c / u) / u^2] du.
     """
     if beta > 1.0 + 1e-12:
-        return (_ml_integral_array(alpha, beta - alpha, x) - 1.0 / gamma_fn(beta - alpha)) / x
+        return (_ml_integral_array(alpha, beta - alpha, x) - 1.0 / gamma(beta - alpha)) / x
 
     sin_b = np.sin(np.pi * (1 - beta))
     sin_ab = np.sin(np.pi * (1 - beta + alpha))
@@ -337,7 +336,7 @@ def ml_array(alpha: float, beta: float, x) -> np.ndarray:
         raise DomainError(
             f"only the non-positive real axis is supported, got x={np.max(x)}"
         )
-    out = np.full(x.shape, 1.0 / gamma_fn(beta))  # the value at x = 0
+    out = np.full(x.shape, 1.0 / gamma(beta))  # the value at x = 0
     left = x != 0.0
     if alpha == 1.0 and beta in (1.0, 2.0):
         xs = x[left]

@@ -89,6 +89,15 @@ class ModelVariant:
         return lo < alpha <= hi
 
 
+# Damping exponent of each family: its symbol in the catalog and its value
+_BETA = {
+    Family.BASE: ("1", lambda alpha: 1.0),
+    Family.I: ("2-a", lambda alpha: 2.0 - alpha),
+    Family.II: ("a", lambda alpha: alpha),
+    Family.III: ("2-a", lambda alpha: 2.0 - alpha),
+}
+
+
 def beta_of(variant: ModelVariant, alpha: float) -> float:
     """Damping exponent: 1 (base), 2-alpha (I), alpha (II), 2-alpha (III)."""
     if not variant.admits(alpha):
@@ -96,12 +105,7 @@ def beta_of(variant: ModelVariant, alpha: float) -> float:
         raise ModelError(
             f"alpha must lie in ({lo}, 1] for family {variant.family.value}, got {alpha}"
         )
-    return {
-        Family.BASE: 1.0,
-        Family.I: 2.0 - alpha,
-        Family.II: alpha,
-        Family.III: 2.0 - alpha,
-    }[variant.family]
+    return _BETA[variant.family][1](alpha)
 
 
 def gamma_z_of(variant: ModelVariant, alpha: float) -> float:
@@ -349,7 +353,7 @@ def describe(variant: ModelVariant) -> dict:
         "family": variant.family.value,
         "nonlinearity": variant.nonlinearity.value,
         "terms": term_list(variant),
-        "beta": f"{'1' if variant.family is Family.BASE else ('2-a' if variant.family in (Family.I, Family.III) else 'a')}",
+        "beta": _BETA[variant.family][0],
         "alpha_range": f"({lo}, {hi}]",
         "backend": solver_backend(variant),
         "z_order": "1" if variant.family is Family.III else "a",

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .convolution import CausalFilter, causal_conv, series_reciprocal
-from .fractional import DomainError, TimeGrid
+from .fractional import DomainError, TimeGrid, gamma
 from .models import (
     Family,
     InitialData,
@@ -73,7 +72,7 @@ def p_power(gamma_: float, t):
     if gamma_ == 0.0:
         return np.ones_like(t)
     with np.errstate(divide="ignore"):
-        out = t**gamma_ / gamma_fn(gamma_ + 1.0)
+        out = t**gamma_ / gamma(gamma_ + 1.0)
     return out
 
 
@@ -189,7 +188,7 @@ class _PIWeights:
         self.gamma = gamma_
         self.h = h
         g = gamma_
-        scale = 1.0 / gamma_fn(g + 1.0)
+        scale = 1.0 / gamma(g + 1.0)
         m = np.arange(n_steps + 2, dtype=float)
 
         def mom(r):
@@ -841,7 +840,7 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
     # linear-PI weights for I^2, I^{2-a}, and the damping integral
     def pi_pack(order):
         c0, d = power_weights_linear(order - 1.0, n_steps, h)
-        return c0 / gamma_fn(order), d / gamma_fn(order)
+        return c0 / gamma(order), d / gamma(order)
 
     c0_2, d_2 = pi_pack(2.0)
     c0_2a, d_2a = pi_pack(2.0 - a) if a < 1.0 else pi_pack(1.0)
@@ -854,7 +853,7 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
         c0_d, d_d = c0_1, d_1  # psi_t (base) or any family at alpha = 1
 
     b = l1_weights(a, n_steps, h) if a < 1.0 else None
-    l1_scale = h ** (-a) / gamma_fn(2.0 - a) if a < 1.0 else None
+    l1_scale = h ** (-a) / gamma(2.0 - a) if a < 1.0 else None
 
     w = np.zeros((n_steps + 1, basis.size))
     w[0] = xi2

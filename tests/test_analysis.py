@@ -1,5 +1,7 @@
 """Analysis harness: energy reports, limit studies, kernel tables,
 convergence orders, and the product-rule diagnostic."""
+import re
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,15 @@ class TestConvergence:
         spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.7)
         with pytest.raises(ModelError):
             convergence_table(spec, data, 1.0, [32, 64], reference="ode")
+
+
+    @pytest.mark.parametrize("steps", [[48, 64], [64, 40], [], [0, 64], [-16, 64]])
+    def test_steps_must_divide_the_richardson_grid(self, setup, steps):
+        # refused before any solve, naming the sequence as given
+        b, data = setup
+        spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.5)
+        with pytest.raises(ModelError, match=re.escape(f"got {steps}")):
+            convergence_table(spec, data, 1.0, steps)
 
 
 class TestKatoPonce:

@@ -1,4 +1,5 @@
 """CLI and configuration: round-trips, exit codes, artifacts, determinism."""
+import ast
 import json
 import os
 import subprocess
@@ -40,10 +41,13 @@ def run_cli(args):
 
 def _modules_after_runs(tmp_path):
     """The modules loaded by a fresh interpreter after `fmgt run` of a
-    Westervelt III config and a type II config, both of which must pass."""
+    Westervelt III config, a type II config and a type II alpha -> 1 study
+    (the z-form solves and the psi recovery), all of which must pass."""
     configs = {
         "w3": "model.family = iii\nmodel.nonlinearity = westervelt\nmodel.k = 0.1\n",
         "ii": "model.family = ii\nmodel.nonlinearity = linear\n",
+        "limit": "model.family = ii\nmodel.nonlinearity = linear\n"
+        "study.alpha_sweep = 0.6,0.9,0.99\n",
     }
     script = (
         "import json, sys\nfrom fmgt.cli import main\n"
@@ -67,8 +71,30 @@ def _modules_after_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     codes, modules = json.loads(proc.stdout)
-    assert codes == [0, 0]
+    assert codes == [0] * len(configs)
     return set(modules)
+
+
+def _scipy_imports(path):
+    """(enclosing function or None at module level, module, names) of every
+    scipy import statement in the file at path."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((func, a.name, None) for a in child.names if _is_scipy(a.name))
+            elif isinstance(child, ast.ImportFrom) and _is_scipy(child.module or ""):
+                found.append((func, child.module, tuple(a.name for a in child.names)))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def _is_scipy(module):
+    return module == "scipy" or module.startswith("scipy.")
 
 
 class TestConfig:
@@ -305,6 +331,22 @@ class TestArtifacts:
         # so does scipy.integrate, which serves only the oracles and the
         # kernel masses of `fmgt kernels`
         assert "scipy.integrate" not in _modules_after_runs(tmp_path)
+
+    def test_run_does_not_import_scipy(self, tmp_path):
+        # fmgt run needs numpy only: scipy serves the oracles and the tests
+        loaded = _modules_after_runs(tmp_path)
+        assert sorted(m for m in loaded if _is_scipy(m)) == []
+
+    def test_scipy_is_imported_only_by_the_oracles(self):
+        found = {
+            (path.name, *imp)
+            for path in sorted((SRC / "fmgt").glob("*.py"))
+            for imp in _scipy_imports(path)
+        }
+        assert found == {
+            ("mittag_leffler.py", "_ml_integral", "scipy.integrate", ("quad",)),
+            ("volterra.py", "classical_mgt_reference", "scipy.integrate", ("solve_ivp",)),
+        }
 
     def test_kernels_subcommand(self, tmp_path):
         out = tmp_path / "k"

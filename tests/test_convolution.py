@@ -3,9 +3,10 @@ naive triangular solve, and the folded product-integration weights against
 the three-term cell sum."""
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.linalg import solve_triangular, toeplitz
 
-from fmgt.convolution import causal_conv, series_reciprocal
+from fmgt.convolution import _fast_len, causal_conv, series_reciprocal
 from fmgt.volterra import _PIWeights
 
 # sizes on both sides of powers of two, where Newton's doubling steps end
@@ -86,6 +87,11 @@ def test_causal_conv_short_kernel():
     K = kernels(10)[1]
     padded = np.concatenate([K, np.zeros(90)])
     assert_close(causal_conv(K, x), naive_sum(padded, x))
+
+
+def test_fast_len_is_the_least_5_smooth_length():
+    want = [next_fast_len(n, real=True) for n in range(1, 10_001)]
+    assert [_fast_len(n) for n in range(1, 10_001)] == want
 
 
 def three_term_pi_sum(w, mu):

@@ -18,6 +18,22 @@ from fmgt import (
     gamma_kernel,
     limit_discrepancy,
 )
+from fmgt.fractional import gamma
+
+# the alphas of the presets' and the benchmark's alpha -> 1 sweeps, and the
+# orders the models are run at
+SWEEP_ALPHAS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0)
+
+
+def assert_bitwise_equal(xs, expected):
+    """gamma(x) equals expected bit for bit at every x, nan where it is nan."""
+    got = np.array([gamma(x) for x in xs])
+    expected = np.asarray(expected, dtype=float)
+    same = (got.view(np.int64) == expected.view(np.int64)) | (
+        np.isnan(got) & np.isnan(expected)
+    )
+    bad = np.flatnonzero(~same)
+    assert bad.size == 0, [(xs[i], got[i], expected[i]) for i in bad[:5]]
 
 
 def make_signal(fn, T=1.0, N=256):
@@ -69,6 +85,47 @@ class TestGammaKernel:
             FractionalOrder(0.7),
         )
         assert spec.alpha == 0.7
+
+
+class TestGammaPort:
+    """fractional.gamma is a port of the cephes routine behind
+    scipy.special.gamma and must agree with it bit for bit."""
+
+    def test_seeded_points_on_every_branch(self):
+        rng = np.random.default_rng(20211)
+        xs = np.concatenate(
+            [
+                rng.uniform(-33.0, 0.0, 30_000),  # upward recurrence
+                rng.uniform(0.0, 3.0, 25_000),  # [2, 3) and below
+                rng.uniform(3.0, 33.0, 25_000),  # downward recurrence
+                rng.uniform(33.0, 172.0, 25_000),  # Stirling, both sides of MAXSTIR
+            ]
+        )
+        assert_bitwise_equal(xs, gamma_fn(xs))
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_mittag_leffler_coefficients(self, alpha):
+        # the arguments alpha k + beta of the series terms, computed as the
+        # series computes them
+        xs = [
+            alpha * k + beta
+            for beta in (1.0, 2.0, 2.0 - alpha, alpha)
+            for k in range(1, 201)
+        ]
+        assert_bitwise_equal(xs, gamma_fn(np.array(xs)))
+
+    def test_special_values(self):
+        xs = [
+            0.0, -0.0, -1.0, -2.0, -33.0, -34.0, -171.0, -1e300,
+            -np.inf, np.inf, np.nan, 1e-320, -1e-320, 5e-324, -1e-10, 1e-10,
+            1.0, 2.0, 3.0, 33.0, 143.01608, 171.6243769563027, 171.62437695630274,
+            172.0, 1e300, -33.5, -170.5, -171.5, -180.5,
+        ]
+        assert_bitwise_equal(xs, gamma_fn(np.array(xs)))
+        assert gamma(0.0) == np.inf and gamma(-0.0) == -np.inf
+        assert np.isnan(gamma(-3.0)) and np.isnan(gamma(-np.inf))
+        assert gamma(1e-320) == np.inf and gamma(-1e-320) == -np.inf
+        assert gamma(171.6243769563027) == np.inf
 
 
 class TestAbelIntegral:

@@ -57,6 +57,16 @@ class TestBetaMap:
             assert b == pytest.approx(2.0 - alpha)
 
 
+    def test_listed_symbol_names_the_value(self):
+        # describe() and beta_of read one table; the listing keeps its symbols
+        symbols = {"base": "1", "i": "2-a", "ii": "a", "iii": "2-a"}
+        for v in catalog():
+            symbol = describe(v)["beta"]
+            assert symbol == symbols[v.family.value]
+            for a in (0.75, 1.0):
+                assert beta_of(v, a) == {"1": 1.0, "2-a": 2.0 - a, "a": a}[symbol]
+
+
 class TestValidation:
     def test_alpha_range_message(self):
         with pytest.raises(ModelError, match=r"\(0.5, 1\]"):
