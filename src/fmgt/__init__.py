@@ -16,7 +16,6 @@ Subpackages by responsibility:
 """
 
 from .fractional import (
-    EPS_QUAD,
     DomainError,
     FractionalOrder,
     SampledSignal,
@@ -44,7 +43,6 @@ from .models import (
 from .spectral import Domain, EigenBasis, SpectralField
 
 __all__ = [
-    "EPS_QUAD",
     "DomainError",
     "FractionalOrder",
     "SampledSignal",

@@ -30,7 +30,6 @@ from .models import (
     Nonlinearity,
     solver_backend,
 )
-from .spectral import sobolev_norm
 from .volterra import (
     Trajectory,
     _forcing_array,
@@ -98,6 +97,8 @@ class EnergyReport:
 def _node_columns(traj: Trajectory):
     lam = traj.basis.eigenvalues[None, :]
     cols = {
+        "l2_psi": np.sqrt(np.sum(traj.psi**2, axis=1)),
+        "l2_psi_t": np.sqrt(np.sum(traj.psi_t**2, axis=1)),
         "l2_psi_tt": np.sqrt(np.sum(traj.psi_tt**2, axis=1)),
         "h1_psi": np.sqrt(np.sum(lam * traj.psi**2, axis=1)),
         "h1_psi_t": np.sqrt(np.sum(lam * traj.psi_t**2, axis=1)),
@@ -130,63 +131,47 @@ def _damping_forms(traj: Trajectory, alpha: float):
     return damping, float(np.max(acc))
 
 
+# Each level of the energy estimates: the node columns whose squared sup in
+# time and the column whose time integral make up the left side, and the
+# Sobolev orders of psi0, psi1 and psi2 and of f on the right side.
+_LEVELS = {
+    "low": (("h1_psi", "h1_psi_t", "l2_psi_tt"), "hm1_psi_ttt", (1, 1, 0), 0),
+    "high": (("h2_psi", "h2_psi_t", "h1_psi_tt"), "l2_psi_ttt", (2, 2, 1), 1),
+}
+
+
+def _energy(level: str, traj: Trajectory, spec: ModelSpec, data: InitialData, f) -> EnergyReport:
+    sup_columns, integrated, data_orders, f_order = _LEVELS[level]
+    grid = traj.grid
+    cols = _node_columns(traj)
+    wq = _trapezoid_weights(grid.steps, grid.h)
+    lhs = sum(np.max(cols[name]) ** 2 for name in sup_columns)
+    lhs += float(np.dot(wq, cols[integrated] ** 2))
+    rhs = sum(norm**2 for norm in data.norms(data_orders))
+    if f is not None:
+        farr = _forcing_array(f, traj.basis, grid)
+        lam = traj.basis.eigenvalues[None, :]
+        rhs += float(np.dot(wq, np.sum(lam**f_order * farr**2, axis=1)))
+    damping, acc = _damping_forms(traj, spec.alpha)
+    fitted = lhs / rhs if rhs > 0 else 0.0
+    return EnergyReport(
+        level, grid.nodes, cols, lhs, rhs, fitted, damping,
+        float(np.cos(spec.alpha * np.pi / 2.0)), acc,
+    )
+
+
 def energy_low(traj: Trajectory, spec: ModelSpec, data: InitialData, f=None) -> EnergyReport:
     """Low-regularity energy: alpha-uniform left side
     max_t(|grad psi|^2 + |grad psi_t|^2 + |psi_tt|^2) + int |psi_ttt|_{H^-1}^2
     against |f|^2_{L2 L2} + |grad psi0|^2 + |grad psi1|^2 + |psi2|^2."""
-    grid = traj.grid
-    cols = _node_columns(traj)
-    wq = _trapezoid_weights(grid.steps, grid.h)
-    lhs = (
-        np.max(cols["h1_psi"]) ** 2
-        + np.max(cols["h1_psi_t"]) ** 2
-        + np.max(cols["l2_psi_tt"]) ** 2
-        + float(np.dot(wq, cols["hm1_psi_ttt"] ** 2))
-    )
-    rhs = (
-        sobolev_norm(data.psi0, 1) ** 2
-        + sobolev_norm(data.psi1, 1) ** 2
-        + sobolev_norm(data.psi2, 0) ** 2
-    )
-    if f is not None:
-        farr = _forcing_array(f, traj.basis, grid)
-        rhs += float(np.dot(wq, np.sum(farr**2, axis=1)))
-    damping, acc = _damping_forms(traj, spec.alpha)
-    fitted = lhs / rhs if rhs > 0 else 0.0
-    return EnergyReport(
-        "low", grid.nodes, cols, lhs, rhs, fitted, damping,
-        float(np.cos(spec.alpha * np.pi / 2.0)), acc,
-    )
+    return _energy("low", traj, spec, data, f)
 
 
 def energy_high(traj: Trajectory, spec: ModelSpec, data: InitialData, f=None) -> EnergyReport:
     """Higher-regularity energy: max_t(|lap psi|^2 + |lap psi_t|^2 +
     |grad psi_tt|^2) + int |psi_ttt|^2 against |grad f|^2_{L2 L2} +
     |lap psi0|^2 + |lap psi1|^2 + |grad psi2|^2."""
-    grid = traj.grid
-    cols = _node_columns(traj)
-    wq = _trapezoid_weights(grid.steps, grid.h)
-    lhs = (
-        np.max(cols["h2_psi"]) ** 2
-        + np.max(cols["h2_psi_t"]) ** 2
-        + np.max(cols["h1_psi_tt"]) ** 2
-        + float(np.dot(wq, cols["l2_psi_ttt"] ** 2))
-    )
-    rhs = (
-        sobolev_norm(data.psi0, 2) ** 2
-        + sobolev_norm(data.psi1, 2) ** 2
-        + sobolev_norm(data.psi2, 1) ** 2
-    )
-    if f is not None:
-        farr = _forcing_array(f, traj.basis, grid)
-        lam = traj.basis.eigenvalues[None, :]
-        rhs += float(np.dot(wq, np.sum(lam * farr**2, axis=1)))
-    damping, acc = _damping_forms(traj, spec.alpha)
-    fitted = lhs / rhs if rhs > 0 else 0.0
-    return EnergyReport(
-        "high", grid.nodes, cols, lhs, rhs, fitted, damping,
-        float(np.cos(spec.alpha * np.pi / 2.0)), acc,
-    )
+    return _energy("high", traj, spec, data, f)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +316,22 @@ class ConvergenceTable:
     reference: str
 
 
+def step_counts(steps_seq) -> list:
+    """The step counts of a convergence table in increasing order: at least
+    two, all distinct and positive, each dividing 4 x the largest so that
+    the Richardson grid holds its nodes.  ModelError names the sequence as
+    given otherwise."""
+    given = list(steps_seq)
+    steps = sorted(int(n) for n in given)
+    distinct = len(set(steps)) == len(steps) >= 2
+    if not distinct or steps[0] < 1 or any(4 * steps[-1] % n for n in steps):
+        raise ModelError(
+            "step counts must be positive, at least two, distinct and divide 4 x the "
+            f"largest (the Richardson grid), got {given}"
+        )
+    return steps
+
+
 def convergence_table(
     spec: ModelSpec,
     data: InitialData,
@@ -342,16 +343,10 @@ def convergence_table(
     """Max-node L2 errors of psi on refining grids with a least-squares order.
 
     reference = 'richardson' solves once on a 4x finer grid; 'ode' uses the
-    adaptive classical integrator (alpha = 1 only).  Every step count must
-    divide 4 x the largest, so that the Richardson grid holds its nodes.
+    adaptive classical integrator (alpha = 1 only).  The step counts obey
+    ``step_counts``.
     """
-    given = list(steps_seq)
-    steps_seq = sorted(int(n) for n in given)
-    if not steps_seq or steps_seq[0] < 1 or any(4 * steps_seq[-1] % n for n in steps_seq):
-        raise ModelError(
-            "step counts must be positive and divide 4 x the largest (the Richardson "
-            f"grid), got {given}"
-        )
+    steps_seq = step_counts(steps_seq)
     if reference == "ode":
         if spec.alpha != 1.0:
             raise ModelError("the ODE reference serves alpha = 1 runs")

@@ -9,6 +9,7 @@ digits, so identical configs give byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -39,10 +40,12 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
 
-def _write_csv(path: Path, header, rows):
-    """Numeric rows, every value printed with 17 significant digits."""
+def _write_csv(path: Path, header, columns):
+    """One row per index of the columns named in header, every value
+    printed with 17 significant digits."""
     row_format = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [row_format % tuple(row) for row in rows]
+    rows = zip(*(columns[name] for name in header))
+    lines = [",".join(header)] + [row_format % row for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -65,27 +68,18 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spec, basis, grid, data, f, traj = _solve(cfg)
 
-    lam = basis.eigenvalues[None, :]
-    norms = (
-        np.sqrt(np.sum(traj.psi**2, axis=1)),
-        np.sqrt(np.sum(lam * traj.psi**2, axis=1)),
-        np.sqrt(np.sum(traj.psi_t**2, axis=1)),
-        np.sqrt(np.sum(lam * traj.psi_t**2, axis=1)),
-        np.sqrt(np.sum(traj.psi_tt**2, axis=1)),
-    )
+    rep_low = energy_low(traj, spec, data, f)
+    rep_high = energy_high(traj, spec, data, f)
+    columns = {"t": grid.nodes, **rep_low.columns}
     _write_csv(
         out / "trajectory.csv",
         ["t", "l2_psi", "h1_psi", "l2_psi_t", "h1_psi_t", "l2_psi_tt"],
-        zip(grid.nodes, *norms),
+        columns,
     )
-
-    rep_low = energy_low(traj, spec, data, f)
-    rep_high = energy_high(traj, spec, data, f)
-    energy_header = ["t", "l2_psi_tt", "h1_psi_t", "h1_psi", "h2_psi_t", "h2_psi_tt", "h3_psi_t"]
     _write_csv(
         out / "energy.csv",
-        energy_header,
-        zip(grid.nodes, *(rep_low.columns[name] for name in energy_header[1:])),
+        ["t", "l2_psi_tt", "h1_psi_t", "h1_psi", "h2_psi_t", "h2_psi_tt", "h3_psi_t"],
+        columns,
     )
 
     summary = {
@@ -99,7 +93,7 @@ def cmd_run(args) -> int:
     }
     summary.update(traj.diagnostics)  # the solver keys of this run kind
 
-    if cfg.entries.get("study.crosscheck") == "ode" and spec.alpha == 1.0:
+    if "study.crosscheck" in cfg.entries:  # validated: the ODE check of an alpha = 1 run
         ref = classical_mgt_reference(spec, data, grid, f)
         summary["ode_crosscheck_max_error"] = float(np.max(np.abs(traj.psi - ref.psi)))
 
@@ -107,33 +101,19 @@ def cmd_run(args) -> int:
         alphas = cfg._floats("study.alpha_sweep")
         study = limit_study(spec.variant, spec.params, data, grid, alphas, f)
         summary["limit_study"] = {
-            "alphas": study.alphas,
-            "columns": study.columns,
-            "slopes": study.slopes,
-            "flags": study.flags,
+            k: getattr(study, k) for k in ("alphas", "columns", "slopes", "flags")
         }
-        srows = [
-            (a, study.columns["W1inf_H1"][i], study.columns["W2inf_L2"][i],
-             study.columns["Linf_H1"][i], study.columns["W1p4_L2"][i],
-             study.columns["W1inf_L2"][i])
-            for i, a in enumerate(study.alphas)
-        ]
         _write_csv(
             out / "limit_study.csv",
-            ["alpha", "W1inf_H1", "W2inf_L2", "Linf_H1", "W1p4_L2", "W1inf_L2"],
-            srows,
+            ["alpha", *study.columns],
+            {"alpha": study.alphas, **study.columns},
         )
 
     if "study.n_sweep" in cfg.entries:
         ns = cfg._ints("study.n_sweep")
         reference = "ode" if spec.alpha == 1.0 else "richardson"
         table = convergence_table(spec, data, grid.horizon, ns, f, reference=reference)
-        summary["convergence"] = {
-            "steps": table.steps,
-            "errors": table.errors,
-            "order": table.order,
-            "reference": table.reference,
-        }
+        summary["convergence"] = dataclasses.asdict(table)
 
     if "study.selfcheck_signals" in cfg.entries:
         count = cfg._int("study.selfcheck_signals")
@@ -193,26 +173,14 @@ def cmd_kernels(args) -> int:
     if not np.isfinite(args.tau):
         raise ConfigError(f"--tau takes a finite number, got {args.tau!r}")
     rep = kernel_report(alphas, args.tau)
-    rows = []
-    for r in rep.rows:
-        rows.append(
-            (
-                r["alpha"],
-                int(r["nonneg"]),
-                r["nonneg_margin"],
-                int(r["monotone"]),
-                r["monotone_margin"],
-                int(r["blowup_or_finite"]),
-                r["masses"][0],
-                r["masses"][1],
-                r["masses"][2],
-            )
-        )
+    columns = {key: [r[key] for r in rep.rows] for key in rep.rows[0]}
+    columns["growth_to_origin"] = columns["blowup_or_finite"]
+    columns.update(zip(["mass_T1", "mass_T10", "mass_T100"], zip(*columns["masses"])))
     _write_csv(
         out / "kernels.csv",
         ["alpha", "nonneg", "nonneg_margin", "monotone", "monotone_margin",
          "growth_to_origin", "mass_T1", "mass_T10", "mass_T100"],
-        rows,
+        columns,
     )
     _write_json(out / "kernels.json", {"tau": args.tau, "rows": rep.rows, "all_pass": rep.all_pass()})
     print(f"kernel report ({len(alphas)} orders): all properties pass = {rep.all_pass()}")

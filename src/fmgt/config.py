@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import step_counts
 from .models import (
     Family,
     InitialData,
@@ -47,37 +48,6 @@ SCHEMA_VERSION = 1
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
-
-_KNOWN_KEYS = {
-    "schema",
-    "model.family",
-    "model.nonlinearity",
-    "model.alpha",
-    "model.tau",
-    "model.c",
-    "model.delta",
-    "model.k",
-    "model.l",
-    "domain.kind",
-    "domain.lengths",
-    "domain.cutoff",
-    "time.T",
-    "time.N",
-    "data.preset",
-    "data.amplitude",
-    "data.mode",
-    "data.psi0",
-    "data.psi1",
-    "data.psi2",
-    "source.preset",
-    "source.amplitude",
-    "source.omega",
-    "study.alpha_sweep",
-    "study.n_sweep",
-    "study.crosscheck",
-    "study.selfcheck_signals",
-    "output.directory",
-}
 
 _DEFAULTS = {
     "schema": "1",
@@ -100,6 +70,17 @@ _DEFAULTS = {
     "source.preset": "zero",
     "source.amplitude": "1.0",
     "source.omega": "3.0",
+}
+
+_KNOWN_KEYS = set(_DEFAULTS) | {
+    "data.psi0",
+    "data.psi1",
+    "data.psi2",
+    "study.alpha_sweep",
+    "study.n_sweep",
+    "study.crosscheck",
+    "study.selfcheck_signals",
+    "output.directory",
 }
 
 
@@ -194,12 +175,20 @@ class RunConfig:
         if self.entries["source.preset"] not in ("zero", "mode-cos", "pulse"):
             raise ConfigError(f"unknown source.preset {self.entries['source.preset']!r}")
         if "study.n_sweep" in self.entries:
-            steps = self._ints("study.n_sweep")
-            if not steps or min(steps) < 1 or any(4 * max(steps) % n for n in steps):
-                raise ConfigError(
-                    "key study.n_sweep: step counts must be positive and divide 4 x the "
-                    f"largest (the Richardson grid), got {self.entries['study.n_sweep']!r}"
-                )
+            try:
+                step_counts(self._ints("study.n_sweep"))
+            except ModelError as exc:
+                raise ConfigError(f"key study.n_sweep: {exc}") from exc
+        crosscheck = self.entries.get("study.crosscheck")
+        if crosscheck not in (None, "ode"):
+            raise ConfigError(
+                f"key study.crosscheck: the one cross-check is ode, got {crosscheck!r}"
+            )
+        if crosscheck == "ode" and self._float("model.alpha") != 1.0:
+            raise ConfigError(
+                "key study.crosscheck: the ODE reference serves alpha = 1 runs, got "
+                f"model.alpha = {self.entries['model.alpha']}"
+            )
         return self
 
     # object construction ---------------------------------------------------
@@ -225,13 +214,11 @@ class RunConfig:
         lengths = self._floats("domain.lengths")
         if self.entries["domain.kind"] == "interval":
             dom = Domain.interval(lengths[0])
-            cutoff = self._int("domain.cutoff")
+        elif len(lengths) != 2:
+            raise ConfigError("rectangle domains need two lengths")
         else:
-            if len(lengths) != 2:
-                raise ConfigError("rectangle domains need two lengths")
             dom = Domain.rectangle(*lengths)
-            cutoff = self._int("domain.cutoff")
-        return EigenBasis(dom, cutoff)
+        return EigenBasis(dom, self._int("domain.cutoff"))
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self._float("time.T"), self._int("time.N"))

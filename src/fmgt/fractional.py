@@ -16,10 +16,6 @@ import numpy as np
 
 from .convolution import causal_conv
 
-# Default quadrature tolerance for analytic kernels at N >= 256.
-EPS_QUAD = 1e-8
-
-
 class DomainError(ValueError):
     """Argument outside the operator's admissible range."""
 
@@ -336,8 +332,8 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 def coercivity_quadform(w: SampledSignal, alpha: float) -> float:
     """Discrete Abel quadratic form int_0^T <I^{1-alpha} w, w> dt.
 
-    Nonnegative up to quadrature error (contract: >= -EPS_QUAD); the discrete
-    face of the Abel-operator coercivity bound.
+    Nonnegative up to quadrature error; the discrete face of the
+    Abel-operator coercivity bound.
     """
     if not (0 < alpha < 1):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")

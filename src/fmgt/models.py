@@ -108,12 +108,6 @@ def beta_of(variant: ModelVariant, alpha: float) -> float:
     return _BETA[variant.family][1](alpha)
 
 
-def gamma_z_of(variant: ModelVariant, alpha: float) -> float:
-    """Order of the substitution z = tau^g D^g psi + psi: 1 for family III,
-    alpha otherwise."""
-    return 1.0 if variant.family is Family.III else alpha
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     variant: ModelVariant
@@ -130,7 +124,9 @@ class ModelSpec:
 
     @property
     def gamma_z(self) -> float:
-        return gamma_z_of(self.variant, self.alpha)
+        """Order of the substitution z = tau^g D^g psi + psi: 1 for family
+        III, alpha otherwise."""
+        return 1.0 if self.family is Family.III else self.alpha
 
     @property
     def family(self) -> Family:

@@ -101,6 +101,29 @@ class TestEnergyReports:
         assert rep.cos_factor == pytest.approx(np.cos(0.45 * np.pi))
         assert "damping_form" in rep.as_dict()
 
+    @pytest.mark.parametrize("fam", [Family.III, Family.II])
+    def test_forcing_part_of_the_right_side(self, setup, fam):
+        # the source adds its trapezoid L2(L2) norm (low level) and L2(H1)
+        # norm (high level) to the data part of the right side
+        b, full = setup
+        data = InitialData(full.psi0, b.zero_field(), full.psi2)  # z-form compatible
+        spec = ModelSpec(ModelVariant(fam, Nonlinearity.LINEAR), MediumParams(), 0.7)
+        grid = TimeGrid(1.0, 64)
+        t = grid.nodes[:, None]
+        f = np.cos(3.0 * t) * np.linspace(1.0, 0.2, b.size)[None, :] + t**2
+        traj = solve(spec, data, grid, f)
+        lam = b.eigenvalues[None, :]
+
+        def trapezoid(g):
+            return grid.h * (np.sum(g) - 0.5 * (g[0] + g[-1]))
+
+        for report, density in ((energy_low, f**2), (energy_high, lam * f**2)):
+            forced = report(traj, spec, data, f).rhs_value
+            unforced = report(traj, spec, data).rhs_value
+            expected = trapezoid(np.sum(density, axis=1))
+            assert expected > 0.0
+            assert forced - unforced == pytest.approx(expected, rel=1e-12)
+
     def test_high_level_negative_control_rough_data(self):
         # psi0 with slowly decaying modes leaves H^2: |lap psi_tt| diverges
         # under mode refinement while smooth data stays put
@@ -260,7 +283,9 @@ class TestConvergence:
             convergence_table(spec, data, 1.0, [32, 64], reference="ode")
 
 
-    @pytest.mark.parametrize("steps", [[48, 64], [64, 40], [], [0, 64], [-16, 64]])
+    @pytest.mark.parametrize(
+        "steps", [[48, 64], [64, 40], [], [0, 64], [-16, 64], [64], [64, 64], [32, 64, 32]]
+    )
     def test_steps_must_divide_the_richardson_grid(self, setup, steps):
         # refused before any solve, naming the sequence as given
         b, data = setup

@@ -264,6 +264,8 @@ class TestExitCodes:
             ("32,64.0", "not an integer list"),
             ("48,64", "divide 4 x the largest"),
             ("0,64", "must be positive"),
+            ("64", "at least two, distinct"),
+            ("64,64", "at least two, distinct"),
         ],
     )
     def test_bad_n_sweep_is_2(self, tmp_path, monkeypatch, capsys, steps, reason):
@@ -275,6 +277,22 @@ class TestExitCodes:
         assert run_cli(["--out", tmp_path / "o", "convergence", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: key study.n_sweep: ")
+        assert reason in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entries, reason",
+        [
+            ("model.alpha = 1.0\nstudy.crosscheck = nonsense", "is ode, got 'nonsense'"),
+            ("model.alpha = 0.8\nstudy.crosscheck = ode", "got model.alpha = 0.8"),
+        ],
+    )
+    def test_bad_crosscheck_is_2(self, tmp_path, monkeypatch, capsys, entries, reason):
+        monkeypatch.setattr(fmgt.cli, "solve", self._no_solve)
+        cfg = tmp_path / "crosscheck.cfg"
+        cfg.write_text(f"schema = 1\ndomain.cutoff = 4\n{entries}\n")
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: key study.crosscheck: ")
         assert reason in err and "Traceback" not in err
 
     @staticmethod

@@ -17,7 +17,6 @@ from fmgt.models import (
     catalog,
     classical_residual,
     describe,
-    gamma_z_of,
     residual,
     solver_backend,
     validate,
@@ -39,8 +38,9 @@ class TestBetaMap:
             beta_of(ModelVariant(Family.III, Nonlinearity.LINEAR), 1.2)
 
     def test_z_order(self):
-        assert gamma_z_of(ModelVariant(Family.III, Nonlinearity.LINEAR), 0.6) == 1.0
-        assert gamma_z_of(ModelVariant(Family.II, Nonlinearity.LINEAR), 0.6) == 0.6
+        for fam, order in ((Family.III, 1.0), (Family.II, 0.6)):
+            spec = ModelSpec(ModelVariant(fam, Nonlinearity.LINEAR), MediumParams(), 0.6)
+            assert spec.gamma_z == order
 
     @given(
         fam=st.sampled_from(list(Family)),
