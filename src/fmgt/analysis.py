@@ -140,10 +140,16 @@ _LEVELS = {
 }
 
 
-def _energy(level: str, traj: Trajectory, spec: ModelSpec, data: InitialData, f) -> EnergyReport:
+def _energy(
+    level: str, traj: Trajectory, spec: ModelSpec, data: InitialData, f, low=None
+) -> EnergyReport:
     sup_columns, integrated, data_orders, f_order = _LEVELS[level]
     grid = traj.grid
-    cols = _node_columns(traj)
+    if low is None:
+        cols = _node_columns(traj)
+        damping, acc = _damping_forms(traj, spec.alpha)
+    else:
+        cols, damping, acc = low.columns, low.damping_form, low.alikhanov_accumulation
     wq = _trapezoid_weights(grid.steps, grid.h)
     lhs = sum(np.max(cols[name]) ** 2 for name in sup_columns)
     lhs += float(np.dot(wq, cols[integrated] ** 2))
@@ -152,7 +158,6 @@ def _energy(level: str, traj: Trajectory, spec: ModelSpec, data: InitialData, f)
         farr = _forcing_array(f, traj.basis, grid)
         lam = traj.basis.eigenvalues[None, :]
         rhs += float(np.dot(wq, np.sum(lam**f_order * farr**2, axis=1)))
-    damping, acc = _damping_forms(traj, spec.alpha)
     fitted = lhs / rhs if rhs > 0 else 0.0
     return EnergyReport(
         level, grid.nodes, cols, lhs, rhs, fitted, damping,
@@ -167,11 +172,16 @@ def energy_low(traj: Trajectory, spec: ModelSpec, data: InitialData, f=None) -> 
     return _energy("low", traj, spec, data, f)
 
 
-def energy_high(traj: Trajectory, spec: ModelSpec, data: InitialData, f=None) -> EnergyReport:
+def energy_high(
+    traj: Trajectory, spec: ModelSpec, data: InitialData, f=None, low=None
+) -> EnergyReport:
     """Higher-regularity energy: max_t(|lap psi|^2 + |lap psi_t|^2 +
     |grad psi_tt|^2) + int |psi_ttt|^2 against |grad f|^2_{L2 L2} +
-    |lap psi0|^2 + |lap psi1|^2 + |grad psi2|^2."""
-    return _energy("high", traj, spec, data, f)
+    |lap psi0|^2 + |lap psi1|^2 + |grad psi2|^2.
+
+    ``low``, the ``energy_low`` report of this same trajectory, lends its
+    node columns and damping forms, which both levels report alike."""
+    return _energy("high", traj, spec, data, f, low)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +210,15 @@ def limit_study(
     grid: TimeGrid,
     alphas,
     f=None,
+    solved=None,
 ) -> LimitStudy:
     """Solve on one grid for each alpha and against alpha = 1; tabulate
     difference norms.  Requires psi1 = 0 (families base/I/III limit results)
     and, for family II, psi2 = 0 as well (z-form compatibility).
+
+    Each distinct alpha is solved once.  ``solved`` maps alphas to
+    trajectories already solved with this variant, medium, data, grid and
+    source (``fmgt run`` passes its own), which the study reuses.
 
     For family II with psi0 != 0, the W^{1,inf}(L2) column is flagged: the
     limit proposition gives uniform-in-time convergence of psi_t only when
@@ -219,11 +234,14 @@ def limit_study(
         raise ModelError("family ii limit studies require psi2 = 0 (z-form compatibility)")
 
     lam = data.basis.eigenvalues[None, :]
-    specs = [ModelSpec(variant, params, a) for a in alphas]
-    ref_spec = ModelSpec(variant, params, 1.0)
-    ref = solve(ref_spec, data, grid, f)
+    specs = [ModelSpec(variant, params, a) for a in (1.0, *alphas)]
+    solved = dict(solved or {})
+    for s in specs:  # the reference first, then the sweep in order
+        if s.alpha not in solved:
+            solved[s.alpha] = solve(s, data, grid, f)
+    ref = solved[1.0]
+    trajectories = [solved[a] for a in alphas]
     wq = _trapezoid_weights(grid.steps, grid.h)
-    trajectories = [solve(s, data, grid, f) for s in specs]
 
     cols = {"W1inf_H1": [], "W2inf_L2": [], "Linf_H1": [], "W1p4_L2": [], "W1inf_L2": []}
     for tr in trajectories:

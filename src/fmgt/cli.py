@@ -54,22 +54,26 @@ def _write_json(path: Path, obj):
 
 
 def _solve(cfg: RunConfig):
+    """The run's solve.  The source, a function of t, is sampled once on all
+    nodes of the run's grid for everything that uses that grid; a
+    convergence table samples the function on each of its own grids."""
     spec = cfg.spec()
     basis = cfg.basis()
     grid = cfg.grid()
     data = cfg.initial_data(basis)
-    f = cfg.forcing(basis, grid)
-    return spec, basis, grid, data, f, solve(spec, data, grid, f)
+    source = cfg.forcing(basis, grid)
+    f = None if source is None else source(grid.nodes)
+    return spec, basis, grid, data, source, f, solve(spec, data, grid, f)
 
 
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
     out = Path(args.out or cfg.entries.get("output.directory", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    spec, basis, grid, data, f, traj = _solve(cfg)
+    spec, basis, grid, data, source, f, traj = _solve(cfg)
 
     rep_low = energy_low(traj, spec, data, f)
-    rep_high = energy_high(traj, spec, data, f)
+    rep_high = energy_high(traj, spec, data, f, low=rep_low)
     columns = {"t": grid.nodes, **rep_low.columns}
     _write_csv(
         out / "trajectory.csv",
@@ -99,7 +103,9 @@ def cmd_run(args) -> int:
 
     if "study.alpha_sweep" in cfg.entries:
         alphas = cfg._floats("study.alpha_sweep")
-        study = limit_study(spec.variant, spec.params, data, grid, alphas, f)
+        study = limit_study(
+            spec.variant, spec.params, data, grid, alphas, f, solved={spec.alpha: traj}
+        )
         summary["limit_study"] = {
             k: getattr(study, k) for k in ("alphas", "columns", "slopes", "flags")
         }
@@ -112,7 +118,7 @@ def cmd_run(args) -> int:
     if "study.n_sweep" in cfg.entries:
         ns = cfg._ints("study.n_sweep")
         reference = "ode" if spec.alpha == 1.0 else "richardson"
-        table = convergence_table(spec, data, grid.horizon, ns, f, reference=reference)
+        table = convergence_table(spec, data, grid.horizon, ns, source, reference=reference)
         summary["convergence"] = dataclasses.asdict(table)
 
     if "study.selfcheck_signals" in cfg.entries:

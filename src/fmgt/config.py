@@ -258,16 +258,25 @@ class RunConfig:
         return SpectralField(basis, coeffs)
 
     def forcing(self, basis: EigenBasis, grid: TimeGrid):
+        """The source as a function of t, or None for the zero source.
+
+        A function serves every grid on the run's horizon: the solves of a
+        convergence table sample it on their own nodes.  It takes one time
+        or an array of times, and gives the mode coefficients at each."""
         preset = self.entries["source.preset"]
         if preset == "zero":
             return None
         amp = self._float("source.amplitude")
         om = self._float("source.omega")
-        n1 = grid.steps + 1
-        farr = np.zeros((n1, basis.size))
-        if preset == "mode-cos":
-            farr[:, 0] = amp * np.cos(om * grid.nodes)
-        else:  # pulse
-            t0, s = 0.3 * grid.horizon, 0.1 * grid.horizon
-            farr[:, 0] = amp * np.exp(-(((grid.nodes - t0) / s) ** 2))
-        return farr
+        t0, s = 0.3 * grid.horizon, 0.1 * grid.horizon  # the pulse's centre and width
+
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            coeffs = np.zeros(t.shape + (basis.size,))
+            if preset == "mode-cos":
+                coeffs[..., 0] = amp * np.cos(om * t)
+            else:  # pulse
+                coeffs[..., 0] = amp * np.exp(-(((t - t0) / s) ** 2))
+            return coeffs
+
+        return f

@@ -9,14 +9,19 @@ driven by a running cancellation estimate, not by |x| alone).  b > 1 is
 reduced to b <= 1 with the recurrence E_{a,b}(x) = 1/Gamma(b) + x E_{a,b+a}(x)
 before integrating; on the negative axis this direction is stable.
 
-Two evaluators share that branch rule.  ``ml`` takes one point.
-``ml_array`` takes a whole table: the Kahan sum run across the points at
-once, one gamma value per term (each point frozen where the scalar loop
-stops, so series values agree with ``ml`` bit for bit),
-and one adaptive quadrature for every point left to the integral, with error
-control per point.  Every production table goes through ``ml_array``: the
-kernel cell moments (and so the z-form march and the psi recovery) and
-``kernel_value``.  Scalar ``ml`` is the independent oracle it is tested
+Two evaluators share that branch rule.  ``ml`` takes one point.  The
+array core ``_ml_table`` takes a whole table for one or several betas at
+once, and ``ml_array`` is its one-beta call.  The series runs term by term
+across all points and betas, which share the powers x^k; each
+(beta, point) keeps its own Kahan sum, gamma values and stop rule, so series
+values agree with ``ml`` bit for bit.  Every point left to the integral goes
+through one adaptive Gauss-Kronrod quadrature, in batches of 32 points
+that start from a partition of [0, 1] graded toward both ends.  The betas'
+integrands share exp(-r^(1/a)) and the denominator, each keeps its own per-point error
+control, and a point is done when all of them have converged.  The kernel
+cell moments behind the z-form march and the psi recovery build E_{a,1} and
+E_{a,2} as one such table; ``kernel_value`` goes through ``ml_array``.
+Scalar ``ml`` is the independent oracle they are tested
 against, and serves the single values of ``kernel_mass``.
 """
 from __future__ import annotations
@@ -133,31 +138,37 @@ def ml(alpha: float, beta: float, x: float) -> float:
     return _ml_integral(alpha, beta, x)
 
 
-def _ml_series_array(alpha: float, beta: float, x: np.ndarray):
-    """_ml_series at every point of x at once; returns (values, cancellation_ok).
+def _ml_series_array(alpha: float, betas, x: np.ndarray):
+    """_ml_series for each beta of betas at every point of x at once; returns
+    (values, cancellation_ok), each of shape (len(betas), len(x)).
 
-    Every point runs the scalar loop's Kahan recursion, with the same
-    coefficients Gamma(a k + b), and is frozen at the term where that loop
-    returns, so each value equals the scalar one bit for bit.  A coefficient
-    is computed only once some point still needs its term.
+    The betas share the powers x^k.  Every (beta, point) runs the scalar
+    loop's Kahan recursion, with the same coefficients Gamma(a k + b), and
+    is frozen at the term where that loop returns, so each value equals the
+    scalar one bit for bit.  A coefficient is computed only once some point
+    of its beta still needs its term.
     """
-    total = np.full(x.shape, 1.0 / gamma(beta))
-    comp = np.zeros(x.shape)
+    shape = (len(betas), x.size)
+    total = np.array([[1.0 / gamma(b)] for b in betas]).repeat(x.size, axis=1)
+    comp = np.zeros(shape)
     max_abs = np.abs(total)
-    arg_at_max = np.full(x.shape, float(beta))
-    term_pow = np.ones(x.shape)
-    values = np.zeros(x.shape)
-    ok = np.zeros(x.shape, dtype=bool)
-    live = np.ones(x.shape, dtype=bool)
+    arg_at_max = np.array(betas, dtype=float)[:, None].repeat(x.size, axis=1)
+    term_pow = np.ones(x.size)
+    values = np.zeros(shape)
+    ok = np.zeros(shape, dtype=bool)
+    live = np.ones(shape, dtype=bool)
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        if not live.any():
+        rows = live.any(axis=1)
+        if not rows.any():
             break
         term_pow *= x
-        arg = alpha * k + beta
-        term = term_pow / gamma(arg)
+        args = np.array([alpha * k + b for b in betas])[:, None]
+        # a finished beta's terms are 0: its values are frozen already
+        coef = np.array([gamma(a) if on else np.inf for a, on in zip(args[:, 0], rows)])
+        term = term_pow / coef[:, None]
         grew = np.abs(term) > max_abs
         max_abs = np.where(grew, np.abs(term), max_abs)
-        arg_at_max = np.where(grew, arg, arg_at_max)
+        arg_at_max = np.where(grew, args, arg_at_max)
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -206,23 +217,34 @@ _GK_NODES = np.array(_GK_HALF_NODES + tuple(-v for v in _GK_HALF_NODES[-2::-1]))
 _GK_WEIGHTS = np.array(_GK_HALF_WEIGHTS + _GK_HALF_WEIGHTS[-2::-1])
 _GAUSS_WEIGHTS = np.array(_GAUSS_HALF_WEIGHTS + _GAUSS_HALF_WEIGHTS[-2::-1])
 _QUAD_RTOL = 1e-12  # per point, like the scalar quad calls
-_QUAD_BATCH = 128  # points integrated together
+# points integrated together: 32 keeps a round's temporaries (intervals x 15
+# nodes x points x columns) to a few hundred kB
+_QUAD_BATCH = 32
 _QUAD_MAX_INTERVALS = 1000
 _EPS = np.finfo(float).eps
+# the first partition of [0, 1]: 40 intervals graded geometrically toward
+# both ends, with breakpoints 2^-k and 1 - 2^-k for k = 1..20.  The weak
+# singularities of the folded integrand sit at u = 0 and, for alpha near 1,
+# its near-pole at u = |x|^(a-1) approaches u = 1.  Bisection from [0, 1]
+# needs 15-21 rounds to resolve them; from this start a batch needs 1 or 2
+_GRADED = 2.0 ** -np.arange(20.0, 0.0, -1.0)
+_START = np.concatenate([[0.0], _GRADED, 1.0 - _GRADED[-2::-1], [1.0]])
 
 
 def _integrate_unit(f, params) -> np.ndarray:
     """int_0^1 f(u, *params) du for every point of a batch of parameter
-    arrays, with the error controlled for each point on its own.
+    arrays and every column of f, with the error controlled for each point
+    and column on its own; returns a (columns, points) array.
 
     f takes nodes u of shape (m, 1) and parameter arrays of shape (p,) and
-    returns an (m, p) array.  The points of a batch share one set of
-    intervals.  Each round bisects the intervals whose error estimate exceeds
-    their share of the tolerance of a point that has not converged, and
-    evaluates f once on all the new halves; a point leaves the batch when its
-    summed error estimate meets max(_QUAD_RTOL |integral|, the rounding
-    floor).  The estimates are those of QUADPACK's Gauss-Kronrod (7, 15)
-    rule, as in scipy's quad.
+    returns a (q, m, p) array of q columns.  The points of a batch share one
+    set of intervals, starting from the graded partition _START.  Each round
+    bisects the intervals whose error estimate exceeds their share of the
+    tolerance of a column that has not converged, and evaluates f once on
+    all the new halves; a column converges when its summed error estimate
+    meets max(_QUAD_RTOL |integral|, the rounding floor), and a point leaves
+    the batch when every one of its columns has.  The estimates are those of
+    QUADPACK's Gauss-Kronrod (7, 15) rule, as in scipy's quad.
     """
     n = len(params[0])
     if n > _QUAD_BATCH:
@@ -230,20 +252,24 @@ def _integrate_unit(f, params) -> np.ndarray:
             [
                 _integrate_unit(f, [a[i : i + _QUAD_BATCH] for a in params])
                 for i in range(0, n, _QUAD_BATCH)
-            ]
+            ],
+            axis=1,
         )
 
     def rule(lo, hi, params):
+        # every array below is (columns, intervals, points)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         u = (mid[:, None] + half[:, None] * _GK_NODES).reshape(-1, 1)
-        vals = f(u, *params).reshape(lo.size, _GK_NODES.size, -1)
-        wsum = np.einsum("k,mkp->mp", _GK_WEIGHTS, vals)
+        vals = f(u, *params)
+        vals = vals.reshape(len(vals), lo.size, _GK_NODES.size, -1)
+        half = half[:, None]
+        wsum = np.einsum("k,qmkp->qmp", _GK_WEIGHTS, vals)
         mean = wsum / 2.0  # the Kronrod weights sum to 2
-        kron = half[:, None] * wsum
-        gauss = half[:, None] * np.einsum("k,mkp->mp", _GAUSS_WEIGHTS, vals[:, 1::2])
-        resabs = half[:, None] * np.einsum("k,mkp->mp", _GK_WEIGHTS, np.abs(vals))
-        resasc = half[:, None] * np.einsum(
-            "k,mkp->mp", _GK_WEIGHTS, np.abs(vals - mean[:, None, :])
+        kron = half * wsum
+        gauss = half * np.einsum("k,qmkp->qmp", _GAUSS_WEIGHTS, vals[:, :, 1::2])
+        resabs = half * np.einsum("k,qmkp->qmp", _GK_WEIGHTS, np.abs(vals))
+        resasc = half * np.einsum(
+            "k,qmkp->qmp", _GK_WEIGHTS, np.abs(vals - mean[:, :, None])
         )
         err = np.abs(kron - gauss)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -252,25 +278,28 @@ def _integrate_unit(f, params) -> np.ndarray:
         floor = 50.0 * _EPS * resabs  # rounding: no bisection gets below it
         return kron, np.maximum(err, floor), floor
 
-    result = np.empty(n)
     point = np.arange(n)
-    lo, hi = np.array([0.0]), np.array([1.0])
+    lo, hi = _START[:-1], _START[1:]
     kron, err, floor = rule(lo, hi, params)
+    result = np.empty((len(kron), n))
     while True:
-        total = kron.sum(axis=0)
-        tol = np.maximum(_QUAD_RTOL * np.abs(total), floor.sum(axis=0))
-        done = err.sum(axis=0) <= tol
-        result[point[done]] = total[done]
+        total = kron.sum(axis=1)
+        tol = np.maximum(_QUAD_RTOL * np.abs(total), floor.sum(axis=1))
+        converged = err.sum(axis=1) <= tol
+        done = converged.all(axis=0)
+        result[:, point[done]] = total[:, done]
         if done.all():
             return result
         left = ~done
-        point, params, tol = point[left], [a[left] for a in params], tol[left]
-        kron, err, floor = kron[:, left], err[:, left], floor[:, left]
-        # an open point's error above the rounding floor exceeds its budget,
+        point, params = point[left], [a[left] for a in params]
+        tol, converged = tol[:, left], converged[:, left]
+        kron, err, floor = kron[..., left], err[..., left], floor[..., left]
+        # an open column's error above the rounding floor exceeds its budget,
         # so some interval holds more than its share of that budget (unless
         # the integrand gave NaN)
-        budget = tol - floor.sum(axis=0)
-        split = np.any(err - floor > budget / lo.size, axis=1)
+        budget = tol - floor.sum(axis=1)
+        over = (err - floor > (budget / lo.size)[:, None]) & ~converged[:, None]
+        split = over.any(axis=(0, 2))
         if not split.any() or lo.size + split.sum() > _QUAD_MAX_INTERVALS:
             raise DomainError(
                 f"Mittag-Leffler quadrature missed relative accuracy {_QUAD_RTOL} "
@@ -283,77 +312,125 @@ def _integrate_unit(f, params) -> np.ndarray:
         keep = ~split
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
-        kron = np.concatenate([kron[keep], new_kron])
-        err = np.concatenate([err[keep], new_err])
-        floor = np.concatenate([floor[keep], new_floor])
+        kron = np.concatenate([kron[:, keep], new_kron], axis=1)
+        err = np.concatenate([err[:, keep], new_err], axis=1)
+        floor = np.concatenate([floor[:, keep], new_floor], axis=1)
 
 
-def _ml_integral_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """_ml_integral at every point of x < 0 by one adaptive quadrature.
+def _ml_integral_array(alpha: float, betas, x: np.ndarray) -> np.ndarray:
+    """_ml_integral for each beta of betas at every point of x < 0 by one
+    adaptive quadrature; returns a (len(betas), len(x)) array.
 
+    Each beta > 1 is first reduced to some b' <= 1 by the recurrence.
     Scaling r = c s by each point's split point c = max(1, |x|^a) puts every
     split at s = 1, and folding s > 1 onto u = 1/s leaves one interval:
         int_0^inf K(r) dr = c int_0^1 [K(c u) + K(c / u) / u^2] du.
+    The integrands of the betas share exp(-r^(1/a)) and the denominator.
     """
-    if beta > 1.0 + 1e-12:
-        return (_ml_integral_array(alpha, beta - alpha, x) - 1.0 / gamma(beta - alpha)) / x
+    chains = []  # beta, beta - a, ... down to the b' that is integrated
+    for b in betas:
+        chain = [b]
+        while chain[-1] > 1.0 + 1e-12:
+            chain.append(chain[-1] - alpha)
+        chains.append(chain)
+    reduced = [chain[-1] for chain in chains]
 
-    sin_b = np.sin(np.pi * (1 - beta))
-    sin_ab = np.sin(np.pi * (1 - beta + alpha))
+    sin_b = [np.sin(np.pi * (1 - b)) for b in reduced]
+    sin_ab = [np.sin(np.pi * (1 - b + alpha)) for b in reduced]
+    expo = [(1.0 - b) / alpha for b in reduced]
     cos_a, sin_a = np.cos(np.pi * alpha), np.sin(np.pi * alpha)
-    pref = 1.0 / (np.pi * alpha)
-    expo = (1.0 - beta) / alpha
-
-    def integrand(r, x):
-        num = r * sin_b - x * sin_ab
-        # r^2 - 2 r x cos(pi a) + x^2 as a sum of squares: near alpha = 1 it
-        # nearly vanishes at r = |x|, where the expanded form cancels
-        den = (r - x * cos_a) ** 2 + (x * sin_a) ** 2
-        return pref * r**expo * np.exp(-(r ** (1.0 / alpha))) * num / den
 
     def folded(u, x, c):
-        return integrand(c * u, x) + integrand(c / u, x) / (u * u)
+        """K(c u) + K(c / u) / u^2 per column, without the factor 1/(pi a)."""
+        shift = x * cos_a
+        lift = (x * sin_a) ** 2
+        offsets = [x * sab for sab in sin_ab]
+        out = np.zeros((len(reduced),) + np.broadcast_shapes(u.shape, x.shape))
+        for r, weight in ((c * u, None), (c / u, 1.0 / (u * u))):
+            # where s = r^(1/a) > 700, exp(-s) r^e (0 <= e < 1/a) is below
+            # 1e-301, which no integral here can see, and it is set to 0
+            # there: numpy's exp is 20-200 times slower on subnormal results,
+            # and far out on the graded start s and r^e overflow for small a
+            with np.errstate(over="ignore"):
+                s = r ** (1.0 / alpha)
+            near = s <= 700.0
+            common = np.exp(-np.where(near, s, 700.0)) * near
+            r_near = np.where(near, r, 0.0)
+            # r^2 - 2 r x cos(pi a) + x^2 as a sum of squares: near alpha = 1
+            # it nearly vanishes at r = |x|, where the expanded form cancels
+            common /= (r - shift) ** 2 + lift
+            if weight is not None:
+                common *= weight
+            for row, sb, offset, e in zip(out, sin_b, offsets, expo):
+                col = r * sb
+                col -= offset
+                col *= common
+                if e != 0.0:
+                    col *= r_near**e
+                row += col
+        return out
 
     c = np.maximum(1.0, (-x) ** alpha)
-    return c * _integrate_unit(folded, [x, c])
+    values = (c / (np.pi * alpha)) * _integrate_unit(folded, [x, c])
+    for row, chain in zip(values, chains):
+        for b in reversed(chain[1:]):  # E_{a,b+a}(x) = (E_{a,b}(x) - 1/Gamma(b)) / x
+            row[:] = (row - 1.0 / gamma(b)) / x
+    return values
 
 
-def ml_array(alpha: float, beta: float, x) -> np.ndarray:
-    """E_{alpha,beta}(x) at every point of a 1-D array x <= 0.
+def _ml_table(alpha: float, betas, x) -> np.ndarray:
+    """E_{alpha,b}(x) for each b of betas at every point of a 1-D array
+    x <= 0: the rows of a (len(betas), len(x)) array.
 
-    The branch rule of ml, applied to a whole table at once: 1/Gamma(beta)
-    at x = 0, the closed forms at alpha = 1 and beta in {1, 2}, the series
+    The branch rule of ml, applied to a whole table at once: 1/Gamma(b) at
+    x = 0, the closed forms at alpha = 1 when every b is 1 or 2, the series
     for |x| <= _SERIES_TRY_LIMIT where its cancellation estimate passes, and
-    the integral representation elsewhere.
+    the integral representation elsewhere.  The betas share one series pass and
+    one quadrature, which runs every point that some beta leaves to it.
     """
-    _check_parameters(alpha, beta)
+    for b in betas:
+        _check_parameters(alpha, b)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise DomainError(f"ml_array takes a 1-D array of points, got shape {x.shape}")
+        raise DomainError(
+            f"Mittag-Leffler tables take a 1-D array of points, got shape {x.shape}"
+        )
     if not np.all(np.isfinite(x)):
-        raise DomainError("ml_array takes finite points only")
+        raise DomainError("Mittag-Leffler tables take finite points only")
     if np.any(x > 0):
         raise DomainError(
             f"only the non-positive real axis is supported, got x={np.max(x)}"
         )
-    out = np.full(x.shape, 1.0 / gamma(beta))  # the value at x = 0
-    left = x != 0.0
-    if alpha == 1.0 and beta in (1.0, 2.0):
-        xs = x[left]
-        out[left] = np.exp(xs) if beta == 1.0 else np.expm1(xs) / xs
+    out = np.array([[1.0 / gamma(b)] for b in betas]).repeat(x.size, axis=1)
+    nonzero = x != 0.0
+    xs = x[nonzero]
+    if alpha == 1.0 and all(b in (1.0, 2.0) for b in betas):
+        for row, b in zip(out, betas):
+            row[nonzero] = np.exp(xs) if b == 1.0 else np.expm1(xs) / xs
         return out
 
-    series = np.flatnonzero(left & (np.abs(x) <= _SERIES_TRY_LIMIT))
-    values, ok = _ml_series_array(alpha, beta, x[series])
-    out[series[ok]] = values[ok]
-    left[series[ok]] = False
-    if left.any():
+    todo = np.tile(nonzero, (len(betas), 1))
+    series = np.flatnonzero(nonzero & (np.abs(x) <= _SERIES_TRY_LIMIT))
+    values, ok = _ml_series_array(alpha, betas, x[series])
+    for row, left, vals, passed in zip(out, todo, values, ok):
+        row[series[passed]] = vals[passed]
+        left[series[passed]] = False
+    points = np.flatnonzero(todo.any(axis=0))
+    if points.size:
         if alpha == 1.0:
             raise DomainError(
                 "alpha = 1 with large |x| is supported only for beta in {1, 2}"
             )
-        out[left] = _ml_integral_array(alpha, beta, x[left])
+        values = _ml_integral_array(alpha, betas, x[points])
+        for row, left, vals in zip(out, todo[:, points], values):
+            row[points[left]] = vals[left]
     return out
+
+
+def ml_array(alpha: float, beta: float, x) -> np.ndarray:
+    """E_{alpha,beta}(x) at every point of a 1-D array x <= 0: the one-beta
+    table of ``_ml_table``."""
+    return _ml_table(alpha, (beta,), x)[0]
 
 
 @dataclass(frozen=True)
@@ -409,8 +486,8 @@ def kernel_cell_moments(kernel: RelaxationKernel, h: float, n_cells: int):
     g, tau = kernel.order, kernel.tau
     edges = np.arange(n_cells + 1) * h
     x = -((edges / tau) ** g)
-    e1 = ml_array(g, 1.0, x)
-    e2 = edges * ml_array(g, 2.0, x)
+    e1, ml2 = _ml_table(g, (1.0, 2.0), x)
+    e2 = edges * ml2
     m0 = e1[:-1] - e1[1:]
     # int_a^b u k(u) du = [ -u E(u) ]_a^b + int_a^b E(u) du
     m1 = edges[:-1] * e1[:-1] - edges[1:] * e1[1:] + e2[1:] - e2[:-1]

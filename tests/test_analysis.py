@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import fmgt.analysis
 from fmgt import Domain, EigenBasis, TimeGrid
 from fmgt.analysis import (
     convergence_table,
@@ -124,6 +125,17 @@ class TestEnergyReports:
             assert expected > 0.0
             assert forced - unforced == pytest.approx(expected, rel=1e-12)
 
+    def test_high_level_from_the_low_report(self, setup):
+        # the low report's columns and damping forms give the high report
+        # that energy_high computes on its own
+        b, data = setup
+        spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.7)
+        traj = solve_linear(spec, data, TimeGrid(1.0, 64))
+        low = energy_low(traj, spec, data)
+        lent, own = energy_high(traj, spec, data, low=low), energy_high(traj, spec, data)
+        assert lent.as_dict() == own.as_dict() and lent.level == "high"
+        assert all(np.array_equal(lent.columns[k], v) for k, v in own.columns.items())
+
     def test_high_level_negative_control_rough_data(self):
         # psi0 with slowly decaying modes leaves H^2: |lap psi_tt| diverges
         # under mode refinement while smooth data stays put
@@ -213,6 +225,25 @@ class TestLimitStudies:
             [0.8, 1.0],
         )
         assert study.columns["W1inf_H1"][-1] == 0.0
+
+    def test_reused_trajectory_gives_the_same_study(self, setup, monkeypatch):
+        b, _ = setup
+        bump = b.project(lambda x: x * (1 - x))
+        psi0 = SpectralField(b, 1e-2 * bump.coeffs / np.max(np.abs(bump.coeffs)))
+        data = InitialData(psi0, b.zero_field(), b.zero_field())
+        grid = TimeGrid(1.0, 64)
+        params = MediumParams(k=0.1)
+        variant = ModelVariant(Family.III, Nonlinearity.WESTERVELT)
+        alphas = [0.6, 0.8, 0.8, 0.9]
+        fresh = limit_study(variant, params, data, grid, alphas)
+        own = solve(ModelSpec(variant, params, 0.8), data, grid)
+        solved = []
+        monkeypatch.setattr(
+            fmgt.analysis, "solve", lambda spec, *args: solved.append(spec.alpha) or solve(spec, *args)
+        )
+        reused = limit_study(variant, params, data, grid, alphas, solved={0.8: own})
+        assert solved == [1.0, 0.6, 0.9]  # each alpha once, the given one never
+        assert reused.columns == fresh.columns and reused.slopes == fresh.slopes
 
     def test_rerun_permutation_invariant(self, setup):
         b, _ = setup

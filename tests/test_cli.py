@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 import fmgt.analysis
 import fmgt.cli
+import fmgt.fractional
+import fmgt.memory
+import fmgt.models
 from fmgt.cli import main
 from fmgt.config import ConfigError, RunConfig
-from fmgt.volterra import MAX_SWEEPS, InnerSolveError
+from fmgt.volterra import MAX_SWEEPS, InnerSolveError, _forcing_array
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -372,6 +375,12 @@ class TestArtifacts:
         payload = json.loads((out / "kernels.json").read_text())
         assert payload["all_pass"] is True
 
+    def test_kernels_at_a_small_order(self, tmp_path):
+        # every table point of order 0.02 near |x| = 1 takes the integral
+        out = tmp_path / "k"
+        assert run_cli(["--out", out, "kernels", "--alphas", "0.02"]) == 0
+        assert json.loads((out / "kernels.json").read_text())["all_pass"] is True
+
     def test_convergence_subcommand(self, tmp_path):
         out = tmp_path / "c"
         assert (
@@ -449,6 +458,97 @@ class TestArtifacts:
         s = json.loads((out / "summary.json").read_text())
         common = {"schema", "config", "model", "beta", "z_order", "energy_low", "energy_high"}
         assert sorted(set(s) - common) == keys
+
+
+# the shape of the benchmark's zform-limit workload: a type II alpha -> 1
+# study whose sweep holds model.alpha
+ZFORM_LIMIT = (
+    "schema = 1\nmodel.family = ii\nmodel.nonlinearity = linear\nmodel.alpha = 0.8\n"
+    "model.tau = 0.25\nmodel.delta = 0.1\ndomain.cutoff = 8\ntime.T = 2.0\ntime.N = 256\n"
+    "data.preset = bump\ndata.amplitude = 1e-2\nstudy.alpha_sweep = 0.6,0.8,0.9,0.95,0.99\n"
+)
+
+
+class TestWorkPerRun:
+    """What one `fmgt run` computes, counted."""
+
+    def test_each_alpha_solved_once(self, tmp_path, monkeypatch):
+        # the run's own alpha = 0.8 trajectory serves its row of the study
+        alphas = []
+        tables = fmgt.memory.memory_tables
+
+        def counting(spec, grid):
+            alphas.append(spec.alpha)
+            return tables(spec, grid)
+
+        monkeypatch.setattr(fmgt.memory, "memory_tables", counting)
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(ZFORM_LIMIT)
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 0
+        assert sorted(alphas) == [0.6, 0.8, 0.9, 0.95, 0.99, 1.0]
+
+    def test_energy_forms_built_once(self, tmp_path, monkeypatch):
+        # both energy levels report one damping form and one Alikhanov
+        # accumulation: one Abel integral of order alpha, one of 1 - alpha
+        orders = []
+        abel = fmgt.fractional.abel_integral
+
+        def counting(w, order):
+            orders.append(order)
+            return abel(w, order)
+
+        for module in (fmgt.fractional, fmgt.analysis, fmgt.models):
+            monkeypatch.setattr(module, "abel_integral", counting)
+        cfg = tmp_path / "iii.cfg"
+        cfg.write_text(
+            "schema = 1\nmodel.family = iii\nmodel.alpha = 0.7\ndomain.cutoff = 4\n"
+            "time.N = 64\ndata.preset = bump\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["--out", out, "run", "--config", cfg]) == 0
+        assert orders == [0.7, pytest.approx(0.3)]
+        s = json.loads((out / "summary.json").read_text())
+        for key in ("damping_form", "alikhanov_accumulation"):
+            assert s["energy_low"][key] == s["energy_high"][key] != 0.0
+
+    @pytest.mark.parametrize(
+        "entries,reference",
+        [
+            ("model.alpha = 1.0\nsource.preset = pulse\n", "ode"),
+            ("model.alpha = 0.8\nsource.preset = mode-cos\nsource.amplitude = 0.5\n", "richardson"),
+        ],
+    )
+    def test_n_sweep_with_a_source(self, tmp_path, entries, reference):
+        # each solve of the table samples the source on its own grid
+        cfg = tmp_path / "src.cfg"
+        cfg.write_text(
+            "schema = 1\nmodel.family = iii\ndomain.cutoff = 6\ntime.N = 128\n"
+            f"{entries}study.n_sweep = 32,64,128\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["--out", out, "run", "--config", cfg]) == 0
+        conv = json.loads((out / "summary.json").read_text())["convergence"]
+        assert conv["steps"] == [32, 64, 128] and conv["reference"] == reference
+        assert all(e1 > e2 > 0 for e1, e2 in zip(conv["errors"], conv["errors"][1:]))
+        assert conv["order"] > 1.5
+
+    @pytest.mark.parametrize("preset", ["mode-cos", "pulse"])
+    def test_source_samples_equal_the_node_formula(self, preset):
+        # the source, a function of t, gives on the run's grid exactly the
+        # samples of the closed formula over all nodes at once, whether it
+        # takes them all at once or one by one
+        cfg = RunConfig.from_text(
+            f"schema = 1\ndomain.cutoff = 4\ntime.T = 2.0\ntime.N = 64\n"
+            f"source.preset = {preset}\nsource.amplitude = 0.5\nsource.omega = 2.5\n"
+        )
+        basis, grid = cfg.basis(), cfg.grid()
+        source = cfg.forcing(basis, grid)
+        t = grid.nodes
+        want = 0.5 * (np.cos(2.5 * t) if preset == "mode-cos" else np.exp(-(((t - 0.6) / 0.2) ** 2)))
+        for farr in (source(t), _forcing_array(source, basis, grid)):
+            assert farr.shape == (65, 4)
+            assert np.array_equal(farr[:, 0], want)
+            assert not farr[:, 1:].any()
 
 
 class TestDeterminism:

@@ -245,16 +245,18 @@ class TestKernelTables:
         assert np.all(np.isfinite(traj.psi))
 
     def test_each_table_built_once(self, bump_setup, monkeypatch):
+        # one joint table of E_{a,1} and E_{a,2} on the 129 nodes, shared by
+        # the solve and the psi recovery
         calls = []
-        ml_array = fmgt.mittag_leffler.ml_array
+        table = fmgt.mittag_leffler._ml_table
 
-        def counting(alpha, beta, x):
-            calls.append((alpha, beta, len(x)))
-            return ml_array(alpha, beta, x)
+        def counting(alpha, betas, x):
+            calls.append((alpha, tuple(betas), len(x)))
+            return table(alpha, betas, x)
 
-        monkeypatch.setattr(fmgt.mittag_leffler, "ml_array", counting)
+        monkeypatch.setattr(fmgt.mittag_leffler, "_ml_table", counting)
         solve_fmgt2(linear_ii(0.7), bump_setup[1], TimeGrid(2.0, 128))
-        assert sorted(calls) == [(0.7, 1.0, 129), (0.7, 2.0, 129)]
+        assert calls == [(0.7, (1.0, 2.0), 129)]
 
     def test_tables_match_scalar_ml(self):
         spec = linear_ii(0.6, tau=0.25)

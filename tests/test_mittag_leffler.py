@@ -11,7 +11,14 @@ import pytest
 from scipy.special import rgamma
 
 from fmgt import DomainError, RelaxationKernel, kernel_mass, kernel_value, ml
-from fmgt.mittag_leffler import _SERIES_TRY_LIMIT, _ml_series, kernel_cell_moments, ml_array
+from fmgt.mittag_leffler import (
+    _SERIES_TRY_LIMIT,
+    _integrate_unit,
+    _ml_series,
+    _ml_table,
+    kernel_cell_moments,
+    ml_array,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -186,6 +193,17 @@ class TestMlArray:
         want = np.array([ml(0.7, 0.7, v) for v in x])
         assert np.allclose(ml_array(0.7, 0.7, x), want, rtol=1e-11, atol=0)
 
+    @pytest.mark.parametrize("b", [0.02, 1.0])
+    def test_small_order_near_minus_one(self, b):
+        # at alpha = 0.02 the series fails for |x| near 1, so these points
+        # take the integral, whose outer nodes reach r^(1/a) = inf; there
+        # exp(-r^(1/a)) r^((1-b)/a) must count as 0, not as 0 * inf
+        x = -np.linspace(0.8, 1.2, 9)
+        got = ml_array(0.02, b, x)
+        want = np.array([ml(0.02, b, v) for v in x])
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=1e-11, atol=0)
+
     def test_empty(self):
         out = ml_array(0.5, 1.0, np.array([]))
         assert out.shape == (0,) and out.dtype == float
@@ -205,6 +223,52 @@ class TestMlArray:
             ml_array(0.5, 1.0, np.array([-1.0, np.nan]))
         with pytest.raises(DomainError):
             ml_array(1.0, 0.5, np.array([-10.0]))  # alpha = 1 has no integral
+
+
+class TestJointTable:
+    """_ml_table, the one core behind ml_array and the kernel tables: its
+    rows against one-beta ml_array."""
+
+    @staticmethod
+    def kernel_points(a, tau=0.25, horizon=20.0, cells=256):
+        # the kernel table points -(t/tau)^a on cell edges, out to
+        # |x| = 80^a, well past the series limit (13.9 at a = 0.6)
+        edges = np.arange(cells + 1) * (horizon / cells)
+        return -((edges / tau) ** a)
+
+    @pytest.mark.parametrize("a", [0.6, 0.8, 0.9, 0.95, 0.99, 0.9999])
+    def test_rows_equal_one_beta_tables(self, a):
+        x = self.kernel_points(a)
+        betas = (1.0, 2.0, a)
+        table = _ml_table(a, betas, x)
+        assert table.shape == (3, x.size)
+        for row, b in zip(table, betas):
+            want = ml_array(a, b, x)
+            series = np.array(
+                [v == 0.0 or (abs(v) <= _SERIES_TRY_LIMIT and _ml_series(a, b, v)[1]) for v in x]
+            )
+            assert series.any() and not series.all()
+            # series points bit for bit, integral points to 1e-13
+            assert np.array_equal(row[series], want[series])
+            rel = np.abs(row[~series] - want[~series]) / np.abs(want[~series])
+            assert rel.max() <= 1e-13, (b, x[~series][np.argmax(rel)], rel.max())
+
+    def test_a_point_waits_for_every_column(self):
+        # column 0 is constant and converges at once; column 1, a narrow peak
+        # at u = 1/2 that the graded start does not resolve, needs many
+        # bisections: a point that left with its first column would carry
+        # column 1's first, far-off estimate
+        width = np.array([1e-4, 2e-4, 4e-4])
+
+        def f(u, width):
+            peak = 1.0 / ((u - 0.5) ** 2 + width**2)
+            return np.array([np.ones_like(peak), peak])
+
+        got = _integrate_unit(f, [width])
+        assert got.shape == (2, 3)
+        assert np.array_equal(got[0], np.ones(3))
+        exact = 2.0 * np.arctan(0.5 / width) / width
+        assert np.allclose(got[1], exact, rtol=1e-11, atol=0)
 
 
 class TestRelaxationKernel:
