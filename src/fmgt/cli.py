@@ -40,13 +40,20 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
 
-def _write_csv(path: Path, header, columns):
+def _printed(values) -> list:
+    """Each value printed with 17 significant digits."""
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _write_csv(path: Path, header, columns, printed=None):
     """One row per index of the columns named in header, every value
-    printed with 17 significant digits."""
-    row_format = ",".join(["%.17g"] * len(header))
-    rows = zip(*(columns[name] for name in header))
-    lines = [",".join(header)] + [row_format % row for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    printed with 17 significant digits.  ``printed`` (name -> printed
+    values) holds the columns that several files share, printed once."""
+    printed = printed or {}
+    texts = [printed[name] if name in printed else _printed(columns[name]) for name in header]
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
 def _write_json(path: Path, obj):
@@ -75,16 +82,11 @@ def cmd_run(args) -> int:
     rep_low = energy_low(traj, spec, data, f)
     rep_high = energy_high(traj, spec, data, f, low=rep_low)
     columns = {"t": grid.nodes, **rep_low.columns}
-    _write_csv(
-        out / "trajectory.csv",
-        ["t", "l2_psi", "h1_psi", "l2_psi_t", "h1_psi_t", "l2_psi_tt"],
-        columns,
-    )
-    _write_csv(
-        out / "energy.csv",
-        ["t", "l2_psi_tt", "h1_psi_t", "h1_psi", "h2_psi_t", "h2_psi_tt", "h3_psi_t"],
-        columns,
-    )
+    trajectory = ["t", "l2_psi", "h1_psi", "l2_psi_t", "h1_psi_t", "l2_psi_tt"]
+    energy = ["t", "l2_psi_tt", "h1_psi_t", "h1_psi", "h2_psi_t", "h2_psi_tt", "h3_psi_t"]
+    shared = {name: _printed(columns[name]) for name in trajectory if name in energy}
+    _write_csv(out / "trajectory.csv", trajectory, columns, shared)
+    _write_csv(out / "energy.csv", energy, columns, shared)
 
     summary = {
         "schema": 1,

@@ -3,14 +3,20 @@ lagged-weight history sum and every lower-triangular Toeplitz solve of the
 solvers and their reconstructions.
 
 ``causal_conv`` evaluates out[n] = sum_{j<=n} kernel[n-j] x[j] for every n
-once all of x is known, by one real FFT product; ``CausalFilter`` keeps the
-kernel's transform for repeated products.  ``series_reciprocal`` inverts a
-lower-triangular Toeplitz matrix, so one more product solves the system it
-defines.  The solvers apply them to whole time axes: the Volterra solver
-relaxes windows of nodes against the reciprocal, and the z-form solver is
-one Toeplitz solve per mode.  Only the oracles loop node by node.
+once all of x is known, by one real FFT product.  ``CausalFilter`` applies
+a stack of kernels to one signal: it transforms the signal once and inverts
+once per kernel, and it keeps the kernels' transforms for every later
+signal; ``causal_conv`` is its one-kernel case.  The Volterra solver keeps
+its filters with the tables of an assembled problem, so each kernel
+spectrum is built once per run and signal length.  ``series_reciprocal``
+inverts a lower-triangular Toeplitz matrix, so one more product solves the
+system it defines.  The solvers apply them to whole time axes: the Volterra
+solver relaxes windows of nodes against the reciprocal, and the z-form
+solver is one Toeplitz solve per mode.  Only the oracles loop node by node.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -22,44 +28,81 @@ def causal_conv(kernel, x) -> np.ndarray:
     x gives each column its own.  Kernel entries beyond the length of x are
     unused; missing ones count as zero."""
     x = np.asarray(x, dtype=float)
-    return CausalFilter(kernel, x.shape[0])(x)
+    return CausalFilter(np.asarray(kernel, dtype=float)[None], x.shape[0])(x)[0]
 
 
 class CausalFilter:
-    """x -> causal_conv(kernel, x) for signals x of ``n`` rows, with the
-    kernel's transform computed once for every signal it is applied to.
+    """x -> [causal_conv(k, x) for k in kernels] for signals x of ``n``
+    rows: the kernels share one length and are each transformed once for
+    every signal they are applied to, and each signal is transformed once
+    for the whole stack.
 
-    Kernel and signal are each scaled by a power of two before the
-    transforms and the product scaled back, which is exact: the result
+    Each kernel, and the signal, is scaled by a power of two before the
+    transforms and each product scaled back, which is exact: a result
     overflows only where the sums themselves do, not where the transform's
     partial sums would.  A kernel whose only nonzero row is its first is
-    applied as a plain product, exactly.
+    applied as a plain product, exactly.  So each result equals the
+    kernel's own ``causal_conv`` bit for bit.
     """
 
-    def __init__(self, kernel, n: int):
-        kernel = np.asarray(kernel, dtype=float)[:n]
+    def __init__(self, kernels, n: int):
+        kernels = np.asarray(kernels, dtype=float)[:, :n]
         self.n = n
-        self.kernel = kernel
-        self.plain = kernel.shape[0] > 0 and not np.any(kernel[1:])
-        if n == 0 or kernel.shape[0] == 0 or self.plain:
-            return
-        self.size = _fast_len(n + kernel.shape[0] - 1)
-        self.binade = _binade(kernel)
-        self.spec = rfft(np.ldexp(kernel, -self.binade), self.size, axis=0)
+        length = kernels.shape[1]
+        # 0: every kernel or signal is empty and so is every sum
+        self.size = _fast_len(n + length - 1) if n and length else 0
+        self.rows = [self._row(kernel) for kernel in kernels]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.n == 0 or self.kernel.shape[0] == 0:
-            return np.zeros_like(x)
-        if self.plain:
-            return self.kernel[0] * x
-        spec = self.spec
-        if spec.ndim == 1:
-            spec = spec.reshape((-1,) + (1,) * (x.ndim - 1))
-        e = _binade(x)
-        out = irfft(spec * rfft(np.ldexp(x, -e), self.size, axis=0), self.size, axis=0)
-        return np.ldexp(out[: self.n], self.binade + e)
+    def _row(self, kernel):
+        """(kernel, binade, spectrum); the spectrum is None for a plain
+        product."""
+        if not self.size or not np.any(kernel[1:]):
+            return kernel, 0, None
+        binade = _binade(kernel)
+        spec = rfft(np.ldexp(kernel, -binade), self.size, axis=0)
+        return kernel, binade, spec
+
+    @classmethod
+    def stack(cls, filters) -> "CausalFilter":
+        """One filter with the kernels of ``filters``, which were built for
+        one n and one kernel length, in order; no transform is repeated."""
+        out = cls.__new__(cls)
+        out.n, out.size = filters[0].n, filters[0].size
+        if any((f.n, f.size) != (out.n, out.size) for f in filters):
+            raise ValueError("stacked filters must share n and the kernel length")
+        out.rows = [row for f in filters for row in f.rows]
+        return out
+
+    def __call__(self, x: np.ndarray) -> list:
+        if not self.size:
+            return [np.zeros_like(x) for _ in self.rows]
+        out = []
+        uses = sum(spec is not None for _, _, spec in self.rows)
+        x_spec = []  # the transform of x, while a kernel still needs it
+        for kernel, binade, spec in self.rows:
+            if spec is None:
+                out.append(kernel[0] * x)
+                continue
+            if not x_spec:
+                e = _binade(x)
+                x_spec.append(rfft(np.ldexp(x, -e), self.size, axis=0))
+            if spec.ndim == 1:
+                spec = spec.reshape((-1,) + (1,) * (x.ndim - 1))
+            uses -= 1
+            # spec times a temporary, as for a lone kernel: numpy may form
+            # the product in the temporary, operands swapped, and their order
+            # decides the rounding of a complex product.  The last kernel
+            # takes the transform itself, the others copies, so no kernel
+            # sees another's product; a name bound to the factor would keep
+            # numpy from reusing it.
+            prod = irfft(
+                spec * (x_spec.pop() if uses == 0 else x_spec[0].copy()), self.size, axis=0
+            )
+            out.append(np.ldexp(prod[: self.n], binade + e))
+        return out
 
 
+@functools.lru_cache(maxsize=1024)
 def _fast_len(n: int) -> int:
     """The least 5-smooth integer >= n: a transform length that the FFT
     factors into radices 2, 3 and 5 only."""

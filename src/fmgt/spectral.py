@@ -122,8 +122,10 @@ class EigenBasis:
         return flat[..., self._tensor_pos]
 
     def _synthesize(self, t: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-        """ax T ay^T for each (m_x, m_y) tensor, flattened to grid points."""
-        vals = ax @ t @ ay.T
+        """ax T ay^T for each (m_x, m_y) tensor, flattened to grid points: the
+        y factor as one product over the whole batch, then the x factor."""
+        right = t.reshape(-1, t.shape[-1]) @ ay.T
+        vals = ax @ right.reshape(t.shape[:-1] + (ay.shape[0],))
         return vals.reshape(t.shape[:-2] + (self.grid_size,))
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:

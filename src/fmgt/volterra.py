@@ -89,33 +89,37 @@ class DiagonalTerm:
 class CollocationTerm:
     """The collocation multiplier v_n -> P(sigma_n ⊙ E v_n) on
     (p^exponent * mu)(t_n).  E and P stand for the basis's separable
-    transforms ``evaluate`` and ``project_values``; ``apply`` takes the
-    nodes ``rows`` (an index or a slice) and their vectors v at once.
+    transforms ``evaluate`` and ``project_values``.  ``grid_values`` gives
+    sigma_n ⊙ E v_n for the nodes ``rows`` (an index or a slice) and their
+    vectors v at once; the solver projects the sum of its terms' grid
+    values once.
     """
 
     exponent: float
     values: np.ndarray  # (N+1, Mgrid): sigma on the collocation grid
 
-    def apply(self, basis: EigenBasis, rows, v: np.ndarray) -> np.ndarray:
-        return basis.project_values(self.values[rows] * basis.evaluate(v))
+    def grid_values(self, basis: EigenBasis, rows, v: np.ndarray) -> np.ndarray:
+        vals = basis.evaluate(v)
+        return np.multiply(self.values[rows], vals, out=vals)
 
 
 @dataclass
 class GradientTerm:
     """v_n -> coeff P(sum_axis g_axis,n ⊙ G_axis v_n) on
-    (p^exponent * mu)(t_n), G_axis being ``evaluate_grad``; batched over
-    nodes like CollocationTerm."""
+    (p^exponent * mu)(t_n), G_axis being ``evaluate_grad``; its grid values,
+    coeff included, are batched over nodes like CollocationTerm's."""
 
     exponent: float
     coeff: float
     grads: list  # per-axis (N+1, Mgrid) grid values
 
-    def apply(self, basis: EigenBasis, rows, v: np.ndarray) -> np.ndarray:
+    def grid_values(self, basis: EigenBasis, rows, v: np.ndarray) -> np.ndarray:
         grads = basis.evaluate_grad(v)
-        acc = self.grads[0][rows] * grads[0]
+        acc = np.multiply(self.grads[0][rows], grads[0], out=grads[0])
         for g_vals, g in zip(self.grads[1:], grads[1:]):
-            acc += g_vals[rows] * g
-        return self.coeff * basis.project_values(acc)
+            acc += np.multiply(g_vals[rows], g, out=g)
+        acc *= self.coeff
+        return acc
 
 
 @dataclass
@@ -136,6 +140,10 @@ class _Tables:
 
     weights: dict = field(default_factory=dict)  # exponent -> _PIWeights
     reciprocal: np.ndarray | None = None  # T^{-1} of the diagonal terms (solve_mu)
+    # T^{-1} on windows of one length: only the last length solve_mu used,
+    # so halving a stiff solve's windows does not grow the tables
+    solve_t: CausalFilter | None = None
+    lags: dict = field(default_factory=dict)  # (exponent, length) -> C_e's filter
 
 
 @dataclass
@@ -164,6 +172,15 @@ class VolterraProblem:
         if g not in self.tables.weights:
             self.tables.weights[g] = _PIWeights(g, self.grid.steps, self.grid.h)
         return self.tables.weights[g]
+
+    def lag_filter(self, exponents, length: int) -> CausalFilter:
+        """The lag kernels C_g of ``exponents`` as one stack on signals of
+        ``length`` rows; each kernel's spectrum is built once per length."""
+        lags = self.tables.lags
+        for g in exponents:
+            if (g, length) not in lags:
+                lags[g, length] = CausalFilter([self.weights(g).C], length)
+        return CausalFilter.stack([lags[g, length] for g in exponents])
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +237,11 @@ class _PIWeights:
         self.b1[2:] += self.W1[: n_steps - 1]
         self.b1[3:] += self.W0[: max(n_steps - 2, 0)]
 
-    def conv_all(self, mu: np.ndarray) -> np.ndarray:
-        """The convolution at every node, from the complete mu."""
+    def conv_all(self, mu: np.ndarray, lagged: np.ndarray | None = None) -> np.ndarray:
+        """The convolution at every node, from the complete mu; ``lagged``
+        is causal_conv(C, mu[2:]) where the caller has it already."""
         out = np.outer(self.b0, mu[0]) + np.outer(self.b1, mu[1])
-        out[2:] += causal_conv(self.C, mu[2:])
+        out[2:] += causal_conv(self.C, mu[2:]) if lagged is None else lagged
         return out
 
 
@@ -469,15 +487,21 @@ def solve_mu(
     inverted by ``series_reciprocal`` once per problem and its frozen
     iterates.  The collocation and gradient terms S go to the right-hand side
     and are relaxed over a window of nodes at once (waveform relaxation):
-    x <- T^{-1}(F - boundary terms - S(conv(x))).  Node 1, whose self weights differ, is a window of its own.
+    x <- T^{-1}(F - boundary terms - S(conv(x))).  Node 1, whose self
+    weights differ, is a window of its own.
 
     The first window holds all of nodes 2..N.  A window whose sweeps stop
     contracting (an update no smaller than the one before, unless it is at
     the rounding floor; a non-finite value; or MAX_SWEEPS sweeps) is halved
     and solved again; the windows already solved reach later ones through
-    the causal convolution.  A window of one node is the per-node fixed
-    point: there a non-finite value raises SolverBlowUpError and MAX_SWEEPS
-    sweeps raise InnerSolveError, both naming the node.
+    the causal convolution, one stacked product over every exponent.  A
+    window of one node is the per-node fixed point: there a non-finite
+    value raises SolverBlowUpError and MAX_SWEEPS sweeps raise
+    InnerSolveError, both naming the node.
+
+    The filters of T^{-1} and of the lag kernels live with the problem's
+    tables, which its frozen iterates share: each spectrum is built once
+    per window length, and T^{-1}'s for one length at a time.
 
     ``guess`` ((N+1, modes), such as the previous Picard iterate) starts the
     sweeps; they start from zero otherwise.  If ``diagnostics`` is given,
@@ -485,7 +509,7 @@ def solve_mu(
     every kernel term is diagonal) and "relaxation_windows" the number of
     windows nodes 2..N were solved in.
     """
-    basis, grid = problem.basis, problem.grid
+    basis, grid, tables = problem.basis, problem.grid, problem.tables
     n_steps = grid.steps
     exponents = list(dict.fromkeys(term.exponent for term in problem.kernel.terms))
     weights = [problem.weights(g) for g in exponents]
@@ -496,7 +520,11 @@ def solve_mu(
         if isinstance(term, DiagonalTerm):
             diag[slot[term.exponent]] += term.diag
         else:
-            ops.append((term, slot[term.exponent]))
+            ops.append(term)
+    # the exponents the collocation and gradient terms act on: one lag stack
+    op_exponents = list(dict.fromkeys(term.exponent for term in ops))
+    op_slots = [slot[g] for g in op_exponents]
+    ops = [(term, op_exponents.index(term.exponent)) for term in ops]
     shape = (len(exponents), n_steps + 1)  # also when no kernel term exists
     lags = np.reshape([w.C for w in weights], shape)
     b0 = np.reshape([w.b0 for w in weights], shape)
@@ -505,12 +533,6 @@ def solve_mu(
 
     mu = np.zeros_like(start)
     mu[0] = problem.forcing[0] / problem.lead
-    op_slots = {e for _, e in ops}
-
-    def filters(recip, lag_kernels, length):
-        # T^{-1} and the lag kernels C_e of the collocation terms on one window
-        solve_t = CausalFilter(recip, length)
-        return solve_t, {e: CausalFilter(lag_kernels[e], length) for e in op_slots}
 
     sweeps_max = windows = 0
     # overflow shows as non-finite values, which the windows check
@@ -519,16 +541,18 @@ def solve_mu(
             # node 1: the first-cell self weights b1_e[1] make a 1 x 1 symbol
             symbol = problem.lead + b1[:, 1] @ diag
             known = (b0[:, 1, None] * mu[0])[:, None]
-            window = filters(1.0 / symbol[None], b1[:, 1:2], 1)
-            x, sweeps_max = _relax(problem, diag, ops, slice(1, 2), known, window, start)
+            window = (
+                CausalFilter((1.0 / symbol)[None, None], 1),
+                CausalFilter(b1[op_slots, 1:2], 1),
+            )
+            x, sweeps_max = _relax(problem, diag, ops, op_slots, slice(1, 2), known, window, start)
             mu[1] = x[0]
         if n_steps >= 2:
-            recip = problem.tables.reciprocal
+            recip = tables.reciprocal
             if recip is None:
                 symbol = np.einsum("em,ek->km", diag, lags[:, : n_steps - 1])
                 symbol[0] += problem.lead
-                recip = problem.tables.reciprocal = series_reciprocal(symbol)
-            cached = {}  # window length -> filters, shared by windows of one length
+                recip = tables.reciprocal = series_reciprocal(symbol)
             first, length = 2, n_steps - 1
             while first <= n_steps:
                 length = min(length, n_steps + 1 - first)
@@ -538,11 +562,15 @@ def solve_mu(
                     # what the solved nodes 2..first-1 add to the window
                     prefix = np.zeros((first - 2 + length, basis.size))
                     prefix[: first - 2] = mu[2:first]
-                    for e in range(len(weights)):
-                        known[e] += causal_conv(lags[e], prefix)[first - 2 :]
-                if length not in cached:
-                    cached[length] = filters(recip, lags, length)
-                x, sweeps = _relax(problem, diag, ops, rows, known, cached[length], start)
+                    solved = CausalFilter(lags, len(prefix))(prefix)
+                    for known_e, solved_e in zip(known, solved):
+                        known_e += solved_e[first - 2 :]
+                if tables.solve_t is None or tables.solve_t.n != length:
+                    tables.solve_t = CausalFilter(recip[None], length)
+                lag = problem.lag_filter(op_exponents, length) if ops else None
+                x, sweeps = _relax(
+                    problem, diag, ops, op_slots, rows, known, (tables.solve_t, lag), start
+                )
                 if x is None:
                     length = (length + 1) // 2
                     continue
@@ -556,12 +584,16 @@ def solve_mu(
     return mu
 
 
-def _relax(problem, diag, ops, rows, known, filters, start):
+def _relax(problem, diag, ops, op_slots, rows, known, filters, start):
     """Solve the mu equations of the nodes ``rows``, whose earlier nodes are
     final: ``known`` (exponents, nodes, modes) holds what those contribute
-    to each exponent's convolution.  With ``filters`` = (T^{-1}, {e: C_e})
-    on the window, it sweeps x <- T^{-1}(F - sum_e D_e known_e - S(known +
-    C x)) from start[rows].
+    to each exponent's convolution.  ``ops`` pairs each collocation or
+    gradient term with the row of its exponent in the stack ``op_slots``
+    (the slots of ``known`` the terms act on).  With ``filters`` = (T^{-1},
+    the stacked C_e of op_slots) on the window, it sweeps
+    x <- T^{-1}(F - sum_e D_e known_e - P(sum_S S(known + C x))) from
+    start[rows]: each sweep transforms x once for the whole stack, sums
+    the terms' grid values and projects them once.
 
     Returns (x, sweeps); x is None when a window of several nodes did not
     converge.  A window of one node raises instead.
@@ -570,16 +602,13 @@ def _relax(problem, diag, ops, rows, known, filters, start):
     single = rows.stop - rows.start == 1
     rhs = problem.forcing[rows] - np.einsum("em,elm->lm", diag, known)
     if not ops:
-        x, sweeps = solve_t(rhs), 0
+        x, sweeps = solve_t(rhs)[0], 0
         converged = bool(np.all(np.isfinite(x)))
     else:
         x, last, converged = start[rows], np.inf, False
         for sweeps in range(1, MAX_SWEEPS + 1):
-            conv = {e: known[e] + c(x) for e, c in lag.items()}
-            r = rhs.copy()
-            for term, e in ops:
-                r -= term.apply(problem.basis, rows, conv[e])
-            x_new = solve_t(r)
+            frozen = _frozen_terms(problem.basis, ops, op_slots, rows, known, lag, x)
+            x_new = solve_t(rhs - frozen)[0]
             update = float(np.max(np.abs(x_new - x)))
             x = x_new
             if not np.all(np.isfinite(x)):
@@ -601,11 +630,28 @@ def _relax(problem, diag, ops, rows, known, filters, start):
     raise InnerSolveError(rows.start, MAX_SWEEPS, update)
 
 
+def _frozen_terms(basis, ops, op_slots, rows, known, lag, x):
+    """P(sum_S S(known + C x)) on the window ``rows``: one transform of x
+    for the stacked lag kernels, the terms' grid values summed where the
+    first term formed them, and one projection."""
+    conv = lag(x)
+    for conv_e, e in zip(conv, op_slots):
+        conv_e += known[e]
+    (term, e), *rest = ops
+    vals = term.grid_values(basis, rows, conv[e])
+    for term, e in rest:
+        vals += term.grid_values(basis, rows, conv[e])
+    return basis.project_values(vals)
+
+
 def reconstruct(problem: VolterraProblem, mu: np.ndarray) -> Trajectory:
     grid = problem.grid
     t = grid.nodes
     e_psi, e_psit, e_psitt = problem.recon_exponents
-    conv = {e: problem.weights(e).conv_all(mu) for e in {e_psi, e_psit, e_psitt}}
+    # one transform of mu[2:] for the lag kernels of all three exponents
+    exponents = list(dict.fromkeys(problem.recon_exponents))
+    lagged = problem.lag_filter(exponents, grid.steps - 1)(mu[2:])
+    conv = {e: problem.weights(e).conv_all(mu, h) for e, h in zip(exponents, lagged)}
     xi0, xi1, xi2 = problem.xi0, problem.xi1, problem.xi2
     psi_tt = xi2[None, :] + conv[e_psitt]
     psi_t = xi1[None, :] + t[:, None] * xi2[None, :] + conv[e_psit]
@@ -767,12 +813,15 @@ def picard_nonlinear(
     for it in range(1, max_iter + 1):
         sigma = None
         if k != 0.0:
-            sigma = 2.0 * k * basis.evaluate(current.psi_t)
+            sigma = basis.evaluate(current.psi_t)
+            sigma *= 2.0 * k
             _check_nondegenerate(sigma, t, it)
         grad_w = grad_data = None
         if l != 0.0:
             grad_w = basis.evaluate_grad(current.psi)
-            acc = sum(gw * gl for gw, gl in zip(grad_w, grad_lin))
+            acc = grad_w[0] * grad_lin[0]
+            for gw, gl in zip(grad_w[1:], grad_lin[1:]):
+                acc += gw * gl
             grad_data = 2.0 * l * basis.project_values(acc)
         nxt = solve(freeze(linear, sigma, grad_w, grad_data), guess=current.mu)
         sweeps.append(nxt.diagnostics["relaxation_sweeps"])
@@ -797,6 +846,7 @@ def picard_nonlinear(
             ]
             ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
             current.diagnostics["picard_iterations"] = it
+            current.diagnostics["picard_distances"] = [float(d) for d in distances]
             current.diagnostics["contraction_ratio"] = ratio
             current.diagnostics["relaxation_sweeps"] = sweeps
             current.diagnostics["relaxation_windows"] = windows

@@ -15,7 +15,7 @@ def _kernel_apply(problem, t: float, s: float, vec: np.ndarray, node: int = 0) -
         if isinstance(term, DiagonalTerm):
             out += term.diag * v
         else:
-            out += term.apply(problem.basis, node, v)
+            out += problem.basis.project_values(term.grid_values(problem.basis, node, v))
     return -out / problem.lead
 
 

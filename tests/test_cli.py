@@ -24,7 +24,13 @@ PRESETS = Path(__file__).resolve().parents[1] / "presets"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-PICARD_KEYS = ["contraction_ratio", "picard_iterations", "relaxation_sweeps", "relaxation_windows"]
+PICARD_KEYS = [
+    "contraction_ratio",
+    "picard_distances",
+    "picard_iterations",
+    "relaxation_sweeps",
+    "relaxation_windows",
+]
 
 # each once reached a solver and failed there with exit code 3
 NON_FINITE_ENTRIES = [
@@ -318,6 +324,21 @@ class TestArtifacts:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["ode_crosscheck_max_error"] < 1e-8
         assert summary["model"]["backend"] == "volterra"
+
+    def test_csv_values_printed_like_python_floats(self, tmp_path):
+        # columns are printed from .tolist() floats, and a column printed
+        # once serves every file that shares it
+        values = [-0.0, 5e-324, 1e308, 0.1, 3.0]
+        columns = {"a": np.array(values), "b": np.array(values[::-1])}
+        want = ["%.17g" % float(v) for v in values]
+        assert want == ["-0", "4.9406564584124654e-324", "1e+308", "0.10000000000000001", "3"]
+        assert fmgt.cli._printed(columns["a"]) == want
+        shared = {"b": fmgt.cli._printed(columns["b"])}
+        fmgt.cli._write_csv(tmp_path / "one.csv", ["a", "b"], columns, shared)
+        fmgt.cli._write_csv(tmp_path / "two.csv", ["b"], {}, shared)
+        lines = (tmp_path / "one.csv").read_text().splitlines()
+        assert lines == ["a,b"] + [f"{x},{y}" for x, y in zip(want, want[::-1])]
+        assert (tmp_path / "two.csv").read_text().splitlines() == ["b"] + want[::-1]
 
     def test_trajectory_csv_floats_round_trip(self, tmp_path):
         # 17 significant digits: parsing the text recovers the exact double

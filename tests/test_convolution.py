@@ -6,7 +6,7 @@ import pytest
 from scipy.fft import next_fast_len
 from scipy.linalg import solve_triangular, toeplitz
 
-from fmgt.convolution import _fast_len, causal_conv, series_reciprocal
+from fmgt.convolution import CausalFilter, _fast_len, causal_conv, series_reciprocal
 from fmgt.volterra import _PIWeights
 
 # sizes on both sides of powers of two, where Newton's doubling steps end
@@ -87,6 +87,45 @@ def test_causal_conv_short_kernel():
     K = kernels(10)[1]
     padded = np.concatenate([K, np.zeros(90)])
     assert_close(causal_conv(K, x), naive_sum(padded, x))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 257])
+def test_kernel_stack_equals_separate_calls(n):
+    # 1-D kernels, per-column kernels and a single-row ("plain") kernel, one
+    # filter each, stacked: every row equals its own causal_conv bit for bit
+    x = signal(n, 3)
+    one_d = kernels(n + 4)
+    per_column = np.stack([kernels(n + 4).T, 2.0 * kernels(n + 4).T[::-1]])
+    plain = np.zeros((1, n + 4))
+    plain[0, 0] = -1.5
+    stacks = [one_d, per_column, plain]
+    filters = [CausalFilter(k, n) for k in stacks]
+    stacked = CausalFilter.stack(filters)
+    want = [causal_conv(k, x) for stack in stacks for k in stack]
+    for f, stack in zip(filters, stacks):
+        got = f(x)
+        assert len(got) == len(stack)
+        assert all(np.array_equal(g, causal_conv(k, x)) for g, k in zip(got, stack))
+    got = stacked(x)
+    assert len(got) == len(want)
+    assert all(g.shape == x.shape and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_kernel_stack_scales_each_kernel():
+    # kernels near 1e300 and 1e-300 in one stack: one shared scaling would
+    # push the small kernel's transform into subnormals or the large one's
+    # products to overflow
+    x = signal(257, 2)
+    K = kernels(257)
+    stack = np.stack([1e300 * K[0], 1e-300 * K[1], K[2], 3e-300 * K[0]])
+    f = CausalFilter(stack, 257)
+    first = f(x)
+    for got, k in zip(first, stack):
+        assert np.array_equal(got, causal_conv(k, x))
+        assert np.all(np.isfinite(got)) and np.any(got != 0.0)
+    # applied again, the cached spectra and the shared transform of x are
+    # unchanged: nothing was multiplied into them in place
+    assert all(np.array_equal(a, b) for a, b in zip(f(x), first))
 
 
 def test_fast_len_is_the_least_5_smooth_length():

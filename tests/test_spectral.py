@@ -284,7 +284,8 @@ class TestSeparableTransforms:
             assert _rel_err(got, -want / lead) < 1e-13
 
     def test_term_operators_batched_over_nodes(self, sep_basis):
-        # one apply over a slice of nodes equals the dense formula node by node
+        # the projected grid values of one call over a slice of nodes equal
+        # the dense formula node by node
         from fmgt.volterra import CollocationTerm, GradientTerm
 
         b = sep_basis
@@ -294,8 +295,8 @@ class TestSeparableTransforms:
         rows = slice(2, 7)
         V = rng.normal(size=(5, b.size))
         E, P, G = b.eval_matrix(), b.proj_matrix(), b.grad_matrices()
-        colloc = CollocationTerm(0.0, sigma).apply(b, rows, V)
-        graddot = GradientTerm(1.0, -0.3, grads).apply(b, rows, V)
+        colloc = b.project_values(CollocationTerm(0.0, sigma).grid_values(b, rows, V))
+        graddot = b.project_values(GradientTerm(1.0, -0.3, grads).grid_values(b, rows, V))
         for i, n in enumerate(range(2, 7)):
             assert _rel_err(colloc[i], P @ (sigma[n] * (E @ V[i]))) < 1e-13
             want = -0.3 * (P @ sum(g[n] * (Gm @ V[i]) for g, Gm in zip(grads, G)))

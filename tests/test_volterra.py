@@ -15,6 +15,7 @@ from fmgt.models import (
     ModelVariant,
     Nonlinearity,
 )
+import fmgt.convolution
 import fmgt.volterra
 from fmgt.spectral import SpectralField
 from fmgt.volterra import (
@@ -389,6 +390,19 @@ class TestPicard:
         assert res.converged
         assert res.contraction_ratio < 1
 
+    def test_distances_reach_the_summary_keys(self):
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
+            MediumParams(k_tilde=0.1, l_tilde=0.1),
+            0.7,
+        )
+        res = picard_nonlinear(spec, self.data, TimeGrid(1.0, 64), tol=1e-10)
+        distances = res.trajectory.diagnostics["picard_distances"]
+        assert distances == res.distances
+        assert len(distances) == res.trajectory.diagnostics["picard_iterations"] >= 2
+        assert distances[-1] < 1e-10
+        assert all(type(d) is float for d in distances)
+
     def test_fractional_leading_families(self):
         for fam in (Family.BASE, Family.I):
             spec = ModelSpec(
@@ -711,6 +725,99 @@ class TestTwoDimensional:
         )
         res = picard_nonlinear(spec, small, TimeGrid(1.0, 128), tol=1e-10)
         assert res.converged and res.contraction_ratio < 1
+
+    def _kuznetsov(self, steps):
+        small = InitialData(
+            SpectralField(
+                self.basis,
+                1e-3 * self.data.psi0.coeffs / np.max(np.abs(self.data.psi0.coeffs)),
+            ),
+            SpectralField(self.basis, 0.5e-3 * self.basis.unit_mode(1).coeffs),
+            self.basis.zero_field(),
+        )
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
+            MediumParams(k_tilde=0.1, l_tilde=0.1),
+            0.7,
+        )
+        return spec, small, TimeGrid(1.0, steps)
+
+    def test_picard_does_each_transform_once(self, monkeypatch):
+        # T^{-1}'s spectrum is built once per run and each lag kernel's once
+        # per window length; each sweep transforms its two signals (x for the
+        # stacked lag kernels, the right-hand side for T^{-1}) once each and
+        # projects the grid values of both frozen terms once
+        spectra = []  # (kernel dimensions, kernel bytes, signal length)
+        forward = []
+        projections = []
+        relaxed = []  # (window nodes, sweeps, forward transforms, projections)
+
+        class CountingFilter(fmgt.convolution.CausalFilter):
+            def _row(self, kernel):
+                row = super()._row(kernel)
+                if row[2] is not None:
+                    spectra.append((kernel.ndim, kernel.tobytes(), self.n))
+                return row
+
+        rfft = fmgt.convolution.rfft
+        project_values = EigenBasis.project_values
+        relax = fmgt.volterra._relax
+
+        def counting_rfft(a, *args, **kwargs):
+            forward.append(a.shape)
+            return rfft(a, *args, **kwargs)
+
+        def counting_projection(basis, values):
+            projections.append(values.shape)
+            return project_values(basis, values)
+
+        def counting_relax(problem, diag, ops, op_slots, rows, *args):
+            counts = len(forward), len(projections)
+            x, sweeps = relax(problem, diag, ops, op_slots, rows, *args)
+            if ops:
+                relaxed.append((
+                    rows.stop - rows.start,
+                    sweeps,
+                    len(forward) - counts[0],
+                    len(projections) - counts[1],
+                ))
+            return x, sweeps
+
+        monkeypatch.setattr(fmgt.volterra, "CausalFilter", CountingFilter)
+        monkeypatch.setattr(fmgt.convolution, "rfft", counting_rfft)
+        monkeypatch.setattr(EigenBasis, "project_values", counting_projection)
+        monkeypatch.setattr(fmgt.volterra, "_relax", counting_relax)
+        res = picard_nonlinear(*self._kuznetsov(32), tol=1e-10)
+        diagnostics = res.trajectory.diagnostics
+        assert res.iterations >= 2
+        assert diagnostics["relaxation_windows"] == [1] * res.iterations
+
+        reciprocal = [s for s in spectra if s[0] == 2]
+        lag = [s[1:] for s in spectra if s[0] == 1]
+        assert len(reciprocal) == 1
+        assert len(lag) == len(set(lag)) == 3  # psi, psi_t and psi_tt's on nodes 2..N
+        # node 1 and then nodes 2..N per iterate
+        assert [r[0] for r in relaxed] == [1, 31] * res.iterations
+        for nodes, sweeps, transforms, projected in relaxed:
+            assert projected == sweeps
+            assert transforms == (0 if nodes == 1 else 2 * sweeps)  # node 1: plain products
+
+    def test_frozen_terms_leave_their_data(self):
+        # the terms multiply into the arrays evaluate and evaluate_grad return
+        spec, data, grid = self._kuznetsov(16)
+        linear = assemble_fmgt3(spec, data, None, grid)
+        rng = np.random.default_rng(7)
+        sigma = 0.1 * rng.normal(size=(grid.steps + 1, self.basis.grid_size))
+        grad_w = [rng.normal(size=sigma.shape) for _ in range(2)]
+        frozen = freeze(linear, sigma, grad_w, np.zeros_like(linear.forcing))
+        colloc, graddot = frozen.kernel.terms[-2:]
+        stored = [colloc.values.copy()] + [g.copy() for g in graddot.grads]
+        v = rng.normal(size=(5, self.basis.size))
+        for term in (colloc, graddot):
+            first = term.grid_values(self.basis, slice(3, 8), v)
+            assert np.array_equal(term.grid_values(self.basis, slice(3, 8), v), first)
+        for kept, now in zip(stored, [colloc.values] + graddot.grads):
+            assert np.array_equal(kept, now)
 
     def test_picard_numerics_unchanged(self):
         # small Kuznetsov III case with nonzero psi1 and psi2, so that both
