@@ -172,6 +172,8 @@ class RunConfig:
             raise ConfigError("time.T must be positive")
         if self.entries["data.preset"] not in ("zero", "bump", "mode", "decay", "coeffs"):
             raise ConfigError(f"unknown data.preset {self.entries['data.preset']!r}")
+        if self.entries["data.preset"] == "coeffs" and "data.psi0" not in self.entries:
+            raise ConfigError("key data.psi0: data.preset = coeffs reads psi0 from it")
         if self.entries["source.preset"] not in ("zero", "mode-cos", "pulse"):
             raise ConfigError(f"unknown source.preset {self.entries['source.preset']!r}")
         if "study.n_sweep" in self.entries:
@@ -212,13 +214,13 @@ class RunConfig:
 
     def basis(self) -> EigenBasis:
         lengths = self._floats("domain.lengths")
-        if self.entries["domain.kind"] == "interval":
-            dom = Domain.interval(lengths[0])
-        elif len(lengths) != 2:
-            raise ConfigError("rectangle domains need two lengths")
-        else:
-            dom = Domain.rectangle(*lengths)
-        return EigenBasis(dom, self._int("domain.cutoff"))
+        kind = self.entries["domain.kind"]
+        count = {"interval": 1, "rectangle": 2}[kind]
+        if len(lengths) != count:
+            raise ConfigError(
+                f"key domain.lengths: domain.kind = {kind} takes {count}, got {len(lengths)}"
+            )
+        return EigenBasis(Domain(tuple(lengths)), self._int("domain.cutoff"))
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self._float("time.T"), self._int("time.N"))
@@ -252,7 +254,10 @@ class RunConfig:
         return InitialData(psi0, psi1, psi2)
 
     def _field_from_key(self, basis, key):
+        """The coefficients listed at key, zero-padded to the basis size."""
         vals = self._floats(key)
+        if len(vals) > basis.size:
+            raise ConfigError(f"key {key}: {len(vals)} coefficients for {basis.size} modes")
         coeffs = np.zeros(basis.size)
         coeffs[: len(vals)] = vals
         return SpectralField(basis, coeffs)

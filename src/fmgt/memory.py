@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolution import causal_conv, series_reciprocal
+from .convolution import CausalFilter, causal_conv, series_reciprocal
 from .fractional import TimeGrid, first_derivative, gamma, l1_weights, second_derivative
 from .mittag_leffler import RelaxationKernel, kernel_cell_moments
 from .models import Family, InitialData, ModelError, ModelSpec, Nonlinearity
@@ -141,13 +141,15 @@ def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Z
 
     # overflow shows as non-finite rows, which are checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        symbol = -0.25 * h * h * causal_conv(c, k)
+        # c and the reciprocal each act twice: one spectrum each
+        by_c = CausalFilter([c], n_steps)
+        symbol = -0.25 * h * h * by_c(k)[0]
         symbol[0] += 1.0
-        recip = series_reciprocal(symbol)
+        solve_t = CausalFilter([series_reciprocal(symbol)], n_steps)
         rhs = causal_conv(k, d) + g
-        acc = causal_conv(recip, rhs)
-        acc += causal_conv(recip, rhs - causal_conv(symbol, acc))
-        z = np.vstack([z0, d + 0.25 * h * h * causal_conv(c, acc)])
+        acc = solve_t(rhs)[0]
+        acc += solve_t(rhs - causal_conv(symbol, acc))[0]
+        z = np.vstack([z0, d + 0.25 * h * h * by_c(acc)[0]])
         acc = np.vstack([acc0, acc])
         z_t = np.vstack([v0, v0 + 0.5 * h * np.cumsum(acc[:-1] + acc[1:], axis=0)])
     finite = np.isfinite(np.hstack([z, z_t])).all(axis=1)

@@ -89,13 +89,22 @@ class ModelVariant:
         return lo < alpha <= hi
 
 
-# Damping exponent of each family: its symbol in the catalog and its value
-_BETA = {
-    Family.BASE: ("1", lambda alpha: 1.0),
-    Family.I: ("2-a", lambda alpha: 2.0 - alpha),
-    Family.II: ("a", lambda alpha: alpha),
-    Family.III: ("2-a", lambda alpha: 2.0 - alpha),
+# The two orders of each family, (n, m) standing for n + m alpha: gamma_z,
+# of the substitution z = tau^g D^g psi + psi, and beta, of the damping, with
+# beta's symbol in the catalog.  Differences of orders taken in (n, m) are
+# exact, where in floating point 2 - (2 - alpha) != alpha.
+_ORDERS = {
+    Family.BASE: ((0, 1), (1, 0), "1"),
+    Family.I: ((0, 1), (2, -1), "2-a"),
+    Family.II: ((0, 1), (0, 1), "a"),
+    Family.III: ((1, 0), (2, -1), "2-a"),
 }
+
+
+def order_value(order, alpha: float) -> float:
+    """The value n + m alpha of an order (n, m)."""
+    n, m = order
+    return n + m * alpha
 
 
 def beta_of(variant: ModelVariant, alpha: float) -> float:
@@ -105,7 +114,7 @@ def beta_of(variant: ModelVariant, alpha: float) -> float:
         raise ModelError(
             f"alpha must lie in ({lo}, 1] for family {variant.family.value}, got {alpha}"
         )
-    return _BETA[variant.family][1](alpha)
+    return order_value(_ORDERS[variant.family][1], alpha)
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,12 @@ class ModelSpec:
     def gamma_z(self) -> float:
         """Order of the substitution z = tau^g D^g psi + psi: 1 for family
         III, alpha otherwise."""
-        return 1.0 if self.family is Family.III else self.alpha
+        return order_value(self.orders[0], self.alpha)
+
+    @property
+    def orders(self) -> tuple:
+        """(gamma_z, beta) as (n, m) pairs of n + m alpha."""
+        return _ORDERS[self.family][:2]
 
     @property
     def family(self) -> Family:
@@ -349,7 +363,7 @@ def describe(variant: ModelVariant) -> dict:
         "family": variant.family.value,
         "nonlinearity": variant.nonlinearity.value,
         "terms": term_list(variant),
-        "beta": _BETA[variant.family][0],
+        "beta": _ORDERS[variant.family][2],
         "alpha_range": f"({lo}, {hi}]",
         "backend": solver_backend(variant),
         "z_order": "1" if variant.family is Family.III else "a",

@@ -304,6 +304,30 @@ class TestExitCodes:
         assert err.startswith("configuration error: key study.crosscheck: ")
         assert reason in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "entries, key",
+        [
+            ("data.preset = coeffs\ndata.psi0 = 1,2,3", "data.psi0"),
+            ("data.psi1 = 1,2,3", "data.psi1"),
+            ("data.psi2 = 1,2,3", "data.psi2"),
+            ("data.preset = coeffs", "data.psi0"),
+            ("domain.lengths = ,", "domain.lengths"),
+            ("domain.lengths = 1.0,2.0", "domain.lengths"),
+            ("domain.kind = rectangle\ndomain.lengths = 1.0", "domain.lengths"),
+            ("domain.kind = rectangle\ndomain.lengths = 1.0,1.0,1.0", "domain.lengths"),
+        ],
+    )
+    def test_bad_data_or_lengths_is_2(self, tmp_path, monkeypatch, capsys, entries, key):
+        # each once failed with a traceback (or, for two interval lengths,
+        # ran on the first) instead of naming its key
+        monkeypatch.setattr(fmgt.cli, "solve", self._no_solve)
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(f"schema = 1\ndomain.cutoff = 2\ntime.N = 16\n{entries}\n")
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: key {key}: ")
+        assert "Traceback" not in err
+
     @staticmethod
     def _no_solve(*args, **kwargs):
         raise AssertionError("a refused config reached the solver")

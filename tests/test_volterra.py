@@ -27,8 +27,7 @@ from fmgt.volterra import (
     SolverBlowUpError,
     VolterraProblem,
     _PIWeights,
-    assemble_fmgt1,
-    assemble_fmgt3,
+    assemble,
     classical_mgt_reference,
     freeze,
     picard_nonlinear,
@@ -207,7 +206,7 @@ class TestAssembly:
             MediumParams(tau=1.0, c=1.0, delta=0.1),
             0.5,
         )
-        prob = assemble_fmgt3(spec, data, None, grid)
+        prob = assemble(spec, data, None, grid)
         v = np.ones(1)
         got = kernel_apply(prob, 1.0, 0.5, v)[0]
         expected = -(1.0 + 0.5 * lam * 0.25 + lam * 0.5) - (
@@ -220,7 +219,7 @@ class TestAssembly:
         data0 = InitialData(b.zero_field(), b.zero_field(), b.zero_field())
         grid = TimeGrid(1.0, 32)
         spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.7)
-        prob = assemble_fmgt3(spec, data0, None, grid)
+        prob = assemble(spec, data0, None, grid)
         assert np.max(np.abs(prob.forcing)) == 0.0
         traj = solve(prob)
         assert np.max(np.abs(traj.mu)) == 0.0
@@ -230,7 +229,7 @@ class TestAssembly:
         b, data = single_mode_setup
         grid = TimeGrid(1.0, 16)
         spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 1.0)
-        prob = assemble_fmgt3(spec, data, None, grid)
+        prob = assemble(spec, data, None, grid)
         exps = sorted(t.exponent for t in prob.kernel.terms)
         assert exps == [0.0, 1.0, 2.0]  # the alpha term merged into exponent 1
 
@@ -239,9 +238,35 @@ class TestAssembly:
         grid = TimeGrid(1.0, 16)
         a = 0.75
         spec = ModelSpec(ModelVariant(Family.I, Nonlinearity.LINEAR), MediumParams(), a)
-        prob = assemble_fmgt1(spec, data, None, grid)
+        prob = assemble(spec, data, None, grid)
         exps = sorted(t.exponent for t in prob.kernel.terms)
         assert exps == pytest.approx([a - 1.0, 2 * a - 1.0, 1.0, a + 1.0])
+
+    def test_one_assembly_for_base_i_and_iii(self, single_mode_setup):
+        b, data = single_mode_setup
+        # the old names stay only as aliases of the one assembly
+        assert fmgt.volterra.assemble_fmgt1 is fmgt.volterra.assemble
+        assert fmgt.volterra.assemble_fmgt3 is fmgt.volterra.assemble
+        spec = ModelSpec(ModelVariant(Family.II, Nonlinearity.LINEAR), MediumParams(), 0.7)
+        with pytest.raises(ModelError, match="memory solver"):
+            assemble(spec, data, None, TimeGrid(1.0, 16))
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.9])
+    def test_exponents_are_exact(self, single_mode_setup, alpha):
+        # in floating point 2 - (2 - alpha) != alpha at these orders, so the
+        # assembly differences the orders as (n, m) pairs of n + m alpha
+        b, data = single_mode_setup
+        expected = {
+            Family.BASE: [alpha - 1.0, alpha, 1.0, alpha + 1.0],
+            Family.I: [alpha - 1.0, 2.0 * alpha - 1.0, 1.0, alpha + 1.0],
+            Family.III: [0.0, alpha, 1.0, 2.0],
+        }
+        for family, exponents in expected.items():
+            spec = ModelSpec(ModelVariant(family, Nonlinearity.LINEAR), MediumParams(), alpha)
+            prob = assemble(spec, data, None, TimeGrid(1.0, 16))
+            assert sorted(t.exponent for t in prob.kernel.terms) == sorted(exponents)
+            g = 1.0 if family is Family.III else alpha
+            assert prob.recon_exponents == (g + 1.0, g, g - 1.0)
 
     def test_fmgt1_alpha_range(self, single_mode_setup):
         b, data = single_mode_setup
@@ -255,7 +280,7 @@ class TestAssembly:
         grid = TimeGrid(1.0, 64)
         a = 0.75
         spec = ModelSpec(ModelVariant(Family.I, Nonlinearity.LINEAR), MediumParams(), a)
-        prob = assemble_fmgt1(spec, data, None, grid)
+        prob = assemble(spec, data, None, grid)
         traj = solve(prob)
         w = _PIWeights(a - 1.0, grid.steps, grid.h)
         expected = data.psi2.coeffs[None, :] + w.conv_all(traj.mu)
@@ -317,12 +342,16 @@ class TestDegenerations:
         for t2 in trajs[1:]:
             assert np.max(np.abs(trajs[0].psi - t2.psi)) < 1e-12
 
-    def test_family_i_vs_direct_l1_richardson_bound(self, single_mode_setup):
+    @pytest.mark.parametrize("alpha", [0.6, 0.9])
+    @pytest.mark.parametrize("family", [Family.BASE, Family.I])
+    def test_family_i_vs_direct_l1_richardson_bound(self, single_mode_setup, family, alpha):
         # two discretizations agree within 5x the cruder scheme's estimated
         # truncation error (the spec's literal 1e-6 is unattainable: the L1
-        # oracle itself carries O(h^{2-alpha}) ~ 1e-3 error at N = 512)
+        # oracle itself carries O(h^{2-alpha}) ~ 1e-3 error at N = 512);
+        # psi1 != 0 puts every data part of the assembly to the test
         b, data = single_mode_setup
-        spec = ModelSpec(ModelVariant(Family.I, Nonlinearity.LINEAR), MediumParams(), 0.75)
+        data = InitialData(data.psi0, b.unit_mode(0, 0.3), data.psi2)
+        spec = ModelSpec(ModelVariant(family, Nonlinearity.LINEAR), MediumParams(), alpha)
         sols = {}
         for n in (256, 512):
             grid = TimeGrid(1.0, n)
@@ -529,7 +558,7 @@ class TestFrozenProblem:
         )
 
     def test_freeze_without_coefficients_keeps_the_problem(self):
-        linear = assemble_fmgt1(self.spec, self.data, None, TimeGrid(1.0, 32))
+        linear = assemble(self.spec, self.data, None, TimeGrid(1.0, 32))
         frozen = freeze(linear)
         assert len(frozen.kernel.terms) == len(linear.kernel.terms)
         assert all(a is b for a, b in zip(frozen.kernel.terms, linear.kernel.terms))
@@ -649,7 +678,7 @@ class TestVariableCoefficient:
 
     def test_constant_sigma(self):
         sigma = np.full((513, self.ngrid), 0.4)
-        prob = freeze(assemble_fmgt3(self.spec, self.data, None, self.grid), sigma=sigma)
+        prob = freeze(assemble(self.spec, self.data, None, self.grid), sigma=sigma)
         traj = solve(prob)
         ref = self._oracle(lambda t: 0.4)
         assert np.max(np.abs(traj.psi[:, 0] - ref)) < 1e-7
@@ -657,7 +686,7 @@ class TestVariableCoefficient:
     def test_time_varying_sigma(self):
         vals = 0.3 * (1.0 + np.sin(self.grid.nodes))
         sigma = np.tile(vals[:, None], (1, self.ngrid))
-        prob = freeze(assemble_fmgt3(self.spec, self.data, None, self.grid), sigma=sigma)
+        prob = freeze(assemble(self.spec, self.data, None, self.grid), sigma=sigma)
         traj = solve(prob)
         ref = self._oracle(lambda t: 0.3 * (1.0 + np.sin(t)))
         assert np.max(np.abs(traj.psi[:, 0] - ref)) < 1e-7
@@ -665,26 +694,26 @@ class TestVariableCoefficient:
     def test_sigma_shape_contract(self):
         with pytest.raises(Exception, match="collocation values"):
             freeze(
-                assemble_fmgt3(self.spec, self.data, None, self.grid),
+                assemble(self.spec, self.data, None, self.grid),
                 sigma=np.zeros((10, self.ngrid)),
             )
 
     def test_sigma_must_be_bounded(self):
         bad = np.full((513, self.ngrid), np.inf)
         with pytest.raises(Exception, match="bounded"):
-            freeze(assemble_fmgt3(self.spec, self.data, None, self.grid), sigma=bad)
+            freeze(assemble(self.spec, self.data, None, self.grid), sigma=bad)
 
     def test_degenerate_sigma_refused_fmgt3(self):
         bad = np.full((513, self.ngrid), -2.0)
         with pytest.raises(DomainError, match=r"1 \+ sigma .* reaches -1 at node 0 \(t = 0\)"):
-            freeze(assemble_fmgt3(self.spec, self.data, None, self.grid), sigma=bad)
+            freeze(assemble(self.spec, self.data, None, self.grid), sigma=bad)
 
     def test_degenerate_sigma_refused_fmgt1(self):
         spec = ModelSpec(ModelVariant(Family.I, Nonlinearity.LINEAR), MediumParams(), 0.8)
         bad = np.full((513, self.ngrid), 0.4)
         bad[300] = -2.0
         with pytest.raises(DomainError, match=r"reaches -1 at node 300 \(t = 0.585938\)"):
-            freeze(assemble_fmgt1(spec, self.data, None, self.grid), sigma=bad)
+            freeze(assemble(spec, self.data, None, self.grid), sigma=bad)
 
 
 class TestTwoDimensional:
@@ -805,7 +834,7 @@ class TestTwoDimensional:
     def test_frozen_terms_leave_their_data(self):
         # the terms multiply into the arrays evaluate and evaluate_grad return
         spec, data, grid = self._kuznetsov(16)
-        linear = assemble_fmgt3(spec, data, None, grid)
+        linear = assemble(spec, data, None, grid)
         rng = np.random.default_rng(7)
         sigma = 0.1 * rng.normal(size=(grid.steps + 1, self.basis.grid_size))
         grad_w = [rng.normal(size=sigma.shape) for _ in range(2)]
