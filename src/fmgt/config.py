@@ -170,10 +170,16 @@ class RunConfig:
             raise ConfigError("time.N must be at least 4")
         if self._float("time.T") <= 0:
             raise ConfigError("time.T must be positive")
-        if self.entries["data.preset"] not in ("zero", "bump", "mode", "decay", "coeffs"):
-            raise ConfigError(f"unknown data.preset {self.entries['data.preset']!r}")
-        if self.entries["data.preset"] == "coeffs" and "data.psi0" not in self.entries:
+        preset = self.entries["data.preset"]
+        if preset not in ("zero", "bump", "mode", "decay", "coeffs"):
+            raise ConfigError(f"unknown data.preset {preset!r}")
+        if preset == "coeffs" and "data.psi0" not in self.entries:
             raise ConfigError("key data.psi0: data.preset = coeffs reads psi0 from it")
+        if preset != "coeffs" and "data.psi0" in self.entries:
+            raise ConfigError(
+                "key data.psi0: read only under data.preset = coeffs, "
+                f"got data.preset = {preset}"
+            )
         if self.entries["source.preset"] not in ("zero", "mode-cos", "pulse"):
             raise ConfigError(f"unknown source.preset {self.entries['source.preset']!r}")
         if "study.n_sweep" in self.entries:

@@ -9,20 +9,22 @@ driven by a running cancellation estimate, not by |x| alone).  b > 1 is
 reduced to b <= 1 with the recurrence E_{a,b}(x) = 1/Gamma(b) + x E_{a,b+a}(x)
 before integrating; on the negative axis this direction is stable.
 
-Two evaluators share that branch rule.  ``ml`` takes one point.  The
-array core ``_ml_table`` takes a whole table for one or several betas at
-once, and ``ml_array`` is its one-beta call.  The series runs term by term
-across all points and betas, which share the powers x^k; each
-(beta, point) keeps its own Kahan sum, gamma values and stop rule, so series
-values agree with ``ml`` bit for bit.  Every point left to the integral goes
-through one adaptive Gauss-Kronrod quadrature, in batches of 32 points
-that start from a partition of [0, 1] graded toward both ends.  The betas'
-integrands share exp(-r^(1/a)) and the denominator, each keeps its own per-point error
+One evaluator applies that branch rule.  The array core ``_ml_table``
+takes a whole table for one or several betas at once; ``ml_array`` is its
+one-beta call and ``ml`` its one-point call.  ``tests/ml_reference.py``
+keeps the scalar form of the rule, a term-by-term series and scipy's
+``quad`` of the integral, as the independent oracle the tables are tested
+against.  The series runs across all points and betas, which share the
+powers x^k, in blocks of terms; each (beta, point) keeps its own Kahan sum,
+gamma values and stop rule, so series values agree with the oracle's bit
+for bit.  Every point left to the integral goes through one adaptive
+Gauss-Kronrod quadrature, in batches of 32 points that start from a
+partition of [0, 1] graded toward both ends.  The betas' integrands share
+exp(-r^(1/a)) and the denominator, each keeps its own per-point error
 control, and a point is done when all of them have converged.  The kernel
 cell moments behind the z-form march and the psi recovery build E_{a,1} and
-E_{a,2} as one such table; ``kernel_value`` goes through ``ml_array``.
-Scalar ``ml`` is the independent oracle they are tested
-against, and serves the single values of ``kernel_mass``.
+E_{a,2} as one such table; ``kernel_value`` goes through ``ml_array`` and
+``kernel_mass`` through ``ml``.
 """
 from __future__ import annotations
 
@@ -32,75 +34,11 @@ import numpy as np
 
 from .fractional import DomainError, gamma
 
-# ml() targets this relative accuracy on the supported domain.
+# the evaluator targets this relative accuracy on the supported domain
 ML_RTOL = 1e-10
 _SERIES_MAX_TERMS = 200
 _SERIES_TRY_LIMIT = 5.0  # try the series first for |x| at or below this
-
-
-def _ml_series(alpha: float, beta: float, x: float):
-    """Kahan-summed power series; returns (value, cancellation_ok).
-
-    The ok flag estimates the digits lost to cancellation: each term carries
-    a relative rounding noise amplified by psi(arg)*arg from the rounding of
-    the gamma argument, and that noise scales with the largest term.
-    """
-    total = 1.0 / gamma(beta)
-    comp = 0.0
-    max_abs = abs(total)
-    arg_at_max = beta
-    term_pow = 1.0
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term_pow *= x
-        arg = alpha * k + beta
-        term = term_pow / gamma(arg)
-        if abs(term) > max_abs:
-            max_abs = abs(term)
-            arg_at_max = arg
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= 1e-17 * max(abs(total), 1e-300):
-            noise_eps = 2.5e-16 * max(4.0, arg_at_max * np.log(arg_at_max + 1.0))
-            cancel = max_abs * noise_eps / max(abs(total), 1e-300)
-            return total, cancel < 0.5 * ML_RTOL
-    return total, False
-
-
-def _ml_integral(alpha: float, beta: float, x: float) -> float:
-    """Real-axis integral representation, valid for 0 < alpha < 1, x < 0.
-
-    E_{a,b}(x) = int_0^inf K(r) dr with
-    K(r) = (1/(pi*a)) r^{(1-b)/a} e^{-r^{1/a}}
-           [r sin(pi(1-b)) - x sin(pi(1-b+a))] / (r^2 - 2 r x cos(pi a) + x^2)
-    """
-    if beta > 1.0 + 1e-12:
-        # reduce to beta' <= 1; stable since E_{a,b'}(x) stays O(1) and x < 0
-        return (_ml_integral(alpha, beta - alpha, x) - 1.0 / gamma(beta - alpha)) / x
-
-    sin_b = np.sin(np.pi * (1 - beta))
-    sin_ab = np.sin(np.pi * (1 - beta + alpha))
-    cos_a, sin_a = np.cos(np.pi * alpha), np.sin(np.pi * alpha)
-    pref = 1.0 / (np.pi * alpha)
-    expo = (1.0 - beta) / alpha
-
-    def integrand(r):
-        num = r * sin_b - x * sin_ab
-        # r^2 - 2 r x cos(pi a) + x^2 as a sum of squares: near alpha = 1 it
-        # nearly vanishes at r = |x|, where the expanded form cancels
-        den = (r - x * cos_a) ** 2 + (x * sin_a) ** 2
-        return pref * r**expo * np.exp(-(r ** (1.0 / alpha))) * num / den
-
-    from scipy.integrate import quad  # only the scalar oracle pays its import
-
-    # integrand decays like exp(-r^{1/a}); split at the decay scale.  The
-    # control is relative only: E_{a,a}(x) falls like x^-2, and an absolute
-    # floor would cost its small values their relative accuracy
-    r_split = max(1.0, (-x) ** alpha)
-    val1, _ = quad(integrand, 0.0, r_split, epsabs=0.0, epsrel=1e-12, limit=200)
-    val2, _ = quad(integrand, r_split, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-    return val1 + val2
+_SERIES_BLOCK = 16  # series terms per block of whole-array steps
 
 
 def _check_parameters(alpha: float, beta: float):
@@ -111,76 +49,79 @@ def _check_parameters(alpha: float, beta: float):
 
 
 def ml(alpha: float, beta: float, x: float) -> float:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(x), x <= 0."""
-    _check_parameters(alpha, beta)
-    if x > 0:
-        raise DomainError(f"only the non-positive real axis is supported, got x={x}")
-    x = float(x)
-    if x == 0.0:
-        return 1.0 / gamma(beta)
-    if alpha == 1.0:
-        if beta == 1.0:
-            return float(np.exp(x))
-        if beta == 2.0:
-            return float(np.expm1(x) / x)
-        # generic beta: fall through to series/integral below
-
-    if abs(x) <= _SERIES_TRY_LIMIT:
-        value, ok = _ml_series(alpha, beta, x)
-        if ok:
-            return value
-    if alpha == 1.0:
-        # integral representation degenerates at alpha = 1; closed forms above
-        # cover beta in {1, 2}, the only production uses
-        raise DomainError(
-            "alpha = 1 with large |x| is supported only for beta in {1, 2}"
-        )
-    return _ml_integral(alpha, beta, x)
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(x), x <= 0: the
+    one-point table of ``_ml_table``."""
+    return float(_ml_table(alpha, (beta,), [float(x)])[0, 0])
 
 
 def _ml_series_array(alpha: float, betas, x: np.ndarray):
-    """_ml_series for each beta of betas at every point of x at once; returns
-    (values, cancellation_ok), each of shape (len(betas), len(x)).
+    """The Kahan-summed power series for each beta of betas at every point of
+    x at once; returns (values, cancellation_ok), each of shape
+    (len(betas), len(x)).
 
-    The betas share the powers x^k.  Every (beta, point) runs the scalar
-    loop's Kahan recursion, with the same coefficients Gamma(a k + b), and
-    is frozen at the term where that loop returns, so each value equals the
-    scalar one bit for bit.  A coefficient is computed only once some point
-    of its beta still needs its term.
+    The betas share the powers x^k.  Every (beta, point) runs the Kahan
+    recursion of the scalar loop ``_ml_series`` of ``tests/ml_reference.py``,
+    with the same coefficients Gamma(a k + b), and is frozen at the term
+    where that loop returns, so each value equals the scalar one bit for
+    bit.  The terms go in blocks of _SERIES_BLOCK: the powers, coefficients,
+    running maxima and stop tests of a block are whole-array operations, and
+    only the Kahan recursion steps term by term.  A block's coefficients are
+    computed only for the betas that some point still needs.
     """
     shape = (len(betas), x.size)
     total = np.array([[1.0 / gamma(b)] for b in betas]).repeat(x.size, axis=1)
     comp = np.zeros(shape)
     max_abs = np.abs(total)
-    arg_at_max = np.array(betas, dtype=float)[:, None].repeat(x.size, axis=1)
+    k_at_max = np.zeros(shape, dtype=int)  # term of the largest |term|; 0: 1/Gamma(b)
     term_pow = np.ones(x.size)
     values = np.zeros(shape)
     ok = np.zeros(shape, dtype=bool)
     live = np.ones(shape, dtype=bool)
-    for k in range(1, _SERIES_MAX_TERMS + 1):
+    betas_row = np.array(betas, dtype=float)
+    for first in range(1, _SERIES_MAX_TERMS + 1, _SERIES_BLOCK):
         rows = live.any(axis=1)
         if not rows.any():
             break
-        term_pow *= x
-        args = np.array([alpha * k + b for b in betas])[:, None]
+        ks = np.arange(first, min(first + _SERIES_BLOCK, _SERIES_MAX_TERMS + 1))
+        # x^k by repeated multiplication, as the scalar loop forms it
+        steps = np.empty((ks.size + 1, x.size))
+        steps[0], steps[1:] = term_pow, x
+        pows = np.multiply.accumulate(steps, axis=0)[1:]
+        term_pow = pows[-1]
+        args = alpha * ks[:, None] + betas_row  # (block, betas)
         # a finished beta's terms are 0: its values are frozen already
-        coef = np.array([gamma(a) if on else np.inf for a, on in zip(args[:, 0], rows)])
-        term = term_pow / coef[:, None]
-        grew = np.abs(term) > max_abs
-        max_abs = np.where(grew, np.abs(term), max_abs)
-        arg_at_max = np.where(grew, args, arg_at_max)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        stop = live & (np.abs(term) <= 1e-17 * np.maximum(np.abs(total), 1e-300))
+        coef = np.array(
+            [[gamma(a) if on else np.inf for a, on in zip(col, rows)] for col in args]
+        )
+        terms = pows[:, None] / coef[:, :, None]  # (block, betas, points)
+        totals = np.empty_like(terms)
+        for j in range(ks.size):
+            y = terms[j] - comp
+            t = total + y
+            comp = (t - total) - y
+            total = totals[j] = t
+        # after each term: the largest |term| so far, and the first term
+        # where it occurred
+        mags = np.abs(terms)
+        maxima = np.maximum.accumulate(np.concatenate([max_abs[None], mags]), axis=0)
+        grew = mags > maxima[:-1]
+        k_at = np.where(grew, ks[:, None, None], 0)
+        k_at = np.maximum.accumulate(np.concatenate([k_at_max[None], k_at]), axis=0)[1:]
+        maxima = maxima[1:]
+        stops = live & (mags <= 1e-17 * np.maximum(np.abs(totals), 1e-300))
+        stop = stops.any(axis=0)
         if stop.any():
-            at_max = arg_at_max[stop]
+            row, point = np.nonzero(stop)
+            j = stops[:, row, point].argmax(axis=0)
+            at_max = alpha * k_at[j, row, point] + betas_row[row]  # a k + b
             noise_eps = 2.5e-16 * np.maximum(4.0, at_max * np.log(at_max + 1.0))
-            cancel = max_abs[stop] * noise_eps / np.maximum(np.abs(total[stop]), 1e-300)
-            values[stop] = total[stop]
+            cancel = maxima[j, row, point] * noise_eps / np.maximum(
+                np.abs(totals[j, row, point]), 1e-300
+            )
+            values[stop] = totals[j, row, point]
             ok[stop] = cancel < 0.5 * ML_RTOL
             live &= ~stop
+        max_abs, k_at_max = maxima[-1], k_at[-1]
     return values, ok
 
 
@@ -216,7 +157,7 @@ _GAUSS_HALF_WEIGHTS = (
 _GK_NODES = np.array(_GK_HALF_NODES + tuple(-v for v in _GK_HALF_NODES[-2::-1]))
 _GK_WEIGHTS = np.array(_GK_HALF_WEIGHTS + _GK_HALF_WEIGHTS[-2::-1])
 _GAUSS_WEIGHTS = np.array(_GAUSS_HALF_WEIGHTS + _GAUSS_HALF_WEIGHTS[-2::-1])
-_QUAD_RTOL = 1e-12  # per point, like the scalar quad calls
+_QUAD_RTOL = 1e-12  # per point, like the oracle's quad calls
 # points integrated together: 32 keeps a round's temporaries (intervals x 15
 # nodes x points x columns) to a few hundred kB
 _QUAD_BATCH = 32
@@ -318,8 +259,9 @@ def _integrate_unit(f, params) -> np.ndarray:
 
 
 def _ml_integral_array(alpha: float, betas, x: np.ndarray) -> np.ndarray:
-    """_ml_integral for each beta of betas at every point of x < 0 by one
-    adaptive quadrature; returns a (len(betas), len(x)) array.
+    """The real-axis integral representation of E_{a,b}(x) for each beta of
+    betas at every point of x < 0 by one adaptive quadrature; returns a
+    (len(betas), len(x)) array.
 
     Each beta > 1 is first reduced to some b' <= 1 by the recurrence.
     Scaling r = c s by each point's split point c = max(1, |x|^a) puts every
@@ -347,15 +289,17 @@ def _ml_integral_array(alpha: float, betas, x: np.ndarray) -> np.ndarray:
         offsets = [x * sab for sab in sin_ab]
         out = np.zeros((len(reduced),) + np.broadcast_shapes(u.shape, x.shape))
         for r, weight in ((c * u, None), (c / u, 1.0 / (u * u))):
-            # where s = r^(1/a) > 700, exp(-s) r^e (0 <= e < 1/a) is below
+            # where s = r^(1/a) > 700, exp(-s) r^e (e < 1/a) is below
             # 1e-301, which no integral here can see, and it is set to 0
             # there: numpy's exp is 20-200 times slower on subnormal results,
-            # and far out on the graded start s and r^e overflow for small a
+            # and far out on the graded start s and r^e overflow for small a.
+            # r^e is taken at r = 1 there, as 0^e is inf for the e just below
+            # 0 of a beta reduced to a rounding above 1 (2 - 5 x 0.2)
             with np.errstate(over="ignore"):
                 s = r ** (1.0 / alpha)
             near = s <= 700.0
             common = np.exp(-np.where(near, s, 700.0)) * near
-            r_near = np.where(near, r, 0.0)
+            r_near = np.where(near, r, 1.0)
             # r^2 - 2 r x cos(pi a) + x^2 as a sum of squares: near alpha = 1
             # it nearly vanishes at r = |x|, where the expanded form cancels
             common /= (r - shift) ** 2 + lift
@@ -382,11 +326,12 @@ def _ml_table(alpha: float, betas, x) -> np.ndarray:
     """E_{alpha,b}(x) for each b of betas at every point of a 1-D array
     x <= 0: the rows of a (len(betas), len(x)) array.
 
-    The branch rule of ml, applied to a whole table at once: 1/Gamma(b) at
+    The branch rule, applied to a whole table at once: 1/Gamma(b) at
     x = 0, the closed forms at alpha = 1 when every b is 1 or 2, the series
     for |x| <= _SERIES_TRY_LIMIT where its cancellation estimate passes, and
     the integral representation elsewhere.  The betas share one series pass and
     one quadrature, which runs every point that some beta leaves to it.
+    ``ml_scalar`` of ``tests/ml_reference.py`` states the rule point by point.
     """
     for b in betas:
         _check_parameters(alpha, b)
@@ -465,8 +410,8 @@ def kernel_value(kernel: RelaxationKernel, t) -> np.ndarray | float:
 
 def kernel_mass(kernel: RelaxationKernel, horizon: float) -> float:
     """Closed-form cumulative mass int_0^T kernel = 1 - E_{g,1}(-(T/tau)^g)."""
-    if horizon < 0:
-        raise DomainError("horizon must be nonnegative")
+    if not (np.isfinite(horizon) and horizon >= 0):
+        raise DomainError(f"horizon must be finite and nonnegative, got {horizon}")
     if horizon == 0:
         return 0.0
     g, tau = kernel.order, kernel.tau

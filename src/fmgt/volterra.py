@@ -190,13 +190,39 @@ class VolterraProblem:
 # product-integration weights for p^g kernels
 
 
+def _cell_weights(g: float, n_steps: int, h: float):
+    """The cell weights of int_0^{t_n} p^g(t_n - s) q(s) ds: (W0, W1, W2) on
+    the backward quadratic stencil of each interior cell, by lag
+    m = n-1-cell, and (A0, A1) on the linear first cell, by row n-1."""
+    scale = 1.0 / gamma(g + 1.0)
+    m = np.arange(n_steps + 2, dtype=float)
+
+    def mom(r):
+        # int_{mh}^{(m+1)h} u^{g+r} du, normalized
+        q = m ** (g + r + 1.0)
+        return scale * h ** (g + r + 1.0) * (q[1:] - q[:-1]) / (g + r + 1.0)
+
+    M0, M1, M2 = mom(0), mom(1), mom(2)
+    mm = np.arange(n_steps + 1, dtype=float)
+    h2 = h * h
+    # interior quadratic cells, lag index m = n-1-j
+    W0 = (M2 - (2 * mm + 1) * h * M1 + mm * (mm + 1) * h2 * M0) / (2 * h2)
+    W1 = -(M2 - (2 * mm + 2) * h * M1 + mm * (mm + 2) * h2 * M0) / h2
+    W2 = (M2 - (2 * mm + 3) * h * M1 + (mm + 1) * (mm + 2) * h2 * M0) / (2 * h2)
+    # first cell, linear in (mu_0, mu_1); row n uses lag m = n-1
+    n_arr = np.arange(1, n_steps + 1, dtype=float)
+    A1 = n_arr * M0[: n_steps] - M1[: n_steps] / h
+    A0 = (1.0 - n_arr) * M0[: n_steps] + M1[: n_steps] / h
+    return W0, W1, W2, A0, A1
+
+
 class _PIWeights:
     """Weights for int_0^{t_n} p^g(t_n - s) q(s) ds with q piecewise linear on
     the first cell and backward quadratic on interior cells.
 
     The cell weights W0/W1/W2 (interior, lag m = n-1-cell) and A0/A1 (first
-    cell) fold into one stationary lag kernel C on mu_2, mu_3, ... plus two
-    boundary weights on mu_0 and mu_1:
+    cell) of ``_cell_weights`` fold into one stationary lag kernel C on
+    mu_2, mu_3, ... plus two boundary weights on mu_0 and mu_1:
 
         conv_n = sum_{j=2}^{n} C[n-j] mu_j + b0[n] mu_0 + b1[n] mu_1,
 
@@ -205,40 +231,18 @@ class _PIWeights:
     """
 
     def __init__(self, gamma_: float, n_steps: int, h: float):
-        self.gamma = gamma_
-        self.h = h
-        g = gamma_
-        scale = 1.0 / gamma(g + 1.0)
-        m = np.arange(n_steps + 2, dtype=float)
-
-        def mom(r):
-            # int_{mh}^{(m+1)h} u^{g+r} du, normalized
-            q = m ** (g + r + 1.0)
-            return scale * h ** (g + r + 1.0) * (q[1:] - q[:-1]) / (g + r + 1.0)
-
-        M0, M1, M2 = mom(0), mom(1), mom(2)
-        mm = np.arange(n_steps + 1, dtype=float)
-        h2 = h * h
-        # interior quadratic cells, lag index m = n-1-j
-        self.W0 = (M2 - (2 * mm + 1) * h * M1 + mm * (mm + 1) * h2 * M0) / (2 * h2)
-        self.W1 = -(M2 - (2 * mm + 2) * h * M1 + mm * (mm + 2) * h2 * M0) / h2
-        self.W2 = (M2 - (2 * mm + 3) * h * M1 + (mm + 1) * (mm + 2) * h2 * M0) / (2 * h2)
-        # first cell, linear in (mu_0, mu_1); row n uses lag m = n-1
-        n_arr = np.arange(1, n_steps + 1, dtype=float)
-        self.A1 = n_arr * M0[: n_steps] - M1[: n_steps] / h
-        self.A0 = (1.0 - n_arr) * M0[: n_steps] + M1[: n_steps] / h
-
+        W0, W1, W2, A0, A1 = _cell_weights(gamma_, n_steps, h)
         # mu_j (j >= 2) meets W2 of cell j-1, W1 of cell j and W0 of cell j+1
-        self.C = self.W2.copy()
-        self.C[1:] += self.W1[:-1]
-        self.C[2:] += self.W0[:-2]
+        self.C = W2.copy()
+        self.C[1:] += W1[:-1]
+        self.C[2:] += W0[:-2]
         self.b0 = np.zeros(n_steps + 1)
-        self.b0[1:] = self.A0
-        self.b0[2:] += self.W0[: n_steps - 1]
+        self.b0[1:] = A0
+        self.b0[2:] += W0[: n_steps - 1]
         self.b1 = np.zeros(n_steps + 1)
-        self.b1[1:] = self.A1
-        self.b1[2:] += self.W1[: n_steps - 1]
-        self.b1[3:] += self.W0[: max(n_steps - 2, 0)]
+        self.b1[1:] = A1
+        self.b1[2:] += W1[: n_steps - 1]
+        self.b1[3:] += W0[: max(n_steps - 2, 0)]
 
     def conv_all(self, mu: np.ndarray, lagged: np.ndarray | None = None) -> np.ndarray:
         """The convolution at every node, from the complete mu; ``lagged``

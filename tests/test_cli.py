@@ -48,6 +48,26 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def _modules_loaded_by(argvs):
+    """The modules loaded by a fresh interpreter after the CLI ran on each
+    argument list of argvs, all of which must exit 0."""
+    script = (
+        "import json, sys\nfrom fmgt.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    return set(modules)
+
+
 def _modules_after_runs(tmp_path):
     """The modules loaded by a fresh interpreter after `fmgt run` of a
     Westervelt III config, a type II config and a type II alpha -> 1 study
@@ -58,30 +78,15 @@ def _modules_after_runs(tmp_path):
         "limit": "model.family = ii\nmodel.nonlinearity = linear\n"
         "study.alpha_sweep = 0.6,0.9,0.99\n",
     }
-    script = (
-        "import json, sys\nfrom fmgt.cli import main\n"
-        "codes = [main(['--out', d, 'run', '--config', c]) for c, d in "
-        "zip(sys.argv[1::2], sys.argv[2::2])]\n"
-        "print(json.dumps([codes, sorted(sys.modules)]))\n"
-    )
-    args = []
+    argvs = []
     for name, body in configs.items():
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(
             f"schema = 1\n{body}model.alpha = 0.7\ndomain.cutoff = 4\n"
             "time.N = 32\ndata.preset = bump\ndata.amplitude = 1e-3\n"
         )
-        args += [str(cfg), str(tmp_path / f"o-{name}")]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, modules = json.loads(proc.stdout)
-    assert codes == [0] * len(configs)
-    return set(modules)
+        argvs.append(["--out", str(tmp_path / f"o-{name}"), "run", "--config", str(cfg)])
+    return _modules_loaded_by(argvs)
 
 
 def _scipy_imports(path):
@@ -311,6 +316,7 @@ class TestExitCodes:
             ("data.psi1 = 1,2,3", "data.psi1"),
             ("data.psi2 = 1,2,3", "data.psi2"),
             ("data.preset = coeffs", "data.psi0"),
+            ("data.psi0 = 5,6", "data.psi0"),
             ("domain.lengths = ,", "domain.lengths"),
             ("domain.lengths = 1.0,2.0", "domain.lengths"),
             ("domain.kind = rectangle\ndomain.lengths = 1.0", "domain.lengths"),
@@ -319,7 +325,8 @@ class TestExitCodes:
     )
     def test_bad_data_or_lengths_is_2(self, tmp_path, monkeypatch, capsys, entries, key):
         # each once failed with a traceback (or, for two interval lengths,
-        # ran on the first) instead of naming its key
+        # ran on the first, and data.psi0 without coeffs ran from the bump)
+        # instead of naming its key
         monkeypatch.setattr(fmgt.cli, "solve", self._no_solve)
         cfg = tmp_path / "data.cfg"
         cfg.write_text(f"schema = 1\ndomain.cutoff = 2\ntime.N = 16\n{entries}\n")
@@ -394,13 +401,22 @@ class TestArtifacts:
         assert "scipy.signal" not in _modules_after_runs(tmp_path)
 
     def test_run_does_not_import_scipy_integrate(self, tmp_path):
-        # so does scipy.integrate, which serves only the oracles and the
-        # kernel masses of `fmgt kernels`
+        # so does scipy.integrate, which serves only the ODE oracle
         assert "scipy.integrate" not in _modules_after_runs(tmp_path)
 
     def test_run_does_not_import_scipy(self, tmp_path):
         # fmgt run needs numpy only: scipy serves the oracles and the tests
         loaded = _modules_after_runs(tmp_path)
+        assert sorted(m for m in loaded if _is_scipy(m)) == []
+
+    def test_kernels_does_not_import_scipy(self, tmp_path):
+        # the kernel masses come from the Mittag-Leffler tables, whose
+        # quadrature is numpy's; most default masses and all three at order
+        # 0.02 take the integral branch
+        loaded = _modules_loaded_by(
+            [["--out", str(tmp_path / "k"), "kernels"],
+             ["--out", str(tmp_path / "k2"), "kernels", "--alphas", "0.02"]]
+        )
         assert sorted(m for m in loaded if _is_scipy(m)) == []
 
     def test_scipy_is_imported_only_by_the_oracles(self):
@@ -410,7 +426,6 @@ class TestArtifacts:
             for imp in _scipy_imports(path)
         }
         assert found == {
-            ("mittag_leffler.py", "_ml_integral", "scipy.integrate", ("quad",)),
             ("volterra.py", "classical_mgt_reference", "scipy.integrate", ("solve_ivp",)),
         }
 

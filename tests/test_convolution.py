@@ -7,7 +7,7 @@ from scipy.fft import next_fast_len
 from scipy.linalg import solve_triangular, toeplitz
 
 from fmgt.convolution import CausalFilter, _fast_len, causal_conv, series_reciprocal
-from fmgt.volterra import _PIWeights
+from fmgt.volterra import _cell_weights, _PIWeights
 
 # sizes on both sides of powers of two, where Newton's doubling steps end
 SIZES = [0, 1, 2, 3, 31, 32, 33, 63, 64, 65, 1000, 2049]
@@ -133,15 +133,16 @@ def test_fast_len_is_the_least_5_smooth_length():
     assert [_fast_len(n) for n in range(1, 10_001)] == want
 
 
-def three_term_pi_sum(w, mu):
+def three_term_pi_sum(cells, mu):
     """The product-integration sum cell by cell: the first cell linear in
     (mu_0, mu_1), each later cell quadratic through its backward stencil."""
+    W0, W1, W2, A0, A1 = cells
     out = np.zeros_like(mu)
     for n in range(1, mu.shape[0]):
-        out[n] = w.A0[n - 1] * mu[0] + w.A1[n - 1] * mu[1]
+        out[n] = A0[n - 1] * mu[0] + A1[n - 1] * mu[1]
         for j in range(1, n):  # cell [t_j, t_{j+1}], lag m = n-1-j
             m = n - 1 - j
-            out[n] += w.W0[m] * mu[j - 1] + w.W1[m] * mu[j] + w.W2[m] * mu[j + 1]
+            out[n] += W0[m] * mu[j - 1] + W1[m] * mu[j] + W2[m] * mu[j + 1]
     return out
 
 
@@ -151,7 +152,7 @@ def test_folded_weights_reproduce_three_term_sum(g, n_steps):
     h = 1.0 / n_steps
     w = _PIWeights(g, n_steps, h)
     mu = signal(n_steps + 1, 2)
-    assert_close(w.conv_all(mu), three_term_pi_sum(w, mu))
+    assert_close(w.conv_all(mu), three_term_pi_sum(_cell_weights(g, n_steps, h), mu))
 
 
 # symbols lead δ + D C_g per column, as the Volterra solver folds them

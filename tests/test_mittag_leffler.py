@@ -2,7 +2,9 @@
 
 High-precision reference values were produced with an mpmath series oracle
 (exact rational gamma arguments, adaptive precision; see oracle below) and
-frozen into the assertions.
+frozen into the assertions.  They check both the evaluator and the scalar
+oracle ``ml_scalar`` of ``ml_reference``, which the tables are checked
+against point by point.
 """
 import math
 
@@ -14,11 +16,11 @@ from fmgt import DomainError, RelaxationKernel, kernel_mass, kernel_value, ml
 from fmgt.mittag_leffler import (
     _SERIES_TRY_LIMIT,
     _integrate_unit,
-    _ml_series,
     _ml_table,
     kernel_cell_moments,
     ml_array,
 )
+from ml_reference import _ml_series, ml_scalar
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -77,6 +79,7 @@ class TestMl:
         for x in np.linspace(0.0, 3.0, 31):
             ref = math.exp(x * x) * math.erfc(x)
             assert ml(0.5, 1.0, -x) == pytest.approx(ref, rel=1e-9)
+            assert ml_scalar(0.5, 1.0, -x) == pytest.approx(ref, rel=1e-9)
 
     def test_beta_recurrence_value(self):
         # E_{1/2,1/2}(-1) = 1/sqrt(pi) - e erfc(1)
@@ -84,7 +87,9 @@ class TestMl:
 
     @pytest.mark.parametrize("a,b,x", list(SERIES_ORACLE))
     def test_against_series_oracle(self, a, b, x):
+        # the evaluator and the scalar oracle of the tables alike
         assert ml(a, b, x) == pytest.approx(SERIES_ORACLE[(a, b, x)], rel=1e-10)
+        assert ml_scalar(a, b, x) == pytest.approx(SERIES_ORACLE[(a, b, x)], rel=1e-10)
 
     def test_series_oracle_live(self):
         # one cheap case recomputed: the frozen table is this oracle's output
@@ -102,6 +107,24 @@ class TestMl:
             ml(1.2, 1.0, -1.0)
         with pytest.raises(DomainError):
             ml(0.5, 0.0, -1.0)
+        # both once returned nan with a RuntimeWarning
+        with pytest.raises(DomainError, match="finite"):
+            ml(0.5, 1.0, np.nan)
+        with pytest.raises(DomainError, match="finite"):
+            ml(0.5, 1.0, -np.inf)
+
+    def test_kernel_mass_points_against_scalar_oracle(self):
+        # E_{g,1}(-(T/tau)^g) as kernel_mass evaluates it, on both branches
+        points = [
+            (g, -((T / tau) ** g))
+            for g in (0.2, 0.4, 0.6, 0.8, 0.9, 0.99)
+            for tau in (0.5, 1.0, 2.0)
+            for T in (1.0, 10.0, 100.0, 1000.0)
+        ]
+        assert len(points) == 72
+        for g, x in points:
+            want = ml_scalar(g, 1.0, x)
+            assert abs(ml(g, 1.0, x) - want) <= 1e-13 * abs(want), (g, x)
 
 
 def asymptotic(a: float, b: float, x: float, terms: int = 40) -> float:
@@ -139,7 +162,7 @@ ARRAY_CASES = [
 
 
 class TestMlArray:
-    """ml_array against scalar ml, its independent oracle."""
+    """ml_array against ml_scalar, its independent oracle."""
 
     @staticmethod
     def grid(a, b):
@@ -153,7 +176,7 @@ class TestMlArray:
     def test_against_scalar(self, a, b):
         x = self.grid(a, b)
         got = ml_array(a, b, x)
-        want = np.array([ml(a, b, v) for v in x])
+        want = np.array([ml_scalar(a, b, v) for v in x])
         closed = a == 1.0
         series = np.array(
             [v == 0.0 or closed or (abs(v) <= _SERIES_TRY_LIMIT and _ml_series(a, b, v)[1])
@@ -169,7 +192,7 @@ class TestMlArray:
     def test_against_series_oracle(self, a, b, x):
         got = ml_array(a, b, np.array([x, 0.0]))
         assert got[0] == pytest.approx(SERIES_ORACLE[(a, b, x)], rel=1e-10)
-        assert got[1] == ml(a, b, 0.0)
+        assert got[1] == ml_scalar(a, b, 0.0)
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("b", ["a", 1.0, 2.0])
@@ -178,19 +201,19 @@ class TestMlArray:
         x = np.array([-50.0, -57.6, -100.0, -200.0])
         want = np.array([asymptotic(a, b, v) for v in x])
         assert np.allclose(ml_array(a, b, x), want, rtol=1e-12, atol=0)
-        assert np.allclose([ml(a, b, v) for v in x], want, rtol=1e-12, atol=0)
+        assert np.allclose([ml_scalar(a, b, v) for v in x], want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("a,b,x", list(NEAR_ONE_ORACLE))
     def test_near_alpha_one(self, a, b, x):
         # the integrand's near-pole sharpens as alpha -> 1
         want = NEAR_ONE_ORACLE[(a, b, x)]
         assert ml_array(a, b, np.array([x]))[0] == pytest.approx(want, rel=1e-11)
-        assert ml(a, b, x) == pytest.approx(want, rel=1e-11)
+        assert ml_scalar(a, b, x) == pytest.approx(want, rel=1e-11)
 
     def test_more_points_than_one_batch(self):
         # 300 integral-branch points: the quadrature runs them in batches
         x = -np.geomspace(5.5, 300.0, 300)
-        want = np.array([ml(0.7, 0.7, v) for v in x])
+        want = np.array([ml_scalar(0.7, 0.7, v) for v in x])
         assert np.allclose(ml_array(0.7, 0.7, x), want, rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("b", [0.02, 1.0])
@@ -200,9 +223,18 @@ class TestMlArray:
         # exp(-r^(1/a)) r^((1-b)/a) must count as 0, not as 0 * inf
         x = -np.linspace(0.8, 1.2, 9)
         got = ml_array(0.02, b, x)
-        want = np.array([ml(0.02, b, v) for v in x])
+        want = np.array([ml_scalar(0.02, b, v) for v in x])
         assert np.all(np.isfinite(got))
         assert np.allclose(got, want, rtol=1e-11, atol=0)
+
+    def test_beta_reduced_to_a_rounding_above_one(self):
+        # 2 - 5 x 0.2 is 1 + 2.2e-16, so the integrand's power of r is just
+        # below 0: at the quadrature's far nodes 0^e once made 0 * inf, and
+        # every integral point of E_{0.2,2} (a type II table at alpha 0.2)
+        # was refused
+        x = -np.geomspace(1.4, 60.0, 40)
+        want = np.array([ml_scalar(0.2, 2.0, v) for v in x])
+        assert np.allclose(ml_array(0.2, 2.0, x), want, rtol=1e-11, atol=0)
 
     def test_empty(self):
         out = ml_array(0.5, 1.0, np.array([]))
@@ -294,7 +326,7 @@ class TestRelaxationKernel:
         ts = np.logspace(-3, 2, 40).reshape(8, 5)
         vals = kernel_value(k, ts)
         assert vals.shape == ts.shape
-        want = [0.5**-order * t ** (order - 1) * ml(order, order, -((t / 0.5) ** order))
+        want = [0.5**-order * t ** (order - 1) * ml_scalar(order, order, -((t / 0.5) ** order))
                 for t in ts.ravel()]
         assert np.allclose(vals.ravel(), want, rtol=1e-11, atol=0)
         assert isinstance(kernel_value(k, 2.0), float)
@@ -314,7 +346,7 @@ class TestRelaxationKernel:
         closed = kernel_mass(k, 4.0)
         # split off the t^{a-1} singularity as an algebraic quadrature weight;
         # the remaining factor extends continuously to t = 0
-        smooth = lambda t: ml(0.5, 0.5, -(t**0.5)) if t > 0 else 1 / math.gamma(0.5)
+        smooth = lambda t: ml_scalar(0.5, 0.5, -(t**0.5)) if t > 0 else 1 / math.gamma(0.5)
         val, _ = quad(
             smooth,
             0.0,
@@ -373,3 +405,7 @@ class TestRelaxationKernel:
         k = RelaxationKernel(order=0.5, tau=1.0)
         with pytest.raises(DomainError):
             kernel_value(k, 0.0)
+        # both once returned nan
+        for horizon in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="horizon"):
+                kernel_mass(k, horizon)
