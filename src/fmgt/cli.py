@@ -33,7 +33,7 @@ from .fractional import (
     alikhanov_gap,
     coercivity_quadform,
 )
-from .models import ModelError, catalog, describe
+from .models import ModelError, Nonlinearity, catalog, describe
 from .volterra import SolverError, classical_mgt_reference
 
 EXIT_CONFIG = 2
@@ -99,7 +99,7 @@ def cmd_run(args) -> int:
     }
     summary.update(traj.diagnostics)  # the solver keys of this run kind
 
-    if "study.crosscheck" in cfg.entries:  # validated: the ODE check of an alpha = 1 run
+    if "study.crosscheck" in cfg.entries:  # validated: the ODE check of a linear alpha = 1 run
         ref = classical_mgt_reference(spec, data, grid, f)
         summary["ode_crosscheck_max_error"] = float(np.max(np.abs(traj.psi - ref.psi)))
 
@@ -119,7 +119,8 @@ def cmd_run(args) -> int:
 
     if "study.n_sweep" in cfg.entries:
         ns = cfg._ints("study.n_sweep")
-        reference = "ode" if spec.alpha == 1.0 else "richardson"
+        linear = spec.nonlinearity is Nonlinearity.LINEAR
+        reference = "ode" if linear and spec.alpha == 1.0 else "richardson"
         table = convergence_table(spec, data, grid.horizon, ns, source, reference=reference)
         summary["convergence"] = dataclasses.asdict(table)
 

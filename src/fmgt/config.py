@@ -160,8 +160,9 @@ class RunConfig:
             raise ConfigError(
                 f"model.nonlinearity must be linear/westervelt/kuznetsov, got {nl!r}"
             )
+        variant = ModelVariant(Family(fam), Nonlinearity(nl))
         try:
-            beta_of(ModelVariant(Family(fam), Nonlinearity(nl)), self._float("model.alpha"))
+            beta_of(variant, self._float("model.alpha"))
         except ModelError as exc:
             raise ConfigError(f"model.alpha: {exc}") from exc
         if self.entries["domain.kind"] not in ("interval", "rectangle"):
@@ -197,7 +198,37 @@ class RunConfig:
                 "key study.crosscheck: the ODE reference serves alpha = 1 runs, got "
                 f"model.alpha = {self.entries['model.alpha']}"
             )
+        if crosscheck == "ode" and variant.nonlinearity is not Nonlinearity.LINEAR:
+            raise ConfigError(
+                "key study.crosscheck: the ODE reference is the linear classical "
+                f"equation, got model.nonlinearity = {nl}"
+            )
+        if "study.alpha_sweep" in self.entries:
+            self._validate_sweep(variant)
+        if "study.selfcheck_signals" in self.entries:
+            count = self._int("study.selfcheck_signals")
+            if count < 1:
+                raise ConfigError(f"key study.selfcheck_signals: must be at least 1, got {count}")
         return self
+
+    def _validate_sweep(self, variant: ModelVariant):
+        """The alpha sweep is not empty and lies in the family's range, and the
+        data keys the limit study needs zero are zero: psi1, and psi2 for
+        family ii."""
+        alphas = self._floats("study.alpha_sweep")
+        if not alphas:
+            raise ConfigError("key study.alpha_sweep: lists no alpha")
+        for a in alphas:
+            try:
+                beta_of(variant, a)
+            except ModelError as exc:
+                raise ConfigError(f"key study.alpha_sweep: {exc}") from exc
+        zero = ("data.psi1", "data.psi2") if variant.family is Family.II else ("data.psi1",)
+        for key in zero:
+            if key in self.entries and any(self._floats(key)):
+                raise ConfigError(
+                    f"key {key}: study.alpha_sweep needs {key[5:]} = 0, got {self.entries[key]}"
+                )
 
     # object construction ---------------------------------------------------
 

@@ -137,18 +137,15 @@ def _gamma_small(x: float, z: float) -> float:
 class FractionalOrder:
     """Differentiation-order exponent in (0, 1].
 
-    Some model families restrict the order further (their constructors pass
-    the tighter lower bound); comparisons and arithmetic go through float().
+    A family's tighter range is checked by its variant (``admits``);
+    comparisons and arithmetic go through float().
     """
 
     value: float
-    lower: float = 0.0
 
     def __post_init__(self):
-        if not (self.lower < self.value <= 1.0):
-            raise DomainError(
-                f"order must lie in ({self.lower}, 1], got {self.value}"
-            )
+        if not (0.0 < self.value <= 1.0):
+            raise DomainError(f"order must lie in (0, 1], got {self.value}")
 
     def __float__(self) -> float:
         return self.value

@@ -186,34 +186,30 @@ class EigenBasis:
                 self._gmats = [g[:, self._tensor_pos] for g in (gx, gy)]
         return self._gmats
 
-    def project(self, f, oversample: int = 16) -> "SpectralField":
+    def project(self, f) -> "SpectralField":
         """Project a pointwise function; exact on band-limited inputs.
 
         General (non-band-limited) inputs alias under the working 2x grid, so
-        function projection uses a finer quadrature grid; the transforms are
-        cached per oversampling factor.
+        function projection uses a quadrature grid 16 times finer, whose
+        transforms are built on first use.
         """
-        mats, pts = self._fine_quadrature(oversample)
+        if "_fine" not in self.__dict__:
+            mats, pts = [], []
+            for L, m in zip(self.domain.lengths, self.cutoff):
+                M = 16 * 2 * m
+                i = np.arange(1, M)[:, None]
+                j = np.arange(1, m + 1)[None, :]
+                E = np.sqrt(2.0 / L) * np.sin(np.pi * i * j / M)
+                mats.append((L / M) * E.T)
+                pts.append(np.arange(1, M) * (L / M))
+            self._fine = (mats, pts)
+        mats, pts = self._fine
         if self.domain.ndim == 1:
             t = mats[0] @ np.asarray(f(pts[0]), dtype=float)
         else:
             X, Y = np.meshgrid(pts[0], pts[1], indexing="ij")
             t = mats[0] @ np.asarray(f(X, Y), dtype=float) @ mats[1].T
         return SpectralField(self, self._from_tensor(t))
-
-    def _fine_quadrature(self, oversample: int):
-        cache = self.__dict__.setdefault("_fine_cache", {})
-        if oversample not in cache:
-            mats, pts = [], []
-            for L, m in zip(self.domain.lengths, self.cutoff):
-                M = oversample * 2 * m
-                i = np.arange(1, M)[:, None]
-                j = np.arange(1, m + 1)[None, :]
-                E = np.sqrt(2.0 / L) * np.sin(np.pi * i * j / M)
-                mats.append((L / M) * E.T)
-                pts.append(np.arange(1, M) * (L / M))
-            cache[oversample] = (mats, pts)
-        return cache[oversample]
 
     def unit_mode(self, index: int, amplitude: float = 1.0) -> "SpectralField":
         c = np.zeros(self.size)

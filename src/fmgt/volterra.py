@@ -147,6 +147,7 @@ class _Tables:
     # so halving a stiff solve's windows does not grow the tables
     solve_t: CausalFilter | None = None
     lags: dict = field(default_factory=dict)  # (exponent, length) -> C_e's filter
+    data_grad: list | None = None  # G(xi1 + t xi2) per axis (``freeze``'s gradient term)
 
 
 @dataclass
@@ -312,12 +313,13 @@ def _sigma_grid_values(basis, grid, sigma):
     return sigma
 
 
-def freeze(problem: VolterraProblem, sigma=None, grad_w=None, grad_data=None) -> VolterraProblem:
+def freeze(problem: VolterraProblem, sigma=None, grad_w=None) -> VolterraProblem:
     """The assembled linear ``problem`` plus one Picard iterate's terms, their
     data parts taken from the forcing: sigma (collocation values) on psi_tt's
     exponent, with data part sigma xi2, and 2 l~ grad w . grad psi_t (grad_w
-    per-axis grid values) on psi_t's, with data part ``grad_data``.  Freezing
-    adds no diagonal term, so the iterate shares the problem's tables."""
+    per-axis grid values) on psi_t's, with data part
+    2 l~ P(sum_axis grad_w G(xi1 + t xi2)).  Freezing adds no diagonal term,
+    so the iterate shares the problem's tables, G(xi1 + t xi2) among them."""
     basis = problem.basis
     _, e_psit, e_psitt = problem.recon_exponents
     terms = list(problem.kernel.terms)
@@ -327,8 +329,16 @@ def freeze(problem: VolterraProblem, sigma=None, grad_w=None, grad_data=None) ->
         terms.append(CollocationTerm(e_psitt, sigma))
         F = F - basis.project_values(sigma * basis.evaluate(problem.xi2))
     if grad_w is not None:
-        terms.append(GradientTerm(e_psit, 2.0 * problem.spec.l_eff, grad_w))
-        F = F - grad_data
+        coeff = 2.0 * problem.spec.l_eff
+        terms.append(GradientTerm(e_psit, coeff, grad_w))
+        tables = problem.tables
+        if tables.data_grad is None:
+            t = problem.grid.nodes
+            tables.data_grad = basis.evaluate_grad(problem.xi1 + t[:, None] * problem.xi2)
+        acc = grad_w[0] * tables.data_grad[0]
+        for gw, gd in zip(grad_w[1:], tables.data_grad[1:]):
+            acc += gw * gd
+        F = F - coeff * basis.project_values(acc)
     frozen = replace(problem, kernel=PowerKernelSum(terms), forcing=F)
     frozen.tables = problem.tables
     return frozen
@@ -643,11 +653,12 @@ def solve_linear(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> 
 
 
 def classical_mgt_reference(
-    spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None, rtol=1e-12, atol=1e-14
+    spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None
 ) -> Trajectory:
     """Adaptive third-order-in-time integrator for the classical linear MGT
     system per mode (tau xi''' + xi'' + c^2 lam xi + (tau c^2 + delta) lam xi'
-    = f), used as an independent oracle for alpha = 1 degeneration."""
+    = f), used as an independent oracle for alpha = 1 degeneration.  DOP853
+    runs at rtol 1e-12 and atol 1e-14."""
     from scipy.integrate import solve_ivp
 
     basis = data.basis
@@ -677,7 +688,7 @@ def classical_mgt_reference(
 
     y0 = np.concatenate([data.psi0.coeffs, data.psi1.coeffs, data.psi2.coeffs])
     sol = solve_ivp(
-        rhs, (0.0, grid.horizon), y0, method="DOP853", t_eval=nodes, rtol=rtol, atol=atol
+        rhs, (0.0, grid.horizon), y0, method="DOP853", t_eval=nodes, rtol=1e-12, atol=1e-14
     )
     if not sol.success:
         raise SolverBlowUpError(
@@ -733,7 +744,6 @@ def picard_nonlinear(
     f=None,
     tol: float = 1e-10,
     max_iter: int = 25,
-    ball_radius: float | None = None,
 ) -> PicardResult:
     """Fixed-point iteration w -> psi solving the frozen-coefficient linear
     problem with sigma = 2 k w_t (and the gradient term 2 l~ grad w . grad
@@ -751,44 +761,25 @@ def picard_nonlinear(
 
     basis = data.basis
     k = spec.k_eff
-    l = spec.l_eff
 
     linear = assemble(spec, data, f, grid)
     current = reconstruct(linear, solve_mu(linear))
     distances = []
     sweeps, windows = [], []
     t = grid.nodes
-    if l != 0.0:
-        # data part of the gradient term: 2 l~ G_w(t)(xi1 + t xi2)
-        grad_lin = basis.evaluate_grad(linear.xi1 + t[:, None] * linear.xi2)
     for it in range(1, max_iter + 1):
         sigma = None
         if k != 0.0:
             sigma = basis.evaluate(current.psi_t)
             sigma *= 2.0 * k
             _check_nondegenerate(sigma, t, it)
-        grad_w = grad_data = None
-        if l != 0.0:
-            grad_w = basis.evaluate_grad(current.psi)
-            acc = grad_w[0] * grad_lin[0]
-            for gw, gl in zip(grad_w[1:], grad_lin[1:]):
-                acc += gw * gl
-            grad_data = 2.0 * l * basis.project_values(acc)
-        nxt = solve(freeze(linear, sigma, grad_w, grad_data), guess=current.mu)
+        grad_w = basis.evaluate_grad(current.psi) if spec.l_eff != 0.0 else None
+        nxt = solve(freeze(linear, sigma, grad_w), guess=current.mu)
         sweeps.append(nxt.diagnostics["relaxation_sweeps"])
         windows.append(nxt.diagnostics["relaxation_windows"])
         d = _iterate_distance(basis, nxt, current)
         distances.append(d)
         current = nxt
-        if ball_radius is not None:
-            size = np.sqrt(
-                np.max(np.sum(basis.eigenvalues[None, :] ** 2 * nxt.psi_t**2, axis=1))
-            )
-            if size > ball_radius:
-                raise SolverBlowUpError(
-                    cause=f"Picard iterate {it} left the ball of radius {ball_radius:.3e} "
-                    f"(size {size:.3e}, last distance {d:.3e})"
-                )
         if d < tol:
             ratios = [
                 distances[i + 1] / distances[i]
@@ -815,17 +806,24 @@ def picard_nonlinear(
 
 def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
     """Brute-force linear-PI/L1 discretization of the fractional-leading-term
-    equation in the unknown w = psi_tt (families base, I, II; linear only).
+    equation in the unknown w = psi_tt (families base, I, II; linear only;
+    alpha < 1).
 
     tau^a D^a w + w + c^2 K psi + tau^a c^2 K D^a psi + delta K damp = f with
     psi, D^a psi, damp reconstructed from w by classical piecewise-linear
     product integration and D^a w by the L1 scheme: a genuinely different
     algorithm from both the quadratic-PI mu solver and the z-form stepper.
+    At alpha = 1 the oracle is ``classical_mgt_reference``; ModelError says so.
     """
     if spec.nonlinearity is not Nonlinearity.LINEAR:
         raise ModelError("direct L1 solver covers linear models only")
     if spec.family is Family.III:
         raise ModelError("direct L1 solver covers the fractional-leading families")
+    if spec.alpha >= 1.0:
+        raise ModelError(
+            "direct L1 solver covers alpha < 1; at alpha = 1 the oracle is "
+            "classical_mgt_reference"
+        )
     a = spec.alpha
     basis = data.basis
     lam = basis.eigenvalues
@@ -844,17 +842,17 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
         return c0 / gamma(order), d / gamma(order)
 
     c0_2, d_2 = pi_pack(2.0)
-    c0_2a, d_2a = pi_pack(2.0 - a) if a < 1.0 else pi_pack(1.0)
+    c0_2a, d_2a = pi_pack(2.0 - a)
     c0_1, d_1 = pi_pack(1.0)
-    if spec.family is Family.I and a < 1.0:
+    if spec.family is Family.I:
         c0_d, d_d = pi_pack(a)
-    elif spec.family is Family.II and a < 1.0:
+    elif spec.family is Family.II:
         c0_d, d_d = c0_2a, d_2a  # D^a psi, shared with the stiffness term
     else:
-        c0_d, d_d = c0_1, d_1  # psi_t (base) or any family at alpha = 1
+        c0_d, d_d = c0_1, d_1  # psi_t (base)
 
-    b = l1_weights(a, n_steps, h) if a < 1.0 else None
-    l1_scale = h ** (-a) / gamma(2.0 - a) if a < 1.0 else None
+    b = l1_weights(a, n_steps, h)
+    l1_scale = h ** (-a) / gamma(2.0 - a)
 
     w = np.zeros((n_steps + 1, basis.size))
     w[0] = xi2
@@ -864,34 +862,25 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
 
     for n in range(1, n_steps + 1):
         tn = t[n]
-        # I^2 w history (for psi) and I^{2-a} w (for D^a psi), I^1 w (psi_t)
+        # I^2 w history (for psi), I^{2-a} w (for D^a psi) and the damping's
         h_2 = hist(c0_2, d_2, n)
         h_2a = hist(c0_2a, d_2a, n)
-        h_1 = hist(c0_1, d_1, n)
         h_d = hist(c0_d, d_d, n)
 
         psi_part = xi0 + tn * xi1 + h_2
-        if a < 1.0:
-            dapsi_part = p_power(1.0 - a, tn) * xi1 + h_2a
-        else:
-            dapsi_part = xi1 + h_1
-        if spec.family is Family.I and a < 1.0:
+        dapsi_part = p_power(1.0 - a, tn) * xi1 + h_2a
+        if spec.family is Family.I:
             damp_part = h_d  # I^a w = D^{2-a} psi
-        elif spec.family is Family.II and a < 1.0:
+        elif spec.family is Family.II:
             damp_part = dapsi_part
         else:
             damp_part = xi1 + h_d  # psi_t
 
-        if a < 1.0:
-            l1_hist = -b[n - 1] * w[0]
-            if n >= 2:
-                l1_hist = l1_hist - (b[n - 2 :: -1] - b[n - 1 : 0 : -1]).T @ w[1:n]
-            lead_known = p.tau**a * l1_scale * l1_hist
-            lead_self = p.tau**a * l1_scale * b[0]
-        else:
-            # alpha = 1: backward difference for w'
-            lead_known = -p.tau * w[n - 1] / h
-            lead_self = p.tau / h
+        l1_hist = -b[n - 1] * w[0]
+        if n >= 2:
+            l1_hist = l1_hist - (b[n - 2 :: -1] - b[n - 1 : 0 : -1]).T @ w[1:n]
+        lead_known = p.tau**a * l1_scale * l1_hist
+        lead_self = p.tau**a * l1_scale * b[0]
 
         rhs = (
             farr[n]
@@ -904,7 +893,7 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
             lead_self
             + 1.0
             + p.c**2 * lam * d_2[0]
-            + p.tau**a * p.c**2 * lam * (d_2a[0] if a < 1.0 else d_1[0])
+            + p.tau**a * p.c**2 * lam * d_2a[0]
             + p.delta * lam * d_d[0]
         )
         w[n] = rhs / dcoef

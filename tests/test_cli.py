@@ -298,6 +298,10 @@ class TestExitCodes:
         [
             ("model.alpha = 1.0\nstudy.crosscheck = nonsense", "is ode, got 'nonsense'"),
             ("model.alpha = 0.8\nstudy.crosscheck = ode", "got model.alpha = 0.8"),
+            (
+                "model.nonlinearity = westervelt\nmodel.k = 5\nstudy.crosscheck = ode",
+                "got model.nonlinearity = westervelt",
+            ),
         ],
     )
     def test_bad_crosscheck_is_2(self, tmp_path, monkeypatch, capsys, entries, reason):
@@ -321,12 +325,20 @@ class TestExitCodes:
             ("domain.lengths = 1.0,2.0", "domain.lengths"),
             ("domain.kind = rectangle\ndomain.lengths = 1.0", "domain.lengths"),
             ("domain.kind = rectangle\ndomain.lengths = 1.0,1.0,1.0", "domain.lengths"),
+            ("study.alpha_sweep = abc", "study.alpha_sweep"),
+            ("study.alpha_sweep = ,", "study.alpha_sweep"),
+            ("model.family = base\nstudy.alpha_sweep = 0.3,0.9", "study.alpha_sweep"),
+            ("study.alpha_sweep = 0.9\ndata.psi1 = 1", "data.psi1"),
+            ("model.family = ii\nstudy.alpha_sweep = 0.9\ndata.psi2 = 1", "data.psi2"),
+            ("study.selfcheck_signals = x", "study.selfcheck_signals"),
+            ("study.selfcheck_signals = -3", "study.selfcheck_signals"),
         ],
     )
     def test_bad_data_or_lengths_is_2(self, tmp_path, monkeypatch, capsys, entries, key):
         # each once failed with a traceback (or, for two interval lengths,
         # ran on the first, and data.psi0 without coeffs ran from the bump)
-        # instead of naming its key
+        # instead of naming its key; the study keys failed only after the
+        # main solve, or not at all (a negative signal count)
         monkeypatch.setattr(fmgt.cli, "solve", self._no_solve)
         cfg = tmp_path / "data.cfg"
         cfg.write_text(f"schema = 1\ndomain.cutoff = 2\ntime.N = 16\n{entries}\n")
@@ -334,6 +346,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: key {key}: ")
         assert "Traceback" not in err
+        assert list(tmp_path.glob("o/*")) == []  # no artifact
 
     @staticmethod
     def _no_solve(*args, **kwargs):
@@ -378,6 +391,21 @@ class TestArtifacts:
         lines = (out / "trajectory.csv").read_text().splitlines()
         val = lines[2].split(",")[2]  # h1_psi at the second node
         assert float(val) == np.pi * float(lines[2].split(",")[1]) or len(val) >= 15
+
+    def test_summary_is_strict_json(self, tmp_path):
+        # one alpha below 1 fits no slope: null, where NaN is no JSON
+        def refuse(name):
+            raise ValueError(f"{name} in summary.json")
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "schema = 1\nmodel.alpha = 0.8\ndomain.cutoff = 4\ntime.N = 32\n"
+            "study.alpha_sweep = 0.9\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["--out", out, "run", "--config", cfg]) == 0
+        s = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert set(s["limit_study"]["slopes"].values()) == {None}
 
     def test_limit_preset_strictly_decreasing(self, tmp_path):
         out = tmp_path / "o"

@@ -75,8 +75,6 @@ class TestGammaKernel:
             FractionalOrder(0.0)
         with pytest.raises(DomainError):
             FractionalOrder(1.2)
-        with pytest.raises(DomainError):
-            FractionalOrder(0.4, lower=0.5)  # variant-restricted range
         from fmgt import Family, MediumParams, ModelSpec, ModelVariant, Nonlinearity
 
         spec = ModelSpec(
