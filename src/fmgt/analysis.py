@@ -197,6 +197,9 @@ class LimitStudy:
     columns: dict
     slopes: dict  # per column; None where fewer than two positive values at alpha < 1
     flags: dict = field(default_factory=dict)
+    # family ii: the largest recovery_discrepancy over every z-form solve of
+    # the study, the alpha = 1 reference included; None for other families
+    max_recovery_discrepancy: float | None = None
 
     def decreasing(self, column: str) -> bool:
         v = self.columns[column]
@@ -275,7 +278,9 @@ def limit_study(
             "for psi0 != 0 (kernel difference unbounded at t = 0); finite-p "
             "columns remain valid"
         )
-    return LimitStudy(variant.family.value, alphas, cols, slopes, flags)
+    discrepancies = [solved[a].diagnostics.get("recovery_discrepancy") for a in (1.0, *alphas)]
+    worst = None if None in discrepancies else max(discrepancies)
+    return LimitStudy(variant.family.value, alphas, cols, slopes, flags, worst)
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,11 @@ def cmd_run(args) -> int:
         study = limit_study(
             spec.variant, spec.params, data, grid, alphas, f, solved={spec.alpha: traj}
         )
+        # every field but the family, which "model" states
         summary["limit_study"] = {
-            k: getattr(study, k) for k in ("alphas", "columns", "slopes", "flags")
+            f.name: getattr(study, f.name)
+            for f in dataclasses.fields(study)
+            if f.name != "family"
         }
         _write_csv(
             out / "limit_study.csv",

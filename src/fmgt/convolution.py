@@ -12,7 +12,9 @@ spectrum is built once per run and signal length.  ``series_reciprocal``
 inverts a lower-triangular Toeplitz matrix, so one more product solves the
 system it defines.  The solvers apply them to whole time axes: the Volterra
 solver relaxes windows of nodes against the reciprocal, and the z-form
-solver is one Toeplitz solve per mode.  Only the oracles loop node by node.
+solver is one Toeplitz solve per mode.  The oracles use none of this
+module: the direct L1 solver loops node by node, and the recovery check of
+``memory`` solves its Toeplitz system by plain dense substitution.
 """
 from __future__ import annotations
 
@@ -58,8 +60,7 @@ class CausalFilter:
         product."""
         if not self.size or not np.any(kernel[1:]):
             return kernel, 0, None
-        binade = _binade(kernel)
-        spec = rfft(np.ldexp(kernel, -binade), self.size, axis=0)
+        spec, binade = _scaled_rfft(kernel, self.size)
         return kernel, binade, spec
 
     @classmethod
@@ -124,6 +125,12 @@ def _binade(a: np.ndarray) -> int:
     return int(np.frexp(top)[1]) if np.isfinite(top) else 0
 
 
+def _scaled_rfft(a: np.ndarray, size: int):
+    """(rfft along axis 0 of a scaled by 2^-e, e) with e = _binade(a)."""
+    e = _binade(a)
+    return rfft(np.ldexp(a, -e), size, axis=0), e
+
+
 def series_reciprocal(symbol) -> np.ndarray:
     """y with sum_{j=0}^{n} symbol[n-j] y[j] = [n == 0] for every row n: the
     first column of the inverse of the lower-triangular Toeplitz matrix whose
@@ -134,7 +141,12 @@ def series_reciprocal(symbol) -> np.ndarray:
     symbol y), doubles the number of final rows per step (Commenges &
     Monsion, IEEE Trans. Autom. Control 29, 1984, 250): the rows m..2m-1 of
     the new y are -y * e, where e holds rows m..2m-1 of symbol * y.  Two
-    causal_conv products per step, O(n log n) in all.
+    products per step, O(n log n) in all, both of transform size
+    _fast_len(2m) and sharing the transform of y[:m]: e is a middle
+    product, the rows m..2m-1 of the cyclic product of y[:m] and
+    symbol[:2m], which its wraparound does not reach, and y[:m] * e has no
+    wraparound.  That is five transforms per step.  The operands are
+    scaled by powers of two, as in ``CausalFilter``.
     """
     a = np.asarray(symbol, dtype=float)
     n = a.shape[0]
@@ -145,7 +157,14 @@ def series_reciprocal(symbol) -> np.ndarray:
     m = 1
     while m < n:
         m2 = min(2 * m, n)
-        e = causal_conv(y[:m], a[:m2])[m:]  # the shorter operand as kernel
-        y[m:m2] = -causal_conv(y[: m2 - m], e)
+        size = _fast_len(m2)
+        y_spec, ey = _scaled_rfft(y[:m], size)
+        prod, ea = _scaled_rfft(a[:m2], size)
+        prod *= y_spec
+        e = np.ldexp(irfft(prod, size, axis=0)[m:m2], ey + ea)
+        # the rows of y[:m] past m2 - m reach only rows past m2 - m
+        prod, ee = _scaled_rfft(e, size)
+        prod *= y_spec
+        y[m:m2] = -np.ldexp(irfft(prod, size, axis=0)[: m2 - m], ey + ee)
         m = m2
     return y

@@ -13,7 +13,10 @@ convolution uses exact kernel cell moments (closed forms in E_{a,1} and
 E_{a,2}), never sampling the kernel at zero.  psi is recovered two
 independent ways which must agree:
 (a) psi = E_{a,1}(-(t/tau)^a) psi0 + k_a * z by product integration, and
-(b) an L1 solve of tau^a D^a psi + psi = z per mode.
+(b) the L1 scheme of tau^a D^a psi + psi = z (the trapezoidal rule at
+    a = 1), one lower-triangular Toeplitz system for every mode, solved by
+    blocked forward substitution with dense products only: this check
+    route uses nothing of ``convolution``.
 
 Sources are assumed node-sampled continuous in time; rough-in-time forcing is
 untested territory.
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .convolution import CausalFilter, causal_conv, series_reciprocal
 from .fractional import TimeGrid, first_derivative, gamma, l1_weights, second_derivative
@@ -162,42 +166,85 @@ def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
     """Recover psi from z two independent ways and report the discrepancy.
 
     Returns (psi, max_discrepancy): psi from the convolution form
-    E_{a,1}(-(t/tau)^a) psi0 + k_a * z; the discrepancy is against a direct
-    L1 solve of tau^a D^a psi + psi = z per mode.  A large discrepancy
-    signals a kernel or Mittag-Leffler bug.
+    E_{a,1}(-(t/tau)^a) psi0 + k_a * z; the discrepancy is against
+    ``relaxation_check``, the discrete relaxation equation solved by plain
+    substitution.  A large discrepancy signals a kernel or Mittag-Leffler
+    bug.
     """
-    spec = ztraj.spec
-    p = spec.params
-    a = spec.alpha
-    grid = ztraj.grid
-    h = grid.h
-    n_steps = grid.steps
     z = ztraj.z
-
     tables = ztraj.tables
     psi = tables.e1[:, None] * psi0_coeffs[None, :]
     psi[1:] += causal_conv(tables.w, z[1:]) + tables.q[:, None] * z[0]
+    psi_check = relaxation_check(ztraj.spec, ztraj.grid, z, psi0_coeffs)
+    return psi, float(np.max(np.abs(psi - psi_check)))
 
-    # independent route: L1 marching of the relaxation equation
-    psi_l1 = np.zeros_like(psi)
-    psi_l1[0] = psi0_coeffs
+
+def relaxation_check(spec: ModelSpec, grid: TimeGrid, z: np.ndarray, psi0_coeffs):
+    """psi from tau^a D^a psi + psi = z per mode, the check route of
+    ``recover_psi``: the L1 scheme for a < 1, the trapezoidal rule for
+    tau psi' + psi = z at a = 1.
+
+    Both are lower-triangular Toeplitz systems in psi_1..psi_N whose symbol
+    is the same for every mode: d_0 = scale b_0 + 1 and d_k = scale (b_k -
+    b_{k-1}) for L1 with weights b, and tau + h/2, -(tau - h/2) for the
+    trapezoidal rule.  They are solved by ``_forward_substitution``, which
+    shares no code with the convolution route that this one checks.
+    """
+    p = spec.params
+    a = spec.alpha
+    h = grid.h
+    d = np.zeros(grid.steps)
     if a < 1.0:
-        b = l1_weights(a, n_steps, h)
+        b = l1_weights(a, grid.steps, h)
         scale = p.tau**a * h ** (-a) / gamma(2.0 - a)
-        for n in range(1, n_steps + 1):
-            hist = -b[n - 1] * psi_l1[0]
-            if n >= 2:
-                hist = hist - (b[n - 2 :: -1] - b[n - 1 : 0 : -1]).T @ psi_l1[1:n]
-            psi_l1[n] = (z[n] - scale * hist) / (scale * b[0] + 1.0)
+        d[0] = scale * b[0] + 1.0
+        d[1:] = scale * np.diff(b)
+        rhs = z[1:] + scale * b[:, None] * psi0_coeffs
     else:
-        # trapezoidal solve of tau psi' + psi = z
-        for n in range(1, n_steps + 1):
-            psi_l1[n] = (
-                0.5 * h * (z[n] + z[n - 1])
-                + (p.tau - 0.5 * h) * psi_l1[n - 1]
-            ) / (p.tau + 0.5 * h)
-    disc = float(np.max(np.abs(psi - psi_l1)))
-    return psi, disc
+        d[0] = p.tau + 0.5 * h
+        d[1:2] = -(p.tau - 0.5 * h)
+        rhs = 0.5 * h * (z[1:] + z[:-1])
+        rhs[0] += (p.tau - 0.5 * h) * psi0_coeffs
+    return np.vstack([psi0_coeffs, _forward_substitution(d, rhs)])
+
+
+# rows per block of ``_forward_substitution``
+_BLOCK = 64
+
+
+def _forward_substitution(d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with sum_{k=0}^{n} d[k] x[n-k] = rhs[n] for every row n of rhs
+    (1-D, or 2-D with one column per system): the lower-triangular Toeplitz
+    system with first column d, by blocked forward substitution.  Entries
+    of d beyond the rows of rhs are unused; missing ones count as zero.
+
+    Every diagonal block is the same matrix; its inverse, lower-triangular
+    Toeplitz too, is built once from its first column by substitution.
+    Each block then takes two dense products: the history of the rows
+    already solved, through a strided Toeplitz view of d, and the inverse.
+    O(n^2) per column, no transform.
+    """
+    n = rhs.shape[0]
+    x = np.zeros_like(rhs)
+    d = np.concatenate([np.asarray(d, dtype=float)[:n], np.zeros(max(0, n - len(d)))])
+    size = min(_BLOCK, n)
+    inv = np.zeros(size)  # the first column of the diagonal block's inverse
+    inv[0] = 1.0 / d[0]
+    for i in range(1, size):
+        inv[i] = -np.dot(d[i:0:-1], inv[:i]) / d[0]
+    # block_inv[i, j] = inv[i - j], zero above the diagonal
+    padded = np.concatenate([np.zeros(size - 1), inv])
+    step = padded.strides[0]
+    block_inv = as_strided(padded[size - 1 :], (size, size), (step, -step), writeable=False)
+    for start in range(0, n, size):
+        rows = min(size, n - start)
+        r = rhs[start : start + rows]
+        if start:
+            # r[i] -= sum_{q < start} d[i + 1 + q] x[start - 1 - q]
+            lags = as_strided(d[1:], (rows, start), (step, step), writeable=False)
+            r = r - np.einsum("iq,q...->i...", lags, x[start - 1 :: -1])
+        x[start : start + rows] = np.einsum("ij,j...->i...", block_inv[:rows, :rows], r)
+    return x
 
 
 def solve_fmgt2(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:

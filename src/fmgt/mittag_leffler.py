@@ -2,12 +2,13 @@
 the relaxation kernels they generate.
 
 E_{a,b}(x) for a in (0,1], b > 0, x <= 0 is evaluated by a compensated power
-series while the terms are small enough for full double-precision accuracy,
-and otherwise by the real-axis integral representation (the series is entire
-but loses ~log10(max|term|/|sum|) digits to cancellation, so the switch is
-driven by a running cancellation estimate, not by |x| alone).  b > 1 is
-reduced to b <= 1 with the recurrence E_{a,b}(x) = 1/Gamma(b) + x E_{a,b+a}(x)
-before integrating; on the negative axis this direction is stable.
+series, tried for |x| <= 6.5, while the terms are small enough for full
+double-precision accuracy, and otherwise by the real-axis integral
+representation (the series is entire but loses ~log10(max|term|/|sum|)
+digits to cancellation, so the switch is driven by a running cancellation
+estimate, not by |x| alone).  b > 1 is reduced to b <= 1 with the
+recurrence E_{a,b}(x) = 1/Gamma(b) + x E_{a,b+a}(x) before integrating; on
+the negative axis this direction is stable.
 
 One evaluator applies that branch rule.  The array core ``_ml_table``
 takes a whole table for one or several betas at once; ``ml_array`` is its
@@ -17,14 +18,16 @@ keeps the scalar form of the rule, a term-by-term series and scipy's
 against.  The series runs across all points and betas, which share the
 powers x^k, in blocks of terms; each (beta, point) keeps its own Kahan sum,
 gamma values and stop rule, so series values agree with the oracle's bit
-for bit.  Every point left to the integral goes through one adaptive
-Gauss-Kronrod quadrature, in batches of 32 points that start from a
-partition of [0, 1] graded toward both ends.  The betas' integrands share
-exp(-r^(1/a)) and the denominator, each keeps its own per-point error
-control, and a point is done when all of them have converged.  The kernel
-cell moments behind the z-form march and the psi recovery build E_{a,1} and
-E_{a,2} as one such table; ``kernel_value`` goes through ``ml_array`` and
-``kernel_mass`` through ``ml``.
+for bit.  A point left to the integral is integrated only for the betas
+that the series left to it: the points that every beta left share one
+adaptive Gauss-Kronrod quadrature, and the others integrate their own beta
+alone, each in batches of 32 points that start from a partition of [0, 1]
+graded toward both ends.  The betas' integrands share exp(-r^(1/a)) and
+the denominator, each keeps its own per-point error control, and a point
+is done when all of them have converged.  The kernel cell moments behind
+the z-form march and the psi recovery build E_{a,1} and E_{a,2} as one such
+table; ``kernel_value`` goes through ``ml_array`` and ``kernel_mass``
+through ``ml``.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from .fractional import DomainError, gamma
 # the evaluator targets this relative accuracy on the supported domain
 ML_RTOL = 1e-10
 _SERIES_MAX_TERMS = 200
-_SERIES_TRY_LIMIT = 5.0  # try the series first for |x| at or below this
+_SERIES_TRY_LIMIT = 6.5  # try the series first for |x| at or below this
 _SERIES_BLOCK = 16  # series terms per block of whole-array steps
 
 
@@ -329,8 +332,9 @@ def _ml_table(alpha: float, betas, x) -> np.ndarray:
     The branch rule, applied to a whole table at once: 1/Gamma(b) at
     x = 0, the closed forms at alpha = 1 when every b is 1 or 2, the series
     for |x| <= _SERIES_TRY_LIMIT where its cancellation estimate passes, and
-    the integral representation elsewhere.  The betas share one series pass and
-    one quadrature, which runs every point that some beta leaves to it.
+    the integral representation elsewhere.  The betas share one series pass.
+    The points that every beta leaves to the integral share one quadrature;
+    the others integrate only the betas left to them, one at a time.
     ``ml_scalar`` of ``tests/ml_reference.py`` states the rule point by point.
     """
     for b in betas:
@@ -360,15 +364,18 @@ def _ml_table(alpha: float, betas, x) -> np.ndarray:
     for row, left, vals, passed in zip(out, todo, values, ok):
         row[series[passed]] = vals[passed]
         left[series[passed]] = False
-    points = np.flatnonzero(todo.any(axis=0))
-    if points.size:
-        if alpha == 1.0:
-            raise DomainError(
-                "alpha = 1 with large |x| is supported only for beta in {1, 2}"
-            )
-        values = _ml_integral_array(alpha, betas, x[points])
-        for row, left, vals in zip(out, todo[:, points], values):
-            row[points[left]] = vals[left]
+    if todo.any() and alpha == 1.0:
+        raise DomainError("alpha = 1 with large |x| is supported only for beta in {1, 2}")
+    # the points that every beta left share one quadrature; the others
+    # integrate only the betas left to them, one at a time
+    every = todo.all(axis=0)
+    groups = [(range(len(betas)), every)]
+    groups += [([i], left & ~every) for i, left in enumerate(todo)]
+    for rows, at in groups:
+        points = np.flatnonzero(at)
+        if points.size:
+            values = _ml_integral_array(alpha, [betas[i] for i in rows], x[points])
+            out[np.ix_(rows, points)] = values
     return out
 
 

@@ -415,6 +415,23 @@ class TestArtifacts:
         assert all(a > b for a, b in zip(col, col[1:]))
         assert (out / "limit_study.csv").exists()
 
+    def test_limit_study_reports_every_recovery_check(self, tmp_path):
+        # every z-form solve of the study runs the recovery check, the
+        # alpha = 1 reference too; the summary keeps the largest result
+        out = tmp_path / "o"
+        assert run_cli(["--out", out, "run", "--config", PRESETS / "limit-ii.cfg"]) == 0
+        s = json.loads((out / "summary.json").read_text())
+        worst = s["limit_study"]["max_recovery_discrepancy"]
+        amplitude = float(RunConfig.from_file(PRESETS / "limit-ii.cfg").entries["data.amplitude"])
+        assert np.isfinite(worst)
+        assert s["recovery_discrepancy"] <= worst < 1e-2 * amplitude
+
+    def test_limit_study_without_zform_reports_no_recovery_check(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["--out", out, "run", "--config", PRESETS / "limit-iii.cfg"]) == 0
+        s = json.loads((out / "summary.json").read_text())
+        assert s["limit_study"]["max_recovery_discrepancy"] is None
+
     def test_picard_summary_reports_inner_sweeps(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli(["--out", out, "run", "--config", PRESETS / "picard-w3.cfg"]) == 0

@@ -1,13 +1,20 @@
 """Memory-form solver for the linear type-II model and psi recovery."""
+import ast
+import inspect
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import fmgt.convolution
+import fmgt.memory
 import fmgt.mittag_leffler
 from fmgt import Domain, EigenBasis, TimeGrid
+from fmgt.fractional import gamma, l1_weights
 from fmgt.memory import (
     ZTrajectory,
+    _forward_substitution,
     memory_tables,
     recover_psi,
     solve_fmgt2,
@@ -336,3 +343,82 @@ class TestEnergyBoundedness:
                 f"{np.sqrt((1.0 + 0.5) * lam1):.3f}, relaxed speed {np.sqrt(lam1):.3f}"
             )
         assert np.all(np.isfinite(z1))
+
+
+def forward_substitution_by_rows(d, rhs):
+    """The naive oracle of ``_forward_substitution``: one row at a time."""
+    x = np.zeros_like(rhs)
+    for n in range(rhs.shape[0]):
+        x[n] = (rhs[n] - d[n:0:-1] @ x[:n]) / d[0]
+    return x
+
+
+def l1_symbol(alpha, n, tau=0.25, horizon=2.0):
+    h = horizon / n
+    b = l1_weights(alpha, n, h)
+    d = tau**alpha * h ** (-alpha) / gamma(2.0 - alpha) * np.concatenate([b[:1], np.diff(b)])
+    d[0] += 1.0
+    return d
+
+
+def trapezoid_symbol(n, tau=0.25, horizon=2.0):
+    h = horizon / n
+    d = np.zeros(n)
+    d[0] = tau + 0.5 * h
+    d[1:2] = -(tau - 0.5 * h)
+    return d
+
+
+class TestForwardSubstitution:
+    """The blocked solve of the recovery check against row-by-row
+    substitution, across block edges (64 rows a block)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257])
+    @pytest.mark.parametrize("symbol", ["l1", "trapezoid"])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_against_rows(self, n, symbol, columns):
+        d = l1_symbol(0.7, n) if symbol == "l1" else trapezoid_symbol(n)
+        shape = (n,) if columns is None else (n, columns)
+        rhs = np.random.default_rng(n).standard_normal(shape)
+        got = _forward_substitution(d, rhs)
+        want = forward_substitution_by_rows(d, rhs)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_short_symbol_counts_as_zero(self):
+        rhs = np.random.default_rng(0).standard_normal((70, 2))
+        d = trapezoid_symbol(70)
+        assert np.array_equal(_forward_substitution(d[:2], rhs), _forward_substitution(d, rhs))
+
+
+def test_recovery_check_names_no_convolution_symbol():
+    # the check route stays independent of the convolution route it
+    # checks: neither it nor any fmgt function it calls names a symbol
+    # defined in fmgt.convolution, or a transform
+    banned = {
+        name
+        for name, obj in vars(fmgt.convolution).items()
+        if getattr(obj, "__module__", None) == "fmgt.convolution"
+    } | {"convolution", "fft", "rfft", "irfft"}
+    seen, todo, named = set(), [fmgt.memory.relaxation_check], set()
+    while todo:
+        func = todo.pop()
+        if func in seen:
+            continue
+        seen.add(func)
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            named.add(name)
+            target = func.__globals__.get(name)
+            if inspect.isfunction(target) and target.__module__.startswith("fmgt."):
+                todo.append(target)
+    assert {"relaxation_check", "_forward_substitution", "l1_weights"} <= {
+        f.__name__ for f in seen
+    }
+    assert "causal_conv" in banned and "series_reciprocal" in banned
+    assert named & banned == set()

@@ -134,8 +134,9 @@ def asymptotic(a: float, b: float, x: float, terms: int = 40) -> float:
 
 
 def series_switch(a: float, b: float) -> float | None:
-    """The x in [-5, 0] where the series' cancellation estimate starts to
-    fail, by bisection on the scalar flag; None if it passes on all of it."""
+    """The x in [-_SERIES_TRY_LIMIT, 0] where the series' cancellation
+    estimate starts to fail, by bisection on the scalar flag; None if it
+    passes on all of it."""
     if _ml_series(a, b, -_SERIES_TRY_LIMIT)[1]:
         return None
     lo, hi = -_SERIES_TRY_LIMIT, 0.0  # fails at lo, passes at hi
@@ -284,6 +285,28 @@ class TestJointTable:
             assert np.array_equal(row[series], want[series])
             rel = np.abs(row[~series] - want[~series]) / np.abs(want[~series])
             assert rel.max() <= 1e-13, (b, x[~series][np.argmax(rel)], rel.max())
+
+    @pytest.mark.parametrize("a", [0.9, 0.95])
+    def test_series_range_past_five(self, a):
+        # past |x| = 5 the series serves both betas where its cancellation
+        # test passes; where E_{a,1} fails it and E_{a,2} passes, the
+        # quadrature integrates E_{a,1} alone
+        x = -np.linspace(5.0, 7.2, 45)
+        betas = (1.0, 2.0)
+        table = _ml_table(a, betas, x)
+        series = np.array(
+            [[abs(v) <= _SERIES_TRY_LIMIT and _ml_series(a, b, v)[1] for v in x] for b in betas]
+        )
+        assert series[:, np.abs(x) > 5.0].any(axis=1).all()
+        for row, b, on in zip(table, betas, series):
+            want = np.array([ml_scalar(a, b, v) for v in x])
+            assert np.array_equal(row[on], want[on])
+            rel = np.abs(row[~on] - want[~on]) / np.abs(want[~on])
+            assert rel.max() <= 1e-11
+        mixed = ~series[0] & series[1]
+        assert mixed.any()
+        want = ml_array(a, 1.0, x[mixed])
+        assert np.max(np.abs(table[0, mixed] - want) / np.abs(want)) <= 1e-13
 
     def test_a_point_waits_for_every_column(self):
         # column 0 is constant and converges at once; column 1, a narrow peak

@@ -13,6 +13,7 @@ from fmgt.models import (
     ModelSpec,
     ModelVariant,
     Nonlinearity,
+    beta_of,
 )
 import fmgt.convolution
 import fmgt.volterra
@@ -378,6 +379,22 @@ class TestDegenerations:
         spec = ModelSpec(ModelVariant(Family.BASE, Nonlinearity.LINEAR), MediumParams(), 1.0)
         with pytest.raises(ModelError, match="classical_mgt_reference"):
             solve_direct_l1(spec, data, TimeGrid(1.0, 16))
+
+    def test_ode_oracle_refuses_nonlinear(self, single_mode_setup):
+        # it reads tau, c and delta only: on this Westervelt spec it once
+        # returned the linear ODE, 1.96e-3 away from the Picard solution
+        b, data = single_mode_setup
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=5.0), 1.0
+        )
+        with pytest.raises(ModelError, match="linear models only"):
+            classical_mgt_reference(spec, data, TimeGrid(1.0, 64))
+
+    def test_ode_oracle_refuses_alpha_below_one(self, single_mode_setup):
+        b, data = single_mode_setup
+        spec = ModelSpec(ModelVariant(Family.BASE, Nonlinearity.LINEAR), MediumParams(), 0.7)
+        with pytest.raises(ModelError, match="alpha = 1 only"):
+            classical_mgt_reference(spec, data, TimeGrid(1.0, 16))
 
 
 def small_data(basis, amplitude):
@@ -967,3 +984,34 @@ class TestDeterminism:
         t2 = solve_linear(spec, data, grid)
         assert np.array_equal(t1.psi, t2.psi)
         assert np.array_equal(t1.mu, t2.mu)
+
+
+class TestTimeScaling:
+    """t -> s t maps a solution to a solution: tau -> s tau, c -> c/s,
+    delta -> delta s^(beta-2), T -> s T, psi1 -> psi1/s and psi2 -> psi2/s^2
+    give psi'(s t) = psi(t).  Product integration is exact for power
+    kernels, so the discrete scheme on the same N keeps the symmetry up to
+    rounding; a wrong power of tau breaks it at order one."""
+
+    @pytest.mark.parametrize("family", [Family.BASE, Family.I])
+    @pytest.mark.parametrize("alpha", [0.6, 0.9])
+    def test_linear(self, family, alpha):
+        s = 3.0
+        b = EigenBasis(Domain.interval(1.0), 5)
+        bump = b.project(lambda x: x * (1 - x)).coeffs
+        wave = b.project(lambda x: np.sin(np.pi * x) * (x - 0.3)).coeffs
+        psi0, psi1, psi2 = bump, -0.4 * wave, 0.3 * bump + 0.2 * wave
+        variant = ModelVariant(family, Nonlinearity.LINEAR)
+        beta = beta_of(variant, alpha)
+
+        def run(scale):
+            params = MediumParams(tau=0.5 * scale, c=1.2 / scale, delta=0.2 * scale ** (beta - 2))
+            data = InitialData(
+                SpectralField(b, psi0),
+                SpectralField(b, psi1 / scale),
+                SpectralField(b, psi2 / scale**2),
+            )
+            return solve_linear(ModelSpec(variant, params, alpha), data, TimeGrid(scale, 128)).psi
+
+        psi, scaled = run(1.0), run(s)
+        assert np.max(np.abs(scaled - psi)) <= 1e-10 * np.max(np.abs(psi))
