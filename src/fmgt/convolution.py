@@ -15,6 +15,13 @@ solver relaxes windows of nodes against the reciprocal, and the z-form
 solver is one Toeplitz solve per mode.  The oracles use none of this
 module: the direct L1 solver loops node by node, and the recovery check of
 ``memory`` solves its Toeplitz system by plain dense substitution.
+
+Signals and kernels come time-first, as the solvers hold them, but every
+transform runs along the last, contiguous axis: each operand is transposed
+into a C-ordered copy as it is scaled, the kernels' spectra are stored
+time-last, and each result is transposed back as it is scaled back.  On
+numpy 2.4 the time-last transforms equal the axis-0 ones bit for bit, and
+so does every result; ``tests/test_convolution.py`` pins that.
 """
 from __future__ import annotations
 
@@ -44,7 +51,8 @@ class CausalFilter:
     overflows only where the sums themselves do, not where the transform's
     partial sums would.  A kernel whose only nonzero row is its first is
     applied as a plain product, exactly.  So each result equals the
-    kernel's own ``causal_conv`` bit for bit.
+    kernel's own ``causal_conv`` bit for bit.  The kernels' spectra are
+    stored time-last, where a 1-D kernel's broadcasts over every column.
     """
 
     def __init__(self, kernels, n: int):
@@ -60,7 +68,7 @@ class CausalFilter:
         product."""
         if not self.size or not np.any(kernel[1:]):
             return kernel, 0, None
-        spec, binade = _scaled_rfft(kernel, self.size)
+        spec, binade = _scaled_rfft(kernel.T, self.size)
         return kernel, binade, spec
 
     @classmethod
@@ -86,9 +94,7 @@ class CausalFilter:
                 continue
             if not x_spec:
                 e = _binade(x)
-                x_spec.append(rfft(np.ldexp(x, -e), self.size, axis=0))
-            if spec.ndim == 1:
-                spec = spec.reshape((-1,) + (1,) * (x.ndim - 1))
+                x_spec.append(rfft(np.ldexp(x.T, -e, order="C"), self.size))
             uses -= 1
             # spec times a temporary, as for a lone kernel: numpy may form
             # the product in the temporary, operands swapped, and their order
@@ -96,10 +102,8 @@ class CausalFilter:
             # takes the transform itself, the others copies, so no kernel
             # sees another's product; a name bound to the factor would keep
             # numpy from reusing it.
-            prod = irfft(
-                spec * (x_spec.pop() if uses == 0 else x_spec[0].copy()), self.size, axis=0
-            )
-            out.append(np.ldexp(prod[: self.n], binade + e))
+            prod = irfft(spec * (x_spec.pop() if uses == 0 else x_spec[0].copy()), self.size)
+            out.append(np.ldexp(prod[..., : self.n].T, binade + e, order="C"))
         return out
 
 
@@ -126,9 +130,11 @@ def _binade(a: np.ndarray) -> int:
 
 
 def _scaled_rfft(a: np.ndarray, size: int):
-    """(rfft along axis 0 of a scaled by 2^-e, e) with e = _binade(a)."""
+    """(rfft along the last axis of a scaled by 2^-e, e) with e =
+    _binade(a); the scaled copy is C-ordered, so the transform runs on
+    contiguous rows whatever the layout of a."""
     e = _binade(a)
-    return rfft(np.ldexp(a, -e), size, axis=0), e
+    return rfft(np.ldexp(a, -e, order="C"), size), e
 
 
 def series_reciprocal(symbol) -> np.ndarray:
@@ -146,25 +152,26 @@ def series_reciprocal(symbol) -> np.ndarray:
     product, the rows m..2m-1 of the cyclic product of y[:m] and
     symbol[:2m], which its wraparound does not reach, and y[:m] * e has no
     wraparound.  That is five transforms per step.  The operands are
-    scaled by powers of two, as in ``CausalFilter``.
+    scaled by powers of two, as in ``CausalFilter``.  The steps run
+    time-last, between one transpose of symbol and one of y.
     """
-    a = np.asarray(symbol, dtype=float)
-    n = a.shape[0]
+    a = np.asarray(symbol, dtype=float).T.copy()
+    n = a.shape[-1]
     y = np.zeros_like(a)
     if n == 0:
-        return y
-    y[0] = 1.0 / a[0]
+        return y.T.copy()
+    y[..., 0] = 1.0 / a[..., 0]
     m = 1
     while m < n:
         m2 = min(2 * m, n)
         size = _fast_len(m2)
-        y_spec, ey = _scaled_rfft(y[:m], size)
-        prod, ea = _scaled_rfft(a[:m2], size)
+        y_spec, ey = _scaled_rfft(y[..., :m], size)
+        prod, ea = _scaled_rfft(a[..., :m2], size)
         prod *= y_spec
-        e = np.ldexp(irfft(prod, size, axis=0)[m:m2], ey + ea)
+        e = np.ldexp(irfft(prod, size)[..., m:m2], ey + ea)
         # the rows of y[:m] past m2 - m reach only rows past m2 - m
         prod, ee = _scaled_rfft(e, size)
         prod *= y_spec
-        y[m:m2] = -np.ldexp(irfft(prod, size, axis=0)[: m2 - m], ey + ee)
+        y[..., m:m2] = -np.ldexp(irfft(prod, size)[..., : m2 - m], ey + ee)
         m = m2
-    return y
+    return y.T.copy()

@@ -147,7 +147,9 @@ class _Tables:
     # so halving a stiff solve's windows does not grow the tables
     solve_t: CausalFilter | None = None
     lags: dict = field(default_factory=dict)  # (exponent, length) -> C_e's filter
-    data_grad: list | None = None  # G(xi1 + t xi2) per axis (``freeze``'s gradient term)
+    # G(xi1 + t xi2) per axis (``freeze``'s gradient data part), built only
+    # when xi1 or xi2 is nonzero
+    data_grad: list | None = None
 
 
 @dataclass
@@ -318,8 +320,10 @@ def freeze(problem: VolterraProblem, sigma=None, grad_w=None) -> VolterraProblem
     data parts taken from the forcing: sigma (collocation values) on psi_tt's
     exponent, with data part sigma xi2, and 2 l~ grad w . grad psi_t (grad_w
     per-axis grid values) on psi_t's, with data part
-    2 l~ P(sum_axis grad_w G(xi1 + t xi2)).  Freezing adds no diagonal term,
-    so the iterate shares the problem's tables, G(xi1 + t xi2) among them."""
+    2 l~ P(sum_axis grad_w G(xi1 + t xi2)).  A data part is built only when
+    its data are nonzero; a zero one would subtract zeros from the forcing.
+    Freezing adds no diagonal term, so the iterate shares the problem's
+    tables, G(xi1 + t xi2) among them."""
     basis = problem.basis
     _, e_psit, e_psitt = problem.recon_exponents
     terms = list(problem.kernel.terms)
@@ -327,18 +331,20 @@ def freeze(problem: VolterraProblem, sigma=None, grad_w=None) -> VolterraProblem
     sigma = _sigma_grid_values(basis, problem.grid, sigma)
     if sigma is not None:
         terms.append(CollocationTerm(e_psitt, sigma))
-        F = F - basis.project_values(sigma * basis.evaluate(problem.xi2))
+        if np.any(problem.xi2):
+            F = F - basis.project_values(sigma * basis.evaluate(problem.xi2))
     if grad_w is not None:
         coeff = 2.0 * problem.spec.l_eff
         terms.append(GradientTerm(e_psit, coeff, grad_w))
-        tables = problem.tables
-        if tables.data_grad is None:
-            t = problem.grid.nodes
-            tables.data_grad = basis.evaluate_grad(problem.xi1 + t[:, None] * problem.xi2)
-        acc = grad_w[0] * tables.data_grad[0]
-        for gw, gd in zip(grad_w[1:], tables.data_grad[1:]):
-            acc += gw * gd
-        F = F - coeff * basis.project_values(acc)
+        if np.any(problem.xi1) or np.any(problem.xi2):
+            tables = problem.tables
+            if tables.data_grad is None:
+                t = problem.grid.nodes
+                tables.data_grad = basis.evaluate_grad(problem.xi1 + t[:, None] * problem.xi2)
+            acc = grad_w[0] * tables.data_grad[0]
+            for gw, gd in zip(grad_w[1:], tables.data_grad[1:]):
+                acc += gw * gd
+            F = F - coeff * basis.project_values(acc)
     frozen = replace(problem, kernel=PowerKernelSum(terms), forcing=F)
     frozen.tables = problem.tables
     return frozen

@@ -1,12 +1,17 @@
-"""The causal-convolution primitives against the naive lagged sum and the
-naive triangular solve, and the folded product-integration weights against
-the three-term cell sum."""
+"""The causal-convolution primitives against the naive lagged sum, the
+naive triangular solve and their own axis-0 form, and the folded
+product-integration weights against the three-term cell sum."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.fft import irfft, rfft
 from scipy.fft import next_fast_len
 from scipy.linalg import solve_triangular, toeplitz
 
-from fmgt.convolution import CausalFilter, _fast_len, causal_conv, series_reciprocal
+import fmgt
+from fmgt.convolution import CausalFilter, _binade, _fast_len, causal_conv, series_reciprocal
 from fmgt.volterra import _cell_weights, _PIWeights
 
 # sizes on both sides of powers of two, where Newton's doubling steps end
@@ -183,3 +188,140 @@ def test_series_reciprocal_matches_triangular_solve(g, n):
 def test_series_reciprocal_one_column():
     symbol = folded_symbol(0.7, 65)
     assert np.array_equal(series_reciprocal(symbol[:, 1]), series_reciprocal(symbol)[:, 1])
+
+
+# The axis-0 forms of the three primitives, as they stood before every
+# transform moved to the contiguous last axis: the time-last forms must
+# equal them bit for bit.
+
+
+def _axis0_scaled_rfft(a, size):
+    e = _binade(a)
+    return rfft(np.ldexp(a, -e), size, axis=0), e
+
+
+def axis0_filter(kernels, n, x):
+    """CausalFilter(kernels, n)(x) with every transform along axis 0."""
+    kernels = np.asarray(kernels, dtype=float)[:, :n]
+    size = _fast_len(n + kernels.shape[1] - 1) if n and kernels.shape[1] else 0
+    if not size:
+        return [np.zeros_like(x) for _ in kernels]
+    rows = []
+    for k in kernels:
+        spec, binade = _axis0_scaled_rfft(k, size) if np.any(k[1:]) else (None, 0)
+        rows.append((k, binade, spec))
+    out = []
+    uses = sum(spec is not None for _, _, spec in rows)
+    x_spec = []
+    for kernel, binade, spec in rows:
+        if spec is None:
+            out.append(kernel[0] * x)
+            continue
+        if not x_spec:
+            e = _binade(x)
+            x_spec.append(rfft(np.ldexp(x, -e), size, axis=0))
+        if spec.ndim == 1:
+            spec = spec.reshape((-1,) + (1,) * (x.ndim - 1))
+        uses -= 1
+        # the operand order and the temporaries of the filter itself
+        prod = irfft(spec * (x_spec.pop() if uses == 0 else x_spec[0].copy()), size, axis=0)
+        out.append(np.ldexp(prod[:n], binade + e))
+    return out
+
+
+def axis0_reciprocal(symbol):
+    """series_reciprocal(symbol) with every transform along axis 0."""
+    a = np.asarray(symbol, dtype=float)
+    n = a.shape[0]
+    y = np.zeros_like(a)
+    if n == 0:
+        return y
+    y[0] = 1.0 / a[0]
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        size = _fast_len(m2)
+        y_spec, ey = _axis0_scaled_rfft(y[:m], size)
+        prod, ea = _axis0_scaled_rfft(a[:m2], size)
+        prod *= y_spec
+        e = np.ldexp(irfft(prod, size, axis=0)[m:m2], ey + ea)
+        prod, ee = _axis0_scaled_rfft(e, size)
+        prod *= y_spec
+        y[m:m2] = -np.ldexp(irfft(prod, size, axis=0)[: m2 - m], ey + ee)
+        m = m2
+    return y
+
+
+def assert_identical(got, want):
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+# (255, 256): a spectrum above numpy's 256 KiB size for eliding temporaries
+TIME_LAST_SHAPES = [(n, *cols) for n in (1, 2, 255) for cols in ((), (8,), (3, 4))] + [
+    (255, 256)
+]
+
+
+@pytest.mark.parametrize("shape", TIME_LAST_SHAPES)
+def test_time_last_transforms_equal_axis_0(shape):
+    n, cols = shape[0], shape[1:]
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=shape)
+    one_d = kernels(n + 4)
+    # per-column kernels: the 1-D ones scaled per column, plus noise
+    factors = rng.uniform(0.5, 2.0, size=cols)
+    per_column = np.stack([np.multiply.outer(k, factors) for k in one_d])
+    per_column += 0.1 * rng.normal(size=per_column.shape)
+    plain = np.zeros((1,) + per_column.shape[1:])
+    plain[0, 0] = -1.5
+    for k in (*one_d, *per_column):
+        assert_identical(causal_conv(k, x), axis0_filter(k[None], n, x)[0])
+    stacks = [
+        one_d,
+        per_column,
+        np.concatenate([plain, per_column, plain]),
+        [one_d[0], np.r_[2.0, np.zeros(n + 3)], one_d[2]],
+    ]
+    for stack in stacks:
+        got, want = CausalFilter(stack, n)(x), axis0_filter(stack, n, x)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+    symbol = np.abs(per_column[1])
+    symbol[0] += 2.0
+    for s in (symbol, one_d[1][:n]):
+        assert_identical(series_reciprocal(s), axis0_reciprocal(s))
+
+
+def _transform_names(tree):
+    """The names of numpy.fft and its real transforms that a module's AST
+    mentions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if a.name.startswith("numpy.fft")}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.fft"):
+            names.add(node.module)
+        elif isinstance(node, ast.Attribute) and node.attr in ("fft", "rfft", "irfft"):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in ("rfft", "irfft"):
+            names.add(node.id)
+    return names
+
+
+def test_convolution_is_the_one_transform_layer():
+    # no other module of fmgt transforms, and every transform of
+    # convolution runs along the last, contiguous axis
+    sources = {p.name: ast.parse(p.read_text()) for p in Path(fmgt.__file__).parent.glob("*.py")}
+    assert {
+        name for name, tree in sources.items() if _transform_names(tree)
+    } == {"convolution.py"}
+    calls = [
+        node
+        for node in ast.walk(sources["convolution.py"])
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("rfft", "irfft")
+    ]
+    assert len(calls) >= 3
+    for call in calls:
+        assert len(call.args) <= 2 and not call.keywords, ast.unparse(call)

@@ -580,6 +580,61 @@ class TestFrozenProblem:
         assert frozen.forcing is linear.forcing
         assert frozen.tables is linear.tables
 
+    def _kuznetsov_2d(self, psi1):
+        basis = EigenBasis(Domain.rectangle(1.0, 1.5), (4, 3))
+        bump = basis.project(lambda x, y: x * (1 - x) * y * (1.5 - y)).coeffs
+        bump *= 1e-3 / np.max(np.abs(bump))
+        data = InitialData(
+            SpectralField(basis, bump),
+            SpectralField(basis, psi1 * basis.unit_mode(1).coeffs),
+            basis.zero_field(),
+        )
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
+            MediumParams(k_tilde=0.1, l_tilde=0.1),
+            0.7,
+        )
+        grid = TimeGrid(1.0, 32)
+        rng = np.random.default_rng(3)
+        sigma = 0.1 * rng.normal(size=(grid.steps + 1, basis.grid_size))
+        grad_w = [rng.normal(size=sigma.shape) for _ in range(2)]
+        return spec, data, grid, sigma, grad_w
+
+    def test_zero_data_parts_are_not_built(self, monkeypatch):
+        # psi1 = psi2 = 0, as in every preset: the frozen terms' data parts
+        # are zero, so freezing builds no array for them and the forcing
+        # stays the problem's; a whole Picard run builds no data gradient
+        spec, data, grid, sigma, grad_w = self._kuznetsov_2d(0.0)
+        linear = assemble(spec, data, None, grid)
+        frozen = freeze(linear, sigma, grad_w)
+        assert len(frozen.kernel.terms) == len(linear.kernel.terms) + 2
+        assert frozen.forcing is linear.forcing
+        assert linear.tables.data_grad is None
+        assembled = []
+
+        def recording_assemble(*args):
+            assembled.append(assemble(*args))
+            return assembled[-1]
+
+        monkeypatch.setattr(fmgt.volterra, "assemble", recording_assemble)
+        res = picard_nonlinear(spec, data, grid, tol=1e-10)
+        assert res.iterations >= 2 and len(assembled) == 1
+        assert assembled[0].tables.data_grad is None
+
+    def test_gradient_data_part_of_psi1_alone(self):
+        # psi1 != 0, psi2 = 0: only the gradient term has a data part,
+        # 2 l~ P(sum_axis grad_w G xi1)
+        spec, data, grid, _, grad_w = self._kuznetsov_2d(0.5e-3)
+        basis = data.basis
+        linear = assemble(spec, data, None, grid)
+        frozen = freeze(linear, grad_w=grad_w)
+        xi1 = np.broadcast_to(data.psi1.coeffs, (grid.steps + 1, basis.size))
+        acc = sum(gw * g for gw, g in zip(grad_w, basis.evaluate_grad(xi1)))
+        want = 2.0 * spec.l_eff * basis.project_values(acc)
+        got = frozen.forcing - (linear.forcing - want)
+        assert np.max(np.abs(got)) <= 1e-15 * np.max(np.abs(want))
+        assert linear.tables.data_grad is not None
+
     def test_picard_builds_each_table_once(self, monkeypatch):
         # family I: the gradient exponent alpha is not among the diagonal
         # exponents, so only psi_t's reconstruction shares it
