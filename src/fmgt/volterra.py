@@ -94,8 +94,8 @@ class CollocationTerm:
     (p^exponent * mu)(t_n).  E and P stand for the basis's separable
     transforms ``evaluate`` and ``project_values``.  ``grid_values`` gives
     sigma_n ⊙ E v_n for the nodes ``rows`` (an index or a slice) and their
-    vectors v at once; the solver projects the sum of its terms' grid
-    values once.
+    vectors v at once; the solver sums its terms' grid values and projects
+    them per block of nodes.
     """
 
     exponent: float
@@ -110,7 +110,7 @@ class CollocationTerm:
 class GradientTerm:
     """v_n -> coeff P(sum_axis g_axis,n ⊙ G_axis v_n) on
     (p^exponent * mu)(t_n), G_axis being ``evaluate_grad``; its grid values,
-    coeff included, are batched over nodes like CollocationTerm's."""
+    coeff included, are formed per block of nodes like CollocationTerm's."""
 
     exponent: float
     coeff: float
@@ -561,8 +561,8 @@ def _relax(problem, diag, ops, op_slots, rows, known, filters, start):
     (the slots of ``known`` the terms act on).  With ``filters`` = (T^{-1},
     the stacked C_e of op_slots) on the window, it sweeps
     x <- T^{-1}(F - sum_e D_e known_e - P(sum_S S(known + C x))) from
-    start[rows]: each sweep transforms x once for the whole stack, sums
-    the terms' grid values and projects them once.
+    start[rows]: each sweep transforms x once for the whole stack, then
+    sums the terms' grid values and projects them per block of nodes.
 
     Returns (x, sweeps); x is None when a window of several nodes did not
     converge.  A window of one node raises instead.
@@ -599,18 +599,38 @@ def _relax(problem, diag, ops, op_slots, rows, known, filters, start):
     raise InnerSolveError(rows.start, MAX_SWEEPS, update)
 
 
+# bytes of one (nodes, grid points) array of a block in ``_frozen_terms``:
+# the grid values of a window are formed a block of nodes at a time, so
+# their memory does not grow with the window and a block stays in cache
+_BLOCK_BYTES = 256 * 1024
+
+
 def _frozen_terms(basis, ops, op_slots, rows, known, lag, x):
     """P(sum_S S(known + C x)) on the window ``rows``: one transform of x
-    for the stacked lag kernels, the terms' grid values summed where the
-    first term formed them, and one projection."""
+    for the stacked lag kernels, then per block of nodes the terms' grid
+    values, summed where the first term formed them, and one projection.
+
+    The window splits evenly into the fewest blocks of at most
+    max(3, _BLOCK_BYTES / (8 grid points)) rows.  With that floor no block
+    of a longer window has one row, which numpy's matmul would send to
+    gemv, whose rounding differs from a row of a matrix product.  A block
+    of two or more rows forms each row by the same dot products as the
+    whole window did, so the result does not depend on the blocks."""
     conv = lag(x)
     for conv_e, e in zip(conv, op_slots):
         conv_e += known[e]
-    (term, e), *rest = ops
-    vals = term.grid_values(basis, rows, conv[e])
-    for term, e in rest:
-        vals += term.grid_values(basis, rows, conv[e])
-    return basis.project_values(vals)
+    n = len(x)
+    parts = -(-n // max(3, _BLOCK_BYTES // (8 * basis.grid_size)))
+    out = np.empty_like(x)
+    (first, e0), *rest = ops
+    for i in range(parts):
+        a, b = n * i // parts, n * (i + 1) // parts
+        block = slice(rows.start + a, rows.start + b)
+        vals = first.grid_values(basis, block, conv[e0][a:b])
+        for term, e in rest:
+            vals += term.grid_values(basis, block, conv[e][a:b])
+        out[a:b] = basis.project_values(vals)
+    return out
 
 
 def reconstruct(problem: VolterraProblem, mu: np.ndarray) -> Trajectory:

@@ -786,6 +786,24 @@ class TestVariableCoefficient:
             freeze(assemble(spec, self.data, None, self.grid), sigma=bad)
 
 
+def _kuznetsov_2d_case(steps):
+    """Kuznetsov III on a 2-D rectangle, with psi1 != 0 so that the gradient
+    term has a data part."""
+    basis = EigenBasis(Domain.rectangle(1.0, 1.5), (4, 3))
+    bump = basis.project(lambda x, y: x * (1 - x) * y * (1.5 - y)).coeffs
+    data = InitialData(
+        SpectralField(basis, 1e-3 * bump / np.max(np.abs(bump))),
+        SpectralField(basis, 0.5e-3 * basis.unit_mode(1).coeffs),
+        basis.zero_field(),
+    )
+    spec = ModelSpec(
+        ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
+        MediumParams(k_tilde=0.1, l_tilde=0.1),
+        0.7,
+    )
+    return spec, data, TimeGrid(1.0, steps)
+
+
 class TestTwoDimensional:
     def setup_method(self):
         self.basis = EigenBasis(Domain.rectangle(1.0, 1.5), (4, 3))
@@ -826,20 +844,7 @@ class TestTwoDimensional:
         assert res.converged and res.contraction_ratio < 1
 
     def _kuznetsov(self, steps):
-        small = InitialData(
-            SpectralField(
-                self.basis,
-                1e-3 * self.data.psi0.coeffs / np.max(np.abs(self.data.psi0.coeffs)),
-            ),
-            SpectralField(self.basis, 0.5e-3 * self.basis.unit_mode(1).coeffs),
-            self.basis.zero_field(),
-        )
-        spec = ModelSpec(
-            ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
-            MediumParams(k_tilde=0.1, l_tilde=0.1),
-            0.7,
-        )
-        return spec, small, TimeGrid(1.0, steps)
+        return _kuznetsov_2d_case(steps)
 
     def test_picard_does_each_transform_once(self, monkeypatch):
         # T^{-1}'s spectrum is built once per run and each lag kernel's once
@@ -985,6 +990,139 @@ KUZNETSOV_2D_PSI_ABS_SUM = np.array(
 )
 
 
+def _whole_window_frozen_terms(basis, ops, op_slots, rows, known, lag, x):
+    """The frozen terms of a sweep as formed before blocking: the grid values
+    of the whole window at once, summed and projected once."""
+    conv = lag(x)
+    for conv_e, e in zip(conv, op_slots):
+        conv_e += known[e]
+    (term, e), *rest = ops
+    vals = term.grid_values(basis, rows, conv[e])
+    for term, e in rest:
+        vals += term.grid_values(basis, rows, conv[e])
+    return basis.project_values(vals)
+
+
+def _block_budget(monkeypatch, basis, rows):
+    """Make one block of ``_frozen_terms`` ``rows`` rows of grid values."""
+    monkeypatch.setattr(fmgt.volterra, "_BLOCK_BYTES", rows * 8 * basis.grid_size)
+
+
+class TestBlockedSweeps:
+    """``_frozen_terms`` forms, sums and projects the frozen terms' grid
+    values a block of nodes at a time.  Every block division gives the
+    whole window's result bit for bit, and no transform inside a sweep
+    sees more than one block."""
+
+    def _window(self, monkeypatch, ndim):
+        """The arguments of ``_frozen_terms`` on the 31-node window of a
+        frozen solve with random coefficients: 1-D Westervelt (sigma alone)
+        or 2-D Kuznetsov (sigma and grad w)."""
+        if ndim == 1:
+            basis = EigenBasis(Domain.interval(1.0), 6)
+            nonlinearity, params = Nonlinearity.WESTERVELT, MediumParams(k=0.1)
+        else:
+            basis = EigenBasis(Domain.rectangle(1.0, 1.5), (4, 3))
+            nonlinearity = Nonlinearity.KUZNETSOV
+            params = MediumParams(k_tilde=0.1, l_tilde=0.1)
+        spec = ModelSpec(ModelVariant(Family.III, nonlinearity), params, 0.7)
+        data = InitialData(basis.unit_mode(0, 1e-3), basis.zero_field(), basis.zero_field())
+        grid = TimeGrid(1.0, 32)
+        rng = np.random.default_rng(5)
+        sigma = 0.1 * rng.normal(size=(grid.steps + 1, basis.grid_size))
+        grad_w = [rng.normal(size=sigma.shape) for _ in range(2)] if ndim == 2 else None
+        frozen = freeze(assemble(spec, data, None, grid), sigma, grad_w)
+        calls = []
+        original = fmgt.volterra._frozen_terms
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(fmgt.volterra, "_frozen_terms", recording)
+            solve_mu(frozen)
+        args = max(calls, key=lambda a: len(a[-1]))
+        assert len(args[-1]) == 31 and len(args[1]) == ndim  # nodes 2..32, the terms
+        return args
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize(
+        "rows, blocks",
+        [
+            # below one row: blocks of at least three rows, then an even
+            # split, so that no block has one row
+            (0, [2, 3, 3, 3, 3, 2, 3, 3, 3, 3, 3]),
+            (7, [6, 6, 6, 6, 7]),  # uneven blocks
+            (64, [31]),  # one block longer than the window
+        ],
+    )
+    def test_blocks_equal_the_whole_window(self, monkeypatch, ndim, rows, blocks):
+        args = self._window(monkeypatch, ndim)
+        want = _whole_window_frozen_terms(*args)
+        projected = []
+        project_values = EigenBasis.project_values
+
+        def recording_projection(basis, values):
+            projected.append(len(values))
+            return project_values(basis, values)
+
+        _block_budget(monkeypatch, args[0], rows)
+        monkeypatch.setattr(EigenBasis, "project_values", recording_projection)
+        got = fmgt.volterra._frozen_terms(*args)
+        assert np.array_equal(got, want)
+        assert projected == blocks
+
+    def test_picard_trajectory_does_not_depend_on_blocks(self, monkeypatch):
+        case = _kuznetsov_2d_case(32)
+        default = picard_nonlinear(*case, tol=1e-10)
+        _block_budget(monkeypatch, case[1].basis, 0)
+        small = picard_nonlinear(*case, tol=1e-10)
+        assert small.distances == default.distances
+        assert small.trajectory.diagnostics == default.trajectory.diagnostics
+        for name in ("mu", "psi", "psi_t", "psi_tt"):
+            assert np.array_equal(getattr(small.trajectory, name), getattr(default.trajectory, name))
+
+    def test_no_transform_in_a_sweep_sees_more_than_one_block(self, monkeypatch):
+        # the memory bound: every evaluate, evaluate_grad and project_values
+        # call of a sweep gets at most one block of rows, and each node of a
+        # window is projected once per sweep
+        case = _kuznetsov_2d_case(32)
+        block = 5
+        _block_budget(monkeypatch, case[1].basis, block)
+        calls = []  # (transform, leading dimension), in call order
+        windows = []  # (nodes, sweeps, the calls of its sweeps)
+
+        def record(name):
+            original = getattr(EigenBasis, name)
+
+            def recording(basis, values):
+                calls.append((name, len(values)))
+                return original(basis, values)
+
+            monkeypatch.setattr(EigenBasis, name, recording)
+
+        for name in ("evaluate", "evaluate_grad", "project_values"):
+            record(name)
+        relax = fmgt.volterra._relax
+
+        def recording_relax(problem, diag, ops, op_slots, rows, *args):
+            first = len(calls)
+            x, sweeps = relax(problem, diag, ops, op_slots, rows, *args)
+            if ops:
+                windows.append((rows.stop - rows.start, sweeps, calls[first:]))
+            return x, sweeps
+
+        monkeypatch.setattr(fmgt.volterra, "_relax", recording_relax)
+        res = picard_nonlinear(*case, tol=1e-10)
+        assert res.iterations >= 2
+        assert [w[0] for w in windows] == [1, 31] * res.iterations
+        for nodes, sweeps, seen in windows:
+            assert {name for name, _ in seen} == {"evaluate", "evaluate_grad", "project_values"}
+            assert max(rows for _, rows in seen) <= block
+            assert sum(rows for name, rows in seen if name == "project_values") == sweeps * nodes
+
+
 class TestForcing:
     def test_callable_forcing_matches_array(self, single_mode_setup):
         b, data = single_mode_setup
@@ -1070,3 +1208,58 @@ class TestTimeScaling:
 
         psi, scaled = run(1.0), run(s)
         assert np.max(np.abs(scaled - psi)) <= 1e-10 * np.max(np.abs(psi))
+
+
+class TestNonlinearScaling:
+    """Two maps take a nonlinear solution to a solution, in the scheme as in
+    the equation, so they give Picard runs at alpha < 1 an exact reference:
+
+    - amplitude, psi -> a psi: k -> k/a, l~ -> l~/a;
+    - length, x -> r x: domain lengths -> r L, c -> r c, delta -> r^2 delta,
+      l~ -> r^2 l~, and every coefficient times r^(d/2), from the basis
+      normalisation sqrt(2/L).
+
+    They hold to rounding; Picard may take one iterate more or fewer, since
+    its tol is absolute."""
+
+    @staticmethod
+    def _unit_data(ndim):
+        if ndim == 1:
+            b = EigenBasis(Domain.interval(1.0), 6)
+            bump = b.project(lambda x: x * (1 - x)).coeffs
+            wave = b.project(lambda x: np.sin(2 * np.pi * x)).coeffs
+        else:
+            b = EigenBasis(Domain.rectangle(1.0, 0.7), 6)
+            bump = b.project(lambda x, y: x * (1 - x) * y * (0.7 - y)).coeffs
+            wave = b.project(lambda x, y: np.sin(2 * np.pi * x) * y * (0.7 - y)).coeffs
+        scale = 1e-3 / np.max(np.abs(bump))
+        return scale * bump, 0.5 * scale * wave, -0.3 * scale * bump
+
+    def _psi(self, family, nonlinearity, ndim, a=1.0, r=1.0):
+        """psi of the run mapped by (a, r), mapped back to the unit run's."""
+        lengths = (1.0,) if ndim == 1 else (1.0, 0.7)
+        basis = EigenBasis(Domain(tuple(r * L for L in lengths)), 6)
+        factor = a * r ** (ndim / 2)
+        data = InitialData(*(SpectralField(basis, factor * x) for x in self._unit_data(ndim)))
+        params = MediumParams(
+            c=r, delta=0.1 * r**2, k=0.1 / a, k_tilde=0.1 / a, l_tilde=0.1 * r**2 / a
+        )
+        spec = ModelSpec(ModelVariant(family, nonlinearity), params, 0.7)
+        return picard_nonlinear(spec, data, TimeGrid(1.0, 64)).trajectory.psi / factor
+
+    def _check(self, family, nonlinearity, ndim):
+        psi = self._psi(family, nonlinearity, ndim)
+        for a, r in ((4.0, 1.0), (3.0, 1.0), (1.0, 2.5)):
+            mapped = self._psi(family, nonlinearity, ndim, a, r)
+            assert np.max(np.abs(mapped - psi)) <= 1e-10 * np.max(np.abs(psi)), (a, r)
+
+    @pytest.mark.parametrize("family", [Family.BASE, Family.I, Family.III])
+    @pytest.mark.parametrize("nonlinearity", [Nonlinearity.WESTERVELT, Nonlinearity.KUZNETSOV])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_amplitude_and_length(self, family, nonlinearity, ndim):
+        self._check(family, nonlinearity, ndim)
+
+    def test_kuznetsov_2d_in_small_blocks(self, monkeypatch):
+        # windows of several blocks of nodes (63 nodes, blocks of 4-5 rows)
+        _block_budget(monkeypatch, EigenBasis(Domain.rectangle(1.0, 0.7), 6), 5)
+        self._check(Family.III, Nonlinearity.KUZNETSOV, 2)
