@@ -19,7 +19,8 @@ from fmgt.models import (
     ModelVariant,
     Nonlinearity,
 )
-from fmgt.volterra import classical_mgt_reference, solve_linear
+from fmgt.oracles import classical_mgt_reference
+from fmgt.volterra import solve_linear
 
 print(__doc__)
 

@@ -16,7 +16,7 @@ import numpy as np
 from fmgt import Domain, EigenBasis, TimeGrid
 from fmgt.memory import solve_fmgt2, solve_zform
 from fmgt.models import Family, InitialData, MediumParams, ModelSpec, ModelVariant, Nonlinearity
-from fmgt.volterra import solve_direct_l1
+from fmgt.oracles import solve_direct_l1
 
 print(__doc__)
 

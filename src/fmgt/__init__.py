@@ -7,9 +7,12 @@ Subpackages by responsibility:
 - ``fractional``: discrete Caputo/Abel operators and coercivity forms
 - ``mittag_leffler``: two-parameter Mittag-Leffler functions and relaxation kernels
 - ``spectral``: Dirichlet-Laplacian sine bases on intervals and rectangles
-- ``models``: the catalog of fractional (J)MGT variants, validation, residuals
+- ``models``: the catalog of fractional (J)MGT variants, validation, and the
+  trajectory and error types shared by solvers and oracles
 - ``volterra``: product-integration marching for the mu-reformulated systems
 - ``memory``: wave-with-memory solver for the z-form of the type-II model
+- ``oracles``: the reference solutions and the residual evaluator, kept
+  apart from the solvers they check
 - ``analysis``: the one solver dispatch, energy reports, limit studies, kernel
   and convergence tables
 - ``cli``: configuration-driven runs with deterministic CSV/JSON artifacts

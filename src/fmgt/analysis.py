@@ -28,15 +28,11 @@ from .models import (
     ModelSpec,
     ModelVariant,
     Nonlinearity,
-    solver_backend,
-)
-from .volterra import (
     Trajectory,
     _forcing_array,
-    classical_mgt_reference,
-    picard_nonlinear,
-    solve_linear,
+    solver_backend,
 )
+from .volterra import picard_nonlinear, solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +376,8 @@ def convergence_table(
             raise ModelError("the ODE reference serves alpha = 1 runs")
         if spec.nonlinearity is not Nonlinearity.LINEAR:
             raise ModelError("the ODE reference is the linear classical equation")
+        from .oracles import classical_mgt_reference
+
         ref_traj = None
     else:
         fine_grid = TimeGrid(horizon, 4 * steps_seq[-1])

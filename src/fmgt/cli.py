@@ -33,8 +33,7 @@ from .fractional import (
     alikhanov_gap,
     coercivity_quadform,
 )
-from .models import ModelError, Nonlinearity, catalog, describe
-from .volterra import SolverError, classical_mgt_reference
+from .models import ModelError, Nonlinearity, SolverError, catalog, describe
 
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
@@ -100,6 +99,8 @@ def cmd_run(args) -> int:
     summary.update(traj.diagnostics)  # the solver keys of this run kind
 
     if "study.crosscheck" in cfg.entries:  # validated: the ODE check of a linear alpha = 1 run
+        from .oracles import classical_mgt_reference
+
         ref = classical_mgt_reference(spec, data, grid, f)
         summary["ode_crosscheck_max_error"] = float(np.max(np.abs(traj.psi - ref.psi)))
 

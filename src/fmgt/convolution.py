@@ -12,9 +12,10 @@ spectrum is built once per run and signal length.  ``series_reciprocal``
 inverts a lower-triangular Toeplitz matrix, so one more product solves the
 system it defines.  The solvers apply them to whole time axes: the Volterra
 solver relaxes windows of nodes against the reciprocal, and the z-form
-solver is one Toeplitz solve per mode.  The oracles use none of this
-module: the direct L1 solver loops node by node, and the recovery check of
-``memory`` solves its Toeplitz system by plain dense substitution.
+solver is one Toeplitz solve per mode.  The direct L1 solver and the
+recovery check of ``memory`` use none of this module: the first loops node
+by node, the second solves its Toeplitz system by plain dense
+substitution.
 
 Signals and kernels come time-first, as the solvers hold them, but every
 transform runs along the last, contiguous axis: each operand is transposed

@@ -209,6 +209,16 @@ def gamma_kernel(gamma_: float, t):
     return out if out.ndim else float(out)
 
 
+def p_power(gamma_: float, t):
+    """Normalized power p^g(t) = t^g / Gamma(g+1)."""
+    t = np.asarray(t, dtype=float)
+    if gamma_ == 0.0:
+        return np.ones_like(t)
+    with np.errstate(divide="ignore"):
+        out = t**gamma_ / gamma(gamma_ + 1.0)
+    return out
+
+
 def _as_2d(values: np.ndarray):
     """View (N+1,) or (N+1, d) input as (N+1, d); report original ndim."""
     if values.ndim == 1:

@@ -31,9 +31,17 @@ from numpy.lib.stride_tricks import as_strided
 from .convolution import CausalFilter, causal_conv, series_reciprocal
 from .fractional import TimeGrid, first_derivative, gamma, l1_weights, second_derivative
 from .mittag_leffler import RelaxationKernel, kernel_cell_moments
-from .models import Family, InitialData, ModelError, ModelSpec, Nonlinearity
+from .models import (
+    Family,
+    InitialData,
+    ModelError,
+    ModelSpec,
+    Nonlinearity,
+    SolverBlowUpError,
+    Trajectory,
+    _forcing_array,
+)
 from .spectral import EigenBasis
-from .volterra import SolverBlowUpError, Trajectory, _forcing_array
 
 
 @dataclass(frozen=True)

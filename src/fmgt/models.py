@@ -1,5 +1,7 @@
 """Catalog of the fractional (J)MGT acoustic models, parameter validation,
-the damping-exponent map, and residual evaluation on supplied trajectories.
+the damping-exponent map, and the types that the solvers and the oracles
+(``fmgt.oracles``) share: ``Trajectory``, the solver errors and the
+forcing's array form.
 
 Four families share the structure of a third-order-in-time wave equation with
 a fractional damping term; they differ in which time derivatives carry the
@@ -16,27 +18,39 @@ Admissible orders are (1/2, 1] for base and I, (0, 1] for II and III; at
 alpha = 1 every family collapses to the classical equation with damping
 coefficient tau c^2 + delta.  Family II's damping is too weak to control
 variable-coefficient or nonlinear terms, so those solves are refused; the
-equation itself stays in the catalog for residual evaluation.
+equation itself stays in the catalog for residual evaluation
+(``fmgt.oracles.residual``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .fractional import (
-    SampledSignal,
-    TimeGrid,
-    abel_integral,
-    caputo_derivative,
-    first_derivative,
-)
+from .fractional import DomainError, TimeGrid
 from .spectral import EigenBasis, SpectralField, sobolev_norm
 
 
 class ModelError(ValueError):
     """Model specification violates a catalog constraint."""
+
+
+class SolverError(RuntimeError):
+    """A solve that cannot deliver a trustworthy result.  ``node`` is the grid
+    node where the failure showed, or None where no node is to blame."""
+
+    def __init__(self, message: str, node: int | None = None):
+        super().__init__(message)
+        self.node = node
+
+
+class SolverBlowUpError(SolverError):
+    """Non-finite values at a node, or a solve that diverged as a whole (then
+    ``cause`` says how and ``node`` is None)."""
+
+    def __init__(self, node: int | None = None, cause: str | None = None):
+        super().__init__(cause or f"solution became non-finite at node {node}", node)
 
 
 class Family(str, Enum):
@@ -211,96 +225,42 @@ class InitialData:
         )
 
 
-# ---------------------------------------------------------------------------
-# residual evaluation
+@dataclass
+class Trajectory:
+    """Solution states on the grid: mu plus reconstructed (psi, psi_t, psi_tt),
+    all as (N+1, modes) coefficient arrays in the basis's sorted mode order."""
+
+    basis: EigenBasis
+    grid: TimeGrid
+    mu: np.ndarray
+    psi: np.ndarray
+    psi_t: np.ndarray
+    psi_tt: np.ndarray
+    spec: ModelSpec | None = None
+    diagnostics: dict = field(default_factory=dict)
 
 
-def _add_nonlinear_terms(total, basis, k, l, psi, psi_t, psi_tt):
-    """total += 2k psi_t psi_tt + 2l grad psi . grad psi_t, by collocation."""
-    if k != 0.0:
-        total += 2.0 * k * basis.project_values(basis.evaluate(psi_t) * basis.evaluate(psi_tt))
-    if l != 0.0:
-        gsum = sum(a * b for a, b in zip(basis.evaluate_grad(psi), basis.evaluate_grad(psi_t)))
-        total += 2.0 * l * basis.project_values(gsum)
-
-
-def residual(
-    spec: ModelSpec,
-    basis: EigenBasis,
-    grid: TimeGrid,
-    psi: np.ndarray,
-    psi_t: np.ndarray,
-    psi_tt: np.ndarray,
-    f: np.ndarray | None = None,
-) -> SampledSignal:
-    """Node-wise L2 norm of (model operator applied to the trajectory) - f.
-
-    The trajectory is given as (N+1, modes) coefficient arrays for psi and its
-    first two time derivatives.  Fractional derivatives of psi use the carried
-    derivative fields (D^a psi = I^{1-a} psi_t, D^{2-a} psi = I^a psi_tt);
-    the leading D^a psi_tt uses the L1 scheme on psi_tt.  At alpha = 1 all of
-    them delegate to the carried/difference derivatives, which makes every
-    family's term list collapse to the classical one exactly.
-    """
-    a = spec.alpha
-    p = spec.params
-    lam = basis.eigenvalues
-    h = grid.h
-    fam = spec.family
-
-    if fam is Family.III or a == 1.0:
-        lead = p.tau * first_derivative(psi_tt, h)
+def _forcing_array(f, basis: EigenBasis, grid: TimeGrid) -> np.ndarray:
+    """Accept None, a callable t -> SpectralField/array, or an (N+1, modes)
+    array.  Non-finite forcing is refused: it would make every node of an
+    FFT solve non-finite, so no failing node could be named."""
+    n1 = grid.steps + 1
+    if f is None:
+        return np.zeros((n1, basis.size))
+    if callable(f):
+        rows = []
+        for t in grid.nodes:
+            ft = f(t)
+            rows.append(ft.coeffs if isinstance(ft, SpectralField) else np.asarray(ft))
+        f = np.array(rows, dtype=float)
     else:
-        lead = p.tau**a * caputo_derivative(SampledSignal(grid, psi_tt), a).values
-
-    total = lead + psi_tt + p.c**2 * lam[None, :] * psi
-
-    if fam is Family.III:
-        total += p.tau * p.c**2 * lam[None, :] * psi_t
-    else:
-        d_alpha_psi = psi_t if a == 1.0 else abel_integral(SampledSignal(grid, psi_t), 1 - a).values
-        total += p.tau**a * p.c**2 * lam[None, :] * d_alpha_psi
-
-    if fam is Family.BASE or a == 1.0:
-        damping = psi_t
-    elif fam is Family.II:
-        damping = d_alpha_psi
-    else:  # families I and III
-        damping = abel_integral(SampledSignal(grid, psi_tt), a).values
-    total += p.delta * lam[None, :] * damping
-
-    _add_nonlinear_terms(total, basis, spec.k_eff, spec.l_eff, psi, psi_t, psi_tt)
-
-    if f is not None:
-        total = total - f
-    return SampledSignal(grid, np.sqrt(np.sum(total**2, axis=1)))
-
-
-def classical_residual(
-    params: MediumParams,
-    k: float,
-    l: float,
-    basis: EigenBasis,
-    grid: TimeGrid,
-    psi: np.ndarray,
-    psi_t: np.ndarray,
-    psi_tt: np.ndarray,
-    f: np.ndarray | None = None,
-) -> SampledSignal:
-    """Residual of the classical third-order model
-    tau psi_ttt + (1+2k psi_t) psi_tt - c^2 Lap psi - (tau c^2 + delta) Lap psi_t,
-    with the same discrete derivative conventions as residual()."""
-    lam = basis.eigenvalues
-    total = (
-        params.tau * first_derivative(psi_tt, grid.h)
-        + psi_tt
-        + params.c**2 * lam[None, :] * psi
-        + (params.tau * params.c**2 + params.delta) * lam[None, :] * psi_t
-    )
-    _add_nonlinear_terms(total, basis, k, l, psi, psi_t, psi_tt)
-    if f is not None:
-        total = total - f
-    return SampledSignal(grid, np.sqrt(np.sum(total**2, axis=1)))
+        f = np.asarray(f, dtype=float)
+        if f.shape != (n1, basis.size):
+            raise DomainError(f"forcing must have shape {(n1, basis.size)}, got {f.shape}")
+    finite = np.isfinite(f).reshape(len(f), -1).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"forcing is not finite at node {int(np.argmin(finite))}")
+    return f
 
 
 # ---------------------------------------------------------------------------

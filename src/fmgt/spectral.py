@@ -252,11 +252,6 @@ class SpectralField:
             raise DomainError("fields must share one basis")
 
 
-def laplacian_apply(u: SpectralField) -> SpectralField:
-    """Laplacian in mode space: c_i -> -lambda_i c_i."""
-    return SpectralField(u.basis, -u.basis.eigenvalues * u.coeffs)
-
-
 def sobolev_norm(u: SpectralField, m: int) -> float:
     """Spectral Sobolev seminorm (sum lambda^m c^2)^(1/2) for m in 0..3.
 
@@ -266,19 +261,3 @@ def sobolev_norm(u: SpectralField, m: int) -> float:
     if m not in (0, 1, 2, 3):
         raise DomainError(f"Sobolev order must be one of 0..3, got {m}")
     return float(np.sqrt(np.sum(u.basis.eigenvalues**m * u.coeffs**2)))
-
-
-def pointwise_product(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Dealiased collocation product projected back to the cutoff."""
-    u._check(v)
-    vals = u.basis.evaluate(u.coeffs) * v.basis.evaluate(v.coeffs)
-    return SpectralField(u.basis, u.basis.project_values(vals))
-
-
-def gradient_dot(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Collocation evaluation of grad(u) . grad(v), projected to the basis."""
-    u._check(v)
-    gu = u.basis.evaluate_grad(u.coeffs)
-    gv = v.basis.evaluate_grad(v.coeffs)
-    vals = sum(a * b for a, b in zip(gu, gv))
-    return SpectralField(u.basis, u.basis.project_values(vals))

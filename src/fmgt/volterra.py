@@ -24,35 +24,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .convolution import CausalFilter, causal_conv, series_reciprocal
-from .fractional import DomainError, TimeGrid, gamma
+from .fractional import DomainError, TimeGrid, gamma, p_power
 from .models import (
     Family,
     InitialData,
     ModelError,
     ModelSpec,
     Nonlinearity,
+    SolverBlowUpError,
+    SolverError,
+    Trajectory,
+    _forcing_array,
     order_value,
-    residual as model_residual,
     validate,
 )
-from .spectral import EigenBasis, SpectralField
-
-
-class SolverError(RuntimeError):
-    """A solve that cannot deliver a trustworthy result.  ``node`` is the grid
-    node where the failure showed, or None where no node is to blame."""
-
-    def __init__(self, message: str, node: int | None = None):
-        super().__init__(message)
-        self.node = node
-
-
-class SolverBlowUpError(SolverError):
-    """Non-finite values at a node, or a solve that diverged as a whole (then
-    ``cause`` says how and ``node`` is None)."""
-
-    def __init__(self, node: int | None = None, cause: str | None = None):
-        super().__init__(cause or f"solution became non-finite at node {node}", node)
+from .spectral import EigenBasis
 
 
 class InnerSolveError(SolverError):
@@ -67,16 +53,6 @@ class InnerSolveError(SolverError):
         )
         self.sweeps = sweeps
         self.update = update
-
-
-def p_power(gamma_: float, t):
-    """Normalized power p^g(t) = t^g / Gamma(g+1)."""
-    t = np.asarray(t, dtype=float)
-    if gamma_ == 0.0:
-        return np.ones_like(t)
-    with np.errstate(divide="ignore"):
-        out = t**gamma_ / gamma(gamma_ + 1.0)
-    return out
 
 
 @dataclass
@@ -259,33 +235,6 @@ class _PIWeights:
 # assembly
 
 
-def _data_coeffs(data: InitialData):
-    return data.psi0.coeffs, data.psi1.coeffs, data.psi2.coeffs
-
-
-def _forcing_array(f, basis: EigenBasis, grid: TimeGrid) -> np.ndarray:
-    """Accept None, a callable t -> SpectralField/array, or an (N+1, modes)
-    array.  Non-finite forcing is refused: it would make every node of an
-    FFT solve non-finite, so no failing node could be named."""
-    n1 = grid.steps + 1
-    if f is None:
-        return np.zeros((n1, basis.size))
-    if callable(f):
-        rows = []
-        for t in grid.nodes:
-            ft = f(t)
-            rows.append(ft.coeffs if isinstance(ft, SpectralField) else np.asarray(ft))
-        f = np.array(rows, dtype=float)
-    else:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (n1, basis.size):
-            raise DomainError(f"forcing must have shape {(n1, basis.size)}, got {f.shape}")
-    finite = np.isfinite(f).reshape(len(f), -1).all(axis=1)
-    if not finite.all():
-        raise DomainError(f"forcing is not finite at node {int(np.argmin(finite))}")
-    return f
-
-
 def _sigma_grid_values(basis, grid, sigma):
     """Validate sigma as an (N+1, Mgrid) collocation-value trajectory.
 
@@ -373,7 +322,7 @@ def assemble(
     lam = basis.eigenvalues
     p = spec.params
     t = grid.nodes
-    xi = _data_coeffs(data)
+    xi = data.psi0.coeffs, data.psi1.coeffs, data.psi2.coeffs
     g, beta = spec.orders
     lead = p.tau**spec.gamma_z
 
@@ -412,29 +361,6 @@ assemble_fmgt1 = assemble_fmgt3 = assemble
 
 # ---------------------------------------------------------------------------
 # marching
-
-
-@dataclass
-class Trajectory:
-    """Solution states on the grid: mu plus reconstructed (psi, psi_t, psi_tt),
-    all as (N+1, modes) coefficient arrays in the basis's sorted mode order."""
-
-    basis: EigenBasis
-    grid: TimeGrid
-    mu: np.ndarray
-    psi: np.ndarray
-    psi_t: np.ndarray
-    psi_tt: np.ndarray
-    spec: ModelSpec | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def residual(self, f=None) -> np.ndarray:
-        if self.spec is None:
-            raise ModelError("trajectory carries no model spec")
-        farr = _forcing_array(f, self.basis, self.grid) if f is not None else None
-        return model_residual(
-            self.spec, self.basis, self.grid, self.psi, self.psi_t, self.psi_tt, farr
-        )
 
 
 MAX_SWEEPS = 60  # sweeps of one window before it is halved (one node: InnerSolveError)
@@ -510,11 +436,13 @@ def solve_mu(
             # node 1: the first-cell self weights b1_e[1] make a 1 x 1 symbol
             symbol = problem.lead + b1[:, 1] @ diag
             known = (b0[:, 1, None] * mu[0])[:, None]
+            rhs = problem.forcing[1:2] - np.einsum("em,elm->lm", diag, known)
+            known = known[op_slots] if ops else None
             window = (
                 CausalFilter((1.0 / symbol)[None, None], 1),
                 CausalFilter(b1[op_slots, 1:2], 1),
             )
-            x, sweeps_max = _relax(problem, diag, ops, op_slots, slice(1, 2), known, window, start)
+            x, sweeps_max = _relax(problem, ops, slice(1, 2), rhs, known, window, start)
             mu[1] = x[0]
         if n_steps >= 2:
             recip = tables.reciprocal
@@ -534,12 +462,13 @@ def solve_mu(
                     solved = CausalFilter(lags, len(prefix))(prefix)
                     for known_e, solved_e in zip(known, solved):
                         known_e += solved_e[first - 2 :]
+                rhs = problem.forcing[rows] - np.einsum("em,elm->lm", diag, known)
+                # the sweeps keep only the slots the frozen terms act on
+                known = known[op_slots] if ops else None
                 if tables.solve_t is None or tables.solve_t.n != length:
                     tables.solve_t = CausalFilter(recip[None], length)
                 lag = problem.lag_filter(op_exponents, length) if ops else None
-                x, sweeps = _relax(
-                    problem, diag, ops, op_slots, rows, known, (tables.solve_t, lag), start
-                )
+                x, sweeps = _relax(problem, ops, rows, rhs, known, (tables.solve_t, lag), start)
                 if x is None:
                     length = (length + 1) // 2
                     continue
@@ -553,14 +482,15 @@ def solve_mu(
     return mu
 
 
-def _relax(problem, diag, ops, op_slots, rows, known, filters, start):
+def _relax(problem, ops, rows, rhs, known, filters, start):
     """Solve the mu equations of the nodes ``rows``, whose earlier nodes are
-    final: ``known`` (exponents, nodes, modes) holds what those contribute
-    to each exponent's convolution.  ``ops`` pairs each collocation or
-    gradient term with the row of its exponent in the stack ``op_slots``
-    (the slots of ``known`` the terms act on).  With ``filters`` = (T^{-1},
-    the stacked C_e of op_slots) on the window, it sweeps
-    x <- T^{-1}(F - sum_e D_e known_e - P(sum_S S(known + C x))) from
+    final: ``rhs`` is F - sum_e D_e known_e, where known_e holds what those
+    nodes contribute to exponent e's convolution, and ``known`` (op
+    exponents, nodes, modes) the known_e of the exponents the collocation
+    and gradient terms act on, None without such terms.  ``ops`` pairs each
+    of these terms with the row of its exponent in ``known``.  With
+    ``filters`` = (T^{-1}, the stacked C_e of those exponents) on the
+    window, it sweeps x <- T^{-1}(rhs - P(sum_S S(known + C x))) from
     start[rows]: each sweep transforms x once for the whole stack, then
     sums the terms' grid values and projects them per block of nodes.
 
@@ -569,14 +499,13 @@ def _relax(problem, diag, ops, op_slots, rows, known, filters, start):
     """
     solve_t, lag = filters
     single = rows.stop - rows.start == 1
-    rhs = problem.forcing[rows] - np.einsum("em,elm->lm", diag, known)
     if not ops:
         x, sweeps = solve_t(rhs)[0], 0
         converged = bool(np.all(np.isfinite(x)))
     else:
         x, last, converged = start[rows], np.inf, False
         for sweeps in range(1, MAX_SWEEPS + 1):
-            frozen = _frozen_terms(problem.basis, ops, op_slots, rows, known, lag, x)
+            frozen = _frozen_terms(problem.basis, ops, rows, known, lag, x)
             x_new = solve_t(rhs - frozen)[0]
             update = float(np.max(np.abs(x_new - x)))
             x = x_new
@@ -605,7 +534,7 @@ def _relax(problem, diag, ops, op_slots, rows, known, filters, start):
 _BLOCK_BYTES = 256 * 1024
 
 
-def _frozen_terms(basis, ops, op_slots, rows, known, lag, x):
+def _frozen_terms(basis, ops, rows, known, lag, x):
     """P(sum_S S(known + C x)) on the window ``rows``: one transform of x
     for the stacked lag kernels, then per block of nodes the terms' grid
     values, summed where the first term formed them, and one projection.
@@ -617,8 +546,8 @@ def _frozen_terms(basis, ops, op_slots, rows, known, lag, x):
     of two or more rows forms each row by the same dot products as the
     whole window did, so the result does not depend on the blocks."""
     conv = lag(x)
-    for conv_e, e in zip(conv, op_slots):
-        conv_e += known[e]
+    for conv_e, known_e in zip(conv, known):
+        conv_e += known_e
     n = len(x)
     parts = -(-n // max(3, _BLOCK_BYTES // (8 * basis.grid_size)))
     out = np.empty_like(x)
@@ -675,67 +604,6 @@ def solve_linear(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> 
 
 
 # ---------------------------------------------------------------------------
-# classical (alpha = 1) oracle
-
-
-def classical_mgt_reference(
-    spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None
-) -> Trajectory:
-    """Adaptive third-order-in-time integrator for the classical linear MGT
-    system per mode (tau xi''' + xi'' + c^2 lam xi + (tau c^2 + delta) lam xi'
-    = f), used as an independent oracle for alpha = 1 degeneration.  DOP853
-    runs at rtol 1e-12 and atol 1e-14.  It reads tau, c and delta only, so
-    it refuses a nonlinear spec and alpha < 1 with ModelError."""
-    if spec.nonlinearity is not Nonlinearity.LINEAR:
-        raise ModelError(
-            "the classical ODE oracle covers linear models only: it integrates "
-            "the linear MGT equation"
-        )
-    if spec.alpha != 1.0:
-        raise ModelError(
-            f"the classical ODE oracle covers alpha = 1 only, got alpha = {spec.alpha}"
-        )
-    from scipy.integrate import solve_ivp
-
-    basis = data.basis
-    lam = basis.eigenvalues
-    p = spec.params
-    farr = _forcing_array(f, basis, grid)
-    nodes = grid.nodes
-
-    def f_interp(t):
-        # linear interpolation of the forcing samples
-        x = np.clip(t / grid.h, 0, grid.steps)
-        i0 = min(int(np.floor(x)), grid.steps - 1)
-        w = x - i0
-        return (1 - w) * farr[i0] + w * farr[i0 + 1]
-
-    m = basis.size
-
-    def rhs(t, y):
-        xi, xit, xitt = y[:m], y[m : 2 * m], y[2 * m :]
-        xittt = (
-            f_interp(t)
-            - xitt
-            - p.c**2 * lam * xi
-            - (p.tau * p.c**2 + p.delta) * lam * xit
-        ) / p.tau
-        return np.concatenate([xit, xitt, xittt])
-
-    y0 = np.concatenate([data.psi0.coeffs, data.psi1.coeffs, data.psi2.coeffs])
-    sol = solve_ivp(
-        rhs, (0.0, grid.horizon), y0, method="DOP853", t_eval=nodes, rtol=1e-12, atol=1e-14
-    )
-    if not sol.success:
-        raise SolverBlowUpError(
-            cause=f"classical ODE oracle failed at t = {sol.t[-1]:.6g}: {sol.message}"
-        )
-    y = sol.y.T
-    mu = np.gradient(y[:, 2 * m :], grid.h, axis=0)
-    return Trajectory(basis, grid, mu, y[:, :m], y[:, m : 2 * m], y[:, 2 * m :], spec)
-
-
-# ---------------------------------------------------------------------------
 # Picard iteration for nonlinear / variable-coefficient problems
 
 
@@ -745,7 +613,6 @@ class PicardResult:
     iterations: int
     distances: list
     contraction_ratio: float
-    converged: bool
 
 
 def _iterate_distance(basis, a, b) -> float:
@@ -828,121 +695,8 @@ def picard_nonlinear(
             current.diagnostics["contraction_ratio"] = ratio
             current.diagnostics["relaxation_sweeps"] = sweeps
             current.diagnostics["relaxation_windows"] = windows
-            return PicardResult(current, it, distances, ratio, True)
+            return PicardResult(current, it, distances, ratio)
     raise ModelError(
         f"Picard iteration did not contract within {max_iter} iterations "
         f"(last update {distances[-1]:.3e}); decrease the horizon or the data"
     )
-
-
-# ---------------------------------------------------------------------------
-# direct L1 collocation (independent discretization, also the family-II
-# cross-check partner)
-
-
-def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
-    """Brute-force linear-PI/L1 discretization of the fractional-leading-term
-    equation in the unknown w = psi_tt (families base, I, II; linear only;
-    alpha < 1).
-
-    tau^a D^a w + w + c^2 K psi + tau^a c^2 K D^a psi + delta K damp = f with
-    psi, D^a psi, damp reconstructed from w by classical piecewise-linear
-    product integration and D^a w by the L1 scheme: a genuinely different
-    algorithm from both the quadratic-PI mu solver and the z-form stepper.
-    At alpha = 1 the oracle is ``classical_mgt_reference``; ModelError says so.
-    """
-    if spec.nonlinearity is not Nonlinearity.LINEAR:
-        raise ModelError("direct L1 solver covers linear models only")
-    if spec.family is Family.III:
-        raise ModelError("direct L1 solver covers the fractional-leading families")
-    if spec.alpha >= 1.0:
-        raise ModelError(
-            "direct L1 solver covers alpha < 1; at alpha = 1 the oracle is "
-            "classical_mgt_reference"
-        )
-    a = spec.alpha
-    basis = data.basis
-    lam = basis.eigenvalues
-    p = spec.params
-    h = grid.h
-    n_steps = grid.steps
-    t = grid.nodes
-    xi0, xi1, xi2 = _data_coeffs(data)
-    farr = _forcing_array(f, basis, grid)
-
-    from .fractional import l1_weights, power_weights_linear
-
-    # linear-PI weights for I^2, I^{2-a}, and the damping integral
-    def pi_pack(order):
-        c0, d = power_weights_linear(order - 1.0, n_steps, h)
-        return c0 / gamma(order), d / gamma(order)
-
-    c0_2, d_2 = pi_pack(2.0)
-    c0_2a, d_2a = pi_pack(2.0 - a)
-    c0_1, d_1 = pi_pack(1.0)
-    if spec.family is Family.I:
-        c0_d, d_d = pi_pack(a)
-    elif spec.family is Family.II:
-        c0_d, d_d = c0_2a, d_2a  # D^a psi, shared with the stiffness term
-    else:
-        c0_d, d_d = c0_1, d_1  # psi_t (base)
-
-    b = l1_weights(a, n_steps, h)
-    l1_scale = h ** (-a) / gamma(2.0 - a)
-
-    w = np.zeros((n_steps + 1, basis.size))
-    w[0] = xi2
-
-    def hist(c0, d, n):
-        return c0[n] * w[0] + d[n - 1 : 0 : -1].T @ w[1:n] if n >= 2 else c0[n] * w[0]
-
-    for n in range(1, n_steps + 1):
-        tn = t[n]
-        # I^2 w history (for psi), I^{2-a} w (for D^a psi) and the damping's
-        h_2 = hist(c0_2, d_2, n)
-        h_2a = hist(c0_2a, d_2a, n)
-        h_d = hist(c0_d, d_d, n)
-
-        psi_part = xi0 + tn * xi1 + h_2
-        dapsi_part = p_power(1.0 - a, tn) * xi1 + h_2a
-        if spec.family is Family.I:
-            damp_part = h_d  # I^a w = D^{2-a} psi
-        elif spec.family is Family.II:
-            damp_part = dapsi_part
-        else:
-            damp_part = xi1 + h_d  # psi_t
-
-        l1_hist = -b[n - 1] * w[0]
-        if n >= 2:
-            l1_hist = l1_hist - (b[n - 2 :: -1] - b[n - 1 : 0 : -1]).T @ w[1:n]
-        lead_known = p.tau**a * l1_scale * l1_hist
-        lead_self = p.tau**a * l1_scale * b[0]
-
-        rhs = (
-            farr[n]
-            - lead_known
-            - p.c**2 * lam * psi_part
-            - p.tau**a * p.c**2 * lam * dapsi_part
-            - p.delta * lam * damp_part
-        )
-        dcoef = (
-            lead_self
-            + 1.0
-            + p.c**2 * lam * d_2[0]
-            + p.tau**a * p.c**2 * lam * d_2a[0]
-            + p.delta * lam * d_d[0]
-        )
-        w[n] = rhs / dcoef
-        if not np.all(np.isfinite(w[n])):
-            raise SolverBlowUpError(n)
-
-    # reconstruct psi and psi_t with the same linear-PI weights
-    conv2 = np.zeros_like(w)
-    conv1 = np.zeros_like(w)
-    for n in range(1, n_steps + 1):
-        conv2[n] = hist(c0_2, d_2, n) + d_2[0] * w[n]
-        conv1[n] = hist(c0_1, d_1, n) + d_1[0] * w[n]
-    psi = xi0[None, :] + t[:, None] * xi1[None, :] + conv2
-    psi_t = xi1[None, :] + conv1
-    mu = np.gradient(w, h, axis=0)
-    return Trajectory(basis, grid, mu, psi, psi_t, w, spec)

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from fmgt.volterra import DiagonalTerm, p_power
+from fmgt.fractional import p_power
+from fmgt.volterra import DiagonalTerm
 
 
 def _kernel_apply(problem, t: float, s: float, vec: np.ndarray, node: int = 0) -> np.ndarray:

@@ -15,10 +15,11 @@ import fmgt.analysis
 import fmgt.cli
 import fmgt.fractional
 import fmgt.memory
-import fmgt.models
+import fmgt.oracles
 from fmgt.cli import main
 from fmgt.config import ConfigError, RunConfig
-from fmgt.volterra import MAX_SWEEPS, InnerSolveError, _forcing_array
+from fmgt.models import _forcing_array
+from fmgt.volterra import MAX_SWEEPS, InnerSolveError
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -109,6 +110,22 @@ def _scipy_imports(path):
 
 def _is_scipy(module):
     return module == "scipy" or module.startswith("scipy.")
+
+
+def _fmgt_imports(path):
+    """The modules of fmgt, by their names in the package, that the file at
+    path imports anywhere in it, in any import form."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["fmgt" if node.level else None, node.module]))
+            names = [f"fmgt.{a.name}" for a in node.names] if module == "fmgt" else [module]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("fmgt."))
+    return found
 
 
 class TestConfig:
@@ -449,6 +466,10 @@ class TestArtifacts:
         # so does scipy.integrate, which serves only the ODE oracle
         assert "scipy.integrate" not in _modules_after_runs(tmp_path)
 
+    def test_run_does_not_import_the_oracles(self, tmp_path):
+        # the ODE reference loads only for a run that asks for its check
+        assert "fmgt.oracles" not in _modules_after_runs(tmp_path)
+
     def test_run_does_not_import_scipy(self, tmp_path):
         # fmgt run needs numpy only: scipy serves the oracles and the tests
         loaded = _modules_after_runs(tmp_path)
@@ -471,8 +492,19 @@ class TestArtifacts:
             for imp in _scipy_imports(path)
         }
         assert found == {
-            ("volterra.py", "classical_mgt_reference", "scipy.integrate", ("solve_ivp",)),
+            ("oracles.py", "classical_mgt_reference", "scipy.integrate", ("solve_ivp",)),
         }
+
+    def test_oracles_stay_apart_from_the_solvers(self):
+        # the oracles check the solvers, so neither side imports the other,
+        # and the z-form solver takes its shared types from models, not from
+        # the Volterra solver
+        imports = {path.stem: _fmgt_imports(path) for path in (SRC / "fmgt").glob("*.py")}
+        assert imports["oracles"] <= {"fractional", "models", "spectral"}
+        solvers = ["volterra", "memory", "convolution", "mittag_leffler"]
+        assert [name for name in solvers if "oracles" in imports[name]] == []
+        assert "volterra" not in imports["memory"]
+        assert imports["analysis"] >= {"memory", "volterra"}  # the helper sees them
 
     def test_kernels_subcommand(self, tmp_path):
         out = tmp_path / "k"
@@ -602,7 +634,7 @@ class TestWorkPerRun:
             orders.append(order)
             return abel(w, order)
 
-        for module in (fmgt.fractional, fmgt.analysis, fmgt.models):
+        for module in (fmgt.fractional, fmgt.analysis, fmgt.oracles):
             monkeypatch.setattr(module, "abel_integral", counting)
         cfg = tmp_path / "iii.cfg"
         cfg.write_text(

@@ -30,8 +30,8 @@ from fmgt.models import (
     ModelVariant,
     Nonlinearity,
 )
+from fmgt.oracles import classical_mgt_reference, solve_direct_l1
 from fmgt.spectral import SpectralField
-from fmgt.volterra import classical_mgt_reference
 from ml_reference import ml_scalar
 
 
@@ -210,8 +210,6 @@ def bump_setup():
 class TestCrossFormulation:
     @pytest.mark.parametrize("alpha", [0.6, 0.8])
     def test_memory_vs_direct_l1(self, bump_setup, alpha):
-        from fmgt.volterra import solve_direct_l1
-
         b, data = bump_setup
         lam = b.eigenvalues
         spec = linear_ii(alpha, tau=1.0, c=1.0, delta=0.1)

@@ -3,7 +3,28 @@ import numpy as np
 import pytest
 
 from fmgt import Domain, DomainError, EigenBasis, SpectralField
-from fmgt.spectral import gradient_dot, laplacian_apply, pointwise_product, sobolev_norm
+from fmgt.spectral import sobolev_norm
+
+
+def laplacian_apply(u: SpectralField) -> SpectralField:
+    """Laplacian in mode space: c_i -> -lambda_i c_i."""
+    return SpectralField(u.basis, -u.basis.eigenvalues * u.coeffs)
+
+
+def pointwise_product(u: SpectralField, v: SpectralField) -> SpectralField:
+    """Dealiased collocation product projected back to the cutoff."""
+    u._check(v)
+    vals = u.basis.evaluate(u.coeffs) * v.basis.evaluate(v.coeffs)
+    return SpectralField(u.basis, u.basis.project_values(vals))
+
+
+def gradient_dot(u: SpectralField, v: SpectralField) -> SpectralField:
+    """Collocation evaluation of grad(u) . grad(v), projected to the basis."""
+    u._check(v)
+    gu = u.basis.evaluate_grad(u.coeffs)
+    gv = v.basis.evaluate_grad(v.coeffs)
+    vals = sum(a * b for a, b in zip(gu, gv))
+    return SpectralField(u.basis, u.basis.project_values(vals))
 
 
 @pytest.fixture
@@ -250,9 +271,8 @@ class TestSeparableTransforms:
         # collocation multiplier P(sigma_n ⊙ E v) and the gradient multiplier
         # P(sum_axis g_n ⊙ G_axis v), spelled out with the dense matrices
         from fmgt import TimeGrid
-        from fmgt.volterra import (
-            CollocationTerm, GradientTerm, PowerKernelSum, VolterraProblem, p_power,
-        )
+        from fmgt.fractional import p_power
+        from fmgt.volterra import CollocationTerm, GradientTerm, PowerKernelSum, VolterraProblem
 
         b = sep_basis
         grid = TimeGrid(1.0, self.N1 - 1)
