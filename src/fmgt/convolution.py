@@ -98,11 +98,15 @@ class CausalFilter:
                 x_spec.append(rfft(np.ldexp(x.T, -e, order="C"), self.size))
             uses -= 1
             # spec times a temporary, as for a lone kernel: numpy may form
-            # the product in the temporary, operands swapped, and their order
-            # decides the rounding of a complex product.  The last kernel
-            # takes the transform itself, the others copies, so no kernel
-            # sees another's product; a name bound to the factor would keep
-            # numpy from reusing it.
+            # the product in the temporary, operands swapped, and with a
+            # per-column (2-D) kernel spectrum their order decides the
+            # rounding of the complex product.  The last kernel takes the
+            # transform itself, the others copies, so no kernel sees
+            # another's product.  Every stack of several kernels has 1-D
+            # spectra, for which np.multiply(spec, x_spec[0]) rounds the
+            # same; there the copies are kept for memory, not rounding:
+            # without them a warm picard-2d run (numpy 2.4, glibc malloc)
+            # took 6,014 minor page faults in place of 991 (medians of 15).
             prod = irfft(spec * (x_spec.pop() if uses == 0 else x_spec[0].copy()), self.size)
             out.append(np.ldexp(prod[..., : self.n].T, binade + e, order="C"))
         return out

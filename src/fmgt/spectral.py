@@ -47,11 +47,12 @@ class EigenBasis:
 
     Eigenvalues are stored sorted ascending with a map back to per-axis mode
     indices.  The transforms (``evaluate``, ``evaluate_grad``,
-    ``project_values``) are separable: in 2-D they apply the per-axis
-    (2m-1) x m factors on both sides of the coefficient tensor,
-    E_x T E_y^T, in 1-D one matmul with the per-axis matrix.  Grid values
-    use the flat layout (..., grid points), C order over the axes, and any
-    leading batch axes pass through.  The dense Kronecker matrices
+    ``project_values`` and ``synthesize``, which the first two call) are
+    separable: in 2-D they apply the per-axis (2m-1) x m factors on both
+    sides of the coefficient tensor, E_x T E_y^T, in 1-D one matmul with
+    the per-axis matrix.  Grid values use the flat layout (..., grid
+    points), C order over the axes, and any leading batch axes pass
+    through.  The dense Kronecker matrices
     (``eval_matrix``, ``proj_matrix``, ``grad_matrices``) are an independent
     oracle for the tests; no solver path builds them.  Every matrix is built
     once and never mutated, so one basis may be shared between concurrent
@@ -80,6 +81,13 @@ class EigenBasis:
             self._deriv_mats.append(D)
             self._proj_mats.append((L / M) * E.T)
             axis_lams.append((np.pi * j[0] / L) ** 2)
+        # the per-axis factors ``synthesize`` applies: those of the field
+        # (axis None) and of its partial derivative along each axis
+        mats = list(zip(self._eval_mats, self._deriv_mats))
+        self._factors = {
+            axis: [D if i == axis else E for i, (E, D) in enumerate(mats)]
+            for axis in (None, *range(domain.ndim))
+        }
         self._grid_shape = tuple(E.shape[0] for E in self._eval_mats)
         self.grid_size = int(np.prod(self._grid_shape))
 
@@ -113,35 +121,44 @@ class EigenBasis:
         return pts
 
     def _to_tensor(self, coeffs: np.ndarray) -> np.ndarray:
-        """(..., modes) sorted coefficients -> (..., m_x, m_y) tensors."""
-        return coeffs[..., self._inv_pos].reshape(coeffs.shape[:-1] + self.cutoff)
+        """(..., modes) sorted coefficients -> C-ordered (..., m_x, m_y)
+        tensors, whose rows the synthesis reads without a copy."""
+        return np.take(coeffs, self._inv_pos, axis=-1).reshape(coeffs.shape[:-1] + self.cutoff)
 
     def _from_tensor(self, tensor: np.ndarray) -> np.ndarray:
         """(..., m_x, m_y) tensors -> (..., modes) sorted coefficients."""
         flat = tensor.reshape(tensor.shape[: tensor.ndim - 2] + (self.size,))
         return flat[..., self._tensor_pos]
 
-    def _synthesize(self, t: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-        """ax T ay^T for each (m_x, m_y) tensor, flattened to grid points: the
-        y factor as one product over the whole batch, then the x factor."""
-        right = t.reshape(-1, t.shape[-1]) @ ay.T
-        vals = ax @ right.reshape(t.shape[:-1] + (ay.shape[0],))
-        return vals.reshape(t.shape[:-2] + (self.grid_size,))
+    def tensor_layout(self, coeffs: np.ndarray) -> np.ndarray:
+        """(..., modes) sorted coefficients in the layout ``synthesize``
+        reads: (..., m_x, m_y) tensors in 2-D, the coefficients themselves
+        in 1-D.  Rows of the layout are the rows of the coefficients."""
+        return coeffs if self.domain.ndim == 1 else self._to_tensor(coeffs)
+
+    def synthesize(self, layout: np.ndarray, axis: int | None = None) -> np.ndarray:
+        """Grid values (..., grid points) of coefficients in
+        ``tensor_layout``: the field, or its partial derivative along
+        ``axis``.  In 2-D the y factor is one product over the whole batch,
+        then the x factor.  ``evaluate`` and ``evaluate_grad`` are its calls
+        on one layout; a caller that evaluates one trajectory a block of
+        rows at a time converts it once and synthesizes each block."""
+        ax, *rest = self._factors[axis]
+        if not rest:
+            return layout @ ax.T
+        (ay,) = rest
+        right = layout.reshape(-1, layout.shape[-1]) @ ay.T
+        vals = ax @ right.reshape(layout.shape[:-1] + (ay.shape[0],))
+        return vals.reshape(layout.shape[:-2] + (self.grid_size,))
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """Field values (..., grid points) on the collocation grid."""
-        if self.domain.ndim == 1:
-            return coeffs @ self._eval_mats[0].T
-        Ex, Ey = self._eval_mats
-        return self._synthesize(self._to_tensor(coeffs), Ex, Ey)
+        return self.synthesize(self.tensor_layout(coeffs))
 
     def evaluate_grad(self, coeffs: np.ndarray):
         """Per-axis partial derivatives (..., grid points) on the grid."""
-        if self.domain.ndim == 1:
-            return [coeffs @ self._deriv_mats[0].T]
-        (Ex, Ey), (Dx, Dy) = self._eval_mats, self._deriv_mats
-        t = self._to_tensor(coeffs)
-        return [self._synthesize(t, Dx, Ey), self._synthesize(t, Ex, Dy)]
+        layout = self.tensor_layout(coeffs)
+        return [self.synthesize(layout, axis) for axis in range(self.domain.ndim)]
 
     def project_values(self, grid_values: np.ndarray) -> np.ndarray:
         """L2 projection of (..., grid points) collocation values onto the

@@ -15,7 +15,9 @@ inverse for the diagonal terms and waveform relaxation over windows of
 nodes for the frozen coefficients.
 
 Nonlinear solves are a Picard iteration on one assembled linear problem, to
-which ``freeze`` adds each iterate's coefficients sigma = 2k w_t and grad w.
+which ``freeze`` adds each iterate's coefficients sigma = 2k w_t and grad w,
+handed over as w's coefficients and formed on the grid a block of nodes at
+a time.
 """
 from __future__ import annotations
 
@@ -69,13 +71,15 @@ class CollocationTerm:
     """The collocation multiplier v_n -> P(sigma_n ⊙ E v_n) on
     (p^exponent * mu)(t_n).  E and P stand for the basis's separable
     transforms ``evaluate`` and ``project_values``.  ``grid_values`` gives
-    sigma_n ⊙ E v_n for the nodes ``rows`` (an index or a slice) and their
-    vectors v at once; the solver sums its terms' grid values and projects
-    them per block of nodes.
+    sigma_n ⊙ E v_n for the nodes ``rows`` and their vectors v at once; the
+    solver sums its terms' grid values and projects them per block of
+    nodes.  sigma is read only as values[rows]: an (N+1, Mgrid) array,
+    where rows may be an index or a slice, or Picard's ``_Synthesis`` of
+    2k w_t, which forms the rows of a slice when they are read.
     """
 
     exponent: float
-    values: np.ndarray  # (N+1, Mgrid): sigma on the collocation grid
+    values: object  # values[rows]: sigma on the collocation grid
 
     def grid_values(self, basis: EigenBasis, rows, v: np.ndarray) -> np.ndarray:
         vals = basis.evaluate(v)
@@ -86,11 +90,13 @@ class CollocationTerm:
 class GradientTerm:
     """v_n -> coeff P(sum_axis g_axis,n ⊙ G_axis v_n) on
     (p^exponent * mu)(t_n), G_axis being ``evaluate_grad``; its grid values,
-    coeff included, are formed per block of nodes like CollocationTerm's."""
+    coeff included, are formed per block of nodes like CollocationTerm's.
+    Each g_axis is read as grads[axis][rows], an (N+1, Mgrid) array or
+    Picard's ``_Synthesis`` of that axis of grad w."""
 
     exponent: float
     coeff: float
-    grads: list  # per-axis (N+1, Mgrid) grid values
+    grads: list  # per axis: g_axis[rows] on the collocation grid
 
     def grid_values(self, basis: EigenBasis, rows, v: np.ndarray) -> np.ndarray:
         grads = basis.evaluate_grad(v)
@@ -115,7 +121,8 @@ class PowerKernelSum:
 
 @dataclass
 class _Tables:
-    """Built once per assembled problem, on first use, and shared by ``freeze``."""
+    """Built once per assembled problem, on first use, and shared by
+    ``freeze``; none holds a frozen coefficient's grid values."""
 
     weights: dict = field(default_factory=dict)  # exponent -> _PIWeights
     reciprocal: np.ndarray | None = None  # T^{-1} of the diagonal terms (solve_mu)
@@ -123,9 +130,6 @@ class _Tables:
     # so halving a stiff solve's windows does not grow the tables
     solve_t: CausalFilter | None = None
     lags: dict = field(default_factory=dict)  # (exponent, length) -> C_e's filter
-    # G(xi1 + t xi2) per axis (``freeze``'s gradient data part), built only
-    # when xi1 or xi2 is nonzero
-    data_grad: list | None = None
 
 
 @dataclass
@@ -235,8 +239,29 @@ class _PIWeights:
 # assembly
 
 
+def _scan_sigma(sigma, n: int, grid_size: int):
+    """One pass over sigma's grid values on nodes 0..n-1, read as sigma[a:b]
+    a block of nodes at a time: (node, 1 + least value, whether every value
+    is finite).  The node is that of np.argmin over the whole array: the
+    first least value, a NaN counting as the least."""
+    node, least, finite = 0, np.inf, True
+    for a, b in _blocks(n, grid_size):
+        vals = sigma[a:b]
+        i = np.argmin(vals)
+        finite = finite and bool(np.all(np.isfinite(vals)))
+        if vals.flat[i] < least or np.isnan(vals.flat[i]):
+            node, least = a + i // vals.shape[-1], vals.flat[i]
+            if np.isnan(least):
+                break
+    return node, 1.0 + least, finite
+
+
+_UNBOUNDED = "sigma must be uniformly bounded (finite grid values)"
+
+
 def _sigma_grid_values(basis, grid, sigma):
-    """Validate sigma as an (N+1, Mgrid) collocation-value trajectory.
+    """Validate a caller's sigma as an (N+1, Mgrid) collocation-value
+    trajectory.
 
     The contract is grid values, never mode coefficients: the two shapes
     coincide at cutoff 1, so no dispatch-by-shape is possible.  Values must
@@ -244,18 +269,15 @@ def _sigma_grid_values(basis, grid, sigma):
     1 + sigma must be positive (the coefficient of the leading term may not
     degenerate).
     """
-    if sigma is None:
-        return None
     sigma = np.asarray(sigma, dtype=float)
     expected = (grid.steps + 1, basis.grid_size)
     if sigma.shape != expected:
         raise DomainError(
             f"sigma must be collocation values of shape {expected}, got {sigma.shape}"
         )
-    if not np.all(np.isfinite(sigma)):
-        raise DomainError("sigma must be uniformly bounded (finite grid values)")
-    n, i = np.unravel_index(np.argmin(sigma), sigma.shape)
-    low = 1.0 + sigma[n, i]
+    n, low, finite = _scan_sigma(sigma, len(sigma), basis.grid_size)
+    if not finite:
+        raise DomainError(_UNBOUNDED)
     if not low > 0.0:
         raise DomainError(
             f"1 + sigma must stay positive, but reaches {low:.6g} at node {n} "
@@ -266,34 +288,47 @@ def _sigma_grid_values(basis, grid, sigma):
 
 def freeze(problem: VolterraProblem, sigma=None, grad_w=None) -> VolterraProblem:
     """The assembled linear ``problem`` plus one Picard iterate's terms, their
-    data parts taken from the forcing: sigma (collocation values) on psi_tt's
-    exponent, with data part sigma xi2, and 2 l~ grad w . grad psi_t (grad_w
-    per-axis grid values) on psi_t's, with data part
-    2 l~ P(sum_axis grad_w G(xi1 + t xi2)).  A data part is built only when
-    its data are nonzero; a zero one would subtract zeros from the forcing.
-    Freezing adds no diagonal term, so the iterate shares the problem's
-    tables, G(xi1 + t xi2) among them."""
+    data parts taken from the forcing: sigma on psi_tt's exponent, with data
+    part sigma xi2, and 2 l~ grad w . grad psi_t on psi_t's, with data part
+    2 l~ P(sum_axis grad_w G(xi1 + t xi2)).
+
+    sigma is an (N+1, Mgrid) array of grid values, which freeze validates,
+    or Picard's ``_Synthesis`` of 2k w_t, which ``picard_nonlinear`` has
+    validated; grad_w is a per-axis list of either form.  Both are read a
+    block of nodes at a time, so neither a coefficient form nor
+    G(xi1 + t xi2) is ever formed on all nodes: the data parts are summed,
+    projected and taken from the forcing in one blockwise pass.  A data
+    part is built only when its data are nonzero; a zero one would subtract
+    zeros from the forcing.  Freezing adds no diagonal term, so the iterate
+    shares the problem's tables."""
     basis = problem.basis
     _, e_psit, e_psitt = problem.recon_exponents
     terms = list(problem.kernel.terms)
-    F = problem.forcing
-    sigma = _sigma_grid_values(basis, problem.grid, sigma)
+    e_xi2 = None  # E xi2, when the collocation term has a data part
     if sigma is not None:
+        if not isinstance(sigma, _Synthesis):
+            sigma = _sigma_grid_values(basis, problem.grid, sigma)
         terms.append(CollocationTerm(e_psitt, sigma))
         if np.any(problem.xi2):
-            F = F - basis.project_values(sigma * basis.evaluate(problem.xi2))
+            e_xi2 = basis.evaluate(problem.xi2)
+    grad_data = False  # whether the gradient term has a data part
     if grad_w is not None:
         coeff = 2.0 * problem.spec.l_eff
         terms.append(GradientTerm(e_psit, coeff, grad_w))
-        if np.any(problem.xi1) or np.any(problem.xi2):
-            tables = problem.tables
-            if tables.data_grad is None:
-                t = problem.grid.nodes
-                tables.data_grad = basis.evaluate_grad(problem.xi1 + t[:, None] * problem.xi2)
-            acc = grad_w[0] * tables.data_grad[0]
-            for gw, gd in zip(grad_w[1:], tables.data_grad[1:]):
-                acc += gw * gd
-            F = F - coeff * basis.project_values(acc)
+        grad_data = bool(np.any(problem.xi1) or np.any(problem.xi2))
+    F = problem.forcing
+    if e_xi2 is not None or grad_data:
+        F = F.copy()
+        t = problem.grid.nodes
+        for a, b in _blocks(len(F), basis.grid_size):
+            if e_xi2 is not None:
+                F[a:b] -= basis.project_values(sigma[a:b] * e_xi2)
+            if grad_data:
+                data = basis.evaluate_grad(problem.xi1 + t[a:b, None] * problem.xi2)
+                acc = grad_w[0][a:b] * data[0]
+                for gw, gd in zip(grad_w[1:], data[1:]):
+                    acc += gw[a:b] * gd
+                F[a:b] -= coeff * basis.project_values(acc)
     frozen = replace(problem, kernel=PowerKernelSum(terms), forcing=F)
     frozen.tables = problem.tables
     return frozen
@@ -528,32 +563,61 @@ def _relax(problem, ops, rows, rhs, known, filters, start):
     raise InnerSolveError(rows.start, MAX_SWEEPS, update)
 
 
-# bytes of one (nodes, grid points) array of a block in ``_frozen_terms``:
-# the grid values of a window are formed a block of nodes at a time, so
-# their memory does not grow with the window and a block stays in cache
+# bytes of one (nodes, grid points) array of a block: the grid values of a
+# window (``_frozen_terms``) and of a frozen coefficient (``_Synthesis``,
+# ``freeze``) are formed a block of nodes at a time, so their memory does
+# not grow with the time axis and a block stays in cache
 _BLOCK_BYTES = 256 * 1024
+# the least rows a block is formed in, where the array has them: a one-row
+# matmul goes to gemv, whose rounding differs from that of the same row of
+# a matrix product, while two or more rows are formed by the same dot
+# products as the whole array, so no result depends on the blocks
+_MIN_ROWS = 3
+
+
+def _blocks(n: int, grid_size: int) -> list:
+    """(a, b) of each block of the rows 0..n-1: an even split into the
+    fewest blocks of at most max(_MIN_ROWS, _BLOCK_BYTES / (8 grid points))
+    rows, so a block of a longer array has two rows or more."""
+    parts = -(-n // max(_MIN_ROWS, _BLOCK_BYTES // (8 * grid_size)))
+    return [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
+@dataclass
+class _Synthesis:
+    """A frozen coefficient's grid values, formed from a coefficient
+    trajectory when a slice of nodes is read and never stored whole:
+    self[a:b] is scale * basis.synthesize(layout[a:b], axis), with
+    ``layout`` in the basis's tensor layout.  A slice of fewer than
+    _MIN_ROWS rows is synthesized inside one of _MIN_ROWS rows, so any
+    slice equals the same rows of the whole trajectory's synthesis bit for
+    bit."""
+
+    basis: EigenBasis
+    layout: np.ndarray
+    scale: float | None = None
+    axis: int | None = None  # None: the field; otherwise a partial derivative
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        a, b = rows.start, rows.stop
+        lo = max(0, min(a, len(self.layout) - _MIN_ROWS))
+        vals = self.basis.synthesize(self.layout[lo : max(b, lo + _MIN_ROWS)], self.axis)
+        if self.scale is not None:
+            vals *= self.scale
+        return vals[a - lo : b - lo]
 
 
 def _frozen_terms(basis, ops, rows, known, lag, x):
     """P(sum_S S(known + C x)) on the window ``rows``: one transform of x
-    for the stacked lag kernels, then per block of nodes the terms' grid
-    values, summed where the first term formed them, and one projection.
-
-    The window splits evenly into the fewest blocks of at most
-    max(3, _BLOCK_BYTES / (8 grid points)) rows.  With that floor no block
-    of a longer window has one row, which numpy's matmul would send to
-    gemv, whose rounding differs from a row of a matrix product.  A block
-    of two or more rows forms each row by the same dot products as the
-    whole window did, so the result does not depend on the blocks."""
+    for the stacked lag kernels, then per block of nodes (``_blocks``) the
+    terms' grid values, summed where the first term formed them, and one
+    projection.  The result does not depend on the blocks."""
     conv = lag(x)
     for conv_e, known_e in zip(conv, known):
         conv_e += known_e
-    n = len(x)
-    parts = -(-n // max(3, _BLOCK_BYTES // (8 * basis.grid_size)))
     out = np.empty_like(x)
     (first, e0), *rest = ops
-    for i in range(parts):
-        a, b = n * i // parts, n * (i + 1) // parts
+    for a, b in _blocks(len(x), basis.grid_size):
         block = slice(rows.start + a, rows.start + b)
         vals = first.grid_values(basis, block, conv[e0][a:b])
         for term, e in rest:
@@ -624,20 +688,36 @@ def _iterate_distance(basis, a, b) -> float:
     return d_psi + d_psit + d_psitt
 
 
-def _check_nondegenerate(sigma: np.ndarray, t: np.ndarray, iterate: int):
+def _iterate_coefficients(spec: ModelSpec, basis: EigenBasis, w: Trajectory):
+    """The frozen coefficients of the iterate w, in the form ``freeze``
+    reads block by block: sigma = 2k w_t (None when k = 0) and the per-axis
+    grad w (None when l~ = 0).  Each of w_t and w is put in the basis's
+    tensor layout once, so a block pays only for its synthesis."""
+    sigma = grad_w = None
+    if spec.k_eff != 0.0:
+        sigma = _Synthesis(basis, basis.tensor_layout(w.psi_t), 2.0 * spec.k_eff)
+    if spec.l_eff != 0.0:
+        layout = basis.tensor_layout(w.psi)
+        grad_w = [_Synthesis(basis, layout, axis=i) for i in range(basis.domain.ndim)]
+    return sigma, grad_w
+
+
+def _check_nondegenerate(sigma: _Synthesis, grid: TimeGrid, iterate: int):
     """Refuse a frozen coefficient 1 + sigma = 1 + 2k w_t that is not
     positive on the collocation grid: the models are only well posed while
-    1 + 2k psi_t stays bounded away from zero."""
-    n, i = np.unravel_index(np.argmin(sigma), sigma.shape)
-    low = 1.0 + sigma[n, i]
+    1 + 2k psi_t stays bounded away from zero.  The same blockwise pass
+    over sigma refuses a non-finite one, as ``freeze`` refuses a caller's."""
+    n, low, finite = _scan_sigma(sigma, grid.steps + 1, sigma.basis.grid_size)
     if not low > 0.0:
         raise SolverBlowUpError(
             node=int(n),
             cause=f"degenerate coefficient: 1 + 2k psi_t reaches {low:.6g} at node {n} "
-            f"(t = {t[n]:.6g}) in Picard iterate {iterate}; the models assume "
+            f"(t = {grid.nodes[n]:.6g}) in Picard iterate {iterate}; the models assume "
             "1 + 2k psi_t stays bounded away from zero (nondegeneracy), so "
             "decrease k or the data",
         )
+    if not finite:
+        raise DomainError(_UNBOUNDED)
 
 
 def picard_nonlinear(
@@ -657,26 +737,22 @@ def picard_nonlinear(
     Raises if max_iter is exceeded: the iteration has left the contraction
     regime, so shrink the horizon or the data.  Raises SolverBlowUpError
     before freezing an iterate whose 1 + 2k w_t is not positive on the
-    collocation grid."""
+    collocation grid.  An iterate hands ``freeze`` the coefficients of w_t
+    and w: sigma and grad w are formed on the grid a block of nodes at a
+    time, inside the sweeps, and never on all N+1 nodes at once."""
     validate(spec)
     if spec.nonlinearity is Nonlinearity.LINEAR:
         raise ModelError("Picard iteration serves nonlinear models; use solve_linear")
 
     basis = data.basis
-    k = spec.k_eff
-
     linear = assemble(spec, data, f, grid)
     current = reconstruct(linear, solve_mu(linear))
     distances = []
     sweeps, windows = [], []
-    t = grid.nodes
     for it in range(1, max_iter + 1):
-        sigma = None
-        if k != 0.0:
-            sigma = basis.evaluate(current.psi_t)
-            sigma *= 2.0 * k
-            _check_nondegenerate(sigma, t, it)
-        grad_w = basis.evaluate_grad(current.psi) if spec.l_eff != 0.0 else None
+        sigma, grad_w = _iterate_coefficients(spec, basis, current)
+        if sigma is not None:
+            _check_nondegenerate(sigma, grid, it)
         nxt = solve(freeze(linear, sigma, grad_w), guess=current.mu)
         sweeps.append(nxt.diagnostics["relaxation_sweeps"])
         windows.append(nxt.diagnostics["relaxation_windows"])

@@ -605,34 +605,50 @@ class TestFrozenProblem:
         # stays the problem's; a whole Picard run builds no data gradient
         spec, data, grid, sigma, grad_w = self._kuznetsov_2d(0.0)
         linear = assemble(spec, data, None, grid)
+        calls = _record_transforms(monkeypatch)
         frozen = freeze(linear, sigma, grad_w)
         assert len(frozen.kernel.terms) == len(linear.kernel.terms) + 2
         assert frozen.forcing is linear.forcing
-        assert linear.tables.data_grad is None
+        assert calls == []
         assembled = []
+        in_freeze = []  # the transforms of each freeze call
 
         def recording_assemble(*args):
             assembled.append(assemble(*args))
             return assembled[-1]
 
+        def recording_freeze(*args):
+            first = len(calls)
+            frozen = freeze(*args)
+            in_freeze.append(calls[first:])
+            return frozen
+
         monkeypatch.setattr(fmgt.volterra, "assemble", recording_assemble)
+        monkeypatch.setattr(fmgt.volterra, "freeze", recording_freeze)
         res = picard_nonlinear(spec, data, grid, tol=1e-10)
         assert res.iterations >= 2 and len(assembled) == 1
-        assert assembled[0].tables.data_grad is None
+        assert in_freeze == [[]] * res.iterations
 
-    def test_gradient_data_part_of_psi1_alone(self):
+    def test_gradient_data_part_of_psi1_alone(self, monkeypatch):
         # psi1 != 0, psi2 = 0: only the gradient term has a data part,
         # 2 l~ P(sum_axis grad_w G xi1)
         spec, data, grid, _, grad_w = self._kuznetsov_2d(0.5e-3)
         basis = data.basis
         linear = assemble(spec, data, None, grid)
+        block = 5
+        _block_budget(monkeypatch, basis, block)
+        calls = _record_transforms(monkeypatch)
         frozen = freeze(linear, grad_w=grad_w)
+        in_freeze = list(calls)
         xi1 = np.broadcast_to(data.psi1.coeffs, (grid.steps + 1, basis.size))
         acc = sum(gw * g for gw, g in zip(grad_w, basis.evaluate_grad(xi1)))
         want = 2.0 * spec.l_eff * basis.project_values(acc)
         got = frozen.forcing - (linear.forcing - want)
         assert np.max(np.abs(got)) <= 1e-15 * np.max(np.abs(want))
-        assert linear.tables.data_grad is not None
+        # G(xi1 + t xi2) is formed and projected a block of nodes at a time,
+        # each node once, and kept nowhere
+        assert max(rows for _, rows in in_freeze) <= block
+        assert sum(rows for name, rows in in_freeze if name == "project_values") == len(got)
 
     def test_picard_builds_each_table_once(self, monkeypatch):
         # family I: the gradient exponent alpha is not among the diagonal
@@ -1007,6 +1023,22 @@ def _block_budget(monkeypatch, basis, rows):
     monkeypatch.setattr(fmgt.volterra, "_BLOCK_BYTES", rows * 8 * basis.grid_size)
 
 
+def _record_transforms(monkeypatch):
+    """From now on, (transform, rows) of every ``EigenBasis.synthesize``
+    call, through which ``evaluate`` and ``evaluate_grad`` go, and of every
+    ``project_values`` call, in call order."""
+    calls = []
+    for name in ("synthesize", "project_values"):
+        original = getattr(EigenBasis, name)
+
+        def recording(basis, values, *args, _name=name, _original=original):
+            calls.append((_name, len(values)))
+            return _original(basis, values, *args)
+
+        monkeypatch.setattr(EigenBasis, name, recording)
+    return calls
+
+
 class TestBlockedSweeps:
     """``_frozen_terms`` forms, sums and projects the frozen terms' grid
     values a block of nodes at a time.  Every block division gives the
@@ -1121,6 +1153,84 @@ class TestBlockedSweeps:
             assert max(rows for _, rows in seen) <= block
             assert sum(rows for name, rows in seen if name == "project_values") == sweeps * nodes
 
+    def test_no_evaluation_in_a_picard_run_spans_more_than_one_block(self, monkeypatch):
+        # the iterates' sigma = 2k w_t and grad w, and the gradient data
+        # part (psi1 != 0), are formed a block of nodes at a time like the
+        # sweeps' grid values: no evaluation of a whole Picard run, outside
+        # the sweeps as inside, gets the rows of more than one block
+        case = _kuznetsov_2d_case(32)
+        block = 5
+        _block_budget(monkeypatch, case[1].basis, block)
+        rows = []
+        for name in ("evaluate", "evaluate_grad", "synthesize"):
+            original = getattr(EigenBasis, name)
+
+            def recording(basis, values, *args, _original=original):
+                rows.append(len(values))
+                return _original(basis, values, *args)
+
+            monkeypatch.setattr(EigenBasis, name, recording)
+        res = picard_nonlinear(*case, tol=1e-10)
+        assert res.iterations >= 2
+        assert rows and max(rows) <= block
+
+
+def _iterate_case(ndim):
+    """A linear problem and its solution w, whose coefficients Picard would
+    freeze: 1-D Westervelt (sigma alone, both data parts) or 2-D Kuznetsov
+    (sigma and grad w, the gradient data part)."""
+    if ndim == 1:
+        basis = EigenBasis(Domain.interval(1.0), 16)
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=0.1), 0.7
+        )
+        data, grid = _wave_data(basis), TimeGrid(1.0, 64)
+    else:
+        spec, data, grid = _kuznetsov_2d_case(64)
+    linear = assemble(spec, data, None, grid)
+    return spec, linear, solve(linear)
+
+
+class TestCoefficientForm:
+    """Picard hands ``freeze`` its iterate's coefficients, w_t with its
+    scale 2k and w, and the grid values of sigma and grad w are formed a
+    slice of nodes at a time.  Every slice, one row included, equals those
+    rows of the whole evaluation, so a problem frozen from the coefficient
+    form solves bit for bit like one frozen from the materialised arrays
+    2k evaluate(w_t) and evaluate_grad(w)."""
+
+    @staticmethod
+    def _materialised(spec, basis, w):
+        sigma = 2.0 * spec.k_eff * basis.evaluate(w.psi_t)
+        return sigma, basis.evaluate_grad(w.psi) if spec.l_eff != 0.0 else None
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_every_slice_equals_the_whole_evaluation(self, ndim):
+        spec, linear, w = _iterate_case(ndim)
+        basis = linear.basis
+        forms = fmgt.volterra._iterate_coefficients(spec, basis, w)
+        sigma, grad_w = self._materialised(spec, basis, w)
+        pairs = [(forms[0], sigma)] + list(zip(forms[1] or [], grad_w or []))
+        assert len(pairs) == 1 + (ndim == 2) * 2  # sigma, and grad w in 2-D
+        n = len(sigma)
+        for form, whole in pairs:
+            for length in (1, 2, 3, 7):
+                for a in range(n - length + 1):
+                    assert np.array_equal(form[a : a + length], whole[a : a + length])
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_frozen_from_coefficients_solves_like_grid_values(self, ndim):
+        spec, linear, w = _iterate_case(ndim)
+        forms = fmgt.volterra._iterate_coefficients(spec, linear.basis, w)
+        from_forms = freeze(linear, *forms)
+        from_arrays = freeze(linear, *self._materialised(spec, linear.basis, w))
+        assert from_forms.forcing is not linear.forcing
+        assert np.array_equal(from_forms.forcing, from_arrays.forcing)
+        got, want = solve(from_forms, guess=w.mu), solve(from_arrays, guess=w.mu)
+        assert got.diagnostics == want.diagnostics
+        for name in ("mu", "psi", "psi_t", "psi_tt"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
 
 class TestForcing:
     def test_callable_forcing_matches_array(self, single_mode_setup):
@@ -1187,10 +1297,16 @@ class TestTimeScaling:
     rounding; a wrong power of tau breaks it at order one."""
 
     @staticmethod
-    def _data(amplitude=1.0):
-        b = EigenBasis(Domain.interval(1.0), 5)
-        bump = b.project(lambda x: x * (1 - x)).coeffs
-        wave = b.project(lambda x: np.sin(np.pi * x) * (x - 0.3)).coeffs
+    def _data(amplitude=1.0, ndim=1):
+        if ndim == 1:
+            b = EigenBasis(Domain.interval(1.0), 5)
+            bump = b.project(lambda x: x * (1 - x)).coeffs
+            wave = b.project(lambda x: np.sin(np.pi * x) * (x - 0.3)).coeffs
+        else:
+            b = EigenBasis(Domain.rectangle(1.0, 0.7), (4, 3))
+            bump = b.project(lambda x, y: x * (1 - x) * y * (0.7 - y)).coeffs
+            wave = b.project(lambda x, y: np.sin(np.pi * x) * (x - 0.3) * y * (0.7 - y)).coeffs
+            bump, wave = bump / np.max(np.abs(bump)), wave / np.max(np.abs(wave))
         return b, amplitude * bump, -0.4 * amplitude * wave, amplitude * (0.3 * bump + 0.2 * wave)
 
     @staticmethod
@@ -1229,9 +1345,13 @@ class TestTimeScaling:
             psi1 = psi2 = np.zeros_like(psi0)
         self._check(ModelVariant(family, Nonlinearity.LINEAR), alpha, (b, psi0, psi1, psi2))
 
+    @pytest.mark.parametrize("family", [Family.BASE, Family.I, Family.III])
     @pytest.mark.parametrize("nonlinearity", [Nonlinearity.WESTERVELT, Nonlinearity.KUZNETSOV])
-    def test_nonlinear(self, nonlinearity):
-        self._check(ModelVariant(Family.III, nonlinearity), 0.7, self._data(1e-3))
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_nonlinear(self, family, nonlinearity, ndim):
+        # in 2-D, Kuznetsov's l~ -> l~/s runs through both axes of the
+        # gradient term
+        self._check(ModelVariant(family, nonlinearity), 0.7, self._data(1e-3, ndim))
 
     def test_source(self):
         data = self._data()
