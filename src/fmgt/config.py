@@ -49,6 +49,14 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def _bump(lengths, x):
+    """The bump prod_k x_k (L_k - x_k), multiplied from left to right."""
+    out = 1.0
+    for xk, L in zip(x, lengths):
+        out = out * xk * (L - xk)
+    return out
+
+
 _DEFAULTS = {
     "schema": "1",
     "model.family": "iii",
@@ -268,12 +276,7 @@ class RunConfig:
         if preset == "zero":
             psi0 = basis.zero_field()
         elif preset == "bump":
-            if basis.domain.ndim == 1:
-                L = basis.domain.lengths[0]
-                raw = basis.project(lambda x: x * (L - x))
-            else:
-                Lx, Ly = basis.domain.lengths
-                raw = basis.project(lambda x, y: x * (Lx - x) * y * (Ly - y))
+            raw = basis.project(lambda *x: _bump(basis.domain.lengths, x))
             scale = amp / np.max(np.abs(raw.coeffs))
             psi0 = SpectralField(basis, raw.coeffs * scale)
         elif preset == "mode":

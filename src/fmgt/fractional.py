@@ -5,7 +5,9 @@ orders in (0,1) and (1,2), and the quadratic forms behind the coercivity and
 Alikhanov-type inequalities used by the energy analysis.  All operators are
 product-integration rules that integrate the power kernel exactly against a
 piecewise-linear interpolant of the smooth factor (the classical L1 scheme
-for the Caputo derivative).
+for the Caputo derivative).  A signal holds one row per node, of any shape,
+and every operator acts along that first axis alone: each signal of a
+stack gets the result it gets on its own.
 """
 from __future__ import annotations
 
@@ -219,13 +221,6 @@ def p_power(gamma_: float, t):
     return out
 
 
-def _as_2d(values: np.ndarray):
-    """View (N+1,) or (N+1, d) input as (N+1, d); report original ndim."""
-    if values.ndim == 1:
-        return values[:, None], True
-    return values, False
-
-
 def power_weights_linear(p: float, n_steps: int, h: float):
     """Piecewise-linear product-integration weights for the kernel (t-s)^p.
 
@@ -248,14 +243,11 @@ def power_weights_linear(p: float, n_steps: int, h: float):
 
 def _power_convolve_linear(values: np.ndarray, p: float, h: float) -> np.ndarray:
     """Evaluate int_0^{t_n} (t_n-s)^p w(s) ds at every node, linear interpolant."""
-    v2, was_1d = _as_2d(values)
-    n = v2.shape[0] - 1
-    c0, d = power_weights_linear(p, n, h)
-    out = np.zeros_like(v2)
-    if n >= 1:
-        # sum_{j=1..n} d[n-j] w_j is a causal convolution of d with w_1..w_n
-        out[1:] = causal_conv(d, v2[1:]) + c0[1:, None] * v2[0]
-    return out[:, 0] if was_1d else out
+    c0, d = power_weights_linear(p, values.shape[0] - 1, h)
+    out = np.zeros_like(values)
+    # sum_{j=1..n} d[n-j] w_j is a causal convolution of d with w_1..w_n
+    out[1:] = causal_conv(d, values[1:]) + np.multiply.outer(c0[1:], values[0])
+    return out
 
 
 def abel_integral(w: SampledSignal, gamma_: float) -> SampledSignal:
@@ -277,31 +269,32 @@ def l1_weights(gamma_: float, n_steps: int, h: float) -> np.ndarray:
 
 
 def first_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order difference derivative: centered interior, one-sided ends."""
-    v2, was_1d = _as_2d(values)
-    out = np.empty_like(v2)
-    if v2.shape[0] == 1:
+    """Second-order difference derivative along axis 0: centered interior,
+    one-sided ends."""
+    v = values
+    out = np.empty_like(v)
+    if v.shape[0] == 1:
         out[:] = 0.0
-    elif v2.shape[0] == 2:
-        out[0] = out[1] = (v2[1] - v2[0]) / h
+    elif v.shape[0] == 2:
+        out[0] = out[1] = (v[1] - v[0]) / h
     else:
-        out[1:-1] = (v2[2:] - v2[:-2]) / (2 * h)
-        out[0] = (-3 * v2[0] + 4 * v2[1] - v2[2]) / (2 * h)
-        out[-1] = (3 * v2[-1] - 4 * v2[-2] + v2[-3]) / (2 * h)
-    return out[:, 0] if was_1d else out
+        out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+        out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+        out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    return out
 
 
 def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Second difference: centered interior, second-order one-sided ends."""
-    v2, was_1d = _as_2d(values)
-    n = v2.shape[0] - 1
-    if n < 3:
+    """Second difference along axis 0: centered interior, second-order
+    one-sided ends."""
+    v = values
+    if v.shape[0] < 4:
         raise DomainError("second differences need at least 4 nodes")
-    out = np.empty_like(v2)
-    out[1:-1] = (v2[2:] - 2 * v2[1:-1] + v2[:-2]) / h**2
-    out[0] = (2 * v2[0] - 5 * v2[1] + 4 * v2[2] - v2[3]) / h**2
-    out[-1] = (2 * v2[-1] - 5 * v2[-2] + 4 * v2[-3] - v2[-4]) / h**2
-    return out[:, 0] if was_1d else out
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
+    out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
+    out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
+    return out
 
 
 def caputo_derivative(w: SampledSignal, gamma_: float) -> SampledSignal:
@@ -315,14 +308,10 @@ def caputo_derivative(w: SampledSignal, gamma_: float) -> SampledSignal:
     if gamma_ == 1.0:
         return w.with_values(first_derivative(w.values, h))
     if 0 < gamma_ < 1:
-        v2, was_1d = _as_2d(w.values)
-        n = v2.shape[0] - 1
-        out = np.zeros_like(v2)
-        if n >= 1:
-            b = l1_weights(gamma_, n, h)
-            conv = causal_conv(b, np.diff(v2, axis=0))
-            out[1:] = conv * (h ** (-gamma_) / gamma(2 - gamma_))
-        return w.with_values(out[:, 0] if was_1d else out)
+        out = np.zeros_like(w.values)
+        b = l1_weights(gamma_, w.grid.steps, h)
+        out[1:] = causal_conv(b, np.diff(w.values, axis=0)) * (h ** (-gamma_) / gamma(2 - gamma_))
+        return w.with_values(out)
     if 1 < gamma_ < 2:
         acc = second_derivative(w.values, h)
         conv = _power_convolve_linear(acc, (2 - gamma_) - 1.0, h)
@@ -336,6 +325,11 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return wq
 
 
+def _node_sums(values: np.ndarray) -> np.ndarray:
+    """The sum over every axis but the first (time) one, one per node."""
+    return np.sum(values.reshape(values.shape[0], -1), axis=1)
+
+
 def coercivity_quadform(w: SampledSignal, alpha: float) -> float:
     """Discrete Abel quadratic form int_0^T <I^{1-alpha} w, w> dt.
 
@@ -344,10 +338,7 @@ def coercivity_quadform(w: SampledSignal, alpha: float) -> float:
     """
     if not (0 < alpha < 1):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    v = abel_integral(w, 1 - alpha).values
-    v2, _ = _as_2d(v)
-    w2, _ = _as_2d(w.values)
-    inner = np.sum(v2 * w2, axis=1)
+    inner = _node_sums(abel_integral(w, 1 - alpha).values * w.values)
     wq = _trapezoid_weights(w.grid.steps, w.grid.h)
     return float(np.dot(wq, inner))
 
@@ -381,6 +372,5 @@ def limit_discrepancy(w: SampledSignal, alpha: float) -> float:
         return 0.0
     wt = first_derivative(w.values, w.grid.h)
     frac = caputo_derivative(w, 2 - alpha).values
-    diff2, _ = _as_2d(frac - wt)
     wq = _trapezoid_weights(w.grid.steps, w.grid.h)
-    return float(np.sqrt(np.dot(wq, np.sum(diff2**2, axis=1))))
+    return float(np.sqrt(np.dot(wq, _node_sums((frac - wt) ** 2))))

@@ -13,9 +13,11 @@ only ``fractional``, ``models`` and ``spectral``, and none of ``volterra``,
 ``memory``, ``convolution`` and ``mittag_leffler`` imports it.  A run loads
 it only for the ODE reference (``study.crosscheck = ode`` and the ODE
 convergence table); ``tests/test_cli.py`` tests these rules.  The
-residual's Abel integrals and Caputo derivatives come from ``fractional``,
-whose product integration shares ``convolution.causal_conv`` with the
-solvers.
+residual takes only the product-integration weights from ``fractional``
+and sums its Abel integrals and L1 Caputo derivatives densely, so no sum
+of it runs on ``convolution.causal_conv``, the FFT product behind the
+solvers' history sums.  ``fractional`` itself still imports
+``convolution``, so importing this module loads it.
 """
 from __future__ import annotations
 
@@ -24,8 +26,6 @@ import numpy as np
 from .fractional import (
     SampledSignal,
     TimeGrid,
-    abel_integral,
-    caputo_derivative,
     first_derivative,
     gamma,
     l1_weights,
@@ -221,6 +221,31 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
 # residual evaluation
 
 
+def _causal_sum(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[n] = sum_{j<=n} kernel[n-j] x[j] along axis 0 of x: a dense
+    lower-triangular Toeplitz product, O(N^2), no transform."""
+    lag = np.subtract.outer(np.arange(len(x)), np.arange(len(x)))
+    return np.where(lag >= 0, kernel[np.maximum(lag, 0)], 0.0) @ x
+
+
+def _abel(values: np.ndarray, order: float, h: float) -> np.ndarray:
+    """I^order of samples along axis 0, order in (0, 1]: the product
+    integration of ``fractional.abel_integral``, summed densely."""
+    c0, d = power_weights_linear(order - 1.0, len(values) - 1, h)
+    out = np.zeros_like(values)
+    out[1:] = _causal_sum(d, values[1:]) + np.multiply.outer(c0[1:], values[0])
+    return out / gamma(order)
+
+
+def _l1_caputo(values: np.ndarray, order: float, h: float) -> np.ndarray:
+    """D^order of samples along axis 0, order in (0, 1): the L1 scheme of
+    ``fractional.caputo_derivative``, summed densely."""
+    b = l1_weights(order, len(values) - 1, h)
+    out = np.zeros_like(values)
+    out[1:] = _causal_sum(b, np.diff(values, axis=0)) * (h ** (-order) / gamma(2 - order))
+    return out
+
+
 def _add_nonlinear_terms(total, basis, k, l, psi, psi_t, psi_tt):
     """total += 2k psi_t psi_tt + 2l grad psi . grad psi_t, by collocation."""
     if k != 0.0:
@@ -257,14 +282,14 @@ def residual(
     if fam is Family.III or a == 1.0:
         lead = p.tau * first_derivative(psi_tt, h)
     else:
-        lead = p.tau**a * caputo_derivative(SampledSignal(grid, psi_tt), a).values
+        lead = p.tau**a * _l1_caputo(psi_tt, a, h)
 
     total = lead + psi_tt + p.c**2 * lam[None, :] * psi
 
     if fam is Family.III:
         total += p.tau * p.c**2 * lam[None, :] * psi_t
     else:
-        d_alpha_psi = psi_t if a == 1.0 else abel_integral(SampledSignal(grid, psi_t), 1 - a).values
+        d_alpha_psi = psi_t if a == 1.0 else _abel(psi_t, 1 - a, h)
         total += p.tau**a * p.c**2 * lam[None, :] * d_alpha_psi
 
     if fam is Family.BASE or a == 1.0:
@@ -272,7 +297,7 @@ def residual(
     elif fam is Family.II:
         damping = d_alpha_psi
     else:  # families I and III
-        damping = abel_integral(SampledSignal(grid, psi_tt), a).values
+        damping = _abel(psi_tt, a, h)
     total += p.delta * lam[None, :] * damping
 
     _add_nonlinear_terms(total, basis, spec.k_eff, spec.l_eff, psi, psi_t, psi_tt)

@@ -6,10 +6,14 @@ L2-orthonormal, so the mass matrix is the identity and the stiffness matrix
 is the diagonal of eigenvalues.  Nonlinear terms are formed by collocation
 on a 2x-oversampled interior sine grid, which dealiases quadratic products
 exactly (modes above the cutoff produced by a product either fall below the
-transform's Nyquist index or vanish on the grid).
+transform's Nyquist index or vanish on the grid).  Every transform applies
+one per-axis factor along each axis, by one code path for every dimension.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,21 +46,39 @@ class Domain:
         return len(self.lengths)
 
 
+def _along_axes(values: np.ndarray, mats, axes) -> np.ndarray:
+    """values (..., n_1, ..., n_d) with mats[k], (p_k, n_k), applied along
+    axis k of the trailing d, in the order ``axes``, as (..., p_1 ... p_d):
+    along the last axis one product over every other axis, along another
+    a matmul from the left, batched over the axes before it."""
+    shape = list(values.shape)
+    first = len(shape) - len(mats)
+    for k in axes:
+        A = mats[k]
+        i = first + k
+        if i + 1 < len(shape):
+            values = A @ values.reshape(shape[:i] + [A.shape[1], math.prod(shape[i + 1 :])])
+        else:
+            values = values.reshape(-1, A.shape[1]) @ A.T
+        shape[i] = A.shape[0]
+    return values.reshape(shape[:first] + [math.prod(shape[first:])])
+
+
 class EigenBasis:
     """Truncated Dirichlet sine basis with collocation transforms.
 
     Eigenvalues are stored sorted ascending with a map back to per-axis mode
     indices.  The transforms (``evaluate``, ``evaluate_grad``,
     ``project_values`` and ``synthesize``, which the first two call) are
-    separable: in 2-D they apply the per-axis (2m-1) x m factors on both
-    sides of the coefficient tensor, E_x T E_y^T, in 1-D one matmul with
-    the per-axis matrix.  Grid values use the flat layout (..., grid
-    points), C order over the axes, and any leading batch axes pass
-    through.  The dense Kronecker matrices
-    (``eval_matrix``, ``proj_matrix``, ``grad_matrices``) are an independent
-    oracle for the tests; no solver path builds them.  Every matrix is built
-    once and never mutated, so one basis may be shared between concurrent
-    solves.
+    separable and share one code path for every dimension: each applies a
+    per-axis factor, the (2m-1) x m mode values or derivatives or the
+    m x (2m-1) projection, along each axis of the tensor of coefficients
+    or grid values.  Grid values use the flat layout (..., grid points), C
+    order over the axes, and any leading batch axes pass through.  The
+    dense Kronecker matrices (``eval_matrix``, ``proj_matrix``,
+    ``grad_matrices``) are an independent oracle for the tests; no solver
+    path builds them.  Every matrix is built once and never mutated, so one
+    basis may be shared between concurrent solves.
     """
 
     def __init__(self, domain: Domain, cutoff):
@@ -67,89 +89,72 @@ class EigenBasis:
             raise DomainError(f"bad mode cutoff {cutoff}")
         self.cutoff = tuple(int(m) for m in cutoff)
 
-        self._eval_mats = []
-        self._deriv_mats = []
-        self._proj_mats = []
-        axis_lams = []
-        for L, m in zip(domain.lengths, self.cutoff):
-            M = 2 * m  # collocation refinement: interior nodes i*L/M, i=1..M-1
-            i = np.arange(1, M)[:, None]
-            j = np.arange(1, m + 1)[None, :]
-            E = np.sqrt(2.0 / L) * np.sin(np.pi * i * j / M)
-            D = np.sqrt(2.0 / L) * (np.pi * j / L) * np.cos(np.pi * i * j / M)
-            self._eval_mats.append(E)
-            self._deriv_mats.append(D)
-            self._proj_mats.append((L / M) * E.T)
-            axis_lams.append((np.pi * j[0] / L) ** 2)
+        # collocation refinement 2: interior nodes i L / (2m), i = 1..2m-1
+        mats, self._proj_mats, axis_lams = [], [], []
+        for L, phase, E, P, _ in self._sine_axes(2):
+            wave = np.pi * np.arange(1, phase.shape[1] + 1) / L  # j pi / L
+            mats.append((E, np.sqrt(2.0 / L) * wave * np.cos(phase)))
+            self._proj_mats.append(P)
+            axis_lams.append(wave**2)
         # the per-axis factors ``synthesize`` applies: those of the field
         # (axis None) and of its partial derivative along each axis
-        mats = list(zip(self._eval_mats, self._deriv_mats))
         self._factors = {
             axis: [D if i == axis else E for i, (E, D) in enumerate(mats)]
             for axis in (None, *range(domain.ndim))
         }
-        self._grid_shape = tuple(E.shape[0] for E in self._eval_mats)
-        self.grid_size = int(np.prod(self._grid_shape))
+        self._grid_shape = tuple(E.shape[0] for E, _ in mats)
+        self.grid_size = math.prod(self._grid_shape)
 
-        if domain.ndim == 1:
-            lams = axis_lams[0]
-            pairs = [(j,) for j in range(1, self.cutoff[0] + 1)]
-        else:
-            lx, ly = axis_lams
-            lams = (lx[:, None] + ly[None, :]).ravel()
-            pairs = [
-                (j, k)
-                for j in range(1, self.cutoff[0] + 1)
-                for k in range(1, self.cutoff[1] + 1)
-            ]
+        lams = functools.reduce(np.add.outer, axis_lams).ravel()
+        modes = list(itertools.product(*(range(1, m + 1) for m in self.cutoff)))
         order = np.lexsort((np.arange(lams.size), lams))
         self.eigenvalues = lams[order]
-        self.mode_index_map = [pairs[p] for p in order]
+        self.mode_index_map = [modes[p] for p in order]
         self._tensor_pos = order  # sorted slot -> C-order tensor slot
         self._inv_pos = np.argsort(order)  # C-order tensor slot -> sorted slot
+        self._permuted = bool(np.any(order != np.arange(order.size)))
 
     @property
     def size(self) -> int:
         return self.eigenvalues.size
 
+    def _sine_axes(self, refine: int):
+        """Per axis, on the interior nodes i L / M, i = 1..M-1, of M =
+        refine * m cells: L, the phases pi i j / M of the modes j = 1..m,
+        the modes' values E = sqrt(2/L) sin(phase), (M-1, m), the
+        projection (L / M) E^T and the nodes."""
+        for L, m in zip(self.domain.lengths, self.cutoff):
+            M = refine * m
+            i = np.arange(1, M)
+            phase = np.pi * i[:, None] * np.arange(1, m + 1) / M
+            E = np.sqrt(2.0 / L) * np.sin(phase)
+            yield L, phase, E, (L / M) * E.T, i * (L / M)
+
     def collocation_points(self):
         """Interior collocation nodes, one array per axis."""
-        pts = []
-        for L, m in zip(self.domain.lengths, self.cutoff):
-            M = 2 * m
-            pts.append(np.arange(1, M) * (L / M))
-        return pts
+        return [x for *_, x in self._sine_axes(2)]
 
-    def _to_tensor(self, coeffs: np.ndarray) -> np.ndarray:
-        """(..., modes) sorted coefficients -> C-ordered (..., m_x, m_y)
-        tensors, whose rows the synthesis reads without a copy."""
-        return np.take(coeffs, self._inv_pos, axis=-1).reshape(coeffs.shape[:-1] + self.cutoff)
-
-    def _from_tensor(self, tensor: np.ndarray) -> np.ndarray:
-        """(..., m_x, m_y) tensors -> (..., modes) sorted coefficients."""
-        flat = tensor.reshape(tensor.shape[: tensor.ndim - 2] + (self.size,))
-        return flat[..., self._tensor_pos]
+    def _sorted(self, flat: np.ndarray) -> np.ndarray:
+        """(..., modes) coefficients in C order over the axes -> sorted."""
+        return flat[..., self._tensor_pos] if self._permuted else flat
 
     def tensor_layout(self, coeffs: np.ndarray) -> np.ndarray:
         """(..., modes) sorted coefficients in the layout ``synthesize``
-        reads: (..., m_x, m_y) tensors in 2-D, the coefficients themselves
-        in 1-D.  Rows of the layout are the rows of the coefficients."""
-        return coeffs if self.domain.ndim == 1 else self._to_tensor(coeffs)
+        reads: C-ordered (..., m_1, ..., m_d) tensors, a view of the
+        coefficients where the sorted order is the tensor order (always in
+        1-D).  Rows of the layout are the rows of the coefficients."""
+        coeffs = np.take(coeffs, self._inv_pos, axis=-1) if self._permuted else np.asarray(coeffs)
+        return coeffs.reshape(coeffs.shape[:-1] + self.cutoff)
 
     def synthesize(self, layout: np.ndarray, axis: int | None = None) -> np.ndarray:
         """Grid values (..., grid points) of coefficients in
         ``tensor_layout``: the field, or its partial derivative along
-        ``axis``.  In 2-D the y factor is one product over the whole batch,
-        then the x factor.  ``evaluate`` and ``evaluate_grad`` are its calls
-        on one layout; a caller that evaluates one trajectory a block of
-        rows at a time converts it once and synthesizes each block."""
-        ax, *rest = self._factors[axis]
-        if not rest:
-            return layout @ ax.T
-        (ay,) = rest
-        right = layout.reshape(-1, layout.shape[-1]) @ ay.T
-        vals = ax @ right.reshape(layout.shape[:-1] + (ay.shape[0],))
-        return vals.reshape(layout.shape[:-2] + (self.grid_size,))
+        ``axis``.  The factors go from the last axis to the first, the
+        last one product over the whole batch.  ``evaluate`` and
+        ``evaluate_grad`` are its calls on one layout; a caller that
+        evaluates one trajectory a block of rows at a time converts it once
+        and synthesizes each block."""
+        return _along_axes(layout, self._factors[axis], reversed(range(len(self.cutoff))))
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """Field values (..., grid points) on the collocation grid."""
@@ -162,71 +167,48 @@ class EigenBasis:
 
     def project_values(self, grid_values: np.ndarray) -> np.ndarray:
         """L2 projection of (..., grid points) collocation values onto the
-        basis, (..., modes)."""
-        if self.domain.ndim == 1:
-            return grid_values @ self._proj_mats[0].T
-        Px, Py = self._proj_mats
-        v = grid_values.reshape(grid_values.shape[:-1] + self._grid_shape)
-        return self._from_tensor(Px @ v @ Py.T)
+        basis, (..., modes): the factors from the first axis to the last."""
+        v = np.asarray(grid_values)
+        v = v.reshape(v.shape[:-1] + self._grid_shape)
+        return self._sorted(_along_axes(v, self._proj_mats, range(len(self.cutoff))))
 
     def eval_matrix(self) -> np.ndarray:
         """Dense (grid points, modes) evaluation matrix, sorted mode order.
         Test oracle for ``evaluate``."""
         if "_emat" not in self.__dict__:
-            if self.domain.ndim == 1:
-                E = self._eval_mats[0]
-            else:
-                E = np.kron(self._eval_mats[0], self._eval_mats[1])
-            self._emat = E[:, self._tensor_pos]
+            self._emat = functools.reduce(np.kron, self._factors[None])[:, self._tensor_pos]
         return self._emat
 
     def proj_matrix(self) -> np.ndarray:
         """Dense (modes, grid points) projection matrix, sorted mode order.
         Test oracle for ``project_values``."""
         if "_pmat" not in self.__dict__:
-            if self.domain.ndim == 1:
-                P = self._proj_mats[0]
-            else:
-                P = np.kron(self._proj_mats[0], self._proj_mats[1])
-            self._pmat = P[self._tensor_pos, :]
+            self._pmat = functools.reduce(np.kron, self._proj_mats)[self._tensor_pos, :]
         return self._pmat
 
     def grad_matrices(self):
         """Per-axis dense (grid points, modes) derivative evaluation matrices.
         Test oracle for ``evaluate_grad``."""
         if "_gmats" not in self.__dict__:
-            if self.domain.ndim == 1:
-                self._gmats = [self._deriv_mats[0][:, self._tensor_pos]]
-            else:
-                gx = np.kron(self._deriv_mats[0], self._eval_mats[1])
-                gy = np.kron(self._eval_mats[0], self._deriv_mats[1])
-                self._gmats = [g[:, self._tensor_pos] for g in (gx, gy)]
+            self._gmats = [
+                functools.reduce(np.kron, self._factors[axis])[:, self._tensor_pos]
+                for axis in range(self.domain.ndim)
+            ]
         return self._gmats
 
     def project(self, f) -> "SpectralField":
-        """Project a pointwise function; exact on band-limited inputs.
+        """Project a pointwise function f(x_1, ..., x_d); exact on
+        band-limited inputs.
 
         General (non-band-limited) inputs alias under the working 2x grid, so
         function projection uses a quadrature grid 16 times finer, whose
         transforms are built on first use.
         """
         if "_fine" not in self.__dict__:
-            mats, pts = [], []
-            for L, m in zip(self.domain.lengths, self.cutoff):
-                M = 16 * 2 * m
-                i = np.arange(1, M)[:, None]
-                j = np.arange(1, m + 1)[None, :]
-                E = np.sqrt(2.0 / L) * np.sin(np.pi * i * j / M)
-                mats.append((L / M) * E.T)
-                pts.append(np.arange(1, M) * (L / M))
-            self._fine = (mats, pts)
-        mats, pts = self._fine
-        if self.domain.ndim == 1:
-            t = mats[0] @ np.asarray(f(pts[0]), dtype=float)
-        else:
-            X, Y = np.meshgrid(pts[0], pts[1], indexing="ij")
-            t = mats[0] @ np.asarray(f(X, Y), dtype=float) @ mats[1].T
-        return SpectralField(self, self._from_tensor(t))
+            self._fine = [(P, x) for *_, P, x in self._sine_axes(16 * 2)]
+        mats, pts = zip(*self._fine)
+        values = np.asarray(f(*np.meshgrid(*pts, indexing="ij")), dtype=float)
+        return SpectralField(self, self._sorted(_along_axes(values, mats, range(len(mats)))))
 
     def unit_mode(self, index: int, amplitude: float = 1.0) -> "SpectralField":
         c = np.zeros(self.size)

@@ -634,7 +634,7 @@ class TestWorkPerRun:
             orders.append(order)
             return abel(w, order)
 
-        for module in (fmgt.fractional, fmgt.analysis, fmgt.oracles):
+        for module in (fmgt.fractional, fmgt.analysis):
             monkeypatch.setattr(module, "abel_integral", counting)
         cfg = tmp_path / "iii.cfg"
         cfg.write_text(
@@ -691,7 +691,15 @@ class TestWorkPerRun:
 class TestDeterminism:
     @pytest.mark.parametrize(
         "preset",
-        ["mgt-classical", "limit-iii", "limit-ii", "convergence-iii", "picard-w3", "selfcheck"],
+        [
+            "mgt-classical",
+            "limit-iii",
+            "limit-ii",
+            "convergence-iii",
+            "picard-w3",
+            "selfcheck",
+            "kuznetsov-2d",
+        ],
     )
     def test_repeated_runs_byte_identical(self, tmp_path, preset):
         out1, out2 = tmp_path / "a", tmp_path / "b"

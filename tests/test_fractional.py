@@ -18,7 +18,7 @@ from fmgt import (
     gamma_kernel,
     limit_discrepancy,
 )
-from fmgt.fractional import gamma
+from fmgt.fractional import first_derivative, gamma, second_derivative
 
 # the alphas of the presets' and the benchmark's alpha -> 1 sweeps, and the
 # orders the models are run at
@@ -344,3 +344,43 @@ class TestLimitDiscrepancy:
         w = make_signal(np.sin, N=512)
         v = limit_discrepancy(w, 0.99)
         assert v > 0.5
+
+
+class TestRankIndependence:
+    """The operators act along the time axis alone: every column of a
+    stack of one signal, whatever the stack's rank, gets the lone signal's
+    result bit for bit."""
+
+    GRID = TimeGrid(1.0, 40)
+
+    @staticmethod
+    def apply(op, order, values, grid):
+        if op == "first_derivative":
+            return first_derivative(values, grid.h)
+        if op == "second_derivative":
+            return second_derivative(values, grid.h)
+        fn = {"abel_integral": abel_integral, "caputo_derivative": caputo_derivative}[op]
+        return fn(SampledSignal(grid, values), order).values
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 3)])
+    @pytest.mark.parametrize(
+        "op,order",
+        [
+            ("first_derivative", None),
+            ("second_derivative", None),
+            ("abel_integral", 0.4),
+            ("abel_integral", 1.0),
+            ("caputo_derivative", 0.4),
+            ("caputo_derivative", 1.0),
+            ("caputo_derivative", 1.6),
+        ],
+    )
+    def test_columns_of_a_stack_equal_the_lone_signal(self, op, order, shape):
+        t = self.GRID.nodes
+        v = np.exp(-t) * np.sin(5 * t) + 0.3 * t**1.5 + 0.1
+        lone = self.apply(op, order, v, self.GRID)
+        stack = np.broadcast_to(v.reshape(v.shape + (1,) * len(shape)), v.shape + shape).copy()
+        out = self.apply(op, order, stack, self.GRID)
+        assert lone.shape == v.shape and out.shape == stack.shape
+        for idx in np.ndindex(*shape):
+            assert np.array_equal(out[(slice(None), *idx)], lone), idx

@@ -234,6 +234,29 @@ class TestResidual:
             r = residual(spec, self.basis, self.grid, psi, psi_t, psi_tt)
             assert np.max(np.abs(r.values - ref.values)) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.7, 1.0])
+    @pytest.mark.parametrize("fam", list(Family))
+    def test_sums_do_not_run_on_the_fft_product(self, monkeypatch, fam, alpha):
+        # the residual's Abel integrals and L1 derivative are dense sums of
+        # its own: with the solvers' FFT product refusing to run it still
+        # evaluates, and it equals the residual summed by that product
+        import fmgt.convolution
+        import fmgt.oracles
+
+        rng = np.random.default_rng(24)
+        traj = [rng.normal(size=(257, 4)) * 0.1 for _ in range(3)]
+        spec = ModelSpec(ModelVariant(fam, Nonlinearity.LINEAR), MediumParams(), alpha)
+        with monkeypatch.context() as m:
+            m.setattr(fmgt.oracles, "_causal_sum", fmgt.convolution.causal_conv)
+            fft = residual(spec, self.basis, self.grid, *traj).values
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the residual ran on the FFT product")
+
+        monkeypatch.setattr(fmgt.convolution.CausalFilter, "__call__", refuse)
+        dense = residual(spec, self.basis, self.grid, *traj).values
+        assert np.max(np.abs(dense - fft)) <= 1e-12 * np.max(np.abs(fft))
+
     def test_westervelt_equals_kuznetsov_with_l_zero(self):
         rng = np.random.default_rng(22)
         psi = rng.normal(size=(257, 4)) * 0.1

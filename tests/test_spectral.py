@@ -1,7 +1,12 @@
 """Eigenbasis, projection, Sobolev norms, and collocation products."""
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fmgt
 from fmgt import Domain, DomainError, EigenBasis, SpectralField
 from fmgt.spectral import sobolev_norm
 
@@ -266,6 +271,27 @@ class TestSeparableTransforms:
         assert coeffs.shape == v.shape[:-1] + (sep_basis.size,)
         assert _rel_err(coeffs, v @ sep_basis.proj_matrix().T) < 1e-13
 
+    def test_tensor_layout_is_a_view_in_1d(self):
+        b = EigenBasis(*SEPARABLE_BASES["interval"])
+        c = np.random.default_rng(26).normal(size=(self.N1, b.size))
+        layout = b.tensor_layout(c)
+        assert layout.shape == c.shape and np.shares_memory(layout, c)
+
+    def test_tensor_layout_in_2d(self):
+        # a C-ordered (..., m_x, m_y) tensor holding mode (j, k) at
+        # [..., j-1, k-1], any of whose row slices synthesizes to those
+        # rows of the whole field and gradient bit for bit
+        b = EigenBasis(*SEPARABLE_BASES["rectangle"])
+        c = np.random.default_rng(27).normal(size=(self.N1, b.size))
+        layout = b.tensor_layout(c)
+        assert layout.shape == (self.N1, 5, 3) and layout.flags.c_contiguous
+        for slot, (j, k) in enumerate(b.mode_index_map):
+            assert np.array_equal(layout[:, j - 1, k - 1], c[:, slot])
+        whole = dict(zip((None, 0, 1), [b.evaluate(c), *b.evaluate_grad(c)]))
+        for lo, hi in [(0, self.N1), (2, 7), (5, 8)]:
+            for axis, want in whole.items():
+                assert np.array_equal(b.synthesize(layout[lo:hi], axis), want[lo:hi])
+
     def test_kernel_apply_matches_dense_formula(self, sep_basis, kernel_apply):
         # kernel_apply(t, s, v) = -(1/lead) sum_k w_k Op_k(t) v with the
         # collocation multiplier P(sigma_n ⊙ E v) and the gradient multiplier
@@ -321,3 +347,47 @@ class TestSeparableTransforms:
             assert _rel_err(colloc[i], P @ (sigma[n] * (E @ V[i]))) < 1e-13
             want = -0.3 * (P @ sum(g[n] * (Gm @ V[i]) for g, Gm in zip(grads, G)))
             assert _rel_err(graddot[i], want) < 1e-13
+
+
+def _dimension_branches(tree):
+    """The source of each comparison of the ndim of a domain or basis with
+    a number, and of each branch test, match subject or index that is it."""
+
+    def is_ndim(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "ndim"
+            and re.search(r"\b(domain|basis)$", ast.unparse(node.value)) is not None
+        )
+
+    def is_number(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return all(isinstance(e, ast.Constant) for e in elts)
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(map(is_ndim, sides)) and any(map(is_number, sides)):
+                found.append(node)
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While)) and is_ndim(node.test):
+            found.append(node.test)
+        elif isinstance(node, ast.Match) and is_ndim(node.subject):
+            found.append(node.subject)
+        elif isinstance(node, ast.Subscript) and is_ndim(node.slice):
+            found.append(node)
+    return [ast.unparse(n) for n in found]
+
+
+def test_one_code_path_for_every_dimension():
+    # no module of fmgt picks its code by the dimension of the domain, and
+    # the rank adapters of the transforms and fractional operators are gone
+    gone = {"_as_2d", "_to_tensor", "_from_tensor"}
+    for path in sorted(Path(fmgt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert _dimension_branches(tree) == [], path.name
+        names = {
+            getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            for n in ast.walk(tree)
+        }
+        assert not names & gone, (path.name, names & gone)
