@@ -24,22 +24,26 @@ print("Westervelt type III, k = 0.1, amplitude 1e-3, alpha = 0.7:")
 for T, n in ((2.0, 512), (1.0, 256), (0.5, 128)):
     spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=0.1), 0.7)
     res = picard_nonlinear(spec, data, TimeGrid(T, n), tol=1e-10)
+    diag = res.trajectory.diagnostics
+    updates = [f"{d:.1e}" for d in diag["picard_distances"]]
     print(
         f"  T={T}: {res.iterations} iterations, contraction ratio "
-        f"{res.contraction_ratio:.2e}, updates {[f'{d:.1e}' for d in res.distances]}"
+        f"{diag['contraction_ratio']:.2e}, updates {updates}"
     )
 
 print("\nKuznetsov type III (gradient nonlinearity, l = 0.1):")
 spec_k = ModelSpec(
     ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
-    MediumParams(k_tilde=0.1, l_tilde=0.1),
+    MediumParams(k=0.1, l_tilde=0.1),
     0.7,
 )
 res = picard_nonlinear(spec_k, data, TimeGrid(1.0, 256), tol=1e-10)
-print(f"  {res.iterations} iterations, ratio {res.contraction_ratio:.2e}")
+ratio = res.trajectory.diagnostics["contraction_ratio"]
+print(f"  {res.iterations} iterations, ratio {ratio:.2e}")
 
 print("\nfractional-leading families (Westervelt):")
 for fam in (Family.BASE, Family.I):
     spec = ModelSpec(ModelVariant(fam, Nonlinearity.WESTERVELT), MediumParams(k=0.1), 0.75)
     res = picard_nonlinear(spec, data, TimeGrid(1.0, 256), tol=1e-10)
-    print(f"  family {fam.value}: {res.iterations} iterations, ratio {res.contraction_ratio:.2e}")
+    ratio = res.trajectory.diagnostics["contraction_ratio"]
+    print(f"  family {fam.value}: {res.iterations} iterations, ratio {ratio:.2e}")

@@ -20,7 +20,6 @@ Subpackages by responsibility:
 
 from .fractional import (
     DomainError,
-    FractionalOrder,
     SampledSignal,
     TimeGrid,
     abel_integral,
@@ -47,7 +46,6 @@ from .spectral import Domain, EigenBasis, SpectralField
 
 __all__ = [
     "DomainError",
-    "FractionalOrder",
     "SampledSignal",
     "TimeGrid",
     "abel_integral",

@@ -8,7 +8,7 @@ do not drift against solver output; reruns are pure functions of the inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,28 +66,21 @@ class EnergyReport:
     """Sampled energy functionals plus the smallest constant closing the
     estimate on this run.  The damping quadratic form (which carries the
     cos(alpha pi/2) coercivity factor and degenerates as alpha -> 1) is
-    reported separately from the alpha-uniform left side."""
+    reported separately from the alpha-uniform left side.  The field names
+    are the report's keys in ``summary.json``."""
 
     level: str
-    nodes: np.ndarray
-    columns: dict
-    lhs_value: float
-    rhs_value: float
+    columns: dict  # per-node norms, written to the CSV files, not the summary
+    lhs: float
+    rhs: float
     fitted_constant: float
     damping_form: float
     cos_factor: float
     alikhanov_accumulation: float
 
     def as_dict(self):
-        return {
-            "level": self.level,
-            "lhs": self.lhs_value,
-            "rhs": self.rhs_value,
-            "fitted_constant": self.fitted_constant,
-            "damping_form": self.damping_form,
-            "cos_factor": self.cos_factor,
-            "alikhanov_accumulation": self.alikhanov_accumulation,
-        }
+        """Every field but ``columns``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
 
 
 def _node_columns(traj: Trajectory):
@@ -156,7 +149,7 @@ def _energy(
         rhs += float(np.dot(wq, np.sum(lam**f_order * farr**2, axis=1)))
     fitted = lhs / rhs if rhs > 0 else 0.0
     return EnergyReport(
-        level, grid.nodes, cols, lhs, rhs, fitted, damping,
+        level, cols, lhs, rhs, fitted, damping,
         float(np.cos(spec.alpha * np.pi / 2.0)), acc,
     )
 
@@ -186,9 +179,9 @@ def energy_high(
 
 @dataclass
 class LimitStudy:
-    """Difference norms |psi^alpha - psi^1| on one shared grid and data."""
+    """Difference norms |psi^alpha - psi^1| on one shared grid and data.
+    The field names are the study's keys in ``summary.json``."""
 
-    family: str
     alphas: list
     columns: dict
     slopes: dict  # per column; None where fewer than two positive values at alpha < 1
@@ -276,7 +269,7 @@ def limit_study(
         )
     discrepancies = [solved[a].diagnostics.get("recovery_discrepancy") for a in (1.0, *alphas)]
     worst = None if None in discrepancies else max(discrepancies)
-    return LimitStudy(variant.family.value, alphas, cols, slopes, flags, worst)
+    return LimitStudy(alphas, cols, slopes, flags, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +360,12 @@ def convergence_table(
     """Max-node L2 errors of psi on refining grids with a least-squares order.
 
     reference = 'richardson' solves once on a 4x finer grid; 'ode' uses the
-    adaptive classical integrator (linear runs at alpha = 1 only).  The step
-    counts obey ``step_counts``.
+    adaptive classical integrator (linear runs at alpha = 1 only); any other
+    reference is refused with ModelError.  The step counts obey
+    ``step_counts``.
     """
+    if reference not in ("richardson", "ode"):
+        raise ModelError(f"the reference is richardson or ode, got {reference!r}")
     steps_seq = step_counts(steps_seq)
     if reference == "ode":
         if spec.alpha != 1.0:

@@ -109,12 +109,7 @@ def cmd_run(args) -> int:
         study = limit_study(
             spec.variant, spec.params, data, grid, alphas, f, solved={spec.alpha: traj}
         )
-        # every field but the family, which "model" states
-        summary["limit_study"] = {
-            f.name: getattr(study, f.name)
-            for f in dataclasses.fields(study)
-            if f.name != "family"
-        }
+        summary["limit_study"] = dataclasses.asdict(study)
         _write_csv(
             out / "limit_study.csv",
             ["alpha", *study.columns],

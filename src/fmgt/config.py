@@ -1,9 +1,9 @@
 """Run configuration: a flat dotted-key text format with one schema version.
 
 Files hold `key = value` lines; keys are dotted paths grouping the model,
-domain, time, data, source, study, and output blocks.  Unknown keys are
-rejected and round-trips are lossless, so identical configs give identical
-runs.  Example:
+domain, time, data, source, study, and output blocks.  Unknown keys and
+keys given twice are rejected and round-trips are lossless, so identical
+configs give identical runs.  Example:
 
     schema = 1
     model.family = iii
@@ -99,6 +99,7 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str, path: str = "<config>") -> "RunConfig":
         entries = dict(_DEFAULTS)
+        given = {}  # key -> the line that set it
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -108,6 +109,11 @@ class RunConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _KNOWN_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in given:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {key} is set twice, on lines {given[key]} and {lineno}"
+                )
+            given[key] = lineno
             entries[key] = value
         if entries.get("schema") != str(SCHEMA_VERSION):
             raise ConfigError(
@@ -189,6 +195,16 @@ class RunConfig:
                 "key data.psi0: read only under data.preset = coeffs, "
                 f"got data.preset = {preset}"
             )
+        if (
+            variant.family is Family.II
+            and self._float("model.alpha") < 1.0
+            and "data.psi2" in self.entries
+            and any(self._floats("data.psi2"))
+        ):
+            raise ConfigError(
+                "key data.psi2: the z-form of family ii has no psi2 term at "
+                f"model.alpha < 1, so it needs psi2 = 0, got {self.entries['data.psi2']}"
+            )
         if self.entries["source.preset"] not in ("zero", "mode-cos", "pulse"):
             raise ConfigError(f"unknown source.preset {self.entries['source.preset']!r}")
         if "study.n_sweep" in self.entries:
@@ -245,15 +261,12 @@ class RunConfig:
             Family(self.entries["model.family"]),
             Nonlinearity(self.entries["model.nonlinearity"]),
         )
-        k = self._float("model.k")
-        l = self._float("model.l")
         params = MediumParams(
             tau=self._float("model.tau"),
             c=self._float("model.c"),
             delta=self._float("model.delta"),
-            k=k,
-            k_tilde=k,
-            l_tilde=l,
+            k=self._float("model.k"),
+            l_tilde=self._float("model.l"),
         )
         return ModelSpec(variant, params, self._float("model.alpha"))
 

@@ -136,24 +136,6 @@ def _gamma_small(x: float, z: float) -> float:
 
 
 @dataclass(frozen=True)
-class FractionalOrder:
-    """Differentiation-order exponent in (0, 1].
-
-    A family's tighter range is checked by its variant (``admits``);
-    comparisons and arithmetic go through float().
-    """
-
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 < self.value <= 1.0):
-            raise DomainError(f"order must lie in (0, 1], got {self.value}")
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_n = n*T/N on [0, T]."""
 
@@ -193,9 +175,6 @@ class SampledSignal:
     @property
     def is_scalar(self) -> bool:
         return self.values.ndim == 1
-
-    def with_values(self, values: np.ndarray) -> "SampledSignal":
-        return SampledSignal(self.grid, values)
 
 
 def gamma_kernel(gamma_: float, t):
@@ -259,7 +238,7 @@ def abel_integral(w: SampledSignal, gamma_: float) -> SampledSignal:
     if not (0 < gamma_ <= 1):
         raise DomainError(f"integration order must lie in (0, 1], got {gamma_}")
     conv = _power_convolve_linear(w.values, gamma_ - 1.0, w.grid.h)
-    return w.with_values(conv / gamma(gamma_))
+    return SampledSignal(w.grid, conv / gamma(gamma_))
 
 
 def l1_weights(gamma_: float, n_steps: int, h: float) -> np.ndarray:
@@ -306,16 +285,16 @@ def caputo_derivative(w: SampledSignal, gamma_: float) -> SampledSignal:
     """
     h = w.grid.h
     if gamma_ == 1.0:
-        return w.with_values(first_derivative(w.values, h))
+        return SampledSignal(w.grid, first_derivative(w.values, h))
     if 0 < gamma_ < 1:
         out = np.zeros_like(w.values)
         b = l1_weights(gamma_, w.grid.steps, h)
         out[1:] = causal_conv(b, np.diff(w.values, axis=0)) * (h ** (-gamma_) / gamma(2 - gamma_))
-        return w.with_values(out)
+        return SampledSignal(w.grid, out)
     if 1 < gamma_ < 2:
         acc = second_derivative(w.values, h)
         conv = _power_convolve_linear(acc, (2 - gamma_) - 1.0, h)
-        return w.with_values(conv / gamma(2 - gamma_))
+        return SampledSignal(w.grid, conv / gamma(2 - gamma_))
     raise DomainError(f"Caputo order must lie in (0,2), got {gamma_}")
 
 
@@ -354,8 +333,8 @@ def alikhanov_gap(w: SampledSignal, gamma_: float) -> SampledSignal:
     if not (0 < gamma_ < 1):
         raise DomainError(f"gamma must lie in (0, 1), got {gamma_}")
     dw = caputo_derivative(w, gamma_).values
-    dw2 = caputo_derivative(w.with_values(w.values**2), gamma_).values
-    return w.with_values(w.values * dw - 0.5 * dw2)
+    dw2 = caputo_derivative(SampledSignal(w.grid, w.values**2), gamma_).values
+    return SampledSignal(w.grid, w.values * dw - 0.5 * dw2)
 
 
 def limit_discrepancy(w: SampledSignal, alpha: float) -> float:

@@ -23,7 +23,7 @@ untested territory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -85,7 +85,6 @@ class ZTrajectory:
     z_t: np.ndarray
     spec: ModelSpec
     tables: MemoryTables
-    diagnostics: dict = field(default_factory=dict)
 
 
 def z_initial(spec: ModelSpec, data: InitialData):
@@ -123,9 +122,17 @@ def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Z
     The unknown is the acceleration because that symbol is well
     conditioned; eliminating v too leaves a symbol in z led by (1-s)^2,
     whose inverse grows with N (that form diverged at N = 8192).
+
+    For a < 1 the z-form has no source term in psi2 (it would be
+    tau^a psi2 t^{-a}/Gamma(1-a)), so psi2 != 0 is refused with ModelError.
     """
     if spec.family is not Family.II or spec.nonlinearity is not Nonlinearity.LINEAR:
         raise ModelError("the memory solver serves the linear family ii only")
+    if spec.alpha < 1.0 and np.any(data.psi2.coeffs != 0.0):
+        raise ModelError(
+            "for alpha < 1 the z-form requires psi2 = 0: it has no "
+            "tau^a psi2 t^{-a}/Gamma(1-a) source term, so psi2 would be dropped"
+        )
     basis = data.basis
     lam = basis.eigenvalues
     p = spec.params
@@ -266,6 +273,6 @@ def solve_fmgt2(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> T
     psi_t = first_derivative(psi, grid.h)
     psi_tt = second_derivative(psi, grid.h)
     mu = np.gradient(psi_tt, grid.h, axis=0)
-    traj = Trajectory(data.basis, grid, mu, psi, psi_t, psi_tt, spec)
+    traj = Trajectory(data.basis, grid, mu, psi, psi_t, psi_tt)
     traj.diagnostics["recovery_discrepancy"] = disc
     return traj

@@ -75,8 +75,7 @@ class MediumParams:
     tau: float = 1.0
     c: float = 1.0
     delta: float = 0.1
-    k: float = 0.0  # Westervelt local nonlinearity
-    k_tilde: float = 0.0  # Kuznetsov local nonlinearity
+    k: float = 0.0  # local nonlinearity: Westervelt's k, Kuznetsov's k~
     l_tilde: float = 0.0  # Kuznetsov gradient nonlinearity
 
     def __post_init__(self):
@@ -138,7 +137,7 @@ class ModelSpec:
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))  # accepts FractionalOrder
+        object.__setattr__(self, "alpha", float(self.alpha))
         beta_of(self.variant, self.alpha)  # refuses alpha outside the admissible range
 
     @property
@@ -166,12 +165,9 @@ class ModelSpec:
 
     @property
     def k_eff(self) -> float:
-        """Local-nonlinearity coefficient active in this spec."""
-        if self.nonlinearity is Nonlinearity.WESTERVELT:
-            return self.params.k
-        if self.nonlinearity is Nonlinearity.KUZNETSOV:
-            return self.params.k_tilde
-        return 0.0
+        """Local-nonlinearity coefficient active in this spec: k (the
+        catalog's k~ for Kuznetsov), 0 for the linear models."""
+        return 0.0 if self.nonlinearity is Nonlinearity.LINEAR else self.params.k
 
     @property
     def l_eff(self) -> float:
@@ -236,7 +232,6 @@ class Trajectory:
     psi: np.ndarray
     psi_t: np.ndarray
     psi_tt: np.ndarray
-    spec: ModelSpec | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -255,8 +250,8 @@ def _forcing_array(f, basis: EigenBasis, grid: TimeGrid) -> np.ndarray:
         f = np.array(rows, dtype=float)
     else:
         f = np.asarray(f, dtype=float)
-        if f.shape != (n1, basis.size):
-            raise DomainError(f"forcing must have shape {(n1, basis.size)}, got {f.shape}")
+    if f.shape != (n1, basis.size):
+        raise DomainError(f"forcing must have shape {(n1, basis.size)}, got {f.shape}")
     finite = np.isfinite(f).reshape(len(f), -1).all(axis=1)
     if not finite.all():
         raise DomainError(f"forcing is not finite at node {int(np.argmin(finite))}")

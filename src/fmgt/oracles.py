@@ -103,7 +103,7 @@ def classical_mgt_reference(
         )
     y = sol.y.T
     mu = np.gradient(y[:, 2 * m :], grid.h, axis=0)
-    return Trajectory(basis, grid, mu, y[:, :m], y[:, m : 2 * m], y[:, 2 * m :], spec)
+    return Trajectory(basis, grid, mu, y[:, :m], y[:, m : 2 * m], y[:, 2 * m :])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
     psi = xi0[None, :] + t[:, None] * xi1[None, :] + conv2
     psi_t = xi1[None, :] + conv1
     mu = np.gradient(w, h, axis=0)
-    return Trajectory(basis, grid, mu, psi, psi_t, w, spec)
+    return Trajectory(basis, grid, mu, psi, psi_t, w)
 
 
 # ---------------------------------------------------------------------------

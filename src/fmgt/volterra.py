@@ -643,7 +643,7 @@ def reconstruct(problem: VolterraProblem, mu: np.ndarray) -> Trajectory:
         + 0.5 * t[:, None] ** 2 * xi2[None, :]
         + conv[e_psi]
     )
-    return Trajectory(problem.basis, grid, mu, psi, psi_t, psi_tt, problem.spec)
+    return Trajectory(problem.basis, grid, mu, psi, psi_t, psi_tt)
 
 
 def solve(problem: VolterraProblem, guess: np.ndarray | None = None) -> Trajectory:
@@ -673,10 +673,11 @@ def solve_linear(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> 
 
 @dataclass
 class PicardResult:
+    """The converged iterate, whose ``diagnostics`` hold the Picard keys, and
+    the iteration count, which the benchmark's tracer reads."""
+
     trajectory: Trajectory
     iterations: int
-    distances: list
-    contraction_ratio: float
 
 
 def _iterate_distance(basis, a, b) -> float:
@@ -771,7 +772,7 @@ def picard_nonlinear(
             current.diagnostics["contraction_ratio"] = ratio
             current.diagnostics["relaxation_sweeps"] = sweeps
             current.diagnostics["relaxation_windows"] = windows
-            return PicardResult(current, it, distances, ratio)
+            return PicardResult(current, it)
     raise ModelError(
         f"Picard iteration did not contract within {max_iter} iterations "
         f"(last update {distances[-1]:.3e}); decrease the horizon or the data"

@@ -49,7 +49,7 @@ class TestSolveDispatch:
         bump = b.project(lambda x: x * (1 - x))
         psi0 = SpectralField(b, 1e-3 * bump.coeffs / np.max(np.abs(bump.coeffs)))
         data = InitialData(psi0, b.zero_field(), b.zero_field())  # z-form compatible
-        spec = ModelSpec(variant, MediumParams(k=0.1, k_tilde=0.1, l_tilde=0.1), 0.75)
+        spec = ModelSpec(variant, MediumParams(k=0.1, l_tilde=0.1), 0.75)
         grid = TimeGrid(1.0, 32)
         linear = variant.nonlinearity is Nonlinearity.LINEAR
         if variant.family is Family.II and not linear:
@@ -75,7 +75,7 @@ class TestEnergyReports:
         spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.7)
         traj = solve_linear(spec, data0, TimeGrid(1.0, 64))
         rep = energy_low(traj, spec, data0)
-        assert rep.lhs_value == 0.0
+        assert rep.lhs == 0.0
         assert rep.fitted_constant == 0.0
 
     @pytest.mark.parametrize(
@@ -107,7 +107,9 @@ class TestEnergyReports:
         # the source adds its trapezoid L2(L2) norm (low level) and L2(H1)
         # norm (high level) to the data part of the right side
         b, full = setup
-        data = InitialData(full.psi0, b.zero_field(), full.psi2)  # z-form compatible
+        # the z-form needs psi1 = 0 and, at alpha < 1, psi2 = 0
+        psi2 = b.zero_field() if fam is Family.II else full.psi2
+        data = InitialData(full.psi0, b.zero_field(), psi2)
         spec = ModelSpec(ModelVariant(fam, Nonlinearity.LINEAR), MediumParams(), 0.7)
         grid = TimeGrid(1.0, 64)
         t = grid.nodes[:, None]
@@ -119,8 +121,8 @@ class TestEnergyReports:
             return grid.h * (np.sum(g) - 0.5 * (g[0] + g[-1]))
 
         for report, density in ((energy_low, f**2), (energy_high, lam * f**2)):
-            forced = report(traj, spec, data, f).rhs_value
-            unforced = report(traj, spec, data).rhs_value
+            forced = report(traj, spec, data, f).rhs
+            unforced = report(traj, spec, data).rhs
             expected = trapezoid(np.sum(density, axis=1))
             assert expected > 0.0
             assert forced - unforced == pytest.approx(expected, rel=1e-12)
@@ -327,6 +329,17 @@ class TestConvergence:
         with pytest.raises(ModelError, match="linear classical equation"):
             convergence_table(spec, data, 1.0, [32, 64], reference="ode")
 
+
+    def test_unknown_reference_refused(self, setup, monkeypatch):
+        # "exact" used to run Richardson and report "exact"
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a refused table reached the solver")
+
+        monkeypatch.setattr(fmgt.analysis, "solve", no_solve)
+        b, data = setup
+        spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.7)
+        with pytest.raises(ModelError, match="got 'exact'"):
+            convergence_table(spec, data, 1.0, [32, 64], reference="exact")
 
     @pytest.mark.parametrize(
         "steps", [[48, 64], [64, 40], [], [0, 64], [-16, 64], [64], [64, 64], [32, 64, 32]]

@@ -1,5 +1,6 @@
 """CLI and configuration: round-trips, exit codes, artifacts, determinism."""
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -148,6 +149,15 @@ class TestConfig:
         assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    def test_key_given_twice_rejected(self, tmp_path, capsys):
+        # the last one used to win: this config ran at alpha = 0.9
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("schema = 1\nmodel.alpha = 0.5\n# again\nmodel.alpha = 0.9\n")
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "key model.alpha is set twice, on lines 2 and 4" in err
+        assert not (tmp_path / "o").exists()
+
     def test_schema_version_required(self):
         with pytest.raises(ConfigError, match="schema"):
             RunConfig.from_text("schema = 99\n")
@@ -229,11 +239,14 @@ class TestExitCodes:
 
         monkeypatch.setattr(fmgt.cli, "solve", no_solve)
         cfg = tmp_path / "non-finite.cfg"
-        cfg.write_text(
+        base = (
             "schema = 1\nmodel.family = iii\nmodel.nonlinearity = westervelt\n"
             "model.alpha = 0.7\nmodel.k = 0.1\ndomain.cutoff = 4\ntime.N = 32\n"
-            + entries + "\n"
         )
+        # the entries replace the base's lines of their keys: a key is given once
+        keys = {line.split(" = ")[0] for line in entries.splitlines()}
+        kept = [line for line in base.splitlines() if line.split(" = ")[0] not in keys]
+        cfg.write_text("\n".join(kept) + "\n" + entries + "\n")
         assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         key = entries.splitlines()[-1].split(" = ")[0]
@@ -347,6 +360,7 @@ class TestExitCodes:
             ("model.family = base\nstudy.alpha_sweep = 0.3,0.9", "study.alpha_sweep"),
             ("study.alpha_sweep = 0.9\ndata.psi1 = 1", "data.psi1"),
             ("model.family = ii\nstudy.alpha_sweep = 0.9\ndata.psi2 = 1", "data.psi2"),
+            ("model.family = ii\nmodel.alpha = 0.7\ndata.psi2 = 0,5e-3", "data.psi2"),
             ("study.selfcheck_signals = x", "study.selfcheck_signals"),
             ("study.selfcheck_signals = -3", "study.selfcheck_signals"),
         ],
@@ -595,6 +609,27 @@ class TestArtifacts:
         s = json.loads((out / "summary.json").read_text())
         common = {"schema", "config", "model", "beta", "z_order", "energy_low", "energy_high"}
         assert sorted(set(s) - common) == keys
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "schema = 1\nmodel.nonlinearity = westervelt\nmodel.alpha = 0.7\nmodel.k = 0.1\n"
+            "domain.cutoff = 4\ntime.N = 32\ndata.amplitude = 1e-3\nstudy.alpha_sweep = 0.8,0.9\n",
+            (PRESETS / "limit-ii.cfg").read_text(),
+        ],
+        ids=["picard", "limit-ii"],
+    )
+    def test_report_fields_are_the_summary_keys(self, tmp_path, text):
+        # each report key is declared once, as a field of its dataclass
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli(["--out", out, "run", "--config", cfg]) == 0
+        s = json.loads((out / "summary.json").read_text())
+        energy = {f.name for f in dataclasses.fields(fmgt.analysis.EnergyReport)} - {"columns"}
+        assert set(s["energy_low"]) == set(s["energy_high"]) == energy
+        study = {f.name for f in dataclasses.fields(fmgt.analysis.LimitStudy)}
+        assert set(s["limit_study"]) == study
 
 
 # the shape of the benchmark's zform-limit workload: a type II alpha -> 1

@@ -8,7 +8,6 @@ from scipy.special import gamma as gamma_fn
 
 from fmgt import (
     DomainError,
-    FractionalOrder,
     SampledSignal,
     TimeGrid,
     abel_integral,
@@ -68,21 +67,6 @@ class TestGammaKernel:
             gamma_kernel(1.0, 1.0)
         with pytest.raises(DomainError):
             gamma_kernel(0.3, 0.0)
-
-    def test_fractional_order_ranges(self):
-        assert float(FractionalOrder(0.7)) == 0.7
-        with pytest.raises(DomainError):
-            FractionalOrder(0.0)
-        with pytest.raises(DomainError):
-            FractionalOrder(1.2)
-        from fmgt import Family, MediumParams, ModelSpec, ModelVariant, Nonlinearity
-
-        spec = ModelSpec(
-            ModelVariant(Family.III, Nonlinearity.LINEAR),
-            MediumParams(),
-            FractionalOrder(0.7),
-        )
-        assert spec.alpha == 0.7
 
 
 class TestGammaPort:

@@ -81,6 +81,16 @@ class TestZForm:
         with pytest.raises(ModelError, match="singular at t = 0"):
             solve_zform(spec, data, TimeGrid(1.0, 64))
 
+    def test_psi2_rejected_for_fractional_order(self):
+        # the z-form has no tau^a psi2 t^-a / Gamma(1-a) source term: psi2
+        # used to be dropped, leaving psi(T) as with psi2 = 0
+        b = EigenBasis(Domain.interval(1.0), 4)
+        data = InitialData(b.unit_mode(0, 1e-3), b.zero_field(), b.unit_mode(0, 5e-3))
+        for solver in (solve_zform, solve_fmgt2):
+            with pytest.raises(ModelError, match="psi2 = 0"):
+                solver(linear_ii(0.7), data, TimeGrid(1.0, 64))
+        assert np.isfinite(solve_fmgt2(linear_ii(1.0), data, TimeGrid(1.0, 64)).psi).all()
+
     def test_initial_values(self, basis_pi):
         b = basis_pi
         data = InitialData(b.unit_mode(0, 1.0), b.unit_mode(0, 0.3), b.unit_mode(0, 0.2))

@@ -181,7 +181,7 @@ class TestResidual:
         z = np.zeros((257, 4))
         for variant in catalog():
             alpha = 0.75
-            spec = ModelSpec(variant, MediumParams(k=0.1, k_tilde=0.1, l_tilde=0.1), alpha)
+            spec = ModelSpec(variant, MediumParams(k=0.1, l_tilde=0.1), alpha)
             r = residual(spec, self.basis, self.grid, z, z, z)
             assert np.max(r.values) == 0.0
 
@@ -267,7 +267,7 @@ class TestResidual:
         )
         k_spec = ModelSpec(
             ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
-            MediumParams(k_tilde=0.3, l_tilde=0.0),
+            MediumParams(k=0.3, l_tilde=0.0),
             0.8,
         )
         rw = residual(w_spec, self.basis, self.grid, psi, psi_t, psi_tt)
@@ -326,7 +326,7 @@ class TestResidual:
         lin = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.8)
         non = ModelSpec(
             ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
-            MediumParams(k_tilde=0.5, l_tilde=0.5),
+            MediumParams(k=0.5, l_tilde=0.5),
             0.8,
         )
         rl = residual(lin, self.basis, self.grid, psi, psi_t, psi_tt)
