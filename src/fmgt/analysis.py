@@ -18,7 +18,7 @@ from .fractional import (
     _trapezoid_weights,
     abel_integral,
 )
-from .memory import solve_fmgt2
+from .memory import solve_fmgt2_all
 from .mittag_leffler import RelaxationKernel, kernel_mass, kernel_value
 from .models import (
     Family,
@@ -40,21 +40,37 @@ from .volterra import picard_nonlinear, solve_linear
 
 
 def solve(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
-    """Solve one catalog model: the single route from a spec to its solver.
+    """Solve one catalog model: the one-spec call of ``solve_all``."""
+    return solve_all([spec], data, grid, f)[0]
+
+
+def solve_all(specs, data: InitialData, grid: TimeGrid, f=None) -> list:
+    """Solve catalog models on one data, grid and source: the single route
+    from specs to their solvers.  Returns one trajectory per spec, in order.
 
     Linear family II goes to the z-form memory solver, the other linear
     models to the Volterra solver and the nonlinear ones to its Picard
     iteration, which refuses nonlinear family II with ModelError; each
-    solver validates the spec once.  What a solver reports for the run
-    summary is in ``traj.diagnostics``: ``recovery_discrepancy`` (memory
-    solver) or ``picard_iterations``, ``contraction_ratio``,
-    ``relaxation_sweeps`` and ``relaxation_windows`` (Picard).
+    solver validates the spec once.  The specs bound for the memory solver
+    are solved first, together, as the columns of one z-form system; each
+    trajectory equals its spec's own solve bit for bit.  What a solver
+    reports for the run summary is in ``traj.diagnostics``:
+    ``recovery_discrepancy`` (memory solver) or ``picard_iterations``,
+    ``contraction_ratio``, ``relaxation_sweeps`` and
+    ``relaxation_windows`` (Picard).
     """
-    if solver_backend(spec.variant) == "memory":
-        return solve_fmgt2(spec, data, grid, f)
-    if spec.nonlinearity is Nonlinearity.LINEAR:
-        return solve_linear(spec, data, grid, f)
-    return picard_nonlinear(spec, data, grid, f).trajectory
+    specs = list(specs)
+    memory = [solver_backend(s.variant) == "memory" for s in specs]
+    batch = iter(solve_fmgt2_all([s for s, m in zip(specs, memory) if m], data, grid, f))
+    out = []
+    for spec, in_batch in zip(specs, memory):
+        if in_batch:
+            out.append(next(batch))
+        elif spec.nonlinearity is Nonlinearity.LINEAR:
+            out.append(solve_linear(spec, data, grid, f))
+        else:
+            out.append(picard_nonlinear(spec, data, grid, f).trajectory)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +224,11 @@ def limit_study(
     difference norms.  Requires psi1 = 0 (families base/I/III limit results)
     and, for family II, psi2 = 0 as well (z-form compatibility).
 
-    Each distinct alpha is solved once.  ``solved`` maps alphas to
-    trajectories already solved with this variant, medium, data, grid and
-    source (``fmgt run`` passes its own), which the study reuses.
+    Each distinct alpha is solved once, and those not in ``solved`` in one
+    ``solve_all`` call: for family II, one z-form solve.  ``solved`` maps
+    alphas to trajectories already solved with this variant, medium, data,
+    grid and source (``fmgt run`` passes every one), which the study
+    reuses.
 
     For family II with psi0 != 0, the W^{1,inf}(L2) column is flagged: the
     limit proposition gives uniform-in-time convergence of psi_t only when
@@ -226,11 +244,11 @@ def limit_study(
         raise ModelError("family ii limit studies require psi2 = 0 (z-form compatibility)")
 
     lam = data.basis.eigenvalues[None, :]
-    specs = [ModelSpec(variant, params, a) for a in (1.0, *alphas)]
     solved = dict(solved or {})
-    for s in specs:  # the reference first, then the sweep in order
-        if s.alpha not in solved:
-            solved[s.alpha] = solve(s, data, grid, f)
+    # the reference first, then the sweep in order, in one call
+    todo = [a for a in dict.fromkeys((1.0, *alphas)) if a not in solved]
+    specs = [ModelSpec(variant, params, a) for a in todo]
+    solved.update(zip(todo, solve_all(specs, data, grid, f)))
     ref = solved[1.0]
     trajectories = [solved[a] for a in alphas]
     wq = _trapezoid_weights(grid.steps, grid.h)

@@ -23,7 +23,7 @@ from .analysis import (
     kato_ponce_check,
     kernel_report,
     limit_study,
-    solve,
+    solve_all,
 )
 from .config import ConfigError, RunConfig
 from .fractional import (
@@ -33,7 +33,7 @@ from .fractional import (
     alikhanov_gap,
     coercivity_quadform,
 )
-from .models import ModelError, Nonlinearity, SolverError, catalog, describe
+from .models import ModelError, ModelSpec, Nonlinearity, SolverError, catalog, describe
 
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
@@ -60,23 +60,34 @@ def _write_json(path: Path, obj):
 
 
 def _solve(cfg: RunConfig):
-    """The run's solve.  The source, a function of t, is sampled once on all
-    nodes of the run's grid for everything that uses that grid; a
-    convergence table samples the function on each of its own grids."""
+    """The run's solves: its own alpha and, with study.alpha_sweep, the
+    alpha = 1 reference and the sweep, in that order and in one
+    ``solve_all`` call, so that a family-II study is one z-form solve.
+    Returns the run's objects and the trajectories by alpha.  The source,
+    a function of t, is sampled once on all nodes of the run's grid for
+    everything that uses that grid; a convergence table samples the
+    function on each of its own grids."""
     spec = cfg.spec()
     basis = cfg.basis()
     grid = cfg.grid()
     data = cfg.initial_data(basis)
     source = cfg.forcing(basis, grid)
     f = None if source is None else source(grid.nodes)
-    return spec, basis, grid, data, source, f, solve(spec, data, grid, f)
+    alphas = [spec.alpha]
+    if "study.alpha_sweep" in cfg.entries:
+        alphas += [1.0, *cfg._floats("study.alpha_sweep")]
+    alphas = list(dict.fromkeys(alphas))
+    specs = [ModelSpec(spec.variant, spec.params, a) for a in alphas]
+    solved = dict(zip(alphas, solve_all(specs, data, grid, f)))
+    return spec, grid, data, source, f, solved
 
 
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
     out = Path(args.out or cfg.entries.get("output.directory", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    spec, basis, grid, data, source, f, traj = _solve(cfg)
+    spec, grid, data, source, f, solved = _solve(cfg)
+    traj = solved[spec.alpha]
 
     rep_low = energy_low(traj, spec, data, f)
     rep_high = energy_high(traj, spec, data, f, low=rep_low)
@@ -106,9 +117,7 @@ def cmd_run(args) -> int:
 
     if "study.alpha_sweep" in cfg.entries:
         alphas = cfg._floats("study.alpha_sweep")
-        study = limit_study(
-            spec.variant, spec.params, data, grid, alphas, f, solved={spec.alpha: traj}
-        )
+        study = limit_study(spec.variant, spec.params, data, grid, alphas, f, solved=solved)
         summary["limit_study"] = dataclasses.asdict(study)
         _write_csv(
             out / "limit_study.csv",

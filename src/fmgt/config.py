@@ -195,16 +195,16 @@ class RunConfig:
                 "key data.psi0: read only under data.preset = coeffs, "
                 f"got data.preset = {preset}"
             )
-        if (
-            variant.family is Family.II
-            and self._float("model.alpha") < 1.0
-            and "data.psi2" in self.entries
-            and any(self._floats("data.psi2"))
-        ):
-            raise ConfigError(
-                "key data.psi2: the z-form of family ii has no psi2 term at "
-                f"model.alpha < 1, so it needs psi2 = 0, got {self.entries['data.psi2']}"
-            )
+        if variant.family is Family.II and self._float("model.alpha") < 1.0:
+            reasons = {
+                "data.psi1": "is singular at t = 0 unless psi1 = 0 at model.alpha < 1",
+                "data.psi2": "has no psi2 term at model.alpha < 1, so it needs psi2 = 0",
+            }
+            for key, reason in reasons.items():
+                if key in self.entries and any(self._floats(key)):
+                    raise ConfigError(
+                        f"key {key}: the z-form of family ii {reason}, got {self.entries[key]}"
+                    )
         if self.entries["source.preset"] not in ("zero", "mode-cos", "pulse"):
             raise ConfigError(f"unknown source.preset {self.entries['source.preset']!r}")
         if "study.n_sweep" in self.entries:

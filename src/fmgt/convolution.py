@@ -97,17 +97,17 @@ class CausalFilter:
                 e = _binade(x)
                 x_spec.append(rfft(np.ldexp(x.T, -e, order="C"), self.size))
             uses -= 1
-            # spec times a temporary, as for a lone kernel: numpy may form
-            # the product in the temporary, operands swapped, and with a
-            # per-column (2-D) kernel spectrum their order decides the
-            # rounding of the complex product.  The last kernel takes the
-            # transform itself, the others copies, so no kernel sees
-            # another's product.  Every stack of several kernels has 1-D
-            # spectra, for which np.multiply(spec, x_spec[0]) rounds the
-            # same; there the copies are kept for memory, not rounding:
-            # without them a warm picard-2d run (numpy 2.4, glibc malloc)
-            # took 6,014 minor page faults in place of 991 (medians of 15).
-            prod = irfft(spec * (x_spec.pop() if uses == 0 else x_spec[0].copy()), self.size)
+            # spec times the signal's transform, in place and in this
+            # operand order at every size: with a per-column (2-D) kernel
+            # spectrum the order decides the rounding of the complex
+            # product, so a column rounds alike in a batch of any width.
+            # The last kernel takes the transform itself, the others
+            # copies, so no kernel sees another's product; the copies also
+            # spare memory: with a fresh product array in their place a
+            # warm picard-2d run (numpy 2.4, glibc malloc) took 6,014 minor
+            # page faults in place of 991 (medians of 15).
+            tmp = x_spec.pop() if uses == 0 else x_spec[0].copy()
+            prod = irfft(np.multiply(spec, tmp, out=tmp), self.size)
             out.append(np.ldexp(prod[..., : self.n].T, binade + e, order="C"))
         return out
 
@@ -129,9 +129,14 @@ def _fast_len(n: int) -> int:
 
 
 def _binade(a: np.ndarray) -> int:
-    """e with max|a| in [2^(e-1), 2^e); 0 when a is all zero or not finite."""
+    """e with the largest finite |a| in [2^(e-1), 2^e); 0 when no entry of
+    a is finite and nonzero.  A non-finite entry spoils only the one
+    transform it enters, so the array's other transforms keep the scaling
+    they would have without it."""
     top = np.max(np.abs(a), initial=0.0)
-    return int(np.frexp(top)[1]) if np.isfinite(top) else 0
+    if not np.isfinite(top):
+        top = np.max(np.abs(a), initial=0.0, where=np.isfinite(a))
+    return int(np.frexp(top)[1])
 
 
 def _scaled_rfft(a: np.ndarray, size: int):

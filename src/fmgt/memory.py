@@ -8,7 +8,9 @@ Substituting z = tau^a D^a psi + psi turns the type-II equation into
 
 with the relaxation kernel k_a.  Per mode the scheme is the implicit
 trapezoidal (average-acceleration) stepper, solved for all nodes at once as
-one lower-triangular Toeplitz system in the accelerations; the memory
+one lower-triangular Toeplitz system in the accelerations, and the modes of
+several orders a (a limit study's sweep) as the columns of one such
+system; the memory
 convolution uses exact kernel cell moments (closed forms in E_{a,1} and
 E_{a,2}), never sampling the kernel at zero.  psi is recovered two
 independent ways which must agree:
@@ -107,7 +109,16 @@ def z_initial(spec: ModelSpec, data: InitialData):
 
 
 def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> ZTrajectory:
-    """Solve the z-form of the linear type-II model, all nodes at once.
+    """Solve the z-form of the linear type-II model, all nodes at once: the
+    one-spec call of ``_zform_columns``, which states the scheme."""
+    tables, z, z_t = _zform_columns([spec], data, grid, f)
+    return ZTrajectory(data.basis, grid, z, z_t, spec, tables[0])
+
+
+def _zform_columns(specs, data: InitialData, grid: TimeGrid, f=None):
+    """(tables, z, z_t): the z-form of every spec on one data, grid and
+    source, solved as the columns of one system; columns i m .. (i+1) m - 1
+    of z and z_t, m the number of modes, are specs[i]'s.
 
     The average-acceleration (Newmark) steps, summed, give z_n = d_n +
     (h^2/4) sum_{j=1}^{n} c[n-j] acc_j, where c holds the coefficients of
@@ -117,7 +128,11 @@ def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Z
     + F_n.  Eliminating z leaves one lower-triangular Toeplitz system per
     mode in the acceleration, (δ - (h^2/4) k*c) acc = k*d + g, solved by
     ``series_reciprocal`` and one defect-correction step.  z follows by one
-    more product, z_t as the trapezoid sum of acc.
+    more product, z_t as the trapezoid sum of acc.  What differs between
+    the specs (the kernel tables, B, C and the initial values) is built per
+    spec as in a solve of that spec alone; every product and transform
+    after it runs once on all the columns, and each column rounds as in
+    that solve.
 
     The unknown is the acceleration because that symbol is well
     conditioned; eliminating v too leaves a symbol in z led by (1-s)^2,
@@ -125,36 +140,25 @@ def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Z
 
     For a < 1 the z-form has no source term in psi2 (it would be
     tau^a psi2 t^{-a}/Gamma(1-a)), so psi2 != 0 is refused with ModelError.
+    A refusal or a blow-up is raised for the first spec in order that
+    meets one, as solving the specs one by one would meet them.
     """
-    if spec.family is not Family.II or spec.nonlinearity is not Nonlinearity.LINEAR:
-        raise ModelError("the memory solver serves the linear family ii only")
-    if spec.alpha < 1.0 and np.any(data.psi2.coeffs != 0.0):
-        raise ModelError(
-            "for alpha < 1 the z-form requires psi2 = 0: it has no "
-            "tau^a psi2 t^{-a}/Gamma(1-a) source term, so psi2 would be dropped"
-        )
     basis = data.basis
-    lam = basis.eigenvalues
-    p = spec.params
-    a = spec.alpha
     h = grid.h
     n_steps = grid.steps
-
-    tables = memory_tables(spec, grid)
-    B = p.c**2 + p.delta / p.tau**a
-    C = p.delta / p.tau**a
-
     farr = _forcing_array(f, basis, grid)
-    # data forcing - delta tau^{-a} E_{a,1}(-(t/tau)^a) Lap psi0, per node
-    F = farr + C * tables.e1[:, None] * lam[None, :] * data.psi0.coeffs[None, :]
-
-    z0, v0 = z_initial(spec, data)
-    acc0 = -B * lam * z0 + F[0]
-    t = grid.nodes[1:, None]
-    d = z0 + t * v0 + (0.5 * h * t - 0.25 * h * h) * acc0
-    k = C * lam * tables.w[:, None]
-    k[0] -= B * lam
-    g = F[1:] + C * lam * tables.q[:, None] * z0
+    tables, parts, refusal = [], [], None
+    for spec in specs:
+        try:
+            table, columns = _zform_terms(spec, data, grid, farr)
+        except ModelError as exc:
+            refusal = exc  # raised once the specs before it are solved
+            break
+        tables.append(table)
+        parts.append(columns)
+    if not parts:
+        raise refusal
+    z0, v0, acc0, d, k, g = (np.concatenate(p, axis=-1) for p in zip(*parts))
     c = 4.0 * np.arange(n_steps)
     c[0] = 1.0
 
@@ -171,10 +175,53 @@ def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Z
         z = np.vstack([z0, d + 0.25 * h * h * by_c(acc)[0]])
         acc = np.vstack([acc0, acc])
         z_t = np.vstack([v0, v0 + 0.5 * h * np.cumsum(acc[:-1] + acc[1:], axis=0)])
-    finite = np.isfinite(np.hstack([z, z_t])).all(axis=1)
-    if not np.all(finite):
-        raise SolverBlowUpError(int(np.argmin(finite)))
-    return ZTrajectory(basis, grid, z, z_t, spec, tables)
+    finite = np.isfinite(z) & np.isfinite(z_t)
+    for spec, cols in zip(specs, _column_blocks(len(tables), basis.size)):
+        rows = finite[:, cols].all(axis=1)
+        if not np.all(rows):
+            node = int(np.argmin(rows))
+            raise SolverBlowUpError(
+                node, f"solution became non-finite at node {node} (alpha = {spec.alpha})"
+            )
+    if refusal is not None:
+        raise refusal
+    return tables, z, z_t
+
+
+def _zform_terms(spec: ModelSpec, data: InitialData, grid: TimeGrid, farr: np.ndarray):
+    """(tables, (z0, v0, acc0, d, k, g)): the kernel tables and the terms
+    of the z-form system of one spec, as ``_zform_columns`` names them."""
+    if spec.family is not Family.II or spec.nonlinearity is not Nonlinearity.LINEAR:
+        raise ModelError("the memory solver serves the linear family ii only")
+    if spec.alpha < 1.0 and np.any(data.psi2.coeffs != 0.0):
+        raise ModelError(
+            "for alpha < 1 the z-form requires psi2 = 0: it has no "
+            "tau^a psi2 t^{-a}/Gamma(1-a) source term, so psi2 would be dropped"
+        )
+    lam = data.basis.eigenvalues
+    p = spec.params
+    a = spec.alpha
+    h = grid.h
+
+    tables = memory_tables(spec, grid)
+    B = p.c**2 + p.delta / p.tau**a
+    C = p.delta / p.tau**a
+    # data forcing - delta tau^{-a} E_{a,1}(-(t/tau)^a) Lap psi0, per node
+    F = farr + C * tables.e1[:, None] * lam[None, :] * data.psi0.coeffs[None, :]
+
+    z0, v0 = z_initial(spec, data)
+    acc0 = -B * lam * z0 + F[0]
+    t = grid.nodes[1:, None]
+    d = z0 + t * v0 + (0.5 * h * t - 0.25 * h * h) * acc0
+    k = C * lam * tables.w[:, None]
+    k[0] -= B * lam
+    g = F[1:] + C * lam * tables.q[:, None] * z0
+    return tables, (z0, v0, acc0, d, k, g)
+
+
+def _column_blocks(count: int, modes: int):
+    """The column slices of ``count`` specs of ``modes`` modes each."""
+    return [slice(i * modes, (i + 1) * modes) for i in range(count)]
 
 
 def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
@@ -186,12 +233,21 @@ def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
     substitution.  A large discrepancy signals a kernel or Mittag-Leffler
     bug.
     """
-    z = ztraj.z
-    tables = ztraj.tables
-    psi = tables.e1[:, None] * psi0_coeffs[None, :]
-    psi[1:] += causal_conv(tables.w, z[1:]) + tables.q[:, None] * z[0]
-    psi_check = relaxation_check(ztraj.spec, ztraj.grid, z, psi0_coeffs)
+    psi = _psi_columns([ztraj.tables], ztraj.z, psi0_coeffs)
+    psi_check = relaxation_check(ztraj.spec, ztraj.grid, ztraj.z, psi0_coeffs)
     return psi, float(np.max(np.abs(psi - psi_check)))
+
+
+def _psi_columns(tables, z: np.ndarray, psi0_coeffs: np.ndarray) -> np.ndarray:
+    """The convolution route of ``recover_psi`` on the columns of
+    ``_zform_columns``: E_{a,1}(-(t/tau)^a) psi0 + k_a * z, each block of
+    columns with its own tables, all in one product."""
+    m = psi0_coeffs.size
+    psi = np.hstack([t.e1[:, None] * psi0_coeffs[None, :] for t in tables])
+    w = np.repeat(np.stack([t.w for t in tables], axis=1), m, axis=1)
+    q = np.repeat(np.stack([t.q for t in tables], axis=1), m, axis=1)
+    psi[1:] += causal_conv(w, z[1:]) + q * z[0]
+    return psi
 
 
 def relaxation_check(spec: ModelSpec, grid: TimeGrid, z: np.ndarray, psi0_coeffs):
@@ -263,16 +319,33 @@ def _forward_substitution(d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_fmgt2(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
-    """Full pipeline for linear family II: z-form solve plus psi recovery.
+    """Full pipeline for linear family II: z-form solve plus psi recovery;
+    the one-spec call of ``solve_fmgt2_all``."""
+    return solve_fmgt2_all([spec], data, grid, f)[0]
+
+
+def solve_fmgt2_all(specs, data: InitialData, grid: TimeGrid, f=None) -> list:
+    """The trajectory of every spec on one data, grid and source: one
+    z-form solve and one convolution route of the psi recovery for all of
+    them (``_zform_columns``); the tables and the check route of the
+    recovery stay per spec.  Each trajectory equals its spec's own
+    ``solve_fmgt2`` bit for bit.
 
     psi_t and psi_tt are difference derivatives of the recovered signal (the
     reconstruction identities hold to quadrature tolerance).
     """
-    ztraj = solve_zform(spec, data, grid, f)
-    psi, disc = recover_psi(ztraj, data.psi0.coeffs)
+    if not specs:
+        return []
+    tables, z, z_t = _zform_columns(specs, data, grid, f)
+    psi = _psi_columns(tables, z, data.psi0.coeffs)
     psi_t = first_derivative(psi, grid.h)
     psi_tt = second_derivative(psi, grid.h)
     mu = np.gradient(psi_tt, grid.h, axis=0)
-    traj = Trajectory(data.basis, grid, mu, psi, psi_t, psi_tt)
-    traj.diagnostics["recovery_discrepancy"] = disc
-    return traj
+    out = []
+    for spec, cols in zip(specs, _column_blocks(len(specs), data.basis.size)):
+        own = [a[:, cols].copy() for a in (mu, psi, psi_t, psi_tt)]
+        check = relaxation_check(spec, grid, z[:, cols], data.psi0.coeffs)
+        traj = Trajectory(data.basis, grid, *own)
+        traj.diagnostics["recovery_discrepancy"] = float(np.max(np.abs(own[1] - check)))
+        out.append(traj)
+    return out

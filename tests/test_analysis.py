@@ -15,6 +15,7 @@ from fmgt.analysis import (
     kernel_report,
     limit_study,
     solve,
+    solve_all,
 )
 from fmgt.memory import solve_fmgt2
 from fmgt.models import (
@@ -66,6 +67,29 @@ class TestSolveDispatch:
         for name in ("psi", "psi_t", "psi_tt"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.diagnostics == want.diagnostics
+
+    def test_solve_all_in_order_as_one_by_one(self, setup):
+        # the memory-bound specs are solved together, the others alone
+        b, _ = setup
+        bump = b.project(lambda x: x * (1 - x))
+        psi0 = SpectralField(b, 1e-3 * bump.coeffs / np.max(np.abs(bump.coeffs)))
+        data = InitialData(psi0, b.zero_field(), b.zero_field())
+        grid = TimeGrid(1.0, 32)
+        params = MediumParams(k=0.1)
+        specs = [
+            ModelSpec(ModelVariant(family, nl), params, alpha)
+            for family, nl, alpha in [
+                (Family.II, Nonlinearity.LINEAR, 0.8),
+                (Family.III, Nonlinearity.LINEAR, 0.7),
+                (Family.II, Nonlinearity.LINEAR, 1.0),
+                (Family.III, Nonlinearity.WESTERVELT, 0.7),
+            ]
+        ]
+        for spec, got in zip(specs, solve_all(specs, data, grid), strict=True):
+            want = solve(spec, data, grid)
+            for name in ("mu", "psi", "psi_t", "psi_tt"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.diagnostics == want.diagnostics
 
 
 class TestEnergyReports:
@@ -239,12 +263,14 @@ class TestLimitStudies:
         alphas = [0.6, 0.8, 0.8, 0.9]
         fresh = limit_study(variant, params, data, grid, alphas)
         own = solve(ModelSpec(variant, params, 0.8), data, grid)
-        solved = []
+        calls = []
         monkeypatch.setattr(
-            fmgt.analysis, "solve", lambda spec, *args: solved.append(spec.alpha) or solve(spec, *args)
+            fmgt.analysis,
+            "solve_all",
+            lambda specs, *args: calls.append([s.alpha for s in specs]) or solve_all(specs, *args),
         )
         reused = limit_study(variant, params, data, grid, alphas, solved={0.8: own})
-        assert solved == [1.0, 0.6, 0.9]  # each alpha once, the given one never
+        assert calls == [[1.0, 0.6, 0.9]]  # one call, each alpha once, the given one never
         assert reused.columns == fresh.columns and reused.slopes == fresh.slopes
 
     def test_rerun_permutation_invariant(self, setup):

@@ -237,7 +237,7 @@ class TestExitCodes:
         def no_solve(*args, **kwargs):
             raise AssertionError("a non-finite number reached the solver")
 
-        monkeypatch.setattr(fmgt.cli, "solve", no_solve)
+        monkeypatch.setattr(fmgt.cli, "solve_all", no_solve)
         cfg = tmp_path / "non-finite.cfg"
         base = (
             "schema = 1\nmodel.family = iii\nmodel.nonlinearity = westervelt\n"
@@ -275,7 +275,7 @@ class TestExitCodes:
         ],
     )
     def test_data_mode_out_of_range_is_2(self, tmp_path, monkeypatch, capsys, domain, mode, size):
-        monkeypatch.setattr(fmgt.cli, "solve", self._no_solve)
+        monkeypatch.setattr(fmgt.cli, "solve_all", self._no_solve)
         cfg = tmp_path / "mode.cfg"
         cfg.write_text(
             f"schema = 1\n{domain}\ntime.N = 16\ndata.preset = mode\ndata.mode = {mode}\n"
@@ -313,7 +313,7 @@ class TestExitCodes:
         ],
     )
     def test_bad_n_sweep_is_2(self, tmp_path, monkeypatch, capsys, steps, reason):
-        monkeypatch.setattr(fmgt.cli, "solve", self._no_solve)
+        monkeypatch.setattr(fmgt.cli, "solve_all", self._no_solve)
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             f"schema = 1\nmodel.alpha = 0.5\ndomain.cutoff = 4\nstudy.n_sweep = {steps}\n"
@@ -335,7 +335,7 @@ class TestExitCodes:
         ],
     )
     def test_bad_crosscheck_is_2(self, tmp_path, monkeypatch, capsys, entries, reason):
-        monkeypatch.setattr(fmgt.cli, "solve", self._no_solve)
+        monkeypatch.setattr(fmgt.cli, "solve_all", self._no_solve)
         cfg = tmp_path / "crosscheck.cfg"
         cfg.write_text(f"schema = 1\ndomain.cutoff = 4\n{entries}\n")
         assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
@@ -370,7 +370,7 @@ class TestExitCodes:
         # ran on the first, and data.psi0 without coeffs ran from the bump)
         # instead of naming its key; the study keys failed only after the
         # main solve, or not at all (a negative signal count)
-        monkeypatch.setattr(fmgt.cli, "solve", self._no_solve)
+        monkeypatch.setattr(fmgt.cli, "solve_all", self._no_solve)
         cfg = tmp_path / "data.cfg"
         cfg.write_text(f"schema = 1\ndomain.cutoff = 2\ntime.N = 16\n{entries}\n")
         assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
@@ -378,6 +378,23 @@ class TestExitCodes:
         assert err.startswith(f"configuration error: key {key}: ")
         assert "Traceback" not in err
         assert list(tmp_path.glob("o/*")) == []  # no artifact
+
+    def test_fractional_ii_psi1_is_2_before_the_output_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the z-form refused it only inside the solve, without naming the
+        # key, after the output directory was made
+        monkeypatch.setattr(fmgt.cli, "solve_all", self._no_solve)
+        cfg = tmp_path / "psi1.cfg"
+        cfg.write_text(
+            "schema = 1\nmodel.family = ii\nmodel.alpha = 0.7\ndomain.cutoff = 4\n"
+            "time.N = 32\ndata.psi1 = 1\n"
+        )
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: key data.psi1: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @staticmethod
     def _no_solve(*args, **kwargs):
@@ -520,6 +537,27 @@ class TestArtifacts:
         assert "volterra" not in imports["memory"]
         assert imports["analysis"] >= {"memory", "volterra"}  # the helper sees them
 
+    def test_one_solver_dispatch(self):
+        # only analysis.solve_all calls the solvers: cli and limit_study
+        # solve through it, and memory's one-spec call through its batch
+        solvers = {"solve_fmgt2", "solve_fmgt2_all", "solve_linear", "picard_nonlinear"}
+        calls = set()
+        for path in sorted((SRC / "fmgt").glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if name in solvers:
+                            calls.add((path.stem, func.name, name))
+        assert calls == {
+            ("analysis", "solve_all", "solve_fmgt2_all"),
+            ("analysis", "solve_all", "solve_linear"),
+            ("analysis", "solve_all", "picard_nonlinear"),
+            ("memory", "solve_fmgt2", "solve_fmgt2_all"),
+        }
+
     def test_kernels_subcommand(self, tmp_path):
         out = tmp_path / "k"
         assert run_cli(["--out", out, "kernels", "--alphas", "0.5,1.0", "--tau", "1.0"]) == 0
@@ -658,6 +696,22 @@ class TestWorkPerRun:
         cfg.write_text(ZFORM_LIMIT)
         assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 0
         assert sorted(alphas) == [0.6, 0.8, 0.9, 0.95, 0.99, 1.0]
+
+    def test_one_zform_solve_per_run(self, tmp_path, monkeypatch):
+        # the run's alpha, the reference and the sweep are the columns of
+        # one Toeplitz system: one reciprocal of 6 alphas x 8 modes
+        shapes = []
+        reciprocal = fmgt.memory.series_reciprocal
+
+        def counting(symbol):
+            shapes.append(symbol.shape)
+            return reciprocal(symbol)
+
+        monkeypatch.setattr(fmgt.memory, "series_reciprocal", counting)
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(ZFORM_LIMIT)
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 0
+        assert shapes == [(256, 6 * 8)]
 
     def test_energy_forms_built_once(self, tmp_path, monkeypatch):
         # both energy levels report one damping form and one Alikhanov

@@ -224,7 +224,8 @@ def axis0_filter(kernels, n, x):
             spec = spec.reshape((-1,) + (1,) * (x.ndim - 1))
         uses -= 1
         # the operand order and the temporaries of the filter itself
-        prod = irfft(spec * (x_spec.pop() if uses == 0 else x_spec[0].copy()), size, axis=0)
+        tmp = x_spec.pop() if uses == 0 else x_spec[0].copy()
+        prod = irfft(np.multiply(spec, tmp, out=tmp), size, axis=0)
         out.append(np.ldexp(prod[:n], binade + e))
     return out
 
@@ -292,6 +293,44 @@ def test_time_last_transforms_equal_axis_0(shape):
     symbol[0] += 2.0
     for s in (symbol, one_d[1][:n]):
         assert_identical(series_reciprocal(s), axis0_reciprocal(s))
+
+
+def test_wide_batch_equals_its_slices():
+    # 48 per-column kernels of mixed binades, as six solves of 8 modes
+    # batched: their spectrum (513 x 48 complex, 385 KiB) is above numpy's
+    # 256 KiB size for eliding temporaries, each 8-column slice's is below;
+    # every column rounds alike either way
+    n = 512
+    rng = np.random.default_rng(48)
+    decay = (np.arange(n) + 1.0)[:, None] ** -2.0
+    scales = 2.0 ** rng.integers(-40, 40, size=48)
+    kernel = rng.normal(size=(n, 48)) * decay * scales
+    x = rng.normal(size=(n, 48)) * scales[::-1]
+    symbol = 0.3 * kernel
+    symbol[0] = scales
+    wide = CausalFilter([kernel, symbol], n)(x)
+    recip = series_reciprocal(symbol)
+    for cols in (slice(i, i + 8) for i in range(0, 48, 8)):
+        alone = CausalFilter([kernel[:, cols], symbol[:, cols]], n)(x[:, cols])
+        for got, want in zip(wide, alone):
+            assert np.array_equal(got[:, cols], want)
+        assert np.array_equal(recip[:, cols], series_reciprocal(symbol[:, cols]))
+
+
+def test_non_finite_column_leaves_the_others():
+    # each column is transformed alone: one that overflowed leaves the
+    # others their scaling, without which their transforms would overflow
+    n = 64
+    rng = np.random.default_rng(3)
+    kernel = 1e-3 * rng.normal(size=n)
+    x = rng.normal(size=(n, 4)) * 1e307
+    want = causal_conv(kernel, x)
+    x[5, 2] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = causal_conv(kernel, x)
+    assert not np.isfinite(got[:, 2]).any()
+    keep = [0, 1, 3]
+    assert np.isfinite(want).all() and np.array_equal(got[:, keep], want[:, keep])
 
 
 def _transform_names(tree):

@@ -18,6 +18,7 @@ from fmgt.memory import (
     memory_tables,
     recover_psi,
     solve_fmgt2,
+    solve_fmgt2_all,
     solve_zform,
     z_initial,
 )
@@ -29,6 +30,7 @@ from fmgt.models import (
     ModelSpec,
     ModelVariant,
     Nonlinearity,
+    SolverBlowUpError,
 )
 from fmgt.oracles import classical_mgt_reference, solve_direct_l1
 from fmgt.spectral import SpectralField
@@ -242,6 +244,81 @@ class TestCrossFormulation:
         traj = solve_fmgt2(linear_ii(0.7), data, TimeGrid(1.0, 256))
         assert "recovery_discrepancy" in traj.diagnostics
         assert traj.diagnostics["recovery_discrepancy"] < 1e-2
+
+
+class TestBatch:
+    """Several specs solved as the columns of one z-form system."""
+
+    ALPHAS = [0.8, 1.0, 0.6, 0.9, 0.95, 0.99]
+
+    def test_each_column_equals_its_own_solve(self, bump_setup):
+        b, data = bump_setup
+        grid = TimeGrid(2.0, 256)
+        farr = np.zeros((257, b.size))
+        farr[:, 0] = 0.5 * np.cos(3.0 * grid.nodes)  # the mode-cos source
+        specs = [linear_ii(a, tau=0.25) for a in self.ALPHAS]
+        batch = solve_fmgt2_all(specs, data, grid, farr)
+        assert len(batch) == len(specs)
+        for spec, got in zip(specs, batch):
+            want = solve_fmgt2(spec, data, grid, farr)
+            for name in ("psi", "psi_t", "psi_tt", "mu"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (spec.alpha, name)
+            assert got.diagnostics == want.diagnostics
+            assert got.diagnostics["recovery_discrepancy"] > 0.0
+
+    def test_one_transform_pipeline_for_all(self, bump_setup, monkeypatch):
+        calls = []
+        reciprocal = fmgt.memory.series_reciprocal
+
+        def counting(symbol):
+            calls.append(symbol.shape)
+            return reciprocal(symbol)
+
+        monkeypatch.setattr(fmgt.memory, "series_reciprocal", counting)
+        specs = [linear_ii(a) for a in self.ALPHAS]
+        solve_fmgt2_all(specs, bump_setup[1], TimeGrid(1.0, 64))
+        assert calls == [(64, 6 * 8)]
+
+    @staticmethod
+    def _blow_up_setup():
+        # the free wave of amplitude 3e304 overflows at node 26 for alpha
+        # 0.6 and at node 28 for 0.8, and stays finite for alpha = 1
+        b = EigenBasis(Domain.interval(1.0), 8)
+        data = InitialData(b.unit_mode(0, 3e304), b.zero_field(), b.zero_field())
+        return data, TimeGrid(2.0, 64)
+
+    @staticmethod
+    def _node(spec, data, grid):
+        try:
+            solve_fmgt2(spec, data, grid)
+        except SolverBlowUpError as exc:
+            return exc.node
+        return None
+
+    @pytest.mark.parametrize("alphas", [[1.0, 0.8, 0.6], [1.0, 0.6, 0.8], [0.6, 1.0]])
+    def test_blow_up_names_the_first_alpha_and_its_node(self, alphas):
+        data, grid = self._blow_up_setup()
+        specs = [linear_ii(a, tau=0.01) for a in alphas]
+        nodes = [self._node(spec, data, grid) for spec in specs]
+        assert nodes[0] is None or alphas[0] == 0.6
+        first = next(i for i, node in enumerate(nodes) if node is not None)
+        with pytest.raises(SolverBlowUpError) as exc:
+            solve_fmgt2_all(specs, data, grid)
+        assert exc.value.node == nodes[first] > 1
+        assert f"node {nodes[first]} (alpha = {alphas[first]})" in str(exc.value)
+
+    def test_failures_in_the_order_of_the_specs(self):
+        # a refused spec after one that blows up: the blow-up, as solving
+        # them one by one meets it first; the other way round, the refusal
+        # (psi1 != 0 is refused below alpha = 1)
+        b = EigenBasis(Domain.interval(1.0), 8)
+        data = InitialData(b.unit_mode(0, 1e305), b.unit_mode(1, 1.0), b.zero_field())
+        grid = TimeGrid(2.0, 64)
+        specs = [linear_ii(1.0, tau=0.01), linear_ii(0.9)]
+        with pytest.raises(SolverBlowUpError, match=r"alpha = 1\.0"):
+            solve_fmgt2_all(specs, data, grid)
+        with pytest.raises(ModelError, match="psi1 = 0"):
+            solve_fmgt2_all(specs[::-1], data, grid)
 
 
 class TestKernelTables:
