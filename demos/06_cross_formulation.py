@@ -14,7 +14,8 @@ long run sits between the two, drifting toward the relaxed speed.
 import numpy as np
 
 from fmgt import Domain, EigenBasis, TimeGrid
-from fmgt.memory import solve_fmgt2, solve_zform
+from fmgt.analysis import solve
+from fmgt.memory import solve_zform
 from fmgt.models import Family, InitialData, MediumParams, ModelSpec, ModelVariant, Nonlinearity
 from fmgt.oracles import solve_direct_l1
 
@@ -36,7 +37,7 @@ for alpha in (0.6, 0.8):
     sols = {}
     for n in (256, 512):
         grid = TimeGrid(1.0, n)
-        sols[n] = (solve_fmgt2(spec, data, grid), solve_direct_l1(spec, data, grid))
+        sols[n] = (solve(spec, data, grid), solve_direct_l1(spec, data, grid))
     tm, tl = sols[512]
     print(f"alpha = {alpha}:")
     print(f"  disagreement (Linf H1)      : {linf_h1(tm.psi, tl.psi):.3e}")
@@ -48,7 +49,7 @@ print("\nwave-speed drift (single mode, long horizon, delta = 0.5):")
 b1 = EigenBasis(Domain.interval(np.pi), 1)
 data1 = InitialData(b1.unit_mode(0, 1.0), b1.zero_field(), b1.zero_field())
 spec = ModelSpec(ModelVariant(Family.II, Nonlinearity.LINEAR), MediumParams(delta=0.5), 0.5)
-zt = solve_zform(spec, data1, TimeGrid(12.0, 2048))
+zt = solve_zform([spec], data1, TimeGrid(12.0, 2048))
 z1 = zt.z[:, 0]
 crossings = np.where(np.diff(np.sign(z1)) != 0)[0]
 periods = np.diff(crossings) * 2 * (12.0 / 2048)

@@ -94,8 +94,8 @@ class CausalFilter:
                 out.append(kernel[0] * x)
                 continue
             if not x_spec:
-                e = _binade(x)
-                x_spec.append(rfft(np.ldexp(x.T, -e, order="C"), self.size))
+                x_hat, e = _scaled_rfft(x.T, self.size)
+                x_spec.append(x_hat)
             uses -= 1
             # spec times the signal's transform, in place and in this
             # operand order at every size: with a per-column (2-D) kernel

@@ -9,16 +9,21 @@ Substituting z = tau^a D^a psi + psi turns the type-II equation into
 with the relaxation kernel k_a.  Per mode the scheme is the implicit
 trapezoidal (average-acceleration) stepper, solved for all nodes at once as
 one lower-triangular Toeplitz system in the accelerations, and the modes of
-several orders a (a limit study's sweep) as the columns of one such
-system; the memory
-convolution uses exact kernel cell moments (closed forms in E_{a,1} and
-E_{a,2}), never sampling the kernel at zero.  psi is recovered two
-independent ways which must agree:
+several orders a (a limit study's sweep) as the columns of one such system;
+the memory convolution uses exact kernel cell moments (closed forms in
+E_{a,1} and E_{a,2}), never sampling the kernel at zero.  psi is recovered
+two independent ways which must agree:
 (a) psi = E_{a,1}(-(t/tau)^a) psi0 + k_a * z by product integration, and
 (b) the L1 scheme of tau^a D^a psi + psi = z (the trapezoidal rule at
     a = 1), one lower-triangular Toeplitz system for every mode, solved by
     blocked forward substitution with dense products only: this check
     route uses nothing of ``convolution``.
+
+Each stage is one function over a list of specs: ``solve_zform`` (z and
+z_t of every spec), ``recover_psi`` (psi of every spec by route (a), and
+per spec its discrepancy against route (b), ``relaxation_check``) and
+``solve_fmgt2_all`` (both, the difference derivatives and one trajectory
+per spec).  ``analysis.solve`` is the one-spec entry.
 
 Sources are assumed node-sampled continuous in time; rough-in-time forcing is
 untested territory.
@@ -43,7 +48,6 @@ from .models import (
     Trajectory,
     _forcing_array,
 )
-from .spectral import EigenBasis
 
 
 @dataclass(frozen=True)
@@ -78,15 +82,16 @@ def memory_tables(spec: ModelSpec, grid: TimeGrid) -> MemoryTables:
 
 @dataclass
 class ZTrajectory:
-    """State of the memory-form solve: z and z_t coefficient signals, and
-    the kernel tables they were solved with."""
+    """State of the memory-form solve of several specs on one data and
+    grid: the z and z_t coefficient signals, whose columns i m .. (i+1) m - 1,
+    m the number of modes, are specs[i]'s, and the kernel tables each spec
+    was solved with."""
 
-    basis: EigenBasis
     grid: TimeGrid
     z: np.ndarray
     z_t: np.ndarray
-    spec: ModelSpec
-    tables: MemoryTables
+    specs: list
+    tables: list
 
 
 def z_initial(spec: ModelSpec, data: InitialData):
@@ -108,17 +113,9 @@ def z_initial(spec: ModelSpec, data: InitialData):
     return data.psi0.coeffs.copy(), np.zeros_like(data.psi0.coeffs)
 
 
-def solve_zform(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> ZTrajectory:
-    """Solve the z-form of the linear type-II model, all nodes at once: the
-    one-spec call of ``_zform_columns``, which states the scheme."""
-    tables, z, z_t = _zform_columns([spec], data, grid, f)
-    return ZTrajectory(data.basis, grid, z, z_t, spec, tables[0])
-
-
-def _zform_columns(specs, data: InitialData, grid: TimeGrid, f=None):
-    """(tables, z, z_t): the z-form of every spec on one data, grid and
-    source, solved as the columns of one system; columns i m .. (i+1) m - 1
-    of z and z_t, m the number of modes, are specs[i]'s.
+def solve_zform(specs, data: InitialData, grid: TimeGrid, f=None) -> ZTrajectory:
+    """Solve the z-form of the linear type-II model for every spec on one
+    data, grid and source, all nodes at once, as the columns of one system.
 
     The average-acceleration (Newmark) steps, summed, give z_n = d_n +
     (h^2/4) sum_{j=1}^{n} c[n-j] acc_j, where c holds the coefficients of
@@ -130,9 +127,8 @@ def _zform_columns(specs, data: InitialData, grid: TimeGrid, f=None):
     ``series_reciprocal`` and one defect-correction step.  z follows by one
     more product, z_t as the trapezoid sum of acc.  What differs between
     the specs (the kernel tables, B, C and the initial values) is built per
-    spec as in a solve of that spec alone; every product and transform
-    after it runs once on all the columns, and each column rounds as in
-    that solve.
+    spec; every product and transform after it runs once on all the
+    columns, and each column rounds as in a solve of its spec alone.
 
     The unknown is the acceleration because that symbol is well
     conditioned; eliminating v too leaves a symbol in z led by (1-s)^2,
@@ -140,24 +136,14 @@ def _zform_columns(specs, data: InitialData, grid: TimeGrid, f=None):
 
     For a < 1 the z-form has no source term in psi2 (it would be
     tau^a psi2 t^{-a}/Gamma(1-a)), so psi2 != 0 is refused with ModelError.
-    A refusal or a blow-up is raised for the first spec in order that
-    meets one, as solving the specs one by one would meet them.
+    Every refusal, of any spec, is raised before the first product; a
+    blow-up is raised for the first spec in order whose columns meet one.
     """
     basis = data.basis
     h = grid.h
     n_steps = grid.steps
     farr = _forcing_array(f, basis, grid)
-    tables, parts, refusal = [], [], None
-    for spec in specs:
-        try:
-            table, columns = _zform_terms(spec, data, grid, farr)
-        except ModelError as exc:
-            refusal = exc  # raised once the specs before it are solved
-            break
-        tables.append(table)
-        parts.append(columns)
-    if not parts:
-        raise refusal
+    tables, parts = zip(*[_zform_terms(spec, data, grid, farr) for spec in specs])
     z0, v0, acc0, d, k, g = (np.concatenate(p, axis=-1) for p in zip(*parts))
     c = 4.0 * np.arange(n_steps)
     c[0] = 1.0
@@ -176,21 +162,19 @@ def _zform_columns(specs, data: InitialData, grid: TimeGrid, f=None):
         acc = np.vstack([acc0, acc])
         z_t = np.vstack([v0, v0 + 0.5 * h * np.cumsum(acc[:-1] + acc[1:], axis=0)])
     finite = np.isfinite(z) & np.isfinite(z_t)
-    for spec, cols in zip(specs, _column_blocks(len(tables), basis.size)):
+    for spec, cols in zip(specs, _column_blocks(len(specs), basis.size)):
         rows = finite[:, cols].all(axis=1)
         if not np.all(rows):
             node = int(np.argmin(rows))
             raise SolverBlowUpError(
                 node, f"solution became non-finite at node {node} (alpha = {spec.alpha})"
             )
-    if refusal is not None:
-        raise refusal
-    return tables, z, z_t
+    return ZTrajectory(grid, z, z_t, list(specs), list(tables))
 
 
 def _zform_terms(spec: ModelSpec, data: InitialData, grid: TimeGrid, farr: np.ndarray):
     """(tables, (z0, v0, acc0, d, k, g)): the kernel tables and the terms
-    of the z-form system of one spec, as ``_zform_columns`` names them."""
+    of the z-form system of one spec, as ``solve_zform`` names them."""
     if spec.family is not Family.II or spec.nonlinearity is not Nonlinearity.LINEAR:
         raise ModelError("the memory solver serves the linear family ii only")
     if spec.alpha < 1.0 and np.any(data.psi2.coeffs != 0.0):
@@ -227,27 +211,24 @@ def _column_blocks(count: int, modes: int):
 def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
     """Recover psi from z two independent ways and report the discrepancy.
 
-    Returns (psi, max_discrepancy): psi from the convolution form
-    E_{a,1}(-(t/tau)^a) psi0 + k_a * z; the discrepancy is against
-    ``relaxation_check``, the discrete relaxation equation solved by plain
-    substitution.  A large discrepancy signals a kernel or Mittag-Leffler
-    bug.
+    Returns (psi, discrepancies): psi, in the columns of ``ztraj.z``, from
+    the convolution form E_{a,1}(-(t/tau)^a) psi0 + k_a * z, each spec's
+    block of columns with its own tables, all in one product; and per spec
+    the largest discrepancy of its block against ``relaxation_check``, the
+    discrete relaxation equation solved by plain substitution.  A large
+    discrepancy signals a kernel or Mittag-Leffler bug.
     """
-    psi = _psi_columns([ztraj.tables], ztraj.z, psi0_coeffs)
-    psi_check = relaxation_check(ztraj.spec, ztraj.grid, ztraj.z, psi0_coeffs)
-    return psi, float(np.max(np.abs(psi - psi_check)))
-
-
-def _psi_columns(tables, z: np.ndarray, psi0_coeffs: np.ndarray) -> np.ndarray:
-    """The convolution route of ``recover_psi`` on the columns of
-    ``_zform_columns``: E_{a,1}(-(t/tau)^a) psi0 + k_a * z, each block of
-    columns with its own tables, all in one product."""
+    tables = ztraj.tables
     m = psi0_coeffs.size
     psi = np.hstack([t.e1[:, None] * psi0_coeffs[None, :] for t in tables])
     w = np.repeat(np.stack([t.w for t in tables], axis=1), m, axis=1)
     q = np.repeat(np.stack([t.q for t in tables], axis=1), m, axis=1)
-    psi[1:] += causal_conv(w, z[1:]) + q * z[0]
-    return psi
+    psi[1:] += causal_conv(w, ztraj.z[1:]) + q * ztraj.z[0]
+    discrepancies = []
+    for spec, cols in zip(ztraj.specs, _column_blocks(len(tables), m)):
+        check = relaxation_check(spec, ztraj.grid, ztraj.z[:, cols], psi0_coeffs)
+        discrepancies.append(float(np.max(np.abs(psi[:, cols] - check))))
+    return psi, discrepancies
 
 
 def relaxation_check(spec: ModelSpec, grid: TimeGrid, z: np.ndarray, psi0_coeffs):
@@ -318,34 +299,25 @@ def _forward_substitution(d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_fmgt2(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
-    """Full pipeline for linear family II: z-form solve plus psi recovery;
-    the one-spec call of ``solve_fmgt2_all``."""
-    return solve_fmgt2_all([spec], data, grid, f)[0]
-
-
 def solve_fmgt2_all(specs, data: InitialData, grid: TimeGrid, f=None) -> list:
     """The trajectory of every spec on one data, grid and source: one
-    z-form solve and one convolution route of the psi recovery for all of
-    them (``_zform_columns``); the tables and the check route of the
-    recovery stay per spec.  Each trajectory equals its spec's own
-    ``solve_fmgt2`` bit for bit.
+    ``solve_zform`` and one ``recover_psi`` for all of them, then the
+    difference derivatives, split into one trajectory per spec.  Each
+    trajectory equals a solve of its spec alone bit for bit.
 
     psi_t and psi_tt are difference derivatives of the recovered signal (the
     reconstruction identities hold to quadrature tolerance).
     """
     if not specs:
         return []
-    tables, z, z_t = _zform_columns(specs, data, grid, f)
-    psi = _psi_columns(tables, z, data.psi0.coeffs)
+    ztraj = solve_zform(specs, data, grid, f)
+    psi, discrepancies = recover_psi(ztraj, data.psi0.coeffs)
     psi_t = first_derivative(psi, grid.h)
     psi_tt = second_derivative(psi, grid.h)
     mu = np.gradient(psi_tt, grid.h, axis=0)
     out = []
-    for spec, cols in zip(specs, _column_blocks(len(specs), data.basis.size)):
-        own = [a[:, cols].copy() for a in (mu, psi, psi_t, psi_tt)]
-        check = relaxation_check(spec, grid, z[:, cols], data.psi0.coeffs)
-        traj = Trajectory(data.basis, grid, *own)
-        traj.diagnostics["recovery_discrepancy"] = float(np.max(np.abs(own[1] - check)))
+    for disc, cols in zip(discrepancies, _column_blocks(len(specs), data.basis.size)):
+        traj = Trajectory(data.basis, grid, *(a[:, cols].copy() for a in (mu, psi, psi_t, psi_tt)))
+        traj.diagnostics["recovery_discrepancy"] = disc
         out.append(traj)
     return out

@@ -24,8 +24,7 @@ from fmgt import (
     limit_discrepancy,
     ml,
 )
-from fmgt.analysis import energy_high, energy_low, limit_study
-from fmgt.memory import solve_fmgt2
+from fmgt.analysis import energy_high, energy_low, limit_study, solve
 from fmgt.mittag_leffler import RelaxationKernel, kernel_mass, kernel_value
 from fmgt.models import (
     Family,
@@ -236,7 +235,7 @@ class TestAcceptance:
             sols = {}
             for n in (256, 512):
                 grid = TimeGrid(1.0, n)
-                sols[n] = (solve_fmgt2(spec, data, grid), solve_direct_l1(spec, data, grid))
+                sols[n] = (solve(spec, data, grid), solve_direct_l1(spec, data, grid))
             tm, tl = sols[512]
             disagreement = linf_h1(tm.psi, tl.psi)
             est = max(

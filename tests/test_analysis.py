@@ -17,7 +17,7 @@ from fmgt.analysis import (
     solve,
     solve_all,
 )
-from fmgt.memory import solve_fmgt2
+from fmgt.memory import solve_fmgt2_all
 from fmgt.models import (
     Family,
     InitialData,
@@ -58,7 +58,7 @@ class TestSolveDispatch:
                 solve(spec, data, grid)
             return
         if variant.family is Family.II:
-            want = solve_fmgt2(spec, data, grid)
+            want = solve_fmgt2_all([spec], data, grid)[0]
         elif linear:
             want = solve_linear(spec, data, grid)
         else:

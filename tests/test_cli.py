@@ -539,8 +539,8 @@ class TestArtifacts:
 
     def test_one_solver_dispatch(self):
         # only analysis.solve_all calls the solvers: cli and limit_study
-        # solve through it, and memory's one-spec call through its batch
-        solvers = {"solve_fmgt2", "solve_fmgt2_all", "solve_linear", "picard_nonlinear"}
+        # solve through it
+        solvers = {"solve_fmgt2_all", "solve_linear", "picard_nonlinear"}
         calls = set()
         for path in sorted((SRC / "fmgt").glob("*.py")):
             for func in ast.walk(ast.parse(path.read_text())):
@@ -555,7 +555,6 @@ class TestArtifacts:
             ("analysis", "solve_all", "solve_fmgt2_all"),
             ("analysis", "solve_all", "solve_linear"),
             ("analysis", "solve_all", "picard_nonlinear"),
-            ("memory", "solve_fmgt2", "solve_fmgt2_all"),
         }
 
     def test_kernels_subcommand(self, tmp_path):

@@ -17,7 +17,6 @@ from fmgt.memory import (
     _forward_substitution,
     memory_tables,
     recover_psi,
-    solve_fmgt2,
     solve_fmgt2_all,
     solve_zform,
     z_initial,
@@ -54,7 +53,7 @@ class TestZForm:
         spec = linear_ii(0.5, tau=1.0, c=1.0, delta=1e-12)
         data = InitialData(b.unit_mode(0, 1.0), b.zero_field(), b.zero_field())
         grid = TimeGrid(1.0, 1024)
-        zt = solve_zform(spec, data, grid)
+        zt = solve_zform([spec], data, grid)
         assert np.max(np.abs(zt.z[:, 0] - np.cos(grid.nodes))) < 1e-6
 
     def test_alpha_one_matches_classical_through_z(self, basis_pi):
@@ -64,7 +63,7 @@ class TestZForm:
             b.unit_mode(0, 1.0), b.unit_mode(0, 0.3), b.unit_mode(0, -0.2)
         )
         grid = TimeGrid(1.0, 1024)
-        zt = solve_zform(spec, data, grid)
+        zt = solve_zform([spec], data, grid)
         ref = classical_mgt_reference(spec, data, grid)
         z_ref = spec.params.tau * ref.psi_t + ref.psi
         assert np.max(np.abs(zt.z - z_ref)) < 1e-6
@@ -73,7 +72,7 @@ class TestZForm:
         b = basis_pi
         spec = linear_ii(0.7)
         data = InitialData(b.zero_field(), b.zero_field(), b.zero_field())
-        zt = solve_zform(spec, data, TimeGrid(1.0, 64))
+        zt = solve_zform([spec], data, TimeGrid(1.0, 64))
         assert np.max(np.abs(zt.z)) == 0.0
 
     def test_psi1_rejected_for_fractional_order(self, basis_pi):
@@ -81,17 +80,18 @@ class TestZForm:
         spec = linear_ii(0.5)
         data = InitialData(b.unit_mode(0, 1.0), b.unit_mode(0, 0.1), b.zero_field())
         with pytest.raises(ModelError, match="singular at t = 0"):
-            solve_zform(spec, data, TimeGrid(1.0, 64))
+            solve_zform([spec], data, TimeGrid(1.0, 64))
 
     def test_psi2_rejected_for_fractional_order(self):
         # the z-form has no tau^a psi2 t^-a / Gamma(1-a) source term: psi2
         # used to be dropped, leaving psi(T) as with psi2 = 0
         b = EigenBasis(Domain.interval(1.0), 4)
         data = InitialData(b.unit_mode(0, 1e-3), b.zero_field(), b.unit_mode(0, 5e-3))
-        for solver in (solve_zform, solve_fmgt2):
+        for solver in (solve_zform, solve_fmgt2_all):
             with pytest.raises(ModelError, match="psi2 = 0"):
-                solver(linear_ii(0.7), data, TimeGrid(1.0, 64))
-        assert np.isfinite(solve_fmgt2(linear_ii(1.0), data, TimeGrid(1.0, 64)).psi).all()
+                solver([linear_ii(0.7)], data, TimeGrid(1.0, 64))
+        (traj,) = solve_fmgt2_all([linear_ii(1.0)], data, TimeGrid(1.0, 64))
+        assert np.isfinite(traj.psi).all()
 
     def test_initial_values(self, basis_pi):
         b = basis_pi
@@ -108,7 +108,7 @@ class TestZForm:
         spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.5)
         data = InitialData(b.unit_mode(0, 1.0), b.zero_field(), b.zero_field())
         with pytest.raises(ModelError):
-            solve_zform(spec, data, TimeGrid(1.0, 64))
+            solve_zform([spec], data, TimeGrid(1.0, 64))
 
 
 def zform_loop(spec, data, grid, farr):
@@ -141,7 +141,7 @@ def zform_loop(spec, data, grid, farr):
 def assert_matches_loop(spec, data, grid, farr=None):
     if farr is None:
         farr = np.zeros((grid.steps + 1, data.basis.size))
-    zt = solve_zform(spec, data, grid, farr)
+    zt = solve_zform([spec], data, grid, farr)
     z, z_t = zform_loop(spec, data, grid, farr)
     for got, want in ((zt.z, z), (zt.z_t, z_t)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -177,33 +177,30 @@ class TestZFormAgainstLoop:
 
 
 class TestRecovery:
-    def test_constant_fixed_point(self, basis_pi):
-        b = basis_pi
+    def test_constant_fixed_point(self):
         grid = TimeGrid(1.0, 256)
         spec = linear_ii(0.5)
         tables = memory_tables(spec, grid)
-        zt = ZTrajectory(b, grid, np.full((257, 1), 0.7), np.zeros((257, 1)), spec, tables)
-        psi, disc = recover_psi(zt, np.array([0.7]))
+        zt = ZTrajectory(grid, np.full((257, 1), 0.7), np.zeros((257, 1)), [spec], [tables])
+        psi, (disc,) = recover_psi(zt, np.array([0.7]))
         assert np.max(np.abs(psi - 0.7)) < 1e-14
         assert disc < 1e-13
 
-    def test_exponential_relaxation(self, basis_pi):
-        b = basis_pi
+    def test_exponential_relaxation(self):
         grid = TimeGrid(1.0, 512)
         spec = linear_ii(1.0, tau=1.0)
         tables = memory_tables(spec, grid)
-        zt = ZTrajectory(b, grid, np.zeros((513, 1)), np.zeros((513, 1)), spec, tables)
-        psi, disc = recover_psi(zt, np.array([1.0]))
+        zt = ZTrajectory(grid, np.zeros((513, 1)), np.zeros((513, 1)), [spec], [tables])
+        psi, (disc,) = recover_psi(zt, np.array([1.0]))
         assert np.max(np.abs(psi[:, 0] - np.exp(-grid.nodes))) < 1e-13
         assert disc < 1e-6  # trapezoid route carries its own O(h^2)
 
-    def test_ml_relaxation(self, basis_pi):
-        b = basis_pi
+    def test_ml_relaxation(self):
         grid = TimeGrid(1.0, 512)
         spec = linear_ii(0.5, tau=1.0)
         tables = memory_tables(spec, grid)
-        zt = ZTrajectory(b, grid, np.zeros((513, 1)), np.zeros((513, 1)), spec, tables)
-        psi, disc = recover_psi(zt, np.array([1.0]))
+        zt = ZTrajectory(grid, np.zeros((513, 1)), np.zeros((513, 1)), [spec], [tables])
+        psi, (disc,) = recover_psi(zt, np.array([1.0]))
         exact = np.array([ml_scalar(0.5, 1.0, -np.sqrt(t)) if t > 0 else 1.0 for t in grid.nodes])
         assert np.max(np.abs(psi[:, 0] - exact)) < 1e-13
         # the L1 route sees the sqrt-cusp: discrepancy ~ O(h^alpha) near 0
@@ -232,7 +229,7 @@ class TestCrossFormulation:
         sols = {}
         for n in (256, 512):
             grid = TimeGrid(1.0, n)
-            sols[n] = (solve_fmgt2(spec, data, grid), solve_direct_l1(spec, data, grid))
+            sols[n] = (solve_fmgt2_all([spec], data, grid)[0], solve_direct_l1(spec, data, grid))
         tm, tl = sols[512]
         disagreement = linf_h1(tm.psi, tl.psi)
         est_m = linf_h1(sols[256][0].psi, tm.psi[::2])
@@ -241,7 +238,7 @@ class TestCrossFormulation:
 
     def test_recovery_discrepancy_recorded(self, bump_setup):
         b, data = bump_setup
-        traj = solve_fmgt2(linear_ii(0.7), data, TimeGrid(1.0, 256))
+        traj = solve_fmgt2_all([linear_ii(0.7)], data, TimeGrid(1.0, 256))[0]
         assert "recovery_discrepancy" in traj.diagnostics
         assert traj.diagnostics["recovery_discrepancy"] < 1e-2
 
@@ -260,7 +257,7 @@ class TestBatch:
         batch = solve_fmgt2_all(specs, data, grid, farr)
         assert len(batch) == len(specs)
         for spec, got in zip(specs, batch):
-            want = solve_fmgt2(spec, data, grid, farr)
+            want = solve_fmgt2_all([spec], data, grid, farr)[0]
             for name in ("psi", "psi_t", "psi_tt", "mu"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (spec.alpha, name)
             assert got.diagnostics == want.diagnostics
@@ -290,7 +287,7 @@ class TestBatch:
     @staticmethod
     def _node(spec, data, grid):
         try:
-            solve_fmgt2(spec, data, grid)
+            solve_fmgt2_all([spec], data, grid)
         except SolverBlowUpError as exc:
             return exc.node
         return None
@@ -307,18 +304,22 @@ class TestBatch:
         assert exc.value.node == nodes[first] > 1
         assert f"node {nodes[first]} (alpha = {alphas[first]})" in str(exc.value)
 
-    def test_failures_in_the_order_of_the_specs(self):
-        # a refused spec after one that blows up: the blow-up, as solving
-        # them one by one meets it first; the other way round, the refusal
-        # (psi1 != 0 is refused below alpha = 1)
+    def test_refusal_before_any_toeplitz_product(self, monkeypatch):
+        # a refused spec (psi1 != 0 is refused below alpha = 1) stops the
+        # batch before the first product, on either side of a spec that
+        # would blow up
+        def refuse(*args):
+            raise AssertionError("Toeplitz product before the refusal")
+
+        for name in ("series_reciprocal", "causal_conv", "CausalFilter"):
+            monkeypatch.setattr(fmgt.memory, name, refuse)
         b = EigenBasis(Domain.interval(1.0), 8)
         data = InitialData(b.unit_mode(0, 1e305), b.unit_mode(1, 1.0), b.zero_field())
         grid = TimeGrid(2.0, 64)
         specs = [linear_ii(1.0, tau=0.01), linear_ii(0.9)]
-        with pytest.raises(SolverBlowUpError, match=r"alpha = 1\.0"):
-            solve_fmgt2_all(specs, data, grid)
-        with pytest.raises(ModelError, match="psi1 = 0"):
-            solve_fmgt2_all(specs[::-1], data, grid)
+        for batch in (specs, specs[::-1]):
+            with pytest.raises(ModelError, match="psi1 = 0"):
+                solve_fmgt2_all(batch, data, grid)
 
 
 class TestKernelTables:
@@ -333,7 +334,7 @@ class TestKernelTables:
         for name, module in list(sys.modules.items()):
             if name.startswith("fmgt") and getattr(module, "ml", None) is scalar:
                 monkeypatch.setattr(module, "ml", refuse)
-        traj = solve_fmgt2(linear_ii(0.7), bump_setup[1], TimeGrid(2.0, 128))
+        traj = solve_fmgt2_all([linear_ii(0.7)], bump_setup[1], TimeGrid(2.0, 128))[0]
         assert np.all(np.isfinite(traj.psi))
 
     def test_each_table_built_once(self, bump_setup, monkeypatch):
@@ -347,7 +348,7 @@ class TestKernelTables:
             return table(alpha, betas, x)
 
         monkeypatch.setattr(fmgt.mittag_leffler, "_ml_table", counting)
-        solve_fmgt2(linear_ii(0.7), bump_setup[1], TimeGrid(2.0, 128))
+        solve_fmgt2_all([linear_ii(0.7)], bump_setup[1], TimeGrid(2.0, 128))
         assert calls == [(0.7, (1.0, 2.0), 129)]
 
     def test_tables_match_scalar_ml(self):
@@ -366,7 +367,7 @@ class TestForcedRuns:
         grid = TimeGrid(1.0, 1024)
         farr = np.zeros((1025, 1))
         farr[:, 0] = 0.5 * np.sin(2 * grid.nodes)
-        zt = solve_zform(spec, data, grid, farr)
+        zt = solve_zform([spec], data, grid, farr)
         ref = classical_mgt_reference(spec, data, grid, farr)
         z_ref = ref.psi_t + ref.psi
         assert np.max(np.abs(zt.z - z_ref)) < 1e-5
@@ -380,7 +381,7 @@ class TestForcedRuns:
             grid = TimeGrid(1.0, n)
             farr = np.zeros((n + 1, 1))
             farr[:, 0] = np.cos(3 * grid.nodes)
-            sols[n] = solve_fmgt2(spec, data, grid, farr)
+            sols[n] = solve_fmgt2_all([spec], data, grid, farr)[0]
         e1 = np.max(np.abs(sols[256].psi - sols[512].psi[::2]))
         e2 = np.max(np.abs(sols[512].psi - sols[1024].psi[::2]))
         assert e2 < e1
@@ -399,7 +400,7 @@ class TestEnergyBoundedness:
         cs = []
         for n in (128, 256, 512):
             grid = TimeGrid(1.0, n)
-            zt = solve_zform(spec, data, grid)
+            zt = solve_zform([spec], data, grid)
             z_tt = first_derivative(zt.z_t, grid.h)
             lhs = (
                 np.max(np.sum(z_tt**2 / lam[None, :], axis=1))
@@ -416,7 +417,7 @@ class TestEnergyBoundedness:
         b, data = bump_setup
         spec = linear_ii(0.5, tau=1.0, c=1.0, delta=0.5)
         grid = TimeGrid(8.0, 1024)
-        zt = solve_zform(spec, data, grid)
+        zt = solve_zform([spec], data, grid)
         z1 = zt.z[:, 0]
         crossings = np.where(np.diff(np.sign(z1)) != 0)[0]
         if crossings.size >= 2:
