@@ -20,7 +20,6 @@ Subpackages by responsibility:
 
 from .fractional import (
     DomainError,
-    SampledSignal,
     TimeGrid,
     abel_integral,
     alikhanov_gap,
@@ -46,7 +45,6 @@ from .spectral import Domain, EigenBasis, SpectralField
 
 __all__ = [
     "DomainError",
-    "SampledSignal",
     "TimeGrid",
     "abel_integral",
     "alikhanov_gap",

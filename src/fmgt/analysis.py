@@ -12,12 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fractional import (
-    SampledSignal,
-    TimeGrid,
-    _trapezoid_weights,
-    abel_integral,
-)
+from .fractional import TimeGrid, _trapezoid_weights, abel_integral
 from .memory import solve_fmgt2_all
 from .mittag_leffler import RelaxationKernel, kernel_mass, kernel_value
 from .models import (
@@ -128,11 +123,11 @@ def _damping_forms(traj: Trajectory, alpha: float):
         v = traj.psi_t  # I^1 psi_tt up to data; use carried derivative
         damping = float(np.dot(wq, np.sum(lam[None, :] * traj.psi_tt**2, axis=1)))
         return damping, float(np.max(np.sum(lam[None, :] * v**2, axis=1)))
-    v = abel_integral(SampledSignal(grid, traj.psi_tt), alpha).values  # D^{2-a} psi - data
+    v = abel_integral(traj.psi_tt, alpha, grid.h)  # D^{2-a} psi - data
     inner = np.sum(lam[None, :] * v * traj.psi_tt, axis=1)
     damping = float(np.dot(wq, inner))
     s = np.sum(lam[None, :] * v**2, axis=1)
-    acc = abel_integral(SampledSignal(grid, s), 1.0 - alpha).values
+    acc = abel_integral(s, 1.0 - alpha, grid.h)
     return damping, float(np.max(acc))
 
 

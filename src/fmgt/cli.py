@@ -26,13 +26,7 @@ from .analysis import (
     solve_all,
 )
 from .config import ConfigError, RunConfig
-from .fractional import (
-    DomainError,
-    SampledSignal,
-    TimeGrid,
-    alikhanov_gap,
-    coercivity_quadform,
-)
+from .fractional import DomainError, TimeGrid, alikhanov_gap, coercivity_quadform
 from .models import ModelError, ModelSpec, Nonlinearity, SolverError, catalog, describe
 
 EXIT_CONFIG = 2
@@ -142,8 +136,8 @@ def cmd_run(args) -> int:
             for _ in range(rng.integers(1, 5)):
                 w += rng.normal() * np.sin(rng.uniform(0.5, 10) * g.nodes + rng.uniform(0, 7))
             a = rng.uniform(0.1, 0.9)
-            worst_q = min(worst_q, coercivity_quadform(SampledSignal(g, w), a))
-            worst_a = min(worst_a, float(alikhanov_gap(SampledSignal(g, w), a).values.min()))
+            worst_q = min(worst_q, coercivity_quadform(w, a, g.h))
+            worst_a = min(worst_a, float(alikhanov_gap(w, a, g.h).min()))
         kp = kato_ponce_check(seed=args.seed)
         summary["selfcheck"] = {
             "signals": count,

@@ -5,9 +5,10 @@ orders in (0,1) and (1,2), and the quadratic forms behind the coercivity and
 Alikhanov-type inequalities used by the energy analysis.  All operators are
 product-integration rules that integrate the power kernel exactly against a
 piecewise-linear interpolant of the smooth factor (the classical L1 scheme
-for the Caputo derivative).  A signal holds one row per node, of any shape,
-and every operator acts along that first axis alone: each signal of a
-stack gets the result it gets on its own.
+for the Caputo derivative).  Each operator takes a sample array with one
+row per node, of any shape, and the grid spacing h, and acts along that
+first axis alone: each column of a stack gets the result it gets on its
+own.  Results are float arrays whatever the samples' dtype.
 """
 from __future__ import annotations
 
@@ -80,59 +81,32 @@ def _stirling(x: float) -> float:
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) for one real x, operation for operation cephes' Gamma, the
-    routine behind scipy.special.gamma, so the two agree bit for bit.
+    """Gamma(x) for one real x > 0, operation for operation cephes' Gamma,
+    the routine behind scipy.special.gamma, so the two agree bit for bit.
 
-    Recurrence down (or up) to [2, 3) and the rational approximation there;
-    Stirling's series for x > 33 and reflection for x < -33.  Poles: +inf at
-    +0.0, -inf at -0.0, nan at the negative integers; nan at -inf and nan.
+    Stirling's series above 33, +inf from 171.62 on; the two-term series of
+    1/Gamma below 1e-9; else recurrence down (or up) to [2, 3) and the
+    rational approximation there.  Every caller passes x > 0: any other x
+    raises DomainError.
     """
     x = float(x)
-    if not math.isfinite(x):
-        return x if x > 0 else math.nan
-    if x == 0.0:
-        return math.copysign(math.inf, x)
-    q = abs(x)
-    if q > 33.0:
-        if x > 0.0:
-            return _stirling(x)
-        p = float(math.floor(q))
-        if p == q:
-            return math.nan
-        sign = -1.0 if int(p) % 2 == 0 else 1.0
-        z = q - p
-        if z > 0.5:
-            p += 1.0
-            z = q - p
-        z = q * math.sin(math.pi * z)
-        if z == 0.0:
-            return sign * math.inf
-        return sign * (math.pi / (abs(z) * _stirling(q)))
+    if not x > 0.0:
+        raise DomainError(f"gamma takes x > 0, got {x}")
+    if x > 33.0:
+        return _stirling(x)
+    if x < 1e-9:  # 1/Gamma(x) = x + euler x^2 + O(x^3)
+        return 1.0 / ((1.0 + 0.5772156649015329 * x) * x)
     z = 1.0
     while x >= 3.0:
         x -= 1.0
         z *= x
-    while x < 0.0:
-        if x > -1e-9:
-            return _gamma_small(x, z)
-        z /= x
-        x += 1.0
     while x < 2.0:
-        if x < 1e-9:
-            return _gamma_small(x, z)
         z /= x
         x += 1.0
     if x == 2.0:
         return z
     x -= 2.0
     return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
-
-
-def _gamma_small(x: float, z: float) -> float:
-    """z Gamma(x) for |x| < 1e-9, where 1/Gamma(x) = x + euler x^2 + O(x^3)."""
-    if x == 0.0:  # reached from a negative integer
-        return math.nan
-    return z / ((1.0 + 0.5772156649015329 * x) * x)
 
 
 @dataclass(frozen=True)
@@ -156,25 +130,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         # node 0 is exactly 0
         return np.arange(self.steps + 1) * self.h
-
-
-@dataclass
-class SampledSignal:
-    """Vector-valued samples, one row per grid node."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[0] != self.grid.steps + 1:
-            raise ValueError(
-                f"expected {self.grid.steps + 1} rows, got {self.values.shape[0]}"
-            )
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.values.ndim == 1
 
 
 def gamma_kernel(gamma_: float, t):
@@ -223,22 +178,23 @@ def power_weights_linear(p: float, n_steps: int, h: float):
 def _power_convolve_linear(values: np.ndarray, p: float, h: float) -> np.ndarray:
     """Evaluate int_0^{t_n} (t_n-s)^p w(s) ds at every node, linear interpolant."""
     c0, d = power_weights_linear(p, values.shape[0] - 1, h)
-    out = np.zeros_like(values)
+    out = np.zeros(values.shape)
     # sum_{j=1..n} d[n-j] w_j is a causal convolution of d with w_1..w_n
     out[1:] = causal_conv(d, values[1:]) + np.multiply.outer(c0[1:], values[0])
     return out
 
 
-def abel_integral(w: SampledSignal, gamma_: float) -> SampledSignal:
-    """Fractional integral I^gamma w by product integration, gamma in (0, 1].
+def abel_integral(values: np.ndarray, order: float, h: float) -> np.ndarray:
+    """Fractional integral I^order of samples by product integration, order
+    in (0, 1].
 
     The power kernel is integrated exactly against the piecewise-linear
-    interpolant of w, so the rule is exact on piecewise-linear inputs.
+    interpolant of the samples, so the rule is exact on piecewise-linear
+    inputs.
     """
-    if not (0 < gamma_ <= 1):
-        raise DomainError(f"integration order must lie in (0, 1], got {gamma_}")
-    conv = _power_convolve_linear(w.values, gamma_ - 1.0, w.grid.h)
-    return SampledSignal(w.grid, conv / gamma(gamma_))
+    if not (0 < order <= 1):
+        raise DomainError(f"integration order must lie in (0, 1], got {order}")
+    return _power_convolve_linear(values, order - 1.0, h) / gamma(order)
 
 
 def l1_weights(gamma_: float, n_steps: int, h: float) -> np.ndarray:
@@ -251,7 +207,7 @@ def first_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """Second-order difference derivative along axis 0: centered interior,
     one-sided ends."""
     v = values
-    out = np.empty_like(v)
+    out = np.empty(v.shape)
     if v.shape[0] == 1:
         out[:] = 0.0
     elif v.shape[0] == 2:
@@ -269,33 +225,31 @@ def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     v = values
     if v.shape[0] < 4:
         raise DomainError("second differences need at least 4 nodes")
-    out = np.empty_like(v)
+    out = np.empty(v.shape)
     out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
     out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
     out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
     return out
 
 
-def caputo_derivative(w: SampledSignal, gamma_: float) -> SampledSignal:
-    """Caputo derivative of order gamma in (0,1) u (1,2); L1 product integration.
+def caputo_derivative(values: np.ndarray, order: float, h: float) -> np.ndarray:
+    """Caputo derivative of order in (0,1) u (1,2); L1 product integration.
 
-    gamma = 1 delegates to the standard difference derivative.  Orders in
-    (1, 2) are realized as I^{2-gamma} applied to the second difference of w.
+    Order 1 delegates to the standard difference derivative.  Orders in
+    (1, 2) are realized as I^{2-order} applied to the second difference.
     The first node is defined as 0 for fractional orders.
     """
-    h = w.grid.h
-    if gamma_ == 1.0:
-        return SampledSignal(w.grid, first_derivative(w.values, h))
-    if 0 < gamma_ < 1:
-        out = np.zeros_like(w.values)
-        b = l1_weights(gamma_, w.grid.steps, h)
-        out[1:] = causal_conv(b, np.diff(w.values, axis=0)) * (h ** (-gamma_) / gamma(2 - gamma_))
-        return SampledSignal(w.grid, out)
-    if 1 < gamma_ < 2:
-        acc = second_derivative(w.values, h)
-        conv = _power_convolve_linear(acc, (2 - gamma_) - 1.0, h)
-        return SampledSignal(w.grid, conv / gamma(2 - gamma_))
-    raise DomainError(f"Caputo order must lie in (0,2), got {gamma_}")
+    if order == 1.0:
+        return first_derivative(values, h)
+    if 0 < order < 1:
+        out = np.zeros(values.shape)
+        b = l1_weights(order, len(values) - 1, h)
+        out[1:] = causal_conv(b, np.diff(values, axis=0)) * (h ** (-order) / gamma(2 - order))
+        return out
+    if 1 < order < 2:
+        conv = _power_convolve_linear(second_derivative(values, h), (2 - order) - 1.0, h)
+        return conv / gamma(2 - order)
+    raise DomainError(f"Caputo order must lie in (0,2), got {order}")
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -309,7 +263,7 @@ def _node_sums(values: np.ndarray) -> np.ndarray:
     return np.sum(values.reshape(values.shape[0], -1), axis=1)
 
 
-def coercivity_quadform(w: SampledSignal, alpha: float) -> float:
+def coercivity_quadform(values: np.ndarray, alpha: float, h: float) -> float:
     """Discrete Abel quadratic form int_0^T <I^{1-alpha} w, w> dt.
 
     Nonnegative up to quadrature error; the discrete face of the
@@ -317,27 +271,25 @@ def coercivity_quadform(w: SampledSignal, alpha: float) -> float:
     """
     if not (0 < alpha < 1):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    inner = _node_sums(abel_integral(w, 1 - alpha).values * w.values)
-    wq = _trapezoid_weights(w.grid.steps, w.grid.h)
-    return float(np.dot(wq, inner))
+    inner = _node_sums(abel_integral(values, 1 - alpha, h) * values)
+    return float(np.dot(_trapezoid_weights(len(values) - 1, h), inner))
 
 
-def alikhanov_gap(w: SampledSignal, gamma_: float) -> SampledSignal:
-    """Node-wise w * D^gamma w - (1/2) D^gamma (w^2), computed with L1.
+def alikhanov_gap(values: np.ndarray, order: float, h: float) -> np.ndarray:
+    """Node-wise w * D^order w - (1/2) D^order (w^2), computed with L1.
 
     Every entry is nonnegative up to quadrature error for the L1 operator
     (discrete face of the Alikhanov inequality).
     """
-    if not w.is_scalar:
-        raise DomainError("alikhanov_gap expects a scalar-valued signal")
-    if not (0 < gamma_ < 1):
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma_}")
-    dw = caputo_derivative(w, gamma_).values
-    dw2 = caputo_derivative(SampledSignal(w.grid, w.values**2), gamma_).values
-    return SampledSignal(w.grid, w.values * dw - 0.5 * dw2)
+    if values.ndim != 1:
+        raise DomainError("alikhanov_gap expects one scalar sample per node")
+    if not (0 < order < 1):
+        raise DomainError(f"order must lie in (0, 1), got {order}")
+    dw = caputo_derivative(values, order, h)
+    return values * dw - 0.5 * caputo_derivative(values**2, order, h)
 
 
-def limit_discrepancy(w: SampledSignal, alpha: float) -> float:
+def limit_discrepancy(values: np.ndarray, alpha: float, h: float) -> float:
     """Discrete L2(0,T) norm of the damping-order defect D^{2-alpha} w - w_t.
 
     Realized as I^alpha applied to the second difference of w minus the
@@ -349,7 +301,6 @@ def limit_discrepancy(w: SampledSignal, alpha: float) -> float:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if alpha == 1.0:
         return 0.0
-    wt = first_derivative(w.values, w.grid.h)
-    frac = caputo_derivative(w, 2 - alpha).values
-    wq = _trapezoid_weights(w.grid.steps, w.grid.h)
-    return float(np.sqrt(np.dot(wq, _node_sums((frac - wt) ** 2))))
+    defect = caputo_derivative(values, 2 - alpha, h) - first_derivative(values, h)
+    wq = _trapezoid_weights(len(values) - 1, h)
+    return float(np.sqrt(np.dot(wq, _node_sums(defect**2))))

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fractional import (
-    SampledSignal,
     TimeGrid,
     first_derivative,
     gamma,
@@ -263,7 +262,7 @@ def residual(
     psi_t: np.ndarray,
     psi_tt: np.ndarray,
     f: np.ndarray | None = None,
-) -> SampledSignal:
+) -> np.ndarray:
     """Node-wise L2 norm of (model operator applied to the trajectory) - f.
 
     The trajectory is given as (N+1, modes) coefficient arrays for psi and its
@@ -304,4 +303,4 @@ def residual(
 
     if f is not None:
         total = total - f
-    return SampledSignal(grid, np.sqrt(np.sum(total**2, axis=1)))
+    return np.sqrt(np.sum(total**2, axis=1))

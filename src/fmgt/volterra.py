@@ -259,22 +259,24 @@ def _scan_sigma(sigma, n: int, grid_size: int):
 _UNBOUNDED = "sigma must be uniformly bounded (finite grid values)"
 
 
-def _sigma_grid_values(basis, grid, sigma):
-    """Validate a caller's sigma as an (N+1, Mgrid) collocation-value
-    trajectory.
-
-    The contract is grid values, never mode coefficients: the two shapes
-    coincide at cutoff 1, so no dispatch-by-shape is possible.  Values must
-    be finite (the analysis assumes a uniformly bounded coefficient), and
-    1 + sigma must be positive (the coefficient of the leading term may not
-    degenerate).
-    """
-    sigma = np.asarray(sigma, dtype=float)
+def _grid_values(name, basis, grid, values):
+    """A caller's coefficient as an (N+1, Mgrid) collocation-value
+    trajectory.  The contract is grid values, never mode coefficients: the
+    two shapes coincide at cutoff 1, so no dispatch-by-shape is possible."""
+    values = np.asarray(values, dtype=float)
     expected = (grid.steps + 1, basis.grid_size)
-    if sigma.shape != expected:
+    if values.shape != expected:
         raise DomainError(
-            f"sigma must be collocation values of shape {expected}, got {sigma.shape}"
+            f"{name} must be collocation values of shape {expected}, got {values.shape}"
         )
+    return values
+
+
+def _sigma_grid_values(basis, grid, sigma):
+    """Validate a caller's sigma as grid values that are finite (the
+    analysis assumes a uniformly bounded coefficient) and keep 1 + sigma
+    positive (the coefficient of the leading term may not degenerate)."""
+    sigma = _grid_values("sigma", basis, grid, sigma)
     n, low, finite = _scan_sigma(sigma, len(sigma), basis.grid_size)
     if not finite:
         raise DomainError(_UNBOUNDED)
@@ -294,13 +296,14 @@ def freeze(problem: VolterraProblem, sigma=None, grad_w=None) -> VolterraProblem
 
     sigma is an (N+1, Mgrid) array of grid values, which freeze validates,
     or Picard's ``_Synthesis`` of 2k w_t, which ``picard_nonlinear`` has
-    validated; grad_w is a per-axis list of either form.  Both are read a
-    block of nodes at a time, so neither a coefficient form nor
-    G(xi1 + t xi2) is ever formed on all nodes: the data parts are summed,
-    projected and taken from the forcing in one blockwise pass.  A data
-    part is built only when its data are nonzero; a zero one would subtract
-    zeros from the forcing.  Freezing adds no diagonal term, so the iterate
-    shares the problem's tables."""
+    validated; grad_w is a list of either form, one per axis of the domain,
+    its arrays checked for shape and finiteness.  Both are read a block of
+    nodes at a time, so neither a coefficient form nor G(xi1 + t xi2) is
+    ever formed on all nodes: the data parts are summed, projected and
+    taken from the forcing in one blockwise pass.  A data part is built
+    only when its data are nonzero; a zero one would subtract zeros from
+    the forcing.  Freezing adds no diagonal term, so the iterate shares the
+    problem's tables."""
     basis = problem.basis
     _, e_psit, e_psitt = problem.recon_exponents
     terms = list(problem.kernel.terms)
@@ -313,6 +316,13 @@ def freeze(problem: VolterraProblem, sigma=None, grad_w=None) -> VolterraProblem
             e_xi2 = basis.evaluate(problem.xi2)
     grad_data = False  # whether the gradient term has a data part
     if grad_w is not None:
+        ndim = basis.domain.ndim  # a missing axis would drop its term, an extra one go unread
+        if len(grad_w) != ndim:
+            raise DomainError(f"grad_w must hold {ndim} arrays, one per axis, got {len(grad_w)}")
+        if not isinstance(grad_w[0], _Synthesis):
+            grad_w = [_grid_values("grad_w", basis, problem.grid, g) for g in grad_w]
+            if not all(np.all(np.isfinite(g)) for g in grad_w):
+                raise DomainError("grad_w must hold finite grid values")
         coeff = 2.0 * problem.spec.l_eff
         terms.append(GradientTerm(e_psit, coeff, grad_w))
         grad_data = bool(np.any(problem.xi1) or np.any(problem.xi2))

@@ -15,7 +15,6 @@ from scipy.special import gamma as gamma_fn
 from fmgt import (
     Domain,
     EigenBasis,
-    SampledSignal,
     TimeGrid,
     abel_integral,
     alikhanov_gap,
@@ -102,20 +101,18 @@ class TestAcceptance:
         # monomial rules: exact for t (any order) and for t^2, t^3 at orders
         # in (1,2) (the composed realization integrates them exactly)
         g = TimeGrid(1.0, 256)
-        w_lin = SampledSignal(g, g.nodes.copy())
         exact_lin = max(
             np.max(
                 np.abs(
-                    caputo_derivative(w_lin, a).values
+                    caputo_derivative(g.nodes, a, g.h)
                     - g.nodes ** (1 - a) / gamma_fn(2 - a)
                 )
             )
             for a in (0.3, 0.5, 0.7)
         )
-        w_sq = SampledSignal(g, g.nodes**2)
         exact_high = np.max(
             np.abs(
-                caputo_derivative(w_sq, 1.5).values - 2 * g.nodes**0.5 / gamma_fn(1.5)
+                caputo_derivative(g.nodes**2, 1.5, g.h) - 2 * g.nodes**0.5 / gamma_fn(1.5)
             )
         )
         # observed L1 order 2 - gamma +/- 0.2
@@ -126,8 +123,7 @@ class TestAcceptance:
             ns = [64, 128, 256, 512]
             for n in ns:
                 gi = TimeGrid(1.0, n)
-                wi = SampledSignal(gi, gi.nodes**2)
-                got = caputo_derivative(wi, gam).values
+                got = caputo_derivative(gi.nodes**2, gam, gi.h)
                 errs.append(
                     np.max(np.abs(got - 2 * gi.nodes ** (2 - gam) / gamma_fn(3 - gam)))
                 )
@@ -136,11 +132,11 @@ class TestAcceptance:
             order_ok &= abs(slope - (2 - gam)) < 0.2
         # Abel semigroup
         g8 = TimeGrid(1.0, 8192)
-        ws = SampledSignal(g8, np.sin(3 * g8.nodes))
+        ws, h8 = np.sin(3 * g8.nodes), g8.h
         semi = np.max(
             np.abs(
-                abel_integral(abel_integral(ws, 0.3), 0.4).values
-                - abel_integral(ws, 0.7).values
+                abel_integral(abel_integral(ws, 0.3, h8), 0.4, h8)
+                - abel_integral(ws, 0.7, h8)
             )
         )
         # positivity on 50 randomized smooth signals
@@ -154,9 +150,8 @@ class TestAcceptance:
                     rng.uniform(0.5, 10) * gq.nodes + rng.uniform(0, 7)
                 )
             a = rng.uniform(0.1, 0.9)
-            s = SampledSignal(gq, sig)
-            worst = min(worst, coercivity_quadform(s, a))
-            worst = min(worst, float(alikhanov_gap(s, a).values.min()))
+            worst = min(worst, coercivity_quadform(sig, a, gq.h))
+            worst = min(worst, float(alikhanov_gap(sig, a, gq.h).min()))
         elapsed = time.perf_counter() - t0
         report(
             3,
@@ -173,16 +168,14 @@ class TestAcceptance:
     def test_criterion_04_limit_lemma(self):
         t0 = time.perf_counter()
         g = TimeGrid(1.0, 512)
-        w2 = SampledSignal(g, g.nodes**2)
         alphas = [0.9, 0.99, 0.999]
-        vals = [limit_discrepancy(w2, a) for a in alphas]
+        vals = [limit_discrepancy(g.nodes**2, a, g.h) for a in alphas]
         decreasing = vals[0] > vals[1] > vals[2]
         eps = [1 - a for a in alphas]
         q = np.polyfit(np.log(eps), np.log(vals), 1)[0]
         predicted_last = vals[0] * (eps[-1] / eps[0]) ** q
         ratio_ok = vals[-1] < 10.0 * predicted_last
-        w1 = SampledSignal(g, g.nodes.copy())
-        nonvanishing = limit_discrepancy(w1, 0.999)
+        nonvanishing = limit_discrepancy(g.nodes, 0.999, g.h)
         elapsed = time.perf_counter() - t0
         report(
             4,

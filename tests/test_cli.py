@@ -718,9 +718,9 @@ class TestWorkPerRun:
         orders = []
         abel = fmgt.fractional.abel_integral
 
-        def counting(w, order):
+        def counting(values, order, h):
             orders.append(order)
-            return abel(w, order)
+            return abel(values, order, h)
 
         for module in (fmgt.fractional, fmgt.analysis):
             monkeypatch.setattr(module, "abel_integral", counting)

@@ -8,7 +8,6 @@ from scipy.special import gamma as gamma_fn
 
 from fmgt import (
     DomainError,
-    SampledSignal,
     TimeGrid,
     abel_integral,
     alikhanov_gap,
@@ -18,6 +17,7 @@ from fmgt import (
     limit_discrepancy,
 )
 from fmgt.fractional import first_derivative, gamma, second_derivative
+from fmgt.oracles import _abel, _l1_caputo
 
 # the alphas of the presets' and the benchmark's alpha -> 1 sweeps, and the
 # orders the models are run at
@@ -25,19 +25,17 @@ SWEEP_ALPHAS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0)
 
 
 def assert_bitwise_equal(xs, expected):
-    """gamma(x) equals expected bit for bit at every x, nan where it is nan."""
+    """gamma(x) equals expected bit for bit at every x."""
     got = np.array([gamma(x) for x in xs])
     expected = np.asarray(expected, dtype=float)
-    same = (got.view(np.int64) == expected.view(np.int64)) | (
-        np.isnan(got) & np.isnan(expected)
-    )
-    bad = np.flatnonzero(~same)
+    bad = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
     assert bad.size == 0, [(xs[i], got[i], expected[i]) for i in bad[:5]]
 
 
 def make_signal(fn, T=1.0, N=256):
+    """The grid and fn's samples on its nodes."""
     g = TimeGrid(T, N)
-    return SampledSignal(g, fn(g.nodes))
+    return g, fn(g.nodes)
 
 
 class TestGammaKernel:
@@ -71,14 +69,13 @@ class TestGammaKernel:
 
 class TestGammaPort:
     """fractional.gamma is a port of the cephes routine behind
-    scipy.special.gamma and must agree with it bit for bit."""
+    scipy.special.gamma for x > 0 and must agree with it bit for bit."""
 
     def test_seeded_points_on_every_branch(self):
         rng = np.random.default_rng(20211)
         xs = np.concatenate(
             [
-                rng.uniform(-33.0, 0.0, 30_000),  # upward recurrence
-                rng.uniform(0.0, 3.0, 25_000),  # [2, 3) and below
+                rng.uniform(0.0, 3.0, 25_000),  # [2, 3) and upward recurrence
                 rng.uniform(3.0, 33.0, 25_000),  # downward recurrence
                 rng.uniform(33.0, 172.0, 25_000),  # Stirling, both sides of MAXSTIR
             ]
@@ -98,73 +95,75 @@ class TestGammaPort:
 
     def test_special_values(self):
         xs = [
-            0.0, -0.0, -1.0, -2.0, -33.0, -34.0, -171.0, -1e300,
-            -np.inf, np.inf, np.nan, 1e-320, -1e-320, 5e-324, -1e-10, 1e-10,
-            1.0, 2.0, 3.0, 33.0, 143.01608, 171.6243769563027, 171.62437695630274,
-            172.0, 1e300, -33.5, -170.5, -171.5, -180.5,
+            np.inf, 1e-320, 5e-324, 1e-10, 1.0, 2.0, 3.0, 33.0, 143.01608,
+            171.6243769563027, 171.62437695630274, 172.0, 1e300,
         ]
         assert_bitwise_equal(xs, gamma_fn(np.array(xs)))
-        assert gamma(0.0) == np.inf and gamma(-0.0) == -np.inf
-        assert np.isnan(gamma(-3.0)) and np.isnan(gamma(-np.inf))
-        assert gamma(1e-320) == np.inf and gamma(-1e-320) == -np.inf
+        assert gamma(1e-320) == np.inf
         assert gamma(171.6243769563027) == np.inf
+
+    def test_non_positive_and_nan_refused(self):
+        for x in (
+            0.0, -0.0, -1e-320, -1e-10, -1.0, -2.0, -3.0, -33.0, -33.5, -34.0,
+            -170.5, -171.0, -171.5, -180.5, -1e300, -np.inf, np.nan,
+        ):
+            with pytest.raises(DomainError, match="x > 0"):
+                gamma(x)
 
 
 class TestAbelIntegral:
     def test_constant(self):
-        w = make_signal(lambda t: np.ones_like(t))
-        out = abel_integral(w, 0.5)
-        exact = w.grid.nodes**0.5 / gamma_fn(1.5)
-        assert np.max(np.abs(out.values - exact)) < 1e-14
+        g, w = make_signal(lambda t: np.ones_like(t))
+        out = abel_integral(w, 0.5, g.h)
+        exact = g.nodes**0.5 / gamma_fn(1.5)
+        assert np.max(np.abs(out - exact)) < 1e-14
 
     def test_linear_terminal_value(self):
         # power rule: I^0.7 t = t^1.7 / Gamma(2.7); PI is exact on linears
-        w = make_signal(lambda t: t, N=256)
-        out = abel_integral(w, 0.7)
-        assert abs(out.values[-1] - 1.0 / gamma_fn(2.7)) < 1e-4
-        assert abs(out.values[-1] - 1.0 / gamma_fn(2.7)) < 1e-13
+        g, w = make_signal(lambda t: t, N=256)
+        out = abel_integral(w, 0.7, g.h)
+        assert abs(out[-1] - 1.0 / gamma_fn(2.7)) < 1e-4
+        assert abs(out[-1] - 1.0 / gamma_fn(2.7)) < 1e-13
 
     def test_semigroup_smooth(self):
-        g = TimeGrid(1.0, 8192)
-        w = SampledSignal(g, np.sin(3 * g.nodes))
-        lhs = abel_integral(abel_integral(w, 0.3), 0.4).values
-        rhs = abel_integral(w, 0.7).values
+        g, w = make_signal(lambda t: np.sin(3 * t), N=8192)
+        lhs = abel_integral(abel_integral(w, 0.3, g.h), 0.4, g.h)
+        rhs = abel_integral(w, 0.7, g.h)
         assert np.max(np.abs(lhs - rhs)) < 1e-7
 
     def test_half_twice_is_running_integral(self):
-        g = TimeGrid(1.0, 4096)
-        w = SampledSignal(g, np.sin(3 * g.nodes))
-        lhs = abel_integral(abel_integral(w, 0.5), 0.5).values
-        rhs = abel_integral(w, 1.0).values
+        g, w = make_signal(lambda t: np.sin(3 * t), N=4096)
+        lhs = abel_integral(abel_integral(w, 0.5, g.h), 0.5, g.h)
+        rhs = abel_integral(w, 1.0, g.h)
         assert np.max(np.abs(lhs - rhs)) < 1e-6
 
     def test_full_order_is_running_integral(self):
-        w = make_signal(np.cos, N=512)
-        out = abel_integral(w, 1.0).values
-        assert np.max(np.abs(out - np.sin(w.grid.nodes))) < 1e-5
+        g, w = make_signal(np.cos, N=512)
+        out = abel_integral(w, 1.0, g.h)
+        assert np.max(np.abs(out - np.sin(g.nodes))) < 1e-5
 
     def test_vector_valued(self):
         g = TimeGrid(1.0, 64)
         vals = np.stack([g.nodes, np.ones_like(g.nodes)], axis=1)
-        out = abel_integral(SampledSignal(g, vals), 0.5)
-        assert out.values.shape == (65, 2)
+        out = abel_integral(vals, 0.5, g.h)
+        assert out.shape == (65, 2)
         exact0 = g.nodes**1.5 / gamma_fn(2.5)
-        assert np.max(np.abs(out.values[:, 0] - exact0)) < 1e-13
+        assert np.max(np.abs(out[:, 0] - exact0)) < 1e-13
 
 
 class TestCaputoDerivative:
     def test_kills_constants(self):
-        w = make_signal(lambda t: 4.2 * np.ones_like(t))
+        g, w = make_signal(lambda t: 4.2 * np.ones_like(t))
         for gam in (0.3, 0.7, 1.5):
-            out = caputo_derivative(w, gam)
+            out = caputo_derivative(w, gam, g.h)
             # difference stencils amplify roundoff by 1/h^2
-            assert np.max(np.abs(out.values)) < 1e-10
+            assert np.max(np.abs(out)) < 1e-10
 
     def test_monomial_rule_linear_exact(self):
-        w = make_signal(lambda t: t)
+        g, w = make_signal(lambda t: t)
         for alpha in (0.25, 0.5, 0.9):
-            out = caputo_derivative(w, alpha).values
-            exact = w.grid.nodes ** (1 - alpha) / gamma_fn(2 - alpha)
+            out = caputo_derivative(w, alpha, g.h)
+            exact = g.nodes ** (1 - alpha) / gamma_fn(2 - alpha)
             assert np.max(np.abs(out - exact)) < 1e-12
 
     @pytest.mark.parametrize("gam", [0.3, 0.5, 0.7])
@@ -172,59 +171,83 @@ class TestCaputoDerivative:
         errs = []
         ns = [64, 128, 256, 512]
         for n in ns:
-            w = make_signal(lambda t: t**2, N=n)
-            out = caputo_derivative(w, gam).values
-            exact = 2 * w.grid.nodes ** (2 - gam) / gamma_fn(3 - gam)
+            g, w = make_signal(lambda t: t**2, N=n)
+            out = caputo_derivative(w, gam, g.h)
+            exact = 2 * g.nodes ** (2 - gam) / gamma_fn(3 - gam)
             errs.append(np.max(np.abs(out - exact)))
         slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert abs(slope - (2 - gam)) < 0.2
 
     def test_monomial_rules_cubic(self):
-        w = make_signal(lambda t: t**3, N=512)
+        g, w = make_signal(lambda t: t**3, N=512)
         for gam in (0.4, 0.8):
-            out = caputo_derivative(w, gam).values
-            exact = 6 * w.grid.nodes ** (3 - gam) / gamma_fn(4 - gam)
+            out = caputo_derivative(w, gam, g.h)
+            exact = 6 * g.nodes ** (3 - gam) / gamma_fn(4 - gam)
             # L1 error is O(h^{2-gamma}); ~1.3e-3 at gamma=0.8, N=512
             assert np.max(np.abs(out - exact)) < 5e-3
 
     def test_order_between_one_and_two_on_t2(self):
         # realized as I^{2-gamma} of the second difference: exact on monomials
-        w = make_signal(lambda t: t**2, N=128)
-        out = caputo_derivative(w, 1.5).values
-        exact = 2 * w.grid.nodes**0.5 / gamma_fn(1.5)
+        g, w = make_signal(lambda t: t**2, N=128)
+        out = caputo_derivative(w, 1.5, g.h)
+        exact = 2 * g.nodes**0.5 / gamma_fn(1.5)
         assert np.max(np.abs(out - exact)) < 1e-12
 
     def test_order_between_one_and_two_on_t3(self):
-        w = make_signal(lambda t: t**3, N=128)
-        out = caputo_derivative(w, 1.25).values
-        exact = 6 * w.grid.nodes**1.75 / gamma_fn(2.75)
+        g, w = make_signal(lambda t: t**3, N=128)
+        out = caputo_derivative(w, 1.25, g.h)
+        exact = 6 * g.nodes**1.75 / gamma_fn(2.75)
         assert np.max(np.abs(out - exact)) < 1e-11
 
     def test_order_one_is_difference_derivative(self):
-        w = make_signal(np.sin, N=512)
-        out = caputo_derivative(w, 1.0).values
-        assert np.max(np.abs(out - np.cos(w.grid.nodes))) < 1e-5
+        g, w = make_signal(np.sin, N=512)
+        out = caputo_derivative(w, 1.0, g.h)
+        assert np.max(np.abs(out - np.cos(g.nodes))) < 1e-5
 
     def test_first_node_zero(self):
-        w = make_signal(lambda t: np.exp(t))
-        assert caputo_derivative(w, 0.5).values[0] == 0.0
+        g, w = make_signal(lambda t: np.exp(t))
+        assert caputo_derivative(w, 0.5, g.h)[0] == 0.0
 
     def test_domain_error(self):
-        w = make_signal(lambda t: t)
+        g, w = make_signal(lambda t: t)
         for gam in (-0.5, 0.0, 2.0, 2.5):
             with pytest.raises(DomainError):
-                caputo_derivative(w, gam)
+                caputo_derivative(w, gam, g.h)
+
+
+class TestAgainstNaiveSum:
+    """The operators' FFT sums equal the residual oracle's dense sums of
+    the same weights, up to rounding, on every column of a stack."""
+
+    @staticmethod
+    def stack():
+        g = TimeGrid(1.0, 200)
+        return g, np.random.default_rng(11).normal(size=(g.steps + 1, 3))
+
+    @pytest.mark.parametrize("order", [0.3, 0.7, 1.0])
+    def test_abel_integral(self, order):
+        g, w = self.stack()
+        naive = _abel(w, order, g.h)
+        fast = abel_integral(w, order, g.h)
+        assert np.max(np.abs(fast - naive)) <= 1e-12 * np.max(np.abs(naive))
+
+    @pytest.mark.parametrize("order", [0.4, 0.8])
+    def test_caputo_derivative(self, order):
+        g, w = self.stack()
+        naive = _l1_caputo(w, order, g.h)
+        fast = caputo_derivative(w, order, g.h)
+        assert np.max(np.abs(fast - naive)) <= 1e-12 * np.max(np.abs(naive))
 
 
 class TestQuadraticForms:
     def test_coercivity_zero_signal(self):
-        w = make_signal(lambda t: np.zeros_like(t))
-        assert coercivity_quadform(w, 0.5) == 0.0
+        g, w = make_signal(lambda t: np.zeros_like(t))
+        assert coercivity_quadform(w, 0.5, g.h) == 0.0
 
     def test_coercivity_constant_closed_form(self):
         # I^{1/2} 1 = t^{1/2}/Gamma(3/2); integral over (0,T) = T^{3/2}/Gamma(5/2)
-        w = make_signal(lambda t: np.ones_like(t), T=1.0, N=512)
-        q = coercivity_quadform(w, 0.5)
+        g, w = make_signal(lambda t: np.ones_like(t), T=1.0, N=512)
+        q = coercivity_quadform(w, 0.5, g.h)
         assert q == pytest.approx(1.0 / gamma_fn(2.5), rel=1e-3)
 
     def test_coercivity_positive_on_random_smooth(self):
@@ -235,16 +258,21 @@ class TestQuadraticForms:
             for _ in range(rng.integers(1, 5)):
                 w += rng.normal() * np.sin(rng.uniform(0.5, 10) * g.nodes + rng.uniform(0, 7))
             alpha = rng.uniform(0.1, 0.9)
-            assert coercivity_quadform(SampledSignal(g, w), alpha) >= -1e-10
+            assert coercivity_quadform(w, alpha, g.h) >= -1e-10
 
     def test_alikhanov_constant_vanishes(self):
-        w = make_signal(lambda t: 2.5 * np.ones_like(t))
-        gap = alikhanov_gap(w, 0.5).values
+        g, w = make_signal(lambda t: 2.5 * np.ones_like(t))
+        gap = alikhanov_gap(w, 0.5, g.h)
         assert np.max(np.abs(gap)) < 1e-14
 
     def test_alikhanov_linear_nonnegative(self):
-        w = make_signal(lambda t: t)
-        assert alikhanov_gap(w, 0.5).values.min() >= -1e-12
+        g, w = make_signal(lambda t: t)
+        assert alikhanov_gap(w, 0.5, g.h).min() >= -1e-12
+
+    def test_alikhanov_refuses_a_stack(self):
+        g = TimeGrid(1.0, 8)
+        with pytest.raises(DomainError, match="one scalar sample per node"):
+            alikhanov_gap(np.zeros((9, 3)), 0.5, g.h)
 
     @pytest.mark.parametrize("gam", [0.3, 0.7])
     def test_alikhanov_random_trig(self, gam):
@@ -254,11 +282,23 @@ class TestQuadraticForms:
             w = np.zeros(g.steps + 1)
             for _ in range(rng.integers(1, 5)):
                 w += rng.normal() * np.sin(rng.uniform(0.5, 9) * g.nodes + rng.uniform(0, 7))
-            gap = alikhanov_gap(SampledSignal(g, w), gam)
-            assert gap.values.min() >= -1e-10
+            assert alikhanov_gap(w, gam, g.h).min() >= -1e-10
 
 
-class TestGridAndSignalValidation:
+def test_integer_samples_give_the_float_results():
+    g = TimeGrid(1.0, 8)
+    ints = np.arange(9) ** 2
+    for op, order in [
+        (abel_integral, 0.5),
+        (caputo_derivative, 0.5),
+        (caputo_derivative, 1.0),
+        (caputo_derivative, 1.5),
+        (limit_discrepancy, 0.9),
+    ]:
+        assert np.array_equal(op(ints, order, g.h), op(ints.astype(float), order, g.h))
+
+
+class TestGridValidation:
     def test_grid_invariants(self):
         g = TimeGrid(2.0, 8)
         assert g.nodes[0] == 0.0
@@ -267,13 +307,6 @@ class TestGridAndSignalValidation:
             TimeGrid(0.0, 8)
         with pytest.raises(DomainError):
             TimeGrid(1.0, 0)
-
-    def test_signal_shape_checked(self):
-        g = TimeGrid(1.0, 8)
-        with pytest.raises(ValueError, match="rows"):
-            SampledSignal(g, np.zeros(5))
-        s = SampledSignal(g, np.zeros((9, 3)))
-        assert not s.is_scalar
 
 
 class TestAbelPositivity:
@@ -288,45 +321,43 @@ class TestAbelPositivity:
         # nonnegative
         rng = np.random.default_rng(seed)
         g = TimeGrid(1.0, 64)
-        w = SampledSignal(g, np.abs(rng.normal(size=65)))
-        out = abel_integral(w, gamma_)
-        assert out.values.min() >= -1e-14
+        out = abel_integral(np.abs(rng.normal(size=65)), gamma_, g.h)
+        assert out.min() >= -1e-14
 
     @given(gamma_=st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=25, deadline=None)
     def test_linearity(self, gamma_):
         g = TimeGrid(1.0, 32)
-        a = SampledSignal(g, np.sin(3 * g.nodes))
-        b = SampledSignal(g, np.cos(2 * g.nodes))
-        lhs = abel_integral(SampledSignal(g, a.values + 2 * b.values), gamma_).values
-        rhs = abel_integral(a, gamma_).values + 2 * abel_integral(b, gamma_).values
+        a, b = np.sin(3 * g.nodes), np.cos(2 * g.nodes)
+        lhs = abel_integral(a + 2 * b, gamma_, g.h)
+        rhs = abel_integral(a, gamma_, g.h) + 2 * abel_integral(b, gamma_, g.h)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 class TestLimitDiscrepancy:
     def test_t2_decreases_toward_zero(self):
-        w = make_signal(lambda t: t**2, N=512)
-        vals = [limit_discrepancy(w, a) for a in (0.9, 0.99, 0.999)]
+        g, w = make_signal(lambda t: t**2, N=512)
+        vals = [limit_discrepancy(w, a, g.h) for a in (0.9, 0.99, 0.999)]
         assert vals[0] > vals[1] > vals[2]
         # power-law fit in (1 - alpha) should be close to linear
         slope = np.polyfit(np.log([0.1, 0.01, 0.001]), np.log(vals), 1)[0]
         assert 0.8 < slope < 1.2
 
     def test_alpha_one_exact_zero(self):
-        w = make_signal(lambda t: t**2)
-        assert limit_discrepancy(w, 1.0) == 0.0
+        g, w = make_signal(lambda t: t**2)
+        assert limit_discrepancy(w, 1.0, g.h) == 0.0
 
     def test_nonzero_initial_slope_does_not_vanish(self):
         # w_t(0) = 1 != 0: right-sided discontinuity, defect -> |w_t(0)| sqrt(T)
-        w = make_signal(lambda t: t, N=512)
-        vals = [limit_discrepancy(w, a) for a in (0.9, 0.99, 0.999)]
+        g, w = make_signal(lambda t: t, N=512)
+        vals = [limit_discrepancy(w, a, g.h) for a in (0.9, 0.99, 0.999)]
         assert all(v > 0.1 for v in vals)
         assert vals[2] == pytest.approx(1.0, abs=0.05)
 
     def test_sin_is_nonvanishing_branch(self):
         # sin has w_t(0) = 1, so its defect saturates near sqrt(T)*|w_t(0)|
-        w = make_signal(np.sin, N=512)
-        v = limit_discrepancy(w, 0.99)
+        g, w = make_signal(np.sin, N=512)
+        v = limit_discrepancy(w, 0.99, g.h)
         assert v > 0.5
 
 
@@ -344,7 +375,7 @@ class TestRankIndependence:
         if op == "second_derivative":
             return second_derivative(values, grid.h)
         fn = {"abel_integral": abel_integral, "caputo_derivative": caputo_derivative}[op]
-        return fn(SampledSignal(grid, values), order).values
+        return fn(values, order, grid.h)
 
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 3)])
     @pytest.mark.parametrize(

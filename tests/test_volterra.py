@@ -541,7 +541,7 @@ class TestPicard:
         traj = res.trajectory
         r = residual(spec, traj.basis, traj.grid, traj.psi, traj.psi_t, traj.psi_tt)
         # scale: residual is O(h^2 * lam * amplitude) from the operators
-        assert np.max(r.values) < 5e-4 * 1e-3 * np.max(self.basis.eigenvalues)
+        assert np.max(r) < 5e-4 * 1e-3 * np.max(self.basis.eigenvalues)
 
 
 
@@ -649,6 +649,34 @@ class TestFrozenProblem:
         # each node once, and kept nowhere
         assert max(rows for _, rows in in_freeze) <= block
         assert sum(rows for name, rows in in_freeze if name == "project_values") == len(got)
+
+    def _freeze_grad(self, grad_w):
+        spec, data, grid, _, _ = self._kuznetsov_2d(0.0)
+        return freeze(assemble(spec, data, None, grid), grad_w=grad_w)
+
+    def test_non_finite_grad_w_refused(self):
+        # not a solver blow-up: the caller's coefficient is refused up front
+        *_, grad_w = self._kuznetsov_2d(0.0)
+        grad_w[1][7, 3] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            self._freeze_grad(grad_w)
+
+    def test_grad_w_row_count_checked(self):
+        *_, grad_w = self._kuznetsov_2d(0.0)
+        with pytest.raises(DomainError, match="collocation values of shape"):
+            self._freeze_grad([g[:10] for g in grad_w])
+
+    def test_missing_axis_of_grad_w_refused(self):
+        # one axis on a rectangle would drop the y term silently
+        *_, grad_w = self._kuznetsov_2d(0.0)
+        with pytest.raises(DomainError, match="2 arrays, one per axis, got 1"):
+            self._freeze_grad(grad_w[:1])
+
+    def test_extra_axis_of_grad_w_refused(self):
+        # a third axis on a rectangle would be ignored silently
+        *_, grad_w = self._kuznetsov_2d(0.0)
+        with pytest.raises(DomainError, match="2 arrays, one per axis, got 3"):
+            self._freeze_grad(grad_w + [grad_w[0]])
 
     def test_picard_builds_each_table_once(self, monkeypatch):
         # family I: the gradient exponent alpha is not among the diagonal
