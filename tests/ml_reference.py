@@ -1,22 +1,34 @@
-"""Scalar Mittag-Leffler evaluator: the independent oracle of the array core.
+"""Mittag-Leffler references, independent of ``fmgt.mittag_leffler``.
 
-E_{a,b}(x) at one point x <= 0 by the compensated power series while its
-cancellation estimate passes, and otherwise by scipy's adaptive ``quad`` on
-the real-axis integral representation.  It states term by term the branch
-rule that ``fmgt.mittag_leffler._ml_table`` applies to whole tables, so the
-series values of the tables agree with ``ml_scalar`` bit for bit and their
-integral values agree to the quadrature tolerance.  The frozen mpmath
-values of ``test_mittag_leffler`` check this oracle in turn.
+``ml_scalar`` evaluates E_{a,b}(x) at one point x <= 0 in double precision:
+the compensated power series while its cancellation estimate passes, and
+otherwise scipy's adaptive ``quad`` on the real-axis integral
+representation.  The kernel tests of the other modules compare against it.
+
+``ml_mp`` is the high-precision reference: mpmath's series, ``quad`` of the
+integral representation, or 1F1 at a = 1.  Running this file writes its
+values on the grids of ``mpmath_grids`` to ``ml_mpmath_values.json``, the
+reference of the array core in ``test_mittag_leffler``.
 """
+from pathlib import Path
+
 import numpy as np
 
 from fmgt.fractional import DomainError, gamma
-from fmgt.mittag_leffler import (
-    ML_RTOL,
-    _SERIES_MAX_TERMS,
-    _SERIES_TRY_LIMIT,
-    _check_parameters,
-)
+
+# the oracle's own constants: the series is tried for |x| at or below
+# _SERIES_TRY_LIMIT, for at most _SERIES_MAX_TERMS terms, and kept while the
+# cancellation estimate stays below half of ML_RTOL
+ML_RTOL = 1e-10
+_SERIES_MAX_TERMS = 200
+_SERIES_TRY_LIMIT = 6.5
+
+
+def _check_parameters(alpha: float, beta: float):
+    if not (0 < alpha <= 1):
+        raise DomainError(f"first parameter must lie in (0, 1], got {alpha}")
+    if not (beta > 0):
+        raise DomainError(f"second parameter must be positive, got {beta}")
 
 
 def _ml_series(alpha: float, beta: float, x: float):
@@ -110,3 +122,149 @@ def ml_scalar(alpha: float, beta: float, x: float) -> float:
             "alpha = 1 with large |x| is supported only for beta in {1, 2}"
         )
     return _ml_integral(alpha, beta, x)
+
+
+def ml_oracle(a: float, b: float, x: float) -> float:
+    """Adaptive-precision mpmath series; the gamma argument is kept in mpf
+    arithmetic (rounding it to double poisons the sum for small a)."""
+    import mpmath
+
+    xa = abs(x) ** (1.0 / a)
+    dps = 60 + int(0.6 * xa)
+    kmax = int(8 * xa / a) + 400
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(0)
+        xm, am, bm = mpmath.mpf(x), mpmath.mpf(a), mpmath.mpf(b)
+        for k in range(kmax):
+            t = xm**k / mpmath.gamma(am * k + bm)
+            s += t
+            if k > 2 * xa / a and abs(t) < mpmath.mpf(10) ** (-dps):
+                break
+        return float(s)
+
+
+def ml_quad_oracle(a: float, b: float, x: float) -> float:
+    """E_{a,b}(x), 0 < a < 1, x < 0, by mpmath.quad of the real-axis integral
+    representation at 40 digits: with X = -x,
+        E_{a,b}(-X) = (1/pi) int_0^inf e^{-r}
+            [r^(2a-b) sin(pi b) + X r^(a-b) sin(pi (b - a))]
+            / (r^(2a) + 2 X r^a cos(pi a) + X^2) dr,
+    valid for b < 1 + a.  b > 1 is reduced to some b' in (1 - a, 1] and
+    brought back by the recurrence E_{a,b}(x) = (E_{a,b-a}(x) - 1/Gamma(b-a))
+    / x, with 2 more digits a step.  The substitution r = v^q, q =
+    1/(1 + a - b'), takes out the r^(a-b') singularity at 0, and breakpoints
+    at the powers of 2 and at r0 (1 +- 10^-j) around r0 = X^(1/a) resolve the
+    near-pole of the integrand as a -> 1."""
+    import mpmath
+
+    steps = 0
+    while b - steps * a > 1.0:
+        steps += 1
+    with mpmath.workdps(40 + 2 * steps):
+        am, xm = mpmath.mpf(a), -mpmath.mpf(x)
+        bs = [mpmath.mpf(b) - k * am for k in range(steps + 1)]
+        base = bs[-1]
+        sin_b = mpmath.sinpi(base)
+        sin_ba = mpmath.sinpi(base - am)
+        cos_a = mpmath.cospi(am)
+        q = 1 / (1 + am - base)
+
+        def integrand(v):
+            if v == 0:
+                return q * sin_ba / xm  # the limit of the substituted form
+            r = v**q
+            ra = r**am
+            num = ra * sin_b + xm * sin_ba  # r^(a-b') taken out with dr
+            return q * mpmath.exp(-r) * num / (ra * ra + 2 * xm * ra * cos_a + xm * xm)
+
+        r0 = xm ** (1 / am)
+        offsets = [mpmath.mpf(10) ** -j for j in range(1, 17)]
+        breaks = (
+            [r0]
+            + [mpmath.mpf(2) ** j for j in range(-20, 8) if 2.0**j < 0.9 * r0]
+            + [r0 * (1 - d) for d in offsets]
+            + [r0 * (1 + d) for d in offsets]
+        )
+        points = [mpmath.mpf(0)] + sorted(r ** (1 / q) for r in breaks) + [mpmath.inf]
+        value = mpmath.quad(integrand, points) / mpmath.pi
+        for bk in reversed(bs[1:]):  # up from base to b
+            value = (value - mpmath.rgamma(bk)) / -xm
+        return float(value)
+
+
+def ml_mp(a: float, b: float, x: float) -> float:
+    """The mpmath reference of E_{a,b}(x), x <= 0: 1/Gamma(b) at x = 0,
+    1F1(1; b; x)/Gamma(b) at a = 1, the series ``ml_oracle`` where
+    |x|^(1/a) <= 40, and ``ml_quad_oracle`` elsewhere."""
+    import mpmath
+
+    if x == 0.0:
+        return float(mpmath.rgamma(b))
+    if a == 1.0:
+        with mpmath.workdps(40):
+            return float(mpmath.hyp1f1(1, b, x) * mpmath.rgamma(b))
+    if abs(x) ** (1.0 / a) <= 40.0:
+        return ml_oracle(a, b, x)
+    return ml_quad_oracle(a, b, x)
+
+
+# the frozen mpmath values of tests/test_mittag_leffler.py: groups of
+# (a, b, x) points, written to ml_mpmath_values.json by running this file
+MPMATH_VALUES = Path(__file__).with_name("ml_mpmath_values.json")
+_SEAM = [-39.9, -40.0, -40.1]
+
+
+def mpmath_grids() -> dict:
+    near_one = [1 - 1e-4, 1 - 1e-8, 1 - 1e-12, 1 - 1e-15]
+    return {
+        # every (a, b) of the array tests on 50 points out to |x| = 200
+        "array": [
+            (a, b, x)
+            for a in (0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.9999, 1.0)
+            for b in dict.fromkeys((a, 1.0, 2.0))
+            for x in [0.0, *(-np.geomspace(1e-3, 200.0)), *_SEAM]
+        ],
+        # E_{g,1}(-(T/tau)^g) as kernel_mass evaluates it
+        "kernel_mass": [
+            (g, 1.0, -((T / tau) ** g))
+            for g in (0.2, 0.4, 0.6, 0.8, 0.9, 0.99)
+            for tau in (0.5, 1.0, 2.0)
+            for T in (1.0, 10.0, 100.0, 1000.0)
+        ],
+        # the joint kernel table's betas just past |x| = 5
+        "past_five": [
+            (a, b, x) for a in (0.9, 0.95) for b in (1.0, 2.0) for x in -np.linspace(5.0, 7.2, 45)
+        ],
+        "near_one": [
+            (a, b, x)
+            for a in near_one
+            for b in (1.0, a, 2.0)
+            for x in (-1e-3, -0.5, -2.0, -8.0, -20.0, *_SEAM, -80.0, -200.0)
+        ],
+        # inputs outside the kernel tables: b in {0.5, 2.5, 3}, a small
+        # order with b = 2 near 0, and a = 1 with b outside {1, 2}
+        "other": [
+            (a, b, x)
+            for a in (0.3, 0.7, 0.99)
+            for b in (0.5, 2.5, 3.0)
+            for x in (-0.01, -1.0, -5.0, -20.0, *_SEAM, -100.0)
+        ]
+        + [(0.05, b, x) for b in (0.05, 1.0, 2.0) for x in (-1e-4, -1e-3, -0.01, -0.05, -0.1)]
+        + [
+            (1.0, b, x)
+            for b in (0.5, 1.5, 2.5, 3.0)
+            for x in (-0.01, -1.0, -5.0, -20.0, *_SEAM, -100.0)
+        ],
+    }
+
+
+if __name__ == "__main__":
+    import json
+    import sys
+
+    groups = [
+        f'"{name}": [\n' + ",\n".join(json.dumps([a, b, x, ml_mp(a, b, x)]) for a, b, x in points)
+        for name, points in mpmath_grids().items()
+    ]
+    MPMATH_VALUES.write_text("{\n" + "\n],\n".join(groups) + "\n]\n}\n")
+    print(f"wrote {MPMATH_VALUES}", file=sys.stderr)

@@ -616,6 +616,25 @@ class TestArtifacts:
         assert s["model"]["backend"] == "memory"
         assert s["recovery_discrepancy"] < 1e-2
 
+    @pytest.mark.parametrize("alpha", ["0.99999999", "0.999999999999"])
+    def test_alpha_next_to_one_matches_alpha_one(self, tmp_path, alpha):
+        # both once exited 2: the quadrature of the Mittag-Leffler tables
+        # missed its tolerance; the solution is O(1 - alpha) from alpha = 1
+        columns = {}
+        for a in (alpha, "1.0"):
+            cfg = tmp_path / f"{a}.cfg"
+            cfg.write_text(
+                "schema = 1\nmodel.family = ii\nmodel.nonlinearity = linear\n"
+                f"model.alpha = {a}\nmodel.tau = 0.25\ndomain.cutoff = 8\n"
+                "time.T = 2.0\ntime.N = 256\ndata.preset = bump\n"
+            )
+            out = tmp_path / f"o-{a}"
+            assert run_cli(["--out", out, "run", "--config", cfg]) == 0
+            columns[a] = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        near, one = columns[alpha], columns["1.0"]
+        gap = np.abs(near - one).max(axis=0) / np.abs(one).max(axis=0)
+        assert np.all(gap <= 10 * (1 - float(alpha))), gap
+
     def test_jobs_flag_refused(self, tmp_path):
         # sweeps run serially; run-to-run identity of limit-ii is covered by
         # TestDeterminism

@@ -1,11 +1,14 @@
 """Mittag-Leffler function and relaxation kernel tests.
 
-High-precision reference values were produced with an mpmath series oracle
-(exact rational gamma arguments, adaptive precision; see oracle below) and
-frozen into the assertions.  They check both the evaluator and the scalar
-oracle ``ml_scalar`` of ``ml_reference``, which the tables are checked
-against point by point.
+High-precision reference values were produced with mpmath and frozen: the
+series oracle ``ml_oracle`` (exact rational gamma arguments, adaptive
+precision) where |x|^(1/a) is small, ``mpmath.quad`` of the integral
+representation (``ml_quad_oracle``) elsewhere and 1F1 at a = 1, all in
+``ml_reference``, which writes the grids of ``ml_mpmath_values.json``.
+Some also check the scalar double-precision oracle ``ml_scalar``, which the
+kernel tests of the other modules compare against.
 """
+import json
 import math
 
 import numpy as np
@@ -13,37 +16,37 @@ import pytest
 from scipy.special import rgamma
 
 from fmgt import DomainError, RelaxationKernel, kernel_mass, kernel_value, ml
-from fmgt.mittag_leffler import (
-    _SERIES_TRY_LIMIT,
-    _integrate_unit,
-    _ml_table,
-    kernel_cell_moments,
-    ml_array,
-)
-from ml_reference import _ml_series, ml_scalar
+from fmgt.fractional import gamma
+from fmgt.mittag_leffler import _ml_table, kernel_cell_moments, ml_array
+from ml_reference import MPMATH_VALUES, ml_oracle, ml_scalar
 
 mpmath = pytest.importorskip("mpmath")
 
 
-def ml_oracle(a: float, b: float, x: float) -> float:
-    """Adaptive-precision series; the gamma argument is kept in mpf arithmetic
-    (rounding it to double poisons the sum for small a)."""
-    xa = abs(x) ** (1.0 / a)
-    dps = 60 + int(0.6 * xa)
-    kmax = int(8 * xa / a) + 400
-    with mpmath.workdps(dps):
-        s = mpmath.mpf(0)
-        xm, am, bm = mpmath.mpf(x), mpmath.mpf(a), mpmath.mpf(b)
-        for k in range(kmax):
-            t = xm**k / mpmath.gamma(am * k + bm)
-            s += t
-            if k > 2 * xa / a and abs(t) < mpmath.mpf(10) ** (-dps):
-                break
-        return float(s)
+def _frozen():
+    """group -> {(a, b): (x, E_{a,b}(x))} of the frozen mpmath values."""
+    groups = {}
+    for group, rows in json.loads(MPMATH_VALUES.read_text()).items():
+        cases = groups.setdefault(group, {})
+        for a, b, x, value in rows:
+            cases.setdefault((a, b), []).append((x, value))
+    return {
+        group: {key: tuple(map(np.array, zip(*rows))) for key, rows in cases.items()}
+        for group, cases in groups.items()
+    }
 
 
-# ml_oracle(a, b, x) for each case, computed once with the function above
-# (the case (0.3, 2.0, -8.0) alone takes about a minute live)
+MPMATH = _frozen()
+
+
+def assert_rel(got, want, bound):
+    """|got - want| <= bound |want| at every point."""
+    rel = np.abs(got - want) / np.abs(want)
+    assert np.all(rel <= bound), (np.argmax(rel), rel.max())
+
+
+# ml_oracle(a, b, x) for each case, computed once (the case (0.3, 2.0, -8.0)
+# alone takes about a minute live)
 SERIES_ORACLE = {
     (0.5, 1.0, -3.0): 0.17900115118138996,
     (0.5, 1.0, -10.0): 0.05614099274382259,
@@ -113,37 +116,22 @@ class TestMl:
         with pytest.raises(DomainError, match="finite"):
             ml(0.5, 1.0, -np.inf)
 
-    def test_kernel_mass_points_against_scalar_oracle(self):
-        # E_{g,1}(-(T/tau)^g) as kernel_mass evaluates it, on both branches
-        points = [
-            (g, -((T / tau) ** g))
-            for g in (0.2, 0.4, 0.6, 0.8, 0.9, 0.99)
-            for tau in (0.5, 1.0, 2.0)
-            for T in (1.0, 10.0, 100.0, 1000.0)
-        ]
-        assert len(points) == 72
-        for g, x in points:
-            want = ml_scalar(g, 1.0, x)
-            assert abs(ml(g, 1.0, x) - want) <= 1e-13 * abs(want), (g, x)
+    def test_kernel_mass_points_against_mpmath(self):
+        # E_{g,1}(-(T/tau)^g) as kernel_mass evaluates it, for g in
+        # {0.2, 0.4, 0.6, 0.8, 0.9, 0.99}, tau in {0.5, 1, 2} and T in
+        # {1, 10, 100, 1000}: on both sides of |x| = 40
+        cases = MPMATH["kernel_mass"]
+        x = np.concatenate([xs for xs, _ in cases.values()])
+        assert x.size == 72 and (x < -40.0).any() and (x > -40.0).any()
+        for (g, b), (xs, want) in cases.items():
+            assert b == 1.0
+            assert_rel(np.array([ml(g, 1.0, v) for v in xs]), want, 1e-13)
 
 
 def asymptotic(a: float, b: float, x: float, terms: int = 40) -> float:
     """E_{a,b}(x) ~ -sum_{k>=1} x^-k / Gamma(b - a k) as x -> -inf, 0 < a < 1:
     the tail after 40 terms is far below rounding for x <= -50."""
     return -sum(x ** (-k) * rgamma(b - a * k) for k in range(1, terms + 1))
-
-
-def series_switch(a: float, b: float) -> float | None:
-    """The x in [-_SERIES_TRY_LIMIT, 0] where the series' cancellation
-    estimate starts to fail, by bisection on the scalar flag; None if it
-    passes on all of it."""
-    if _ml_series(a, b, -_SERIES_TRY_LIMIT)[1]:
-        return None
-    lo, hi = -_SERIES_TRY_LIMIT, 0.0  # fails at lo, passes at hi
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if not _ml_series(a, b, mid)[1] else (lo, mid)
-    return hi
 
 
 # E_{a,b}(x) near alpha = 1 by mpmath.quad of the integral representation
@@ -155,39 +143,20 @@ NEAR_ONE_ORACLE = {
     (0.9999, 2.0, -12.0): 0.083336008324509633665,
 }
 
-ARRAY_CASES = [
-    (a, b)
-    for a in (0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.9999, 1.0)
-    for b in dict.fromkeys((a, 1.0, 2.0))
-]
-
-
 class TestMlArray:
-    """ml_array against ml_scalar, its independent oracle."""
+    """ml_array against frozen mpmath values and independent identities."""
 
-    @staticmethod
-    def grid(a, b):
-        x = [*(-np.geomspace(1e-3, 200.0)), 0.0]
-        for edge in (-_SERIES_TRY_LIMIT, series_switch(a, b)):
-            if edge is not None:
-                x += [edge * (1 + 1e-9), edge, edge * (1 - 1e-9)]
-        return np.array(x)
-
-    @pytest.mark.parametrize("a,b", ARRAY_CASES)
-    def test_against_scalar(self, a, b):
-        x = self.grid(a, b)
+    @pytest.mark.parametrize("a,b", list(MPMATH["array"]))
+    def test_against_mpmath(self, a, b):
+        # 50 points out to |x| = 200, x = 0 and the seam at |x| = 40
+        x, want = MPMATH["array"][(a, b)]
+        assert x.size == 54 and x[0] == 0.0
         got = ml_array(a, b, x)
-        want = np.array([ml_scalar(a, b, v) for v in x])
-        closed = a == 1.0
-        series = np.array(
-            [v == 0.0 or closed or (abs(v) <= _SERIES_TRY_LIMIT and _ml_series(a, b, v)[1])
-             for v in x]
-        )
-        assert series.any() and (closed or not series.all())
-        # series, closed forms and x = 0 bit for bit; the integral to 1e-11
-        assert np.array_equal(got[series], want[series])
-        rel = np.abs(got[~series] - want[~series]) / np.abs(want[~series])
-        assert np.all(rel <= 1e-11), (x[~series][np.argmax(rel)], rel.max())
+        assert got[0] == 1.0 / gamma(b)
+        assert_rel(got, want, 1e-11)
+        if a == 1.0:  # the closed forms bit for bit
+            closed = np.exp(x[1:]) if b == 1.0 else np.expm1(x[1:]) / x[1:]
+            assert np.array_equal(got[1:], closed)
 
     @pytest.mark.parametrize("a,b,x", list(SERIES_ORACLE))
     def test_against_series_oracle(self, a, b, x):
@@ -197,7 +166,7 @@ class TestMlArray:
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("b", ["a", 1.0, 2.0])
-    def test_integral_branch_against_asymptotics(self, a, b):
+    def test_large_argument_against_asymptotics(self, a, b):
         b = a if b == "a" else b
         x = np.array([-50.0, -57.6, -100.0, -200.0])
         want = np.array([asymptotic(a, b, v) for v in x])
@@ -211,28 +180,25 @@ class TestMlArray:
         assert ml_array(a, b, np.array([x]))[0] == pytest.approx(want, rel=1e-11)
         assert ml_scalar(a, b, x) == pytest.approx(want, rel=1e-11)
 
-    def test_more_points_than_one_batch(self):
-        # 300 integral-branch points: the quadrature runs them in batches
+    def test_many_points_against_scalar(self):
+        # 300 points on both sides of the seam at |x| = 40
         x = -np.geomspace(5.5, 300.0, 300)
         want = np.array([ml_scalar(0.7, 0.7, v) for v in x])
         assert np.allclose(ml_array(0.7, 0.7, x), want, rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("b", [0.02, 1.0])
     def test_small_order_near_minus_one(self, b):
-        # at alpha = 0.02 the series fails for |x| near 1, so these points
-        # take the integral, whose outer nodes reach r^(1/a) = inf; there
-        # exp(-r^(1/a)) r^((1-b)/a) must count as 0, not as 0 * inf
+        # at alpha = 0.02, E_{a,b}(x) bends sharply near x = -1, where
+        # |x|^(1/a) runs from 1e-2 to 9e3
         x = -np.linspace(0.8, 1.2, 9)
         got = ml_array(0.02, b, x)
         want = np.array([ml_scalar(0.02, b, v) for v in x])
         assert np.all(np.isfinite(got))
         assert np.allclose(got, want, rtol=1e-11, atol=0)
 
-    def test_beta_reduced_to_a_rounding_above_one(self):
-        # 2 - 5 x 0.2 is 1 + 2.2e-16, so the integrand's power of r is just
-        # below 0: at the quadrature's far nodes 0^e once made 0 * inf, and
-        # every integral point of E_{0.2,2} (a type II table at alpha 0.2)
-        # was refused
+    def test_type_ii_table_at_small_order(self):
+        # E_{0.2,2}, a type II table at alpha 0.2, was once refused at every
+        # point past the series, where 2 - 5 x 0.2 rounds to 1 + 2.2e-16
         x = -np.geomspace(1.4, 60.0, 40)
         want = np.array([ml_scalar(0.2, 2.0, v) for v in x])
         assert np.allclose(ml_array(0.2, 2.0, x), want, rtol=1e-11, atol=0)
@@ -254,8 +220,25 @@ class TestMlArray:
             ml_array(0.5, 1.0, np.zeros((2, 2)))
         with pytest.raises(DomainError):
             ml_array(0.5, 1.0, np.array([-1.0, np.nan]))
-        with pytest.raises(DomainError):
-            ml_array(1.0, 0.5, np.array([-10.0]))  # alpha = 1 has no integral
+
+    @pytest.mark.parametrize("a,b", list(MPMATH["other"]))
+    def test_other_inputs_against_mpmath(self, a, b):
+        # b in {0.5, 2.5, 3}, alpha 0.05 near x = 0, and alpha = 1 with b
+        # outside {1, 2}, which was refused past |x| = 6.5 before the contour
+        x, want = MPMATH["other"][(a, b)]
+        assert_rel(ml_array(a, b, x), want, 1e-11)
+
+    @pytest.mark.parametrize("a", sorted({a for a, _ in MPMATH["near_one"]}))
+    def test_alpha_next_to_one_against_mpmath(self, a):
+        # down to 1 - 1e-15: the quadrature of the integral once missed its
+        # tolerance at 1 - 1e-8 and refused the table
+        betas = (1.0, a, 2.0)
+        x = MPMATH["near_one"][(a, 1.0)][0]
+        for row, b in zip(_ml_table(a, betas, x), betas):
+            xb, want = MPMATH["near_one"][(a, b)]
+            assert np.array_equal(xb, x)
+            assert_rel(row, want, 1e-11)
+            assert np.array_equal(row, ml_array(a, b, x))
 
 
 class TestJointTable:
@@ -265,65 +248,31 @@ class TestJointTable:
     @staticmethod
     def kernel_points(a, tau=0.25, horizon=20.0, cells=256):
         # the kernel table points -(t/tau)^a on cell edges, out to
-        # |x| = 80^a, well past the series limit (13.9 at a = 0.6)
+        # |x| = 80^a (13.9 at a = 0.6, 79.9 at a = 0.9999)
         edges = np.arange(cells + 1) * (horizon / cells)
         return -((edges / tau) ** a)
 
     @pytest.mark.parametrize("a", [0.6, 0.8, 0.9, 0.95, 0.99, 0.9999])
     def test_rows_equal_one_beta_tables(self, a):
+        # the betas share the contour's denominator; each row is still the
+        # one-beta table bit for bit (past |x| = 40 from alpha 0.9 on)
         x = self.kernel_points(a)
         betas = (1.0, 2.0, a)
         table = _ml_table(a, betas, x)
         assert table.shape == (3, x.size)
         for row, b in zip(table, betas):
-            want = ml_array(a, b, x)
-            series = np.array(
-                [v == 0.0 or (abs(v) <= _SERIES_TRY_LIMIT and _ml_series(a, b, v)[1]) for v in x]
-            )
-            assert series.any() and not series.all()
-            # series points bit for bit, integral points to 1e-13
-            assert np.array_equal(row[series], want[series])
-            rel = np.abs(row[~series] - want[~series]) / np.abs(want[~series])
-            assert rel.max() <= 1e-13, (b, x[~series][np.argmax(rel)], rel.max())
+            assert np.array_equal(row, ml_array(a, b, x)), b
 
     @pytest.mark.parametrize("a", [0.9, 0.95])
-    def test_series_range_past_five(self, a):
-        # past |x| = 5 the series serves both betas where its cancellation
-        # test passes; where E_{a,1} fails it and E_{a,2} passes, the
-        # quadrature integrates E_{a,1} alone
-        x = -np.linspace(5.0, 7.2, 45)
+    def test_past_five_against_mpmath(self, a):
+        # the kernel moments' joint table on 45 points of |x| in [5, 7.2]
         betas = (1.0, 2.0)
+        x = MPMATH["past_five"][(a, 1.0)][0]
         table = _ml_table(a, betas, x)
-        series = np.array(
-            [[abs(v) <= _SERIES_TRY_LIMIT and _ml_series(a, b, v)[1] for v in x] for b in betas]
-        )
-        assert series[:, np.abs(x) > 5.0].any(axis=1).all()
-        for row, b, on in zip(table, betas, series):
-            want = np.array([ml_scalar(a, b, v) for v in x])
-            assert np.array_equal(row[on], want[on])
-            rel = np.abs(row[~on] - want[~on]) / np.abs(want[~on])
-            assert rel.max() <= 1e-11
-        mixed = ~series[0] & series[1]
-        assert mixed.any()
-        want = ml_array(a, 1.0, x[mixed])
-        assert np.max(np.abs(table[0, mixed] - want) / np.abs(want)) <= 1e-13
-
-    def test_a_point_waits_for_every_column(self):
-        # column 0 is constant and converges at once; column 1, a narrow peak
-        # at u = 1/2 that the graded start does not resolve, needs many
-        # bisections: a point that left with its first column would carry
-        # column 1's first, far-off estimate
-        width = np.array([1e-4, 2e-4, 4e-4])
-
-        def f(u, width):
-            peak = 1.0 / ((u - 0.5) ** 2 + width**2)
-            return np.array([np.ones_like(peak), peak])
-
-        got = _integrate_unit(f, [width])
-        assert got.shape == (2, 3)
-        assert np.array_equal(got[0], np.ones(3))
-        exact = 2.0 * np.arctan(0.5 / width) / width
-        assert np.allclose(got[1], exact, rtol=1e-11, atol=0)
+        for row, b in zip(table, betas):
+            xb, want = MPMATH["past_five"][(a, b)]
+            assert np.array_equal(xb, x)
+            assert_rel(row, want, 1e-11)
 
 
 class TestRelaxationKernel:
