@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .convolution import CausalFilter, causal_conv, series_reciprocal
-from .fractional import DomainError, TimeGrid, gamma, p_power
+from .fractional import DomainError, TimeGrid, _cell_moments, gamma, p_power
 from .models import (
     Family,
     InitialData,
@@ -176,26 +176,19 @@ class VolterraProblem:
 def _cell_weights(g: float, n_steps: int, h: float):
     """The cell weights of int_0^{t_n} p^g(t_n - s) q(s) ds: (W0, W1, W2) on
     the backward quadratic stencil of each interior cell, by lag
-    m = n-1-cell, and (A0, A1) on the linear first cell, by row n-1."""
-    scale = 1.0 / gamma(g + 1.0)
-    m = np.arange(n_steps + 2, dtype=float)
+    m = n-1-cell, and (A0, A1) on the linear first cell, by row n-1.
 
-    def mom(r):
-        # int_{mh}^{(m+1)h} u^{g+r} du, normalized
-        q = m ** (g + r + 1.0)
-        return scale * h ** (g + r + 1.0) * (q[1:] - q[:-1]) / (g + r + 1.0)
-
-    M0, M1, M2 = mom(0), mom(1), mom(2)
-    mm = np.arange(n_steps + 1, dtype=float)
-    h2 = h * h
-    # interior quadratic cells, lag index m = n-1-j
-    W0 = (M2 - (2 * mm + 1) * h * M1 + mm * (mm + 1) * h2 * M0) / (2 * h2)
-    W1 = -(M2 - (2 * mm + 2) * h * M1 + mm * (mm + 2) * h2 * M0) / h2
-    W2 = (M2 - (2 * mm + 3) * h * M1 + (mm + 1) * (mm + 2) * h2 * M0) / (2 * h2)
-    # first cell, linear in (mu_0, mu_1); row n uses lag m = n-1
-    n_arr = np.arange(1, n_steps + 1, dtype=float)
-    A1 = n_arr * M0[: n_steps] - M1[: n_steps] / h
-    A0 = (1.0 - n_arr) * M0[: n_steps] + M1[: n_steps] / h
+    Each is h^(g+1)/Gamma(g+1) times the integral of (m+x)^g against the
+    cell's Lagrange polynomial in x in [0, 1], where t_n - s = (m+x)h: in
+    that local coordinate no power of m cancels."""
+    J0, J1, J2 = _cell_moments(g, n_steps + 1) * (h ** (g + 1.0) / gamma(g + 1.0))
+    # interior cell j: mu_{j+1}, mu_j, mu_{j-1} sit at x = 0, 1, 2
+    W0 = 0.5 * (J2 - J1)
+    W1 = 2.0 * J1 - J2
+    W2 = 0.5 * J2 - 1.5 * J1 + J0
+    # first cell, linear in (mu_0, mu_1) at x = 1, 0; row n uses lag m = n-1
+    A0 = J1[:n_steps]
+    A1 = J0[:n_steps] - A0
     return W0, W1, W2, A0, A1
 
 

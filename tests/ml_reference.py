@@ -13,8 +13,9 @@ reference of the array core in ``test_mittag_leffler``.
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gamma
 
-from fmgt.fractional import DomainError, gamma
+from fmgt.fractional import DomainError
 
 # the oracle's own constants: the series is tried for |x| at or below
 # _SERIES_TRY_LIMIT, for at most _SERIES_MAX_TERMS terms, and kept while the

@@ -6,12 +6,13 @@ import textwrap
 
 import numpy as np
 import pytest
+from scipy.special import gamma
 
 import fmgt.convolution
 import fmgt.memory
 import fmgt.mittag_leffler
 from fmgt import Domain, EigenBasis, TimeGrid
-from fmgt.fractional import gamma, l1_weights
+from fmgt.fractional import l1_weights
 from fmgt.memory import (
     ZTrajectory,
     _forward_substitution,

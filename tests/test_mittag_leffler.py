@@ -16,7 +16,6 @@ import pytest
 from scipy.special import rgamma
 
 from fmgt import DomainError, RelaxationKernel, kernel_mass, kernel_value, ml
-from fmgt.fractional import gamma
 from fmgt.mittag_leffler import _ml_table, kernel_cell_moments, ml_array
 from ml_reference import MPMATH_VALUES, ml_oracle, ml_scalar
 
@@ -152,7 +151,7 @@ class TestMlArray:
         x, want = MPMATH["array"][(a, b)]
         assert x.size == 54 and x[0] == 0.0
         got = ml_array(a, b, x)
-        assert got[0] == 1.0 / gamma(b)
+        assert got[0] == 1.0 / math.gamma(b)
         assert_rel(got, want, 1e-11)
         if a == 1.0:  # the closed forms bit for bit
             closed = np.exp(x[1:]) if b == 1.0 else np.expm1(x[1:]) / x[1:]
@@ -162,7 +161,7 @@ class TestMlArray:
     def test_against_series_oracle(self, a, b, x):
         got = ml_array(a, b, np.array([x, 0.0]))
         assert got[0] == pytest.approx(SERIES_ORACLE[(a, b, x)], rel=1e-10)
-        assert got[1] == ml_scalar(a, b, 0.0)
+        assert got[1] == 1.0 / math.gamma(b)
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("b", ["a", 1.0, 2.0])

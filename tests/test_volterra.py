@@ -47,7 +47,39 @@ def scalar_problem(grid, terms, forcing, lead=1.0):
     )
 
 
+def mp_cell_weights(g, h, lags):
+    """``_cell_weights``' (W0, W1, W2, A0, A1) at the given lags in 40-digit
+    mpmath, from the closed-form moments of u^(g+r) over each cell; their
+    cancellation costs about lag^3 of the 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    out = []
+    with mpmath.workdps(40):
+        G, H = mpmath.mpf(g), mpmath.mpf(h)
+        scale = 1 / mpmath.gamma(G + 1)
+        for m in map(mpmath.mpf, lags):
+            M0, M1, M2 = (
+                scale * H ** (G + r + 1) * ((m + 1) ** (G + r + 1) - m ** (G + r + 1)) / (G + r + 1)
+                for r in range(3)
+            )
+            out.append([
+                (M2 - (2 * m + 1) * H * M1 + m * (m + 1) * H**2 * M0) / (2 * H**2),
+                -(M2 - (2 * m + 2) * H * M1 + m * (m + 2) * H**2 * M0) / H**2,
+                (M2 - (2 * m + 3) * H * M1 + (m + 1) * (m + 2) * H**2 * M0) / (2 * H**2),
+                M1 / H - m * M0,
+                (m + 1) * M0 - M1 / H,
+            ])
+    return np.array(out, dtype=float).T
+
+
 class TestWeights:
+    @pytest.mark.parametrize("g", [-0.3, 0.0, 0.7, 1.0, 1.7, 2.0])
+    def test_cell_weights_against_mpmath(self, g):
+        # each weight is sign-definite, so each keeps its own relative error
+        for n in (2048, 65536):
+            lags = [0, 1, 2, 3, 7, 8, 9, 100, 1000, n // 2, n - 1]
+            got = np.array([w[lags] for w in fmgt.volterra._cell_weights(g, n, 1.0 / n)])
+            assert np.max(np.abs(got / mp_cell_weights(g, 1.0 / n, lags) - 1.0)) <= 1e-14
+
     @pytest.mark.parametrize("g", [-0.5, 0.0, 0.7, 1.0, 2.0])
     def test_exact_on_quadratics(self, g):
         # int_0^{t_n} p^g(t_n - s) s^2 ds = 2 t^{g+3} / Gamma(g+4)
@@ -313,6 +345,28 @@ class TestDegenerations:
         ref = classical_mgt_reference(spec, data, grid)
         assert np.max(np.abs(traj.psi - ref.psi)) < 1e-8
         assert np.max(np.abs(traj.psi_tt - ref.psi_tt)) < 1e-7
+
+    def test_resolved_mode_converges_at_third_order(self):
+        # classical III, tau 1, delta 0.1, psi0 in the unit interval's mode 8
+        # (the first mode of an interval of length 1/8), omega h up to 6e-3:
+        # the error must keep falling at the scheme's order, not grow with N
+        b = EigenBasis(Domain.interval(0.125), 1)
+        lam = float(b.eigenvalues[0])
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.LINEAR),
+            MediumParams(tau=1.0, c=1.0, delta=0.1),
+            1.0,
+        )
+        data = InitialData(b.unit_mode(0, 1.0), b.zero_field(), b.zero_field())
+        # psi = sum_i c_i exp(s_i t) over the roots of s^3 + s^2 + 1.1 lam s + lam
+        s = np.roots([1.0, 1.0, 1.1 * lam, lam])
+        c = np.linalg.solve(np.vander(s, 3, increasing=True).T, [1.0, 0.0, 0.0])
+        errs = []
+        for n in (4096, 16384):
+            grid = TimeGrid(1.0, n)
+            exact = (np.exp(np.outer(grid.nodes, s)) @ c).real
+            errs.append(np.max(np.abs(solve_linear(spec, data, grid).psi[:, 0] - exact)))
+        assert np.log(errs[0] / errs[1]) / np.log(4.0) >= 2.5
 
     def test_ode_oracle_failure_reports_cause(self, single_mode_setup, monkeypatch):
         import types
@@ -708,30 +762,31 @@ class TestFrozenProblem:
             (
                 Family.I,
                 [
-                    0.00018187580314756122, 0.00011421264739359081, 1.4033637215412484e-05,
-                    2.19067301391876e-11, 3.2834467979387946e-06, 1.394697089160087e-12,
+                    0.0001818758031474359, 0.00011421264739604653, 1.4033637215391837e-05,
+                    2.1906730134383334e-11, 3.283446797931056e-06, 1.3946970822382395e-12,
                 ],
                 [
-                    0.04439698330309112, 0.008793789491102712, 0.0014879462679130292,
-                    2.2151608668907293e-07, 0.00032008645553550566, 3.5373495869788994e-08,
+                    0.04439698330309092, 0.008793789491103272, 0.0014879462679129765,
+                    2.2151608668896406e-07, 0.00032008645553553255, 3.5373495869815636e-08,
                 ],
             ),
             (
                 Family.BASE,
                 [
-                    0.0001592751701996113, 7.331355434136229e-05, 1.2082933979043909e-05,
-                    2.1691686548255015e-09, 3.0259626390511464e-06, 5.979974358889289e-11,
+                    0.00015927517019948434, 7.331355434367533e-05, 1.2082933979022106e-05,
+                    2.169168654837823e-09, 3.0259626390447767e-06, 5.979974357688884e-11,
                 ],
                 [
-                    0.0438406067068312, 0.010368567003330826, 0.0014847047687775315,
-                    3.3861594359822e-07, 0.00031828862061569725, 4.663086291250397e-08,
+                    0.043840606706830994, 0.010368567003332356, 0.0014847047687774494,
+                    3.386159435985263e-07, 0.0003182886206157416, 4.663086291238672e-08,
                 ],
             ),
         ],
     )
     def test_kuznetsov_picard_1d_unchanged(self, family, psi_last, psi_abs_sum):
-        # the literals were produced by the solver that assembled every
-        # iterate anew; psi must agree to 1e-12 of its largest value
+        # the literals come from this solve with every cell weight built by
+        # mp_cell_weights, in 40 digits; psi must agree to 1e-12 of its
+        # largest value
         spec = ModelSpec(
             ModelVariant(family, Nonlinearity.KUZNETSOV),
             MediumParams(k=0.1, l_tilde=0.1),
