@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -212,7 +213,10 @@ def cmd_convergence(args) -> int:
     return cmd_run(args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each ``parse_args``
+    call returns a fresh namespace, so successive calls share nothing."""
     p = argparse.ArgumentParser(
         prog="fmgt",
         description="Solvers and verification studies for time-fractional MGT acoustics",
@@ -223,31 +227,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("run", help="solve one configuration and write artifacts")
     pr.add_argument("--config", required=True)
-    pr.set_defaults(func=cmd_run)
 
     pl = sub.add_parser("list-models", help="print the model catalog")
-    pl.set_defaults(func=cmd_list_models)
 
     pk = sub.add_parser("kernels", help="relaxation-kernel property report")
     pk.add_argument("--alphas", default="0.3,0.5,0.7,0.9,1.0")
     pk.add_argument("--tau", type=float, default=1.0)
-    pk.set_defaults(func=cmd_kernels)
 
     ps = sub.add_parser("limit-study", help="alpha -> 1 limit study from a config")
     ps.add_argument("--config", required=True)
-    ps.set_defaults(func=cmd_limit_study)
 
     pc = sub.add_parser("convergence", help="grid-refinement order study from a config")
     pc.add_argument("--config", required=True)
-    pc.set_defaults(func=cmd_convergence)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a wrapped command (a tracer's, a test's) runs
+    command = {
+        "run": cmd_run,
+        "list-models": cmd_list_models,
+        "kernels": cmd_kernels,
+        "limit-study": cmd_limit_study,
+        "convergence": cmd_convergence,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, ModelError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -133,9 +133,14 @@ def abel_integral(values: np.ndarray, order: float, h: float) -> np.ndarray:
 
 
 def l1_weights(gamma_: float, n_steps: int, h: float) -> np.ndarray:
-    """Kernel moments b_m = (m+1)^{1-gamma} - m^{1-gamma} of the L1 scheme."""
-    m = np.arange(n_steps, dtype=float)
-    return (m + 1) ** (1 - gamma_) - m ** (1 - gamma_)
+    """Kernel moments b_m = (m+1)^{1-gamma} - m^{1-gamma} of the L1 scheme,
+    as m^{1-gamma} expm1((1-gamma) log1p(1/m)): the difference of the
+    powers loses about m ulps (9e-11 relative at m = 65535, gamma = 0.95),
+    this form a few (the cell moments of ``_cell_moments`` are as exact and
+    five times dearer)."""
+    m = np.arange(1.0, n_steps)
+    e = 1.0 - gamma_
+    return np.concatenate(([1.0], m**e * np.expm1(e * np.log1p(1.0 / m))))[:n_steps]
 
 
 def first_derivative(values: np.ndarray, h: float) -> np.ndarray:

@@ -15,9 +15,10 @@ E_{a,1} and E_{a,2}), never sampling the kernel at zero.  psi is recovered
 two independent ways which must agree:
 (a) psi = E_{a,1}(-(t/tau)^a) psi0 + k_a * z by product integration, and
 (b) the L1 scheme of tau^a D^a psi + psi = z (the trapezoidal rule at
-    a = 1), one lower-triangular Toeplitz system for every mode, solved by
-    blocked forward substitution with dense products only: this check
-    route uses nothing of ``convolution``.
+    a = 1), one lower-triangular Toeplitz system for every mode, the
+    systems of every spec solved together by one blocked forward
+    substitution whose products are BLAS matrix products: this check
+    route uses nothing of ``convolution`` and no transform.
 
 Each stage is one function over a list of specs: ``solve_zform`` (z and
 z_t of every spec), ``recover_psi`` (psi of every spec by route (a), and
@@ -121,14 +122,17 @@ def solve_zform(specs, data: InitialData, grid: TimeGrid, f=None) -> ZTrajectory
     (h^2/4) sum_{j=1}^{n} c[n-j] acc_j, where c holds the coefficients of
     (1+s)^2/(1-s)^2 (c_0 = 1, c_m = 4m) and d_n = z_0 + n h v_0 + (n h^2/2 -
     h^2/4) acc_0.  The memory law is acc_n = sum_{j=1}^{n} k[n-j] z_j + g_n,
-    with k_0 = -B lam + C lam w_0, k_m = C lam w_m and g_n = C lam q[n-1] z_0
-    + F_n.  Eliminating z leaves one lower-triangular Toeplitz system per
-    mode in the acceleration, (δ - (h^2/4) k*c) acc = k*d + g, solved by
-    ``series_reciprocal`` and one defect-correction step.  z follows by one
-    more product, z_t as the trapezoid sum of acc.  What differs between
-    the specs (the kernel tables, B, C and the initial values) is built per
-    spec; every product and transform after it runs once on all the
-    columns, and each column rounds as in a solve of its spec alone.
+    with k = lam kappa, kappa_0 = C w_0 - B, kappa_m = C w_m, and g_n = C
+    lam q[n-1] z_0 + F_n.  Eliminating z leaves one lower-triangular
+    Toeplitz system per mode in the acceleration, (δ - (h^2/4) k*c) acc =
+    k*d + g, solved by ``series_reciprocal`` and one defect-correction
+    step.  z follows by one more product, z_t as the trapezoid sum of acc.
+    What differs between the specs (the kernel tables, B, C and the initial
+    values) is built per spec; every product and transform after it runs
+    once on all the columns, and each column rounds as in a solve of its
+    spec alone.  The kernel kappa is one column per spec: k*c and k*d are
+    lam (kappa*c) and lam (kappa*d), so only the specs' kernels are
+    transformed, not one per mode.
 
     The unknown is the acceleration because that symbol is well
     conditioned; eliminating v too leaves a symbol in z led by (1-s)^2,
@@ -144,7 +148,11 @@ def solve_zform(specs, data: InitialData, grid: TimeGrid, f=None) -> ZTrajectory
     n_steps = grid.steps
     farr = _forcing_array(f, basis, grid)
     tables, parts = zip(*[_zform_terms(spec, data, grid, farr) for spec in specs])
-    z0, v0, acc0, d, k, g = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    *columns, kappa = zip(*parts)
+    z0, v0, acc0, d, g = (np.concatenate(p, axis=-1) for p in columns)
+    # one kernel column per spec, broadcast over its modes
+    kappa = np.stack(kappa, axis=1)[:, :, None]
+    lam = basis.eigenvalues
     c = 4.0 * np.arange(n_steps)
     c[0] = 1.0
 
@@ -152,10 +160,10 @@ def solve_zform(specs, data: InitialData, grid: TimeGrid, f=None) -> ZTrajectory
     with np.errstate(over="ignore", invalid="ignore"):
         # c and the reciprocal each act twice: one spectrum each
         by_c = CausalFilter([c], n_steps)
-        symbol = -0.25 * h * h * by_c(k)[0]
+        symbol = -0.25 * h * h * (by_c(kappa)[0] * lam).reshape(d.shape)
         symbol[0] += 1.0
         solve_t = CausalFilter([series_reciprocal(symbol)], n_steps)
-        rhs = causal_conv(k, d) + g
+        rhs = (causal_conv(kappa, d.reshape(n_steps, len(specs), -1)) * lam).reshape(d.shape) + g
         acc = solve_t(rhs)[0]
         acc += solve_t(rhs - causal_conv(symbol, acc))[0]
         z = np.vstack([z0, d + 0.25 * h * h * by_c(acc)[0]])
@@ -173,8 +181,8 @@ def solve_zform(specs, data: InitialData, grid: TimeGrid, f=None) -> ZTrajectory
 
 
 def _zform_terms(spec: ModelSpec, data: InitialData, grid: TimeGrid, farr: np.ndarray):
-    """(tables, (z0, v0, acc0, d, k, g)): the kernel tables and the terms
-    of the z-form system of one spec, as ``solve_zform`` names them."""
+    """(tables, (z0, v0, acc0, d, g, kappa)): the kernel tables and the
+    terms of the z-form system of one spec, as ``solve_zform`` names them."""
     if spec.family is not Family.II or spec.nonlinearity is not Nonlinearity.LINEAR:
         raise ModelError("the memory solver serves the linear family ii only")
     if spec.alpha < 1.0 and np.any(data.psi2.coeffs != 0.0):
@@ -197,10 +205,10 @@ def _zform_terms(spec: ModelSpec, data: InitialData, grid: TimeGrid, farr: np.nd
     acc0 = -B * lam * z0 + F[0]
     t = grid.nodes[1:, None]
     d = z0 + t * v0 + (0.5 * h * t - 0.25 * h * h) * acc0
-    k = C * lam * tables.w[:, None]
-    k[0] -= B * lam
+    kappa = C * tables.w
+    kappa[0] -= B
     g = F[1:] + C * lam * tables.q[:, None] * z0
-    return tables, (z0, v0, acc0, d, k, g)
+    return tables, (z0, v0, acc0, d, g, kappa)
 
 
 def _column_blocks(count: int, modes: int):
@@ -215,88 +223,121 @@ def recover_psi(ztraj: ZTrajectory, psi0_coeffs: np.ndarray):
     the convolution form E_{a,1}(-(t/tau)^a) psi0 + k_a * z, each spec's
     block of columns with its own tables, all in one product; and per spec
     the largest discrepancy of its block against ``relaxation_check``, the
-    discrete relaxation equation solved by plain substitution.  A large
-    discrepancy signals a kernel or Mittag-Leffler bug.
+    discrete relaxation equation of every spec solved by plain substitution.
+    A large discrepancy signals a kernel or Mittag-Leffler bug.
     """
     tables = ztraj.tables
     m = psi0_coeffs.size
+    z = ztraj.z.reshape(ztraj.z.shape[0], len(tables), m)
+    # one kernel column per spec, broadcast over its modes
+    w = np.stack([t.w for t in tables], axis=1)[:, :, None]
+    q = np.stack([t.q for t in tables], axis=1)[:, :, None]
     psi = np.hstack([t.e1[:, None] * psi0_coeffs[None, :] for t in tables])
-    w = np.repeat(np.stack([t.w for t in tables], axis=1), m, axis=1)
-    q = np.repeat(np.stack([t.q for t in tables], axis=1), m, axis=1)
-    psi[1:] += causal_conv(w, ztraj.z[1:]) + q * ztraj.z[0]
-    discrepancies = []
-    for spec, cols in zip(ztraj.specs, _column_blocks(len(tables), m)):
-        check = relaxation_check(spec, ztraj.grid, ztraj.z[:, cols], psi0_coeffs)
-        discrepancies.append(float(np.max(np.abs(psi[:, cols] - check))))
+    psi[1:] += (causal_conv(w, z[1:]) + q * z[0]).reshape(z.shape[0] - 1, -1)
+    gap = relaxation_check(ztraj.specs, ztraj.grid, ztraj.z, psi0_coeffs)
+    gap -= psi
+    np.abs(gap, out=gap)
+    discrepancies = [float(np.max(gap[:, cols])) for cols in _column_blocks(len(tables), m)]
     return psi, discrepancies
 
 
-def relaxation_check(spec: ModelSpec, grid: TimeGrid, z: np.ndarray, psi0_coeffs):
-    """psi from tau^a D^a psi + psi = z per mode, the check route of
-    ``recover_psi``: the L1 scheme for a < 1, the trapezoidal rule for
-    tau psi' + psi = z at a = 1.
+def relaxation_check(specs, grid: TimeGrid, z: np.ndarray, psi0_coeffs):
+    """psi from tau^a D^a psi + psi = z per mode and spec, the check route
+    of ``recover_psi``: the L1 scheme for a < 1, the trapezoidal rule for
+    tau psi' + psi = z at a = 1.  z and the result hold the columns of
+    every spec in turn, as ``ZTrajectory.z`` does.
 
     Both are lower-triangular Toeplitz systems in psi_1..psi_N whose symbol
-    is the same for every mode: d_0 = scale b_0 + 1 and d_k = scale (b_k -
-    b_{k-1}) for L1 with weights b, and tau + h/2, -(tau - h/2) for the
-    trapezoidal rule.  They are solved by ``_forward_substitution``, which
-    shares no code with the convolution route that this one checks.
+    is the same for every mode of a spec: d_0 = scale b_0 + 1 and d_k =
+    scale (b_k - b_{k-1}) for L1 with weights b, and tau + h/2, -(tau -
+    h/2) for the trapezoidal rule.  Every spec's systems are solved by one
+    ``_forward_substitution``, which shares no code with the convolution
+    route that this one checks.
     """
-    p = spec.params
-    a = spec.alpha
-    h = grid.h
-    d = np.zeros(grid.steps)
-    if a < 1.0:
-        b = l1_weights(a, grid.steps, h)
-        scale = p.tau**a * h ** (-a) / gamma(2.0 - a)
-        d[0] = scale * b[0] + 1.0
-        d[1:] = scale * np.diff(b)
-        rhs = z[1:] + scale * b[:, None] * psi0_coeffs
-    else:
-        d[0] = p.tau + 0.5 * h
-        d[1:2] = -(p.tau - 0.5 * h)
-        rhs = 0.5 * h * (z[1:] + z[:-1])
-        rhs[0] += (p.tau - 0.5 * h) * psi0_coeffs
-    return np.vstack([psi0_coeffs, _forward_substitution(d, rhs)])
+    h, n = grid.h, grid.steps
+    z = z.reshape(n + 1, len(specs), -1)
+    d = np.zeros((len(specs), n))
+    # the right-hand sides, solved in place into psi
+    psi = np.empty_like(z)
+    psi[0] = psi0_coeffs
+    for i, spec in enumerate(specs):
+        p, a = spec.params, spec.alpha
+        if a < 1.0:
+            b = l1_weights(a, n, h)
+            scale = p.tau**a * h ** (-a) / gamma(2.0 - a)
+            d[i, 0] = scale * b[0] + 1.0
+            d[i, 1:] = scale * np.diff(b)
+            psi[1:, i] = z[1:, i] + scale * b[:, None] * psi0_coeffs
+        else:
+            d[i, 0] = p.tau + 0.5 * h
+            d[i, 1:2] = -(p.tau - 0.5 * h)
+            psi[1:, i] = 0.5 * h * (z[1:, i] + z[:-1, i])
+            psi[1, i] += (p.tau - 0.5 * h) * psi0_coeffs
+    _forward_substitution(d, psi[1:].transpose(1, 0, 2))
+    return psi.reshape(n + 1, -1)
 
 
 # rows per block of ``_forward_substitution``
-_BLOCK = 64
+_BLOCK = 32
 
 
-def _forward_substitution(d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with sum_{k=0}^{n} d[k] x[n-k] = rhs[n] for every row n of rhs
-    (1-D, or 2-D with one column per system): the lower-triangular Toeplitz
-    system with first column d, by blocked forward substitution.  Entries
-    of d beyond the rows of rhs are unused; missing ones count as zero.
+def _forward_substitution(d: np.ndarray, x: np.ndarray):
+    """Solve sum_{k=0}^{n} d[s, k] x[s, n-k] = rhs[s, n] in place for every
+    system s, row n and column: x, shaped (systems, rows, columns), holds
+    rhs on entry and the solution on return.  System s is lower-triangular
+    Toeplitz with first column d[s].  Entries of d beyond the rows of x
+    are unused; missing ones count as zero.
 
-    Every diagonal block is the same matrix; its inverse, lower-triangular
-    Toeplitz too, is built once from its first column by substitution.
-    Each block then takes two dense products: the history of the rows
-    already solved, through a strided Toeplitz view of d, and the inverse.
-    O(n^2) per column, no transform.
+    Blocked forward substitution over blocks of 32 rows, all systems at
+    once.  Every diagonal block of a system is the same matrix, whose
+    inverse is built once, by doubling.  Each block then takes two matrix
+    products, batched over the systems (BLAS, one call per system): the
+    history of the rows already solved, and the inverse.  The history's
+    matrix, d[s, start + i - q] for block row i and solved row q, is a
+    column slice of one contiguous panel of 32 rows per system, built
+    once, and the history lands in one reused work block: the work memory
+    is 32 doubles per system and row (4 MiB per system at n = 16384),
+    never O(n^2), and no block copies a view (64-row blocks would double
+    the panel: a fresh zform-limit process peaked 0.5 MiB higher, and
+    they were no faster).  O(n^2) operations per column, no transform.
+    Each system's x equals its solve alone bit for bit.
     """
-    n = rhs.shape[0]
-    x = np.zeros_like(rhs)
-    d = np.concatenate([np.asarray(d, dtype=float)[:n], np.zeros(max(0, n - len(d)))])
+    count, n, columns = x.shape
     size = min(_BLOCK, n)
-    inv = np.zeros(size)  # the first column of the diagonal block's inverse
-    inv[0] = 1.0 / d[0]
-    for i in range(1, size):
-        inv[i] = -np.dot(d[i:0:-1], inv[:i]) / d[0]
-    # block_inv[i, j] = inv[i - j], zero above the diagonal
-    padded = np.concatenate([np.zeros(size - 1), inv])
-    step = padded.strides[0]
-    block_inv = as_strided(padded[size - 1 :], (size, size), (step, -step), writeable=False)
+    used = min(n, d.shape[1])
+    # rev[s, j] = d[s, n + size - 1 - j], zero where d has no entry
+    rev = np.zeros((count, n + 2 * size - 1))
+    rev[:, n + size - used : n + size] = d[:, used - 1 :: -1]
+    step = rev.strides[1]
+    # panel[s, i, p] = d[s, n + i - p]: block row i against solved row q at
+    # column p = n - start + q, and the diagonal block in the last columns
+    panel = as_strided(
+        rev[:, size - 1 :], (count, size, n + size), (rev.strides[0], -step, step)
+    ).copy()
+    # the inverse of the diagonal block by doubling: the inverse of a
+    # lower-triangular Toeplitz matrix of k + m rows has the one of k rows
+    # top left, its leading m rows bottom right and -B_m S B_k between,
+    # S[i, j] = d[k + i - j]
+    block_inv = np.zeros((count, size, size))
+    block_inv[:, 0, 0] = 1.0 / panel[:, 0, n]
+    k = 1
+    while k < size:
+        m = min(k, size - k)
+        lead = block_inv[:, :m, :m]
+        block_inv[:, k : k + m, :k] = -(lead @ panel[:, :m, n - k : n] @ block_inv[:, :k, :k])
+        block_inv[:, k : k + m, k : k + m] = lead
+        k += m
+    work = np.empty((count, size, columns))
     for start in range(0, n, size):
         rows = min(size, n - start)
-        r = rhs[start : start + rows]
+        block, r = x[:, start : start + rows], work[:, :rows]
         if start:
-            # r[i] -= sum_{q < start} d[i + 1 + q] x[start - 1 - q]
-            lags = as_strided(d[1:], (rows, start), (step, step), writeable=False)
-            r = r - np.einsum("iq,q...->i...", lags, x[start - 1 :: -1])
-        x[start : start + rows] = np.einsum("ij,j...->i...", block_inv[:rows, :rows], r)
-    return x
+            # r[s, i] = rhs[s, start + i] - sum_{q < start} d[s, start + i - q] x[s, q]
+            np.matmul(panel[:, :rows, n - start : n], x[:, :start], out=r)
+            np.subtract(block, r, out=r)
+        else:
+            r[...] = block
+        np.matmul(block_inv[:, :rows, :rows], r, out=block)
 
 
 def solve_fmgt2_all(specs, data: InitialData, grid: TimeGrid, f=None) -> list:

@@ -188,6 +188,37 @@ class TestConfig:
         assert again.entries == cfg.entries
 
 
+class TestParser:
+    def test_successive_calls_parse_independently(self, monkeypatch):
+        # one parser per process: each call's subcommand and flags, and no
+        # other call's, reach the command, also a command wrapped after the
+        # parser was built (as the benchmark's tracer wraps cmd_run)
+        seen = []
+
+        def record(args):
+            seen.append(vars(args))
+            return 0
+
+        fmgt.cli.build_parser()
+        monkeypatch.setattr(fmgt.cli, "cmd_run", record)
+        monkeypatch.setattr(fmgt.cli, "cmd_kernels", record)
+        assert main(["run", "--config", "a.cfg"]) == 0
+        assert main(["--seed", "3", "kernels", "--tau", "2"]) == 0
+        assert main(["--out", "o", "run", "--config", "b.cfg"]) == 0
+        assert seen == [
+            {"seed": 0, "out": None, "command": "run", "config": "a.cfg"},
+            {
+                "seed": 3,
+                "out": None,
+                "command": "kernels",
+                "alphas": "0.3,0.5,0.7,0.9,1.0",
+                "tau": 2.0,
+            },
+            {"seed": 0, "out": "o", "command": "run", "config": "b.cfg"},
+        ]
+        assert fmgt.cli.build_parser() is fmgt.cli.build_parser()
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -730,6 +761,21 @@ class TestWorkPerRun:
         cfg.write_text(ZFORM_LIMIT)
         assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 0
         assert shapes == [(256, 6 * 8)]
+
+    def test_one_recovery_check_per_run(self, tmp_path, monkeypatch):
+        # the recovery check of every alpha is one batched solve too
+        calls = []
+        check = fmgt.memory.relaxation_check
+
+        def counting(specs, *args):
+            calls.append(len(specs))
+            return check(specs, *args)
+
+        monkeypatch.setattr(fmgt.memory, "relaxation_check", counting)
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(ZFORM_LIMIT)
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 0
+        assert calls == [6]
 
     def test_energy_forms_built_once(self, tmp_path, monkeypatch):
         # both energy levels report one damping form and one Alikhanov

@@ -16,7 +16,13 @@ from fmgt import (
     gamma_kernel,
     limit_discrepancy,
 )
-from fmgt.fractional import first_derivative, gamma, power_weights_linear, second_derivative
+from fmgt.fractional import (
+    first_derivative,
+    gamma,
+    l1_weights,
+    power_weights_linear,
+    second_derivative,
+)
 from fmgt.oracles import _abel, _l1_caputo
 
 
@@ -105,6 +111,22 @@ class TestPowerWeights:
                 want += [scale * (q[k - 1] - q[k] + e * q[k] / k) for k in lags]
             got = np.concatenate([d[[0] + lags], c0[lags]])
             assert np.max(np.abs(got / np.array(want, dtype=float) - 1.0)) <= 1e-14
+
+
+class TestL1Weights:
+    @pytest.mark.parametrize("g", [0.3, 0.7, 0.95])
+    def test_against_mpmath(self, g):
+        # (m+1)^(1-g) - m^(1-g) in 40 digits, which the difference in
+        # double precision loses about m ulps of (9e-11 at m = 65535)
+        mpmath = pytest.importorskip("mpmath")
+        for n in (2048, 65536):
+            b = l1_weights(g, n, 1.0 / n)
+            lags = [m for m in (0, 1, 2, 7, 8, 100, 1000, 10000, n // 2, n - 1) if m < n]
+            with mpmath.workdps(40):
+                e = 1 - mpmath.mpf(g)
+                want = [(mpmath.mpf(m) + 1) ** e - mpmath.mpf(m) ** e for m in lags]
+            assert b.shape == (n,)
+            assert np.max(np.abs(b[lags] / np.array(want, dtype=float) - 1.0)) <= 1e-15
 
 
 class TestAbelIntegral:

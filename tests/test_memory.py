@@ -18,6 +18,7 @@ from fmgt.memory import (
     _forward_substitution,
     memory_tables,
     recover_psi,
+    relaxation_check,
     solve_fmgt2_all,
     solve_zform,
     z_initial,
@@ -456,26 +457,71 @@ def trapezoid_symbol(n, tau=0.25, horizon=2.0):
     return d
 
 
+def solve(d, rhs):
+    """``_forward_substitution`` on a copy of rhs, which it solves in place."""
+    x = rhs.copy()
+    _forward_substitution(d, x)
+    return x
+
+
 class TestForwardSubstitution:
     """The blocked solve of the recovery check against row-by-row
-    substitution, across block edges (64 rows a block)."""
+    substitution, several systems at once, across block edges (32 rows a
+    block)."""
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257])
-    @pytest.mark.parametrize("symbol", ["l1", "trapezoid"])
-    @pytest.mark.parametrize("columns", [None, 3])
-    def test_against_rows(self, n, symbol, columns):
-        d = l1_symbol(0.7, n) if symbol == "l1" else trapezoid_symbol(n)
-        shape = (n,) if columns is None else (n, columns)
-        rhs = np.random.default_rng(n).standard_normal(shape)
-        got = _forward_substitution(d, rhs)
-        want = forward_substitution_by_rows(d, rhs)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    @staticmethod
+    def _symbols(kind, n):
+        return {
+            "l1": [l1_symbol(0.7, n)],
+            "trapezoid": [trapezoid_symbol(n)],
+            # L1 and trapezoid systems of several scales in one solve
+            "mixed": [l1_symbol(0.7, n), trapezoid_symbol(n), l1_symbol(0.3, n, tau=2.0)],
+        }[kind]
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 257])
+    @pytest.mark.parametrize("kind", ["l1", "trapezoid", "mixed"])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_against_rows(self, n, kind, columns):
+        d = np.array(self._symbols(kind, n))
+        rhs = np.random.default_rng(n).standard_normal((len(d), n, columns))
+        got = solve(d, rhs)
+        for s in range(len(d)):
+            want = forward_substitution_by_rows(d[s], rhs[s])
+            assert np.max(np.abs(got[s] - want)) <= 1e-13 * np.max(np.abs(want)), s
+
+    @pytest.mark.parametrize("n", [63, 257])
+    def test_each_system_equals_its_solve_alone(self, n):
+        d = np.array(self._symbols("mixed", n))
+        rhs = np.random.default_rng(n).standard_normal((len(d), n, 5))
+        got = solve(d, rhs)
+        for s in range(len(d)):
+            assert np.array_equal(got[s], solve(d[s : s + 1], rhs[s : s + 1])[0])
 
     def test_short_symbol_counts_as_zero(self):
-        rhs = np.random.default_rng(0).standard_normal((70, 2))
-        d = trapezoid_symbol(70)
-        assert np.array_equal(_forward_substitution(d[:2], rhs), _forward_substitution(d, rhs))
+        rhs = np.random.default_rng(0).standard_normal((2, 70, 2))
+        d = np.array([trapezoid_symbol(70), trapezoid_symbol(70, tau=1.0)])
+        assert np.array_equal(solve(d[:, :2], rhs), solve(d, rhs))
+
+
+class TestBatchedCheck:
+    """One recovery check for every spec of a batch."""
+
+    ALPHAS = [0.8, 1.0, 0.6, 0.9, 0.95, 0.99]
+
+    def test_each_spec_equals_its_check_alone(self, bump_setup):
+        b, data = bump_setup
+        grid = TimeGrid(2.0, 200)
+        specs = [linear_ii(a, tau=0.25) for a in self.ALPHAS]
+        ztraj = solve_zform(specs, data, grid)
+        psi0 = data.psi0.coeffs
+        batch = relaxation_check(specs, grid, ztraj.z, psi0)
+        _, discrepancies = recover_psi(ztraj, psi0)
+        blocks = fmgt.memory._column_blocks(len(specs), b.size)
+        for spec, cols, disc in zip(specs, blocks, discrepancies):
+            tables = [memory_tables(spec, grid)]
+            alone = ZTrajectory(grid, ztraj.z[:, cols], ztraj.z_t[:, cols], [spec], tables)
+            assert np.array_equal(batch[:, cols], relaxation_check([spec], grid, alone.z, psi0))
+            assert recover_psi(alone, psi0)[1] == [disc]
 
 
 def test_recovery_check_names_no_convolution_symbol():

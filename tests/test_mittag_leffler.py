@@ -142,6 +142,31 @@ NEAR_ONE_ORACLE = {
     (0.9999, 2.0, -12.0): 0.083336008324509633665,
 }
 
+class TestScalarOracle:
+    """``ml_scalar`` refuses where it is not accurate and meets 1e-11 where
+    it answers, on every frozen mpmath point."""
+
+    @pytest.mark.parametrize("group", list(MPMATH))
+    def test_accepted_points_meet_1e_11(self, group):
+        refused = []
+        for (a, b), (xs, want) in MPMATH[group].items():
+            for x, w in zip(xs, want):
+                try:
+                    got = ml_scalar(a, b, x)
+                except DomainError:
+                    refused.append((a, b, x))
+                    continue
+                assert abs(got - w) <= 1e-11 * abs(w), (a, b, x, got, w)
+        # only quadratures next to alpha = 1, and alpha = 1 itself with b
+        # outside {1, 2}, past the series
+        assert all(a >= 1 - 1e-8 and -x > 6.5 for a, _, x in refused)
+
+    def test_refuses_next_to_one(self):
+        # quad once returned 3.1e-10 here for 3.35e-4, with only a warning
+        with pytest.raises(DomainError, match="does not converge"):
+            ml_scalar(1 - 1e-8, 1.0, -8.0)
+
+
 class TestMlArray:
     """ml_array against frozen mpmath values and independent identities."""
 
