@@ -25,7 +25,9 @@ from .models import (
     Nonlinearity,
     Trajectory,
     _forcing_array,
+    classical_ode_refusal,
     solver_backend,
+    step_counts,
 )
 from .volterra import picard_nonlinear, solve_linear
 
@@ -346,22 +348,6 @@ class ConvergenceTable:
     reference: str
 
 
-def step_counts(steps_seq) -> list:
-    """The step counts of a convergence table in increasing order: at least
-    two, all distinct and positive, each dividing 4 x the largest so that
-    the Richardson grid holds its nodes.  ModelError names the sequence as
-    given otherwise."""
-    given = list(steps_seq)
-    steps = sorted(int(n) for n in given)
-    distinct = len(set(steps)) == len(steps) >= 2
-    if not distinct or steps[0] < 1 or any(4 * steps[-1] % n for n in steps):
-        raise ModelError(
-            "step counts must be positive, at least two, distinct and divide 4 x the "
-            f"largest (the Richardson grid), got {given}"
-        )
-    return steps
-
-
 def convergence_table(
     spec: ModelSpec,
     data: InitialData,
@@ -373,18 +359,17 @@ def convergence_table(
     """Max-node L2 errors of psi on refining grids with a least-squares order.
 
     reference = 'richardson' solves once on a 4x finer grid; 'ode' uses the
-    adaptive classical integrator (linear runs at alpha = 1 only); any other
-    reference is refused with ModelError.  The step counts obey
+    adaptive classical integrator where ``classical_ode_refusal`` admits it;
+    any other reference is refused with ModelError.  The step counts obey
     ``step_counts``.
     """
     if reference not in ("richardson", "ode"):
         raise ModelError(f"the reference is richardson or ode, got {reference!r}")
     steps_seq = step_counts(steps_seq)
     if reference == "ode":
-        if spec.alpha != 1.0:
-            raise ModelError("the ODE reference serves alpha = 1 runs")
-        if spec.nonlinearity is not Nonlinearity.LINEAR:
-            raise ModelError("the ODE reference is the linear classical equation")
+        refusal = classical_ode_refusal(spec.variant, spec.alpha)
+        if refusal:
+            raise ModelError(refusal)
         from .oracles import classical_mgt_reference
 
         ref_traj = None

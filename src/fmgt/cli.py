@@ -1,5 +1,6 @@
-"""Configuration-driven command line: runs, model listing, kernel reports,
-limit studies, and convergence tables with bit-stable CSV/JSON artifacts.
+"""Configuration-driven command line: runs (with the limit studies,
+convergence tables and checks a config names), model listing and kernel
+reports, with bit-stable CSV/JSON artifacts.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 solver failure
 (blow-up or a single node whose fixed point did not converge).
@@ -28,7 +29,14 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig
 from .fractional import DomainError, TimeGrid, alikhanov_gap, coercivity_quadform
-from .models import ModelError, ModelSpec, Nonlinearity, SolverError, catalog, describe
+from .models import (
+    ModelError,
+    ModelSpec,
+    SolverError,
+    catalog,
+    classical_ode_refusal,
+    describe,
+)
 
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
@@ -104,7 +112,7 @@ def cmd_run(args) -> int:
     }
     summary.update(traj.diagnostics)  # the solver keys of this run kind
 
-    if "study.crosscheck" in cfg.entries:  # validated: the ODE check of a linear alpha = 1 run
+    if "study.crosscheck" in cfg.entries:  # validated: the ODE reference serves this run
         from .oracles import classical_mgt_reference
 
         ref = classical_mgt_reference(spec, data, grid, f)
@@ -122,8 +130,7 @@ def cmd_run(args) -> int:
 
     if "study.n_sweep" in cfg.entries:
         ns = cfg._ints("study.n_sweep")
-        linear = spec.nonlinearity is Nonlinearity.LINEAR
-        reference = "ode" if linear and spec.alpha == 1.0 else "richardson"
+        reference = "richardson" if classical_ode_refusal(spec.variant, spec.alpha) else "ode"
         table = convergence_table(spec, data, grid.horizon, ns, source, reference=reference)
         summary["convergence"] = dataclasses.asdict(table)
 
@@ -199,20 +206,6 @@ def cmd_kernels(args) -> int:
     return 0
 
 
-def cmd_limit_study(args) -> int:
-    cfg = RunConfig.from_file(args.config)
-    if "study.alpha_sweep" not in cfg.entries:
-        raise ConfigError("limit-study needs study.alpha_sweep in the config")
-    return cmd_run(args)
-
-
-def cmd_convergence(args) -> int:
-    cfg = RunConfig.from_file(args.config)
-    if "study.n_sweep" not in cfg.entries:
-        raise ConfigError("convergence needs study.n_sweep in the config")
-    return cmd_run(args)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: each ``parse_args``
@@ -225,20 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pr = sub.add_parser("run", help="solve one configuration and write artifacts")
+    pr = sub.add_parser(
+        "run", help="solve one configuration, run the studies it names and write artifacts"
+    )
     pr.add_argument("--config", required=True)
 
-    pl = sub.add_parser("list-models", help="print the model catalog")
+    sub.add_parser("list-models", help="print the model catalog")
 
     pk = sub.add_parser("kernels", help="relaxation-kernel property report")
     pk.add_argument("--alphas", default="0.3,0.5,0.7,0.9,1.0")
     pk.add_argument("--tau", type=float, default=1.0)
-
-    ps = sub.add_parser("limit-study", help="alpha -> 1 limit study from a config")
-    ps.add_argument("--config", required=True)
-
-    pc = sub.add_parser("convergence", help="grid-refinement order study from a config")
-    pc.add_argument("--config", required=True)
     return p
 
 
@@ -249,8 +238,6 @@ def main(argv=None) -> int:
         "run": cmd_run,
         "list-models": cmd_list_models,
         "kernels": cmd_kernels,
-        "limit-study": cmd_limit_study,
-        "convergence": cmd_convergence,
     }[args.command]
     try:
         return command(args)

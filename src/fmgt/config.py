@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import step_counts
 from .models import (
     Family,
     InitialData,
@@ -38,6 +37,8 @@ from .models import (
     ModelVariant,
     Nonlinearity,
     beta_of,
+    classical_ode_refusal,
+    step_counts,
 )
 from .spectral import Domain, EigenBasis, SpectralField
 from .fractional import TimeGrid
@@ -175,8 +176,9 @@ class RunConfig:
                 f"model.nonlinearity must be linear/westervelt/kuznetsov, got {nl!r}"
             )
         variant = ModelVariant(Family(fam), Nonlinearity(nl))
+        alpha = self._float("model.alpha")
         try:
-            beta_of(variant, self._float("model.alpha"))
+            beta_of(variant, alpha)
         except ModelError as exc:
             raise ConfigError(f"model.alpha: {exc}") from exc
         if self.entries["domain.kind"] not in ("interval", "rectangle"):
@@ -186,7 +188,7 @@ class RunConfig:
         if self._float("time.T") <= 0:
             raise ConfigError("time.T must be positive")
         preset = self.entries["data.preset"]
-        if preset not in ("zero", "bump", "mode", "decay", "coeffs"):
+        if preset not in ("zero", "bump", "mode", "coeffs"):
             raise ConfigError(f"unknown data.preset {preset!r}")
         if preset == "coeffs" and "data.psi0" not in self.entries:
             raise ConfigError("key data.psi0: data.preset = coeffs reads psi0 from it")
@@ -195,7 +197,7 @@ class RunConfig:
                 "key data.psi0: read only under data.preset = coeffs, "
                 f"got data.preset = {preset}"
             )
-        if variant.family is Family.II and self._float("model.alpha") < 1.0:
+        if variant.family is Family.II and alpha < 1.0:
             reasons = {
                 "data.psi1": "is singular at t = 0 unless psi1 = 0 at model.alpha < 1",
                 "data.psi2": "has no psi2 term at model.alpha < 1, so it needs psi2 = 0",
@@ -217,16 +219,10 @@ class RunConfig:
             raise ConfigError(
                 f"key study.crosscheck: the one cross-check is ode, got {crosscheck!r}"
             )
-        if crosscheck == "ode" and self._float("model.alpha") != 1.0:
-            raise ConfigError(
-                "key study.crosscheck: the ODE reference serves alpha = 1 runs, got "
-                f"model.alpha = {self.entries['model.alpha']}"
-            )
-        if crosscheck == "ode" and variant.nonlinearity is not Nonlinearity.LINEAR:
-            raise ConfigError(
-                "key study.crosscheck: the ODE reference is the linear classical "
-                f"equation, got model.nonlinearity = {nl}"
-            )
+        if crosscheck == "ode":
+            refusal = classical_ode_refusal(variant, alpha)
+            if refusal:
+                raise ConfigError(f"key study.crosscheck: {refusal}")
         if "study.alpha_sweep" in self.entries:
             self._validate_sweep(variant)
         if "study.selfcheck_signals" in self.entries:
@@ -297,9 +293,6 @@ class RunConfig:
             if not 1 <= mode <= basis.size:
                 raise ConfigError(f"key data.mode: must be in 1..{basis.size}, got {mode}")
             psi0 = basis.unit_mode(mode - 1, amp)
-        elif preset == "decay":
-            j = np.arange(1, basis.size + 1)
-            psi0 = SpectralField(basis, amp * j ** (-1.2))
         else:  # explicit coefficient lists
             psi0 = self._field_from_key(basis, "data.psi0")
         psi1 = self._field_from_key(basis, "data.psi1") if "data.psi1" in self.entries else basis.zero_field()

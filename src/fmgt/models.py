@@ -1,7 +1,8 @@
 """Catalog of the fractional (J)MGT acoustic models, parameter validation,
-the damping-exponent map, and the types that the solvers and the oracles
-(``fmgt.oracles``) share: ``Trajectory``, the solver errors and the
-forcing's array form.
+the damping-exponent map, the admission rules that configs, studies and
+oracles share (``classical_ode_refusal``, ``step_counts``), and the types
+that the solvers and the oracles (``fmgt.oracles``) share: ``Trajectory``,
+the solver errors and the forcing's array form.
 
 Four families share the structure of a third-order-in-time wave equation with
 a fractional damping term; they differ in which time derivatives carry the
@@ -190,6 +191,35 @@ def validate(spec: ModelSpec) -> ModelSpec:
     return spec
 
 
+def classical_ode_refusal(variant: ModelVariant, alpha: float) -> str | None:
+    """Why the classical ODE reference cannot serve this model and order, or
+    None where it can: it integrates the linear classical equation, so it
+    serves linear models at alpha = 1 only.  Every caller of the reference
+    asks this one rule and raises the reason with its own error type."""
+    if variant.nonlinearity is Nonlinearity.LINEAR and alpha == 1.0:
+        return None
+    return (
+        "the classical ODE reference covers linear models at alpha = 1 only, "
+        f"got {variant.nonlinearity.value} at alpha = {alpha}"
+    )
+
+
+def step_counts(steps_seq) -> list:
+    """The step counts of a convergence table in increasing order: at least
+    two, all distinct and positive, each dividing 4 x the largest so that
+    the Richardson grid holds its nodes.  ModelError names the sequence as
+    given otherwise."""
+    given = list(steps_seq)
+    steps = sorted(int(n) for n in given)
+    distinct = len(set(steps)) == len(steps) >= 2
+    if not distinct or steps[0] < 1 or any(4 * steps[-1] % n for n in steps):
+        raise ModelError(
+            "step counts must be positive, at least two, distinct and divide 4 x the "
+            f"largest (the Richardson grid), got {given}"
+        )
+    return steps
+
+
 def solver_backend(variant: ModelVariant) -> str:
     """Which solver serves a catalog entry: volterra | memory | residual-only."""
     if variant.family is Family.II:
@@ -261,19 +291,18 @@ def _forcing_array(f, basis: EigenBasis, grid: TimeGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # catalog (for listing and the CLI)
 
-_TERMS = {
-    (Family.BASE, "lead"): "tau^a D_t^a psi_tt",
-    (Family.I, "lead"): "tau^a D_t^a psi_tt",
-    (Family.II, "lead"): "tau^a D_t^a psi_tt",
-    (Family.III, "lead"): "tau psi_ttt",
-    (Family.BASE, "stiff"): "- tau^a c^2 D_t^a Lap psi",
-    (Family.I, "stiff"): "- tau^a c^2 D_t^a Lap psi",
-    (Family.II, "stiff"): "- tau^a c^2 D_t^a Lap psi",
-    (Family.III, "stiff"): "- tau c^2 Lap psi_t",
-    (Family.BASE, "damp"): "- delta Lap psi_t",
-    (Family.I, "damp"): "- delta D_t^{2-a} Lap psi",
-    (Family.II, "damp"): "- delta D_t^a Lap psi",
-    (Family.III, "damp"): "- delta D_t^{2-a} Lap psi",
+_FRACTIONAL_LEAD = ("tau^a D_t^a psi_tt", "- tau^a c^2 D_t^a Lap psi")
+_TERMS = {  # family -> (lead, stiffness, damping)
+    Family.BASE: (*_FRACTIONAL_LEAD, "- delta Lap psi_t"),
+    Family.I: (*_FRACTIONAL_LEAD, "- delta D_t^{2-a} Lap psi"),
+    Family.II: (*_FRACTIONAL_LEAD, "- delta D_t^a Lap psi"),
+    Family.III: ("tau psi_ttt", "- tau c^2 Lap psi_t", "- delta D_t^{2-a} Lap psi"),
+}
+
+_INERTIA = {
+    Nonlinearity.LINEAR: "+ psi_tt",
+    Nonlinearity.WESTERVELT: "+ (1 + 2k psi_t) psi_tt",
+    Nonlinearity.KUZNETSOV: "+ (1 + 2k~ psi_t) psi_tt",
 }
 
 _ZFORM = {
@@ -285,17 +314,8 @@ _ZFORM = {
 
 
 def term_list(variant: ModelVariant) -> str:
-    fam = variant.family
-    pieces = [_TERMS[(fam, "lead")]]
-    if variant.nonlinearity is Nonlinearity.LINEAR:
-        pieces.append("+ psi_tt")
-    elif variant.nonlinearity is Nonlinearity.WESTERVELT:
-        pieces.append("+ (1 + 2k psi_t) psi_tt")
-    else:
-        pieces.append("+ (1 + 2k~ psi_t) psi_tt")
-    pieces.append("- c^2 Lap psi")
-    pieces.append(_TERMS[(fam, "stiff")])
-    pieces.append(_TERMS[(fam, "damp")])
+    lead, stiff, damp = _TERMS[variant.family]
+    pieces = [lead, _INERTIA[variant.nonlinearity], "- c^2 Lap psi", stiff, damp]
     if variant.nonlinearity is Nonlinearity.KUZNETSOV:
         pieces.append("+ l~ d_t |grad psi|^2")
     return " ".join(pieces) + " = f"

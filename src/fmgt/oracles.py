@@ -40,6 +40,7 @@ from .models import (
     SolverBlowUpError,
     Trajectory,
     _forcing_array,
+    classical_ode_refusal,
 )
 from .spectral import EigenBasis
 
@@ -55,16 +56,10 @@ def classical_mgt_reference(
     system per mode (tau xi''' + xi'' + c^2 lam xi + (tau c^2 + delta) lam xi'
     = f), used as an independent oracle for alpha = 1 degeneration.  DOP853
     runs at rtol 1e-12 and atol 1e-14.  It reads tau, c and delta only, so
-    it refuses a nonlinear spec and alpha < 1 with ModelError."""
-    if spec.nonlinearity is not Nonlinearity.LINEAR:
-        raise ModelError(
-            "the classical ODE oracle covers linear models only: it integrates "
-            "the linear MGT equation"
-        )
-    if spec.alpha != 1.0:
-        raise ModelError(
-            f"the classical ODE oracle covers alpha = 1 only, got alpha = {spec.alpha}"
-        )
+    it raises ModelError where ``classical_ode_refusal`` refuses the spec."""
+    refusal = classical_ode_refusal(spec.variant, spec.alpha)
+    if refusal:
+        raise ModelError(refusal)
     from scipy.integrate import solve_ivp
 
     basis = data.basis

@@ -233,23 +233,6 @@ class SpectralField:
                 f"expected {self.basis.size} coefficients, got {self.coeffs.shape}"
             )
 
-    def __add__(self, other):
-        self._check(other)
-        return SpectralField(self.basis, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return SpectralField(self.basis, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float):
-        return SpectralField(self.basis, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if other.basis is not self.basis:
-            raise DomainError("fields must share one basis")
-
 
 def sobolev_norm(u: SpectralField, m: int) -> float:
     """Spectral Sobolev seminorm (sum lambda^m c^2)^(1/2) for m in 0..3.

@@ -352,7 +352,7 @@ class TestConvergence:
         spec = ModelSpec(
             ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=5.0), 1.0
         )
-        with pytest.raises(ModelError, match="linear classical equation"):
+        with pytest.raises(ModelError, match="got westervelt at alpha = 1.0"):
             convergence_table(spec, data, 1.0, [32, 64], reference="ode")
 
 

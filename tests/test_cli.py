@@ -17,9 +17,22 @@ import fmgt.cli
 import fmgt.fractional
 import fmgt.memory
 import fmgt.oracles
+from fmgt.analysis import convergence_table
 from fmgt.cli import main
 from fmgt.config import ConfigError, RunConfig
-from fmgt.models import _forcing_array
+from fmgt.fractional import TimeGrid
+from fmgt.models import (
+    Family,
+    InitialData,
+    MediumParams,
+    ModelError,
+    ModelSpec,
+    ModelVariant,
+    Nonlinearity,
+    _forcing_array,
+)
+from fmgt.oracles import classical_mgt_reference
+from fmgt.spectral import Domain, EigenBasis
 from fmgt.volterra import MAX_SWEEPS, InnerSolveError
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
@@ -218,6 +231,14 @@ class TestParser:
         ]
         assert fmgt.cli.build_parser() is fmgt.cli.build_parser()
 
+    @pytest.mark.parametrize("alias", ["limit-study", "convergence"])
+    def test_run_is_the_one_study_command(self, capsys, alias):
+        # run performs every study a config names; the study aliases are gone
+        with pytest.raises(SystemExit) as exc:
+            main([alias, "--config", "a.cfg"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
@@ -349,7 +370,7 @@ class TestExitCodes:
         cfg.write_text(
             f"schema = 1\nmodel.alpha = 0.5\ndomain.cutoff = 4\nstudy.n_sweep = {steps}\n"
         )
-        assert run_cli(["--out", tmp_path / "o", "convergence", "--config", cfg]) == 2
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: key study.n_sweep: ")
         assert reason in err and "Traceback" not in err
@@ -358,10 +379,10 @@ class TestExitCodes:
         "entries, reason",
         [
             ("model.alpha = 1.0\nstudy.crosscheck = nonsense", "is ode, got 'nonsense'"),
-            ("model.alpha = 0.8\nstudy.crosscheck = ode", "got model.alpha = 0.8"),
+            ("model.alpha = 0.8\nstudy.crosscheck = ode", "got linear at alpha = 0.8"),
             (
                 "model.nonlinearity = westervelt\nmodel.k = 5\nstudy.crosscheck = ode",
-                "got model.nonlinearity = westervelt",
+                "got westervelt at alpha = 1.0",
             ),
         ],
     )
@@ -427,6 +448,37 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("nonlinearity, alpha", [("westervelt", 1.0), ("linear", 0.8)])
+    def test_every_ode_caller_refuses_the_same_specs(
+        self, tmp_path, monkeypatch, capsys, nonlinearity, alpha
+    ):
+        # the config, the ODE convergence table and the oracle ask one rule,
+        # models.classical_ode_refusal, and refuse with its one reason
+        monkeypatch.setattr(fmgt.cli, "solve_all", self._no_solve)
+        monkeypatch.setattr(fmgt.analysis, "solve", self._no_solve)
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity(nonlinearity)), MediumParams(k=5.0), alpha
+        )
+        basis = EigenBasis(Domain.interval(1.0), 4)
+        data = InitialData(basis.unit_mode(0), basis.zero_field(), basis.zero_field())
+        with pytest.raises(ModelError) as table:
+            convergence_table(spec, data, 1.0, [32, 64], reference="ode")
+        with pytest.raises(ModelError) as oracle:
+            classical_mgt_reference(spec, data, TimeGrid(1.0, 32))
+        reason = str(table.value)
+        assert str(oracle.value) == reason
+        assert reason.endswith(f"got {nonlinearity} at alpha = {alpha}")
+
+        cfg = tmp_path / "ode.cfg"
+        cfg.write_text(
+            f"schema = 1\nmodel.nonlinearity = {nonlinearity}\nmodel.k = 5\n"
+            f"model.alpha = {alpha}\ndomain.cutoff = 4\nstudy.crosscheck = ode\n"
+        )
+        assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: key study.crosscheck: {reason}\n"
+        assert not (tmp_path / "o").exists()
+
     @staticmethod
     def _no_solve(*args, **kwargs):
         raise AssertionError("a refused config reached the solver")
@@ -488,7 +540,7 @@ class TestArtifacts:
 
     def test_limit_preset_strictly_decreasing(self, tmp_path):
         out = tmp_path / "o"
-        assert run_cli(["--out", out, "limit-study", "--config", PRESETS / "limit-iii.cfg"]) == 0
+        assert run_cli(["--out", out, "run", "--config", PRESETS / "limit-iii.cfg"]) == 0
         s = json.loads((out / "summary.json").read_text())
         col = s["limit_study"]["columns"]["W1inf_H1"]
         assert all(a > b for a, b in zip(col, col[1:]))
@@ -568,6 +620,19 @@ class TestArtifacts:
         assert "volterra" not in imports["memory"]
         assert imports["analysis"] >= {"memory", "volterra"}  # the helper sees them
 
+    def test_config_loads_no_solver(self):
+        # a config parses without the solver layers: nothing that importing
+        # fmgt.config reaches (the package's __init__ included) imports them
+        imports = {path.stem: _fmgt_imports(path) for path in (SRC / "fmgt").glob("*.py")}
+        reached, todo = set(), ["__init__", "config"]
+        while todo:
+            name = todo.pop()
+            if name in imports and name not in reached:
+                reached.add(name)
+                todo.extend(imports[name])
+        assert "models" in reached
+        assert reached.isdisjoint({"analysis", "volterra", "memory", "oracles"})
+
     def test_one_solver_dispatch(self):
         # only analysis.solve_all calls the solvers: cli and limit_study
         # solve through it
@@ -602,10 +667,7 @@ class TestArtifacts:
 
     def test_convergence_subcommand(self, tmp_path):
         out = tmp_path / "c"
-        assert (
-            run_cli(["--out", out, "convergence", "--config", PRESETS / "convergence-iii.cfg"])
-            == 0
-        )
+        assert run_cli(["--out", out, "run", "--config", PRESETS / "convergence-iii.cfg"]) == 0
         s = json.loads((out / "summary.json").read_text())
         assert s["convergence"]["order"] >= 1.4
 

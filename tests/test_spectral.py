@@ -18,14 +18,14 @@ def laplacian_apply(u: SpectralField) -> SpectralField:
 
 def pointwise_product(u: SpectralField, v: SpectralField) -> SpectralField:
     """Dealiased collocation product projected back to the cutoff."""
-    u._check(v)
+    assert u.basis is v.basis
     vals = u.basis.evaluate(u.coeffs) * v.basis.evaluate(v.coeffs)
     return SpectralField(u.basis, u.basis.project_values(vals))
 
 
 def gradient_dot(u: SpectralField, v: SpectralField) -> SpectralField:
     """Collocation evaluation of grad(u) . grad(v), projected to the basis."""
-    u._check(v)
+    assert u.basis is v.basis
     gu = u.basis.evaluate_grad(u.coeffs)
     gv = v.basis.evaluate_grad(v.coeffs)
     vals = sum(a * b for a, b in zip(gu, gv))
@@ -103,11 +103,13 @@ class TestFieldOps:
 
     def test_laplacian_linearity(self, basis64):
         rng = np.random.default_rng(6)
-        u = SpectralField(basis64, rng.normal(size=64))
-        v = SpectralField(basis64, rng.normal(size=64))
-        lhs = laplacian_apply(u + 2.0 * v)
-        rhs = laplacian_apply(u) + 2.0 * laplacian_apply(v)
-        assert lhs.coeffs == pytest.approx(rhs.coeffs, rel=1e-13)
+        u, v = rng.normal(size=(2, 64))
+        lhs = laplacian_apply(SpectralField(basis64, u + 2.0 * v)).coeffs
+        rhs = (
+            laplacian_apply(SpectralField(basis64, u)).coeffs
+            + 2.0 * laplacian_apply(SpectralField(basis64, v)).coeffs
+        )
+        assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_sobolev_norm_unit_mode(self, basis64):
         u = basis64.unit_mode(7)

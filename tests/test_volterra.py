@@ -441,13 +441,13 @@ class TestDegenerations:
         spec = ModelSpec(
             ModelVariant(Family.III, Nonlinearity.WESTERVELT), MediumParams(k=5.0), 1.0
         )
-        with pytest.raises(ModelError, match="linear models only"):
+        with pytest.raises(ModelError, match="got westervelt at alpha = 1.0"):
             classical_mgt_reference(spec, data, TimeGrid(1.0, 64))
 
     def test_ode_oracle_refuses_alpha_below_one(self, single_mode_setup):
         b, data = single_mode_setup
         spec = ModelSpec(ModelVariant(Family.BASE, Nonlinearity.LINEAR), MediumParams(), 0.7)
-        with pytest.raises(ModelError, match="alpha = 1 only"):
+        with pytest.raises(ModelError, match="got linear at alpha = 0.7"):
             classical_mgt_reference(spec, data, TimeGrid(1.0, 16))
 
 
