@@ -8,8 +8,9 @@ Subpackages by responsibility:
 - ``mittag_leffler``: two-parameter Mittag-Leffler functions and relaxation kernels
 - ``spectral``: Dirichlet-Laplacian sine bases on intervals and rectangles
 - ``models``: the catalog of fractional (J)MGT variants, validation, the
-  admission rules of the ODE reference and the convergence grids, and the
-  trajectory and error types shared by solvers and oracles
+  one admission table (each model's solver route, the data it takes, the
+  references that serve it) and the convergence grids, and the trajectory
+  and error types shared by solvers and oracles
 - ``volterra``: product-integration marching for the mu-reformulated systems
 - ``memory``: wave-with-memory solver for the z-form of the type-II model
 - ``oracles``: the reference solutions and the residual evaluator, kept

@@ -1,7 +1,7 @@
 """Numerical verification harness: the one solver dispatch, energy
 functionals and their fitted constants, order-of-differentiation limit
-studies, relaxation-kernel property tables, convergence-order estimation, and
-a product-rule sanity diagnostic.
+studies, relaxation-kernel property tables and convergence-order
+estimation.
 
 All reported norms are computed from spectral coefficients only, so reports
 do not drift against solver output; reruns are pure functions of the inputs.
@@ -22,11 +22,12 @@ from .models import (
     ModelError,
     ModelSpec,
     ModelVariant,
-    Nonlinearity,
     Trajectory,
     _forcing_array,
-    classical_ode_refusal,
-    solver_backend,
+    data_refusal,
+    reference_refusal,
+    route,
+    route_refusal,
     step_counts,
 )
 from .volterra import picard_nonlinear, solve_linear
@@ -45,11 +46,12 @@ def solve_all(specs, data: InitialData, grid: TimeGrid, f=None) -> list:
     """Solve catalog models on one data, grid and source: the single route
     from specs to their solvers.  Returns one trajectory per spec, in order.
 
-    Linear family II goes to the z-form memory solver, the other linear
-    models to the Volterra solver and the nonlinear ones to its Picard
-    iteration, which refuses nonlinear family II with ModelError; each
-    solver validates the spec once.  The specs bound for the memory solver
-    are solved first, together, as the columns of one z-form system; each
+    Each spec goes where ``models.route`` sends it: linear family II to the
+    z-form memory solver, the other linear models to the Volterra solver
+    and the nonlinear ones to its Picard iteration, whose guard refuses
+    nonlinear family II (``residual-only``) with ModelError.  The specs
+    bound for the memory solver are solved first, together, as the
+    columns of one z-form system; each
     trajectory equals its spec's own solve bit for bit.  What a solver
     reports for the run summary is in ``traj.diagnostics``:
     ``recovery_discrepancy`` (memory solver) or ``picard_iterations``,
@@ -57,13 +59,14 @@ def solve_all(specs, data: InitialData, grid: TimeGrid, f=None) -> list:
     ``relaxation_windows`` (Picard).
     """
     specs = list(specs)
-    memory = [solver_backend(s.variant) == "memory" for s in specs]
-    batch = iter(solve_fmgt2_all([s for s, m in zip(specs, memory) if m], data, grid, f))
+    routes = [route(s.variant) for s in specs]
+    zform = [s for s, taken in zip(specs, routes) if taken == "memory"]
+    batch = iter(solve_fmgt2_all(zform, data, grid, f))
     out = []
-    for spec, in_batch in zip(specs, memory):
-        if in_batch:
+    for spec, taken in zip(specs, routes):
+        if taken == "memory":
             out.append(next(batch))
-        elif spec.nonlinearity is Nonlinearity.LINEAR:
+        elif taken == "linear":
             out.append(solve_linear(spec, data, grid, f))
         else:
             out.append(picard_nonlinear(spec, data, grid, f).trajectory)
@@ -218,8 +221,10 @@ def limit_study(
     solved=None,
 ) -> LimitStudy:
     """Solve on one grid for each alpha and against alpha = 1; tabulate
-    difference norms.  Requires psi1 = 0 (families base/I/III limit results)
-    and, for family II, psi2 = 0 as well (z-form compatibility).
+    difference norms.  The route and the data must pass
+    ``models.route_refusal`` and ``models.data_refusal`` of a study: psi1 =
+    0, and for family II psi2 = 0 as well; ModelError says why before any
+    solve otherwise.
 
     Each distinct alpha is solved once, and those not in ``solved`` in one
     ``solve_all`` call: for family II, one z-form solve.  ``solved`` maps
@@ -235,10 +240,11 @@ def limit_study(
     alphas = list(alphas)
     if any(not variant.admits(a) for a in alphas):
         raise ModelError(f"alpha sweep outside the admissible range of {variant.family.value}")
-    if np.any(data.psi1.coeffs != 0.0):
-        raise ModelError("limit studies require psi1 = 0")
-    if variant.family is Family.II and np.any(data.psi2.coeffs != 0.0):
-        raise ModelError("family ii limit studies require psi2 = 0 (z-form compatibility)")
+    refusal = route_refusal(variant) or data_refusal(
+        variant, min(alphas, default=1.0), data.nonzero, study=True
+    )
+    if refusal:
+        raise ModelError(refusal)
 
     lam = data.basis.eigenvalues[None, :]
     solved = dict(solved or {})
@@ -359,17 +365,17 @@ def convergence_table(
     """Max-node L2 errors of psi on refining grids with a least-squares order.
 
     reference = 'richardson' solves once on a 4x finer grid; 'ode' uses the
-    adaptive classical integrator where ``classical_ode_refusal`` admits it;
-    any other reference is refused with ModelError.  The step counts obey
-    ``step_counts``.
+    adaptive classical integrator.  ModelError refuses any other reference,
+    one that ``reference_refusal`` refuses for the spec, and step counts
+    that ``step_counts`` refuses.
     """
     if reference not in ("richardson", "ode"):
         raise ModelError(f"the reference is richardson or ode, got {reference!r}")
     steps_seq = step_counts(steps_seq)
+    refusal = reference_refusal(reference, spec.variant, spec.alpha)
+    if refusal:
+        raise ModelError(refusal)
     if reference == "ode":
-        refusal = classical_ode_refusal(spec.variant, spec.alpha)
-        if refusal:
-            raise ModelError(refusal)
         from .oracles import classical_mgt_reference
 
         ref_traj = None
@@ -390,46 +396,3 @@ def convergence_table(
         errors.append(float(np.max(np.sqrt(np.sum((tr.psi - ref_psi) ** 2, axis=1)))))
     order = float(-np.polyfit(np.log(steps_seq), np.log(errors), 1)[0])
     return ConvergenceTable(list(steps_seq), errors, order, reference)
-
-
-# ---------------------------------------------------------------------------
-# product-rule (fractional Sobolev) sanity diagnostic
-
-
-def _slobodeckij_norm(values: np.ndarray, rho: float, p: float, h: float) -> float:
-    """Discrete W^{rho,p}(0,T) norm: L^p part plus the double-sum seminorm."""
-    n = values.size
-    lp = (np.sum(np.abs(values) ** p) * h) ** (1.0 / p)
-    i = np.arange(n)
-    dt = np.abs(i[:, None] - i[None, :]) * h
-    np.fill_diagonal(dt, 1.0)
-    diff = np.abs(values[:, None] - values[None, :]) ** p / dt ** (1.0 + rho * p)
-    np.fill_diagonal(diff, 0.0)
-    semi = (np.sum(diff) * h * h) ** (1.0 / p)
-    return lp + semi
-
-
-def kato_ponce_check(seed: int = 0):
-    """Fitted constants of the product-rule estimate
-    |fg|_{W^{rho,2}} <= C (|f|_{W^{rho,4}} |g|_{L4} + |f|_{L4} |g|_{W^{rho,4}})
-    at rho = 0.3 on 20 pairs of random trigonometric signals on 128 steps of
-    (0, 1); a sanity check on the discrete norms."""
-    rho = 0.3
-    rng = np.random.default_rng(seed)
-    grid = TimeGrid(1.0, 128)
-    t = grid.nodes
-    h = grid.h
-    consts = []
-    for _ in range(20):
-        def rand_sig():
-            w = np.zeros_like(t)
-            for _ in range(rng.integers(1, 4)):
-                w += rng.normal() * np.sin(rng.uniform(0.5, 8.0) * t + rng.uniform(0, 7))
-            return w
-
-        fv, gv = rand_sig(), rand_sig()
-        lhs = _slobodeckij_norm(fv * gv, rho, 2.0, h)
-        rhs = _slobodeckij_norm(fv, rho, 4.0, h) * (np.sum(np.abs(gv) ** 4) * h) ** 0.25
-        rhs += (np.sum(np.abs(fv) ** 4) * h) ** 0.25 * _slobodeckij_norm(gv, rho, 4.0, h)
-        consts.append(lhs / rhs if rhs > 0 else 0.0)
-    return consts

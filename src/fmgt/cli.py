@@ -22,21 +22,13 @@ from .analysis import (
     convergence_table,
     energy_high,
     energy_low,
-    kato_ponce_check,
     kernel_report,
     limit_study,
     solve_all,
 )
 from .config import ConfigError, RunConfig
-from .fractional import DomainError, TimeGrid, alikhanov_gap, coercivity_quadform
-from .models import (
-    ModelError,
-    ModelSpec,
-    SolverError,
-    catalog,
-    classical_ode_refusal,
-    describe,
-)
+from .fractional import DomainError
+from .models import ModelError, ModelSpec, SolverError, catalog, describe, reference_refusal
 
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
@@ -130,32 +122,9 @@ def cmd_run(args) -> int:
 
     if "study.n_sweep" in cfg.entries:
         ns = cfg._ints("study.n_sweep")
-        reference = "richardson" if classical_ode_refusal(spec.variant, spec.alpha) else "ode"
+        reference = "richardson" if reference_refusal("ode", spec.variant, spec.alpha) else "ode"
         table = convergence_table(spec, data, grid.horizon, ns, source, reference=reference)
         summary["convergence"] = dataclasses.asdict(table)
-
-    if "study.selfcheck_signals" in cfg.entries:
-        count = cfg._int("study.selfcheck_signals")
-        rng = np.random.default_rng(args.seed)
-        g = TimeGrid(1.0, 256)
-        worst_q, worst_a = 0.0, 0.0
-        for _ in range(count):
-            w = np.zeros(g.steps + 1)
-            for _ in range(rng.integers(1, 5)):
-                w += rng.normal() * np.sin(rng.uniform(0.5, 10) * g.nodes + rng.uniform(0, 7))
-            a = rng.uniform(0.1, 0.9)
-            worst_q = min(worst_q, coercivity_quadform(w, a, g.h))
-            worst_a = min(worst_a, float(alikhanov_gap(w, a, g.h).min()))
-        kp = kato_ponce_check(seed=args.seed)
-        summary["selfcheck"] = {
-            "signals": count,
-            "seed": args.seed,
-            "worst_coercivity": worst_q,
-            "worst_alikhanov_gap": worst_a,
-            "coercivity_pass": worst_q >= -1e-10,
-            "alikhanov_pass": worst_a >= -1e-10,
-            "kato_ponce_max_constant": max(kp),
-        }
 
     _write_json(out / "summary.json", summary)
     return 0
@@ -214,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fmgt",
         description="Solvers and verification studies for time-fractional MGT acoustics",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized property suites")
     p.add_argument("--out", default=None, help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -37,7 +37,9 @@ from .models import (
     ModelVariant,
     Nonlinearity,
     beta_of,
-    classical_ode_refusal,
+    data_refusal,
+    reference_refusal,
+    route_refusal,
     step_counts,
 )
 from .spectral import Domain, EigenBasis, SpectralField
@@ -88,7 +90,6 @@ _KNOWN_KEYS = set(_DEFAULTS) | {
     "study.alpha_sweep",
     "study.n_sweep",
     "study.crosscheck",
-    "study.selfcheck_signals",
     "output.directory",
 }
 
@@ -169,27 +170,31 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         fam = self.entries["model.family"]
         if fam not in {f.value for f in Family}:
-            raise ConfigError(f"model.family must be one of base/i/ii/iii, got {fam!r}")
+            raise ConfigError(f"key model.family: must be one of base/i/ii/iii, got {fam!r}")
         nl = self.entries["model.nonlinearity"]
         if nl not in {n.value for n in Nonlinearity}:
             raise ConfigError(
-                f"model.nonlinearity must be linear/westervelt/kuznetsov, got {nl!r}"
+                f"key model.nonlinearity: must be one of linear/westervelt/kuznetsov, got {nl!r}"
             )
         variant = ModelVariant(Family(fam), Nonlinearity(nl))
+        refusal = route_refusal(variant)
+        if refusal:
+            raise ConfigError(f"key model.nonlinearity: {refusal}")
         alpha = self._float("model.alpha")
         try:
             beta_of(variant, alpha)
         except ModelError as exc:
-            raise ConfigError(f"model.alpha: {exc}") from exc
-        if self.entries["domain.kind"] not in ("interval", "rectangle"):
-            raise ConfigError("domain.kind must be interval or rectangle")
+            raise ConfigError(f"key model.alpha: {exc}") from exc
+        kind = self.entries["domain.kind"]
+        if kind not in ("interval", "rectangle"):
+            raise ConfigError(f"key domain.kind: must be interval or rectangle, got {kind!r}")
         if self._int("time.N") < 4:
-            raise ConfigError("time.N must be at least 4")
+            raise ConfigError(f"key time.N: must be at least 4, got {self.entries['time.N']}")
         if self._float("time.T") <= 0:
-            raise ConfigError("time.T must be positive")
+            raise ConfigError(f"key time.T: must be positive, got {self.entries['time.T']}")
         preset = self.entries["data.preset"]
         if preset not in ("zero", "bump", "mode", "coeffs"):
-            raise ConfigError(f"unknown data.preset {preset!r}")
+            raise ConfigError(f"key data.preset: must be zero/bump/mode/coeffs, got {preset!r}")
         if preset == "coeffs" and "data.psi0" not in self.entries:
             raise ConfigError("key data.psi0: data.preset = coeffs reads psi0 from it")
         if preset != "coeffs" and "data.psi0" in self.entries:
@@ -197,18 +202,15 @@ class RunConfig:
                 "key data.psi0: read only under data.preset = coeffs, "
                 f"got data.preset = {preset}"
             )
-        if variant.family is Family.II and alpha < 1.0:
-            reasons = {
-                "data.psi1": "is singular at t = 0 unless psi1 = 0 at model.alpha < 1",
-                "data.psi2": "has no psi2 term at model.alpha < 1, so it needs psi2 = 0",
-            }
-            for key, reason in reasons.items():
-                if key in self.entries and any(self._floats(key)):
-                    raise ConfigError(
-                        f"key {key}: the z-form of family ii {reason}, got {self.entries[key]}"
-                    )
-        if self.entries["source.preset"] not in ("zero", "mode-cos", "pulse"):
-            raise ConfigError(f"unknown source.preset {self.entries['source.preset']!r}")
+        study = "study.alpha_sweep" in self.entries
+        for key in ("data.psi1", "data.psi2"):
+            if key in self.entries and any(self._floats(key)):
+                refusal = data_refusal(variant, alpha, {key[5:]}, study)
+                if refusal:
+                    raise ConfigError(f"key {key}: {refusal}, got {self.entries[key]}")
+        source = self.entries["source.preset"]
+        if source not in ("zero", "mode-cos", "pulse"):
+            raise ConfigError(f"key source.preset: must be zero/mode-cos/pulse, got {source!r}")
         if "study.n_sweep" in self.entries:
             try:
                 step_counts(self._ints("study.n_sweep"))
@@ -219,36 +221,19 @@ class RunConfig:
             raise ConfigError(
                 f"key study.crosscheck: the one cross-check is ode, got {crosscheck!r}"
             )
-        if crosscheck == "ode":
-            refusal = classical_ode_refusal(variant, alpha)
-            if refusal:
-                raise ConfigError(f"key study.crosscheck: {refusal}")
-        if "study.alpha_sweep" in self.entries:
-            self._validate_sweep(variant)
-        if "study.selfcheck_signals" in self.entries:
-            count = self._int("study.selfcheck_signals")
-            if count < 1:
-                raise ConfigError(f"key study.selfcheck_signals: must be at least 1, got {count}")
+        refusal = crosscheck and reference_refusal(crosscheck, variant, alpha)
+        if refusal:
+            raise ConfigError(f"key study.crosscheck: {refusal}")
+        if study:
+            alphas = self._floats("study.alpha_sweep")
+            if not alphas:
+                raise ConfigError("key study.alpha_sweep: lists no alpha")
+            for a in alphas:
+                try:
+                    beta_of(variant, a)
+                except ModelError as exc:
+                    raise ConfigError(f"key study.alpha_sweep: {exc}") from exc
         return self
-
-    def _validate_sweep(self, variant: ModelVariant):
-        """The alpha sweep is not empty and lies in the family's range, and the
-        data keys the limit study needs zero are zero: psi1, and psi2 for
-        family ii."""
-        alphas = self._floats("study.alpha_sweep")
-        if not alphas:
-            raise ConfigError("key study.alpha_sweep: lists no alpha")
-        for a in alphas:
-            try:
-                beta_of(variant, a)
-            except ModelError as exc:
-                raise ConfigError(f"key study.alpha_sweep: {exc}") from exc
-        zero = ("data.psi1", "data.psi2") if variant.family is Family.II else ("data.psi1",)
-        for key in zero:
-            if key in self.entries and any(self._floats(key)):
-                raise ConfigError(
-                    f"key {key}: study.alpha_sweep needs {key[5:]} = 0, got {self.entries[key]}"
-                )
 
     # object construction ---------------------------------------------------
 

@@ -40,14 +40,12 @@ from .convolution import CausalFilter, causal_conv, series_reciprocal
 from .fractional import TimeGrid, first_derivative, gamma, l1_weights, second_derivative
 from .mittag_leffler import RelaxationKernel, kernel_cell_moments
 from .models import (
-    Family,
     InitialData,
-    ModelError,
     ModelSpec,
-    Nonlinearity,
     SolverBlowUpError,
     Trajectory,
     _forcing_array,
+    validate,
 )
 
 
@@ -96,21 +94,16 @@ class ZTrajectory:
 
 
 def z_initial(spec: ModelSpec, data: InitialData):
-    """Initial (z, z_t).  For a < 1 compatibility forces psi1 = 0 (the
-    identity z_t = tau^a (D^{1+a} psi + psi_t(0) t^{-a}/Gamma(1-a)) + psi_t
-    has a singular term at zero unless psi_t(0) = 0), and then z(0) = psi0,
-    z_t(0) = 0.  At a = 1: z(0) = psi0 + tau psi1, z_t(0) = psi1 + tau psi2."""
+    """Initial (z, z_t) of data the z-form admits (``models.data_refusal``).
+    For a < 1 that data has psi1 = 0 (the identity z_t = tau^a (D^{1+a} psi
+    + psi_t(0) t^{-a}/Gamma(1-a)) + psi_t has a singular term at zero
+    unless psi_t(0) = 0), and then z(0) = psi0, z_t(0) = 0.  At a = 1: z(0)
+    = psi0 + tau psi1, z_t(0) = psi1 + tau psi2."""
     p = spec.params
     if spec.alpha == 1.0:
         z0 = data.psi0.coeffs + p.tau * data.psi1.coeffs
         z1 = data.psi1.coeffs + p.tau * data.psi2.coeffs
         return z0, z1
-    if np.any(data.psi1.coeffs != 0.0):
-        raise ModelError(
-            "for alpha < 1 the z-form requires psi1 = 0: z_t = "
-            "tau^a (D^{1+a} psi + psi_t(0) t^{-a}/Gamma(1-a)) + psi_t is "
-            "singular at t = 0 unless psi_t(0) vanishes"
-        )
     return data.psi0.coeffs.copy(), np.zeros_like(data.psi0.coeffs)
 
 
@@ -138,10 +131,11 @@ def solve_zform(specs, data: InitialData, grid: TimeGrid, f=None) -> ZTrajectory
     conditioned; eliminating v too leaves a symbol in z led by (1-s)^2,
     whose inverse grows with N (that form diverged at N = 8192).
 
-    For a < 1 the z-form has no source term in psi2 (it would be
-    tau^a psi2 t^{-a}/Gamma(1-a)), so psi2 != 0 is refused with ModelError.
-    Every refusal, of any spec, is raised before the first product; a
-    blow-up is raised for the first spec in order whose columns meet one.
+    For a < 1 the z-form has no psi1 and no source term in psi2 (it would
+    be tau^a psi2 t^{-a}/Gamma(1-a)), so ``models.validate`` refuses either
+    with ModelError.  Every refusal, of any spec, is raised before the
+    first product; a blow-up is raised for the first spec in order whose
+    columns meet one.
     """
     basis = data.basis
     h = grid.h
@@ -183,13 +177,7 @@ def solve_zform(specs, data: InitialData, grid: TimeGrid, f=None) -> ZTrajectory
 def _zform_terms(spec: ModelSpec, data: InitialData, grid: TimeGrid, farr: np.ndarray):
     """(tables, (z0, v0, acc0, d, g, kappa)): the kernel tables and the
     terms of the z-form system of one spec, as ``solve_zform`` names them."""
-    if spec.family is not Family.II or spec.nonlinearity is not Nonlinearity.LINEAR:
-        raise ModelError("the memory solver serves the linear family ii only")
-    if spec.alpha < 1.0 and np.any(data.psi2.coeffs != 0.0):
-        raise ModelError(
-            "for alpha < 1 the z-form requires psi2 = 0: it has no "
-            "tau^a psi2 t^{-a}/Gamma(1-a) source term, so psi2 would be dropped"
-        )
+    validate(spec, "memory", data=data)
     lam = data.basis.eigenvalues
     p = spec.params
     a = spec.alpha

@@ -1,8 +1,9 @@
 """Catalog of the fractional (J)MGT acoustic models, parameter validation,
-the damping-exponent map, the admission rules that configs, studies and
-oracles share (``classical_ode_refusal``, ``step_counts``), and the types
-that the solvers and the oracles (``fmgt.oracles``) share: ``Trajectory``,
-the solver errors and the forcing's array form.
+the damping-exponent map, the admission rules that configs, studies,
+solvers and oracles share (``route``, ``validate``, ``data_refusal``,
+``reference_refusal``, ``step_counts``), and the types that the solvers and
+the oracles (``fmgt.oracles``) share: ``Trajectory``, the solver errors and
+the forcing's array form.
 
 Four families share the structure of a third-order-in-time wave equation with
 a fractional damping term; they differ in which time derivatives carry the
@@ -175,33 +176,85 @@ class ModelSpec:
         return self.params.l_tilde if self.nonlinearity is Nonlinearity.KUZNETSOV else 0.0
 
 
-def validate(spec: ModelSpec) -> ModelSpec:
-    """Solver-admission check; raises with a descriptive message.
+# admission: each model's solver, the data it takes and the references that
+# check it.  Callers raise a refusal's reason with their own error type.
 
-    Family II refuses nonlinear (and variable-coefficient) solves: testing the
-    equation leaves the delta-damping term with differentiation orders too far
-    apart to yield a sign, so the damping cannot absorb perturbation terms.
-    """
-    if spec.family is Family.II and spec.nonlinearity is not Nonlinearity.LINEAR:
-        raise ModelError(
-            "family ii admits linear solves only: its damping is too weak to "
-            "control variable-coefficient or nonlinear terms "
-            "(residual evaluation remains available)"
+
+def route(variant: ModelVariant) -> str:
+    """The solver of a catalog entry: linear | picard (the Volterra solver
+    of base, I and III) | memory (the z-form of linear II) | residual-only."""
+    linear = variant.nonlinearity is Nonlinearity.LINEAR
+    if variant.family is Family.II:
+        return "memory" if linear else "residual-only"
+    return "linear" if linear else "picard"
+
+
+def route_refusal(variant: ModelVariant, *routes) -> str | None:
+    """Why no solver, or none of ``routes``, serves the variant; else None."""
+    taken = route(variant)
+    if taken == "residual-only":
+        # testing family II's equation leaves the delta-damping term with
+        # orders too far apart to yield a sign, so it absorbs no perturbation
+        return (
+            "family ii admits linear solves only: its damping is too weak to control "
+            "variable-coefficient or nonlinear terms (residual evaluation remains available)"
         )
+    if routes and taken not in routes:
+        return (
+            f"family {variant.family.value} {variant.nonlinearity.value} takes the "
+            f"{taken} solver, not the {' or '.join(routes)} solver"
+        )
+    return None
+
+
+def data_refusal(variant: ModelVariant, alpha: float, nonzero, study: bool = False) -> str | None:
+    """Why data whose ``nonzero`` names (of psi1, psi2) are nonzero cannot be
+    solved at alpha or, with ``study``, swept to alpha = 1; else None."""
+    zform = route(variant) == "memory"
+    if "psi1" in nonzero and study:
+        return "limit studies require psi1 = 0"
+    if "psi1" in nonzero and zform and alpha < 1.0:
+        return (
+            "for alpha < 1 the z-form of family ii requires psi1 = 0: z_t = tau^a (D^{1+a} "
+            "psi + psi_t(0) t^{-a}/Gamma(1-a)) + psi_t is singular at t = 0 unless psi_t(0) = 0"
+        )
+    if "psi2" in nonzero and zform and study:
+        return "family ii limit studies require psi2 = 0 (z-form compatibility)"
+    if "psi2" in nonzero and zform and alpha < 1.0:
+        return (
+            "for alpha < 1 the z-form of family ii requires psi2 = 0: it has no tau^a psi2 "
+            "t^{-a}/Gamma(1-a) source term, so psi2 would be dropped"
+        )
+    return None
+
+
+def reference_refusal(name: str, variant: ModelVariant, alpha: float) -> str | None:
+    """Why the reference ``name`` cannot check this model at alpha; else
+    None.  richardson (a 4x finer solve) checks every solvable model."""
+    linear = variant.nonlinearity is Nonlinearity.LINEAR
+    if name == "ode" and not (linear and alpha == 1.0):
+        return (
+            "the classical ODE reference covers linear models at alpha = 1 only, "
+            f"got {variant.nonlinearity.value} at alpha = {alpha}"
+        )
+    if name == "l1" and not (linear and variant.family is not Family.III and alpha < 1.0):
+        return (
+            "the direct L1 reference covers linear base, i and ii at alpha < 1 (at alpha = 1 "
+            "the oracle is classical_mgt_reference), got family "
+            f"{variant.family.value} {variant.nonlinearity.value} at alpha = {alpha}"
+        )
+    return None
+
+
+def validate(spec: ModelSpec, *routes, data: InitialData | None = None) -> ModelSpec:
+    """The solvers' one guard: ModelError unless ``route_refusal`` and, given
+    ``data``, ``data_refusal`` admit the spec."""
+    refusal = route_refusal(spec.variant, *routes)
+    if refusal is None and data is not None:
+        refusal = data_refusal(spec.variant, spec.alpha, data.nonzero)
+    if refusal:
+        raise ModelError(refusal)
     return spec
-
-
-def classical_ode_refusal(variant: ModelVariant, alpha: float) -> str | None:
-    """Why the classical ODE reference cannot serve this model and order, or
-    None where it can: it integrates the linear classical equation, so it
-    serves linear models at alpha = 1 only.  Every caller of the reference
-    asks this one rule and raises the reason with its own error type."""
-    if variant.nonlinearity is Nonlinearity.LINEAR and alpha == 1.0:
-        return None
-    return (
-        "the classical ODE reference covers linear models at alpha = 1 only, "
-        f"got {variant.nonlinearity.value} at alpha = {alpha}"
-    )
 
 
 def step_counts(steps_seq) -> list:
@@ -220,13 +273,6 @@ def step_counts(steps_seq) -> list:
     return steps
 
 
-def solver_backend(variant: ModelVariant) -> str:
-    """Which solver serves a catalog entry: volterra | memory | residual-only."""
-    if variant.family is Family.II:
-        return "memory" if variant.nonlinearity is Nonlinearity.LINEAR else "residual-only"
-    return "volterra"
-
-
 @dataclass
 class InitialData:
     """Initial triple (psi, psi_t, psi_tt) at t = 0 in one shared basis."""
@@ -243,6 +289,11 @@ class InitialData:
     @property
     def basis(self) -> EigenBasis:
         return self.psi0.basis
+
+    @property
+    def nonzero(self) -> set:
+        """Which of psi1 and psi2 are nonzero: what ``data_refusal`` reads."""
+        return {name for name in ("psi1", "psi2") if np.any(getattr(self, name).coeffs != 0.0)}
 
     def norms(self, orders=(1, 1, 0)):
         """Sobolev norms at the regularity level of the target estimate."""
@@ -334,13 +385,14 @@ def catalog():
 
 def describe(variant: ModelVariant) -> dict:
     lo, hi = variant.alpha_range
+    taken = route(variant)
     return {
         "family": variant.family.value,
         "nonlinearity": variant.nonlinearity.value,
         "terms": term_list(variant),
         "beta": _ORDERS[variant.family][2],
         "alpha_range": f"({lo}, {hi}]",
-        "backend": solver_backend(variant),
+        "backend": "volterra" if taken in ("linear", "picard") else taken,
         "z_order": "1" if variant.family is Family.III else "a",
         "z_form": _ZFORM[variant.family],
     }

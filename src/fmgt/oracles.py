@@ -36,11 +36,10 @@ from .models import (
     InitialData,
     ModelError,
     ModelSpec,
-    Nonlinearity,
     SolverBlowUpError,
     Trajectory,
     _forcing_array,
-    classical_ode_refusal,
+    reference_refusal,
 )
 from .spectral import EigenBasis
 
@@ -55,9 +54,10 @@ def classical_mgt_reference(
     """Adaptive third-order-in-time integrator for the classical linear MGT
     system per mode (tau xi''' + xi'' + c^2 lam xi + (tau c^2 + delta) lam xi'
     = f), used as an independent oracle for alpha = 1 degeneration.  DOP853
-    runs at rtol 1e-12 and atol 1e-14.  It reads tau, c and delta only, so
-    it raises ModelError where ``classical_ode_refusal`` refuses the spec."""
-    refusal = classical_ode_refusal(spec.variant, spec.alpha)
+    runs at rtol 1e-12 and atol 1e-14 to the last node, which can lie an ulp
+    past the horizon.  It reads tau, c and delta only, so it raises
+    ModelError where ``reference_refusal`` refuses the spec."""
+    refusal = reference_refusal("ode", spec.variant, spec.alpha)
     if refusal:
         raise ModelError(refusal)
     from scipy.integrate import solve_ivp
@@ -89,7 +89,7 @@ def classical_mgt_reference(
 
     y0 = np.concatenate([data.psi0.coeffs, data.psi1.coeffs, data.psi2.coeffs])
     sol = solve_ivp(
-        rhs, (0.0, grid.horizon), y0, method="DOP853", t_eval=nodes, rtol=1e-12, atol=1e-14
+        rhs, (0.0, nodes[-1]), y0, method="DOP853", t_eval=nodes, rtol=1e-12, atol=1e-14
     )
     if not sol.success:
         raise SolverBlowUpError(
@@ -114,17 +114,12 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
     psi, D^a psi, damp reconstructed from w by classical piecewise-linear
     product integration and D^a w by the L1 scheme: a genuinely different
     algorithm from both the quadratic-PI mu solver and the z-form stepper.
-    At alpha = 1 the oracle is ``classical_mgt_reference``; ModelError says so.
+    ModelError refuses the specs that ``reference_refusal`` refuses for
+    ``l1``; at alpha = 1 the oracle is ``classical_mgt_reference``.
     """
-    if spec.nonlinearity is not Nonlinearity.LINEAR:
-        raise ModelError("direct L1 solver covers linear models only")
-    if spec.family is Family.III:
-        raise ModelError("direct L1 solver covers the fractional-leading families")
-    if spec.alpha >= 1.0:
-        raise ModelError(
-            "direct L1 solver covers alpha < 1; at alpha = 1 the oracle is "
-            "classical_mgt_reference"
-        )
+    refusal = reference_refusal("l1", spec.variant, spec.alpha)
+    if refusal:
+        raise ModelError(refusal)
     a = spec.alpha
     basis = data.basis
     lam = basis.eigenvalues

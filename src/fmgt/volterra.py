@@ -28,11 +28,9 @@ import numpy as np
 from .convolution import CausalFilter, causal_conv, series_reciprocal
 from .fractional import DomainError, TimeGrid, _cell_moments, gamma, p_power
 from .models import (
-    Family,
     InitialData,
     ModelError,
     ModelSpec,
-    Nonlinearity,
     SolverBlowUpError,
     SolverError,
     Trajectory,
@@ -354,8 +352,7 @@ def assemble(
     are differenced as (n, m) pairs of n + m alpha, so every exponent and
     data power is exact.
     """
-    if spec.family is Family.II:
-        raise ModelError("assemble serves families base, i and iii; ii has the memory solver")
+    validate(spec, "linear", "picard")
     basis = data.basis
     lam = basis.eigenvalues
     p = spec.params
@@ -660,11 +657,7 @@ def solve(problem: VolterraProblem, guess: np.ndarray | None = None) -> Trajecto
 
 def solve_linear(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
     """Linear solve for families base, I, III through the mu reformulation."""
-    validate(spec)
-    if spec.nonlinearity is not Nonlinearity.LINEAR:
-        raise ModelError("solve_linear serves linear models; use picard_nonlinear")
-    if spec.family is Family.II:
-        raise ModelError("family ii linear solves are served by the memory solver")
+    validate(spec, "linear")
     # every kernel term is diagonal, so there is no sweep count to record
     problem = assemble(spec, data, f, grid)
     return reconstruct(problem, solve_mu(problem))
@@ -744,9 +737,7 @@ def picard_nonlinear(
     collocation grid.  An iterate hands ``freeze`` the coefficients of w_t
     and w: sigma and grad w are formed on the grid a block of nodes at a
     time, inside the sweeps, and never on all N+1 nodes at once."""
-    validate(spec)
-    if spec.nonlinearity is Nonlinearity.LINEAR:
-        raise ModelError("Picard iteration serves nonlinear models; use solve_linear")
+    validate(spec, "picard")
 
     basis = data.basis
     linear = assemble(spec, data, f, grid)

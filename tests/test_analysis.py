@@ -1,5 +1,5 @@
-"""Analysis harness: energy reports, limit studies, kernel tables,
-convergence orders, and the product-rule diagnostic."""
+"""Analysis harness: energy reports, limit studies, kernel tables and
+convergence orders."""
 import re
 
 import numpy as np
@@ -11,7 +11,6 @@ from fmgt.analysis import (
     convergence_table,
     energy_high,
     energy_low,
-    kato_ponce_check,
     kernel_report,
     limit_study,
     solve,
@@ -335,6 +334,17 @@ class TestConvergence:
         order1 = convergence_table(spec1, data, 1.0, [64, 128, 256], reference="ode").order
         assert abs(order1 - extrapolated) < 1.0  # same scheme family; coarse check
 
+    def test_ode_reference_on_grids_past_their_horizon(self):
+        # n * (7 / n) lies an ulp past T = 7 on both grids: the oracle once
+        # integrated to T only, and scipy refused the last node
+        b = EigenBasis(Domain.interval(1.0), 2)
+        data = InitialData(b.unit_mode(0), b.zero_field(), b.zero_field())
+        spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 1.0)
+        assert all(TimeGrid(7.0, n).nodes[-1] > 7.0 for n in (100, 200))
+        table = convergence_table(spec, data, 7.0, [100, 200], reference="ode")
+        assert table.errors[0] > table.errors[1] > 0
+        assert table.order > 2.5
+
     def test_ode_reference_requires_alpha_one(self, setup):
         b, data = setup
         spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.7)
@@ -376,13 +386,3 @@ class TestConvergence:
         spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 0.5)
         with pytest.raises(ModelError, match=re.escape(f"got {steps}")):
             convergence_table(spec, data, 1.0, steps)
-
-
-class TestKatoPonce:
-    def test_constants_bounded(self):
-        consts = kato_ponce_check(seed=123)
-        assert len(consts) == 20
-        assert max(consts) < 100.0
-
-    def test_deterministic_given_seed(self):
-        assert kato_ponce_check(seed=7) == kato_ponce_check(seed=7)

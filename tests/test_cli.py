@@ -142,6 +142,44 @@ def _fmgt_imports(path):
     return found
 
 
+def _admission_decided_outside_models(package):
+    """(module, line) of each `if` outside models.py whose body raises
+    ModelError or ConfigError and whose test reads Family.*,
+    Nonlinearity.*, a .family or .nonlinearity, or compares alpha with 1."""
+
+    def refuses(node):
+        return any(
+            isinstance(n, ast.Raise)
+            and isinstance(n.exc, ast.Call)
+            and getattr(n.exc.func, "id", None) in {"ModelError", "ConfigError"}
+            for stmt in node.body
+            for n in ast.walk(stmt)
+        )
+
+    def decides(test):
+        for n in ast.walk(test):
+            if isinstance(n, ast.Attribute) and (
+                n.attr in {"family", "nonlinearity"}
+                or getattr(n.value, "id", None) in {"Family", "Nonlinearity"}
+            ):
+                return True
+            if isinstance(n, ast.Compare):
+                sides = [n.left, *n.comparators]
+                if any(isinstance(s, ast.Constant) and s.value == 1 for s in sides) and any(
+                    "alpha" in ast.unparse(s) for s in sides
+                ):
+                    return True
+        return False
+
+    return [
+        (path.stem, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        if path.stem != "models"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.If) and refuses(node) and decides(node.test)
+    ]
+
+
 class TestConfig:
     def test_round_trip_lossless(self):
         text = (PRESETS / "mgt-classical.cfg").read_text()
@@ -216,18 +254,17 @@ class TestParser:
         monkeypatch.setattr(fmgt.cli, "cmd_run", record)
         monkeypatch.setattr(fmgt.cli, "cmd_kernels", record)
         assert main(["run", "--config", "a.cfg"]) == 0
-        assert main(["--seed", "3", "kernels", "--tau", "2"]) == 0
+        assert main(["kernels", "--tau", "2"]) == 0
         assert main(["--out", "o", "run", "--config", "b.cfg"]) == 0
         assert seen == [
-            {"seed": 0, "out": None, "command": "run", "config": "a.cfg"},
+            {"out": None, "command": "run", "config": "a.cfg"},
             {
-                "seed": 3,
                 "out": None,
                 "command": "kernels",
                 "alphas": "0.3,0.5,0.7,0.9,1.0",
                 "tau": 2.0,
             },
-            {"seed": 0, "out": "o", "command": "run", "config": "b.cfg"},
+            {"out": "o", "command": "run", "config": "b.cfg"},
         ]
         assert fmgt.cli.build_parser() is fmgt.cli.build_parser()
 
@@ -413,18 +450,26 @@ class TestExitCodes:
             ("study.alpha_sweep = 0.9\ndata.psi1 = 1", "data.psi1"),
             ("model.family = ii\nstudy.alpha_sweep = 0.9\ndata.psi2 = 1", "data.psi2"),
             ("model.family = ii\nmodel.alpha = 0.7\ndata.psi2 = 0,5e-3", "data.psi2"),
-            ("study.selfcheck_signals = x", "study.selfcheck_signals"),
-            ("study.selfcheck_signals = -3", "study.selfcheck_signals"),
+            ("model.family = ii\nmodel.nonlinearity = westervelt", "model.nonlinearity"),
+            ("model.family = iv", "model.family"),
+            ("model.nonlinearity = cubic", "model.nonlinearity"),
+            ("model.alpha = 1.2", "model.alpha"),
+            ("domain.kind = disk", "domain.kind"),
+            ("time.N = 2", "time.N"),
+            ("time.T = 0", "time.T"),
+            ("data.preset = wave", "data.preset"),
+            ("source.preset = wave", "source.preset"),
         ],
     )
     def test_bad_data_or_lengths_is_2(self, tmp_path, monkeypatch, capsys, entries, key):
         # each once failed with a traceback (or, for two interval lengths,
         # ran on the first, and data.psi0 without coeffs ran from the bump)
-        # instead of naming its key; the study keys failed only after the
-        # main solve, or not at all (a negative signal count)
+        # instead of naming its key, or named its key in a form of its own;
+        # the study keys failed only after the main solve; nonlinear ii
+        # failed in the solver, after the output directory was made
         monkeypatch.setattr(fmgt.cli, "solve_all", self._no_solve)
         cfg = tmp_path / "data.cfg"
-        cfg.write_text(f"schema = 1\ndomain.cutoff = 2\ntime.N = 16\n{entries}\n")
+        cfg.write_text(f"schema = 1\ndomain.cutoff = 2\n{entries}\n")
         assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: key {key}: ")
@@ -453,7 +498,7 @@ class TestExitCodes:
         self, tmp_path, monkeypatch, capsys, nonlinearity, alpha
     ):
         # the config, the ODE convergence table and the oracle ask one rule,
-        # models.classical_ode_refusal, and refuse with its one reason
+        # models.reference_refusal("ode", ...), and refuse with its one reason
         monkeypatch.setattr(fmgt.cli, "solve_all", self._no_solve)
         monkeypatch.setattr(fmgt.analysis, "solve", self._no_solve)
         spec = ModelSpec(
@@ -537,6 +582,20 @@ class TestArtifacts:
         assert run_cli(["--out", out, "run", "--config", cfg]) == 0
         s = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
         assert set(s["limit_study"]["slopes"].values()) == {None}
+
+    def test_ode_crosscheck_on_a_grid_past_its_horizon(self, tmp_path):
+        # 879 * (0.112 / 879) lies an ulp past T = 0.112: the oracle once
+        # integrated to T only, and the run exited 1 with scipy's traceback
+        assert TimeGrid(0.112, 879).nodes[-1] > 0.112
+        cfg = tmp_path / "ode.cfg"
+        cfg.write_text(
+            "schema = 1\nmodel.alpha = 1.0\ndomain.cutoff = 4\ntime.T = 0.112\n"
+            "time.N = 879\nstudy.crosscheck = ode\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["--out", out, "run", "--config", cfg]) == 0
+        s = json.loads((out / "summary.json").read_text())
+        assert s["ode_crosscheck_max_error"] < 1e-10
 
     def test_limit_preset_strictly_decreasing(self, tmp_path):
         out = tmp_path / "o"
@@ -632,6 +691,13 @@ class TestArtifacts:
                 todo.extend(imports[name])
         assert "models" in reached
         assert reached.isdisjoint({"analysis", "volterra", "memory", "oracles"})
+
+    def test_admission_is_decided_in_models(self):
+        # outside models no refusal decides by family, nonlinearity or
+        # alpha against 1: configs, studies, solvers and oracles ask the
+        # admission table of models (route, validate, data_refusal,
+        # reference_refusal) and raise its reason
+        assert _admission_decided_outside_models(SRC / "fmgt") == []
 
     def test_one_solver_dispatch(self):
         # only analysis.solve_all calls the solvers: cli and limit_study
@@ -912,7 +978,6 @@ class TestDeterminism:
             "limit-ii",
             "convergence-iii",
             "picard-w3",
-            "selfcheck",
             "kuznetsov-2d",
         ],
     )

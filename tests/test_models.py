@@ -1,10 +1,16 @@
-"""Model catalog, validation, beta map, and residual evaluation."""
+"""Model catalog, validation, the admission table, beta map, and residual
+evaluation."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fmgt.analysis
 from fmgt import Domain, EigenBasis, TimeGrid
+from fmgt.analysis import limit_study, solve
+from fmgt.config import ConfigError, RunConfig
 from fmgt.fractional import first_derivative
 from fmgt.models import (
     Family,
@@ -15,9 +21,12 @@ from fmgt.models import (
     ModelVariant,
     Nonlinearity,
     beta_of,
+    Trajectory,
     catalog,
+    data_refusal,
     describe,
-    solver_backend,
+    route,
+    route_refusal,
     validate,
 )
 from fmgt.oracles import _add_nonlinear_terms, residual
@@ -118,8 +127,8 @@ class TestCatalog:
         assert len(rows) - len(nonlinear) == 4
 
     def test_family_ii_nonlinear_residual_only(self):
-        assert solver_backend(ModelVariant(Family.II, Nonlinearity.WESTERVELT)) == "residual-only"
-        assert solver_backend(ModelVariant(Family.II, Nonlinearity.LINEAR)) == "memory"
+        assert route(ModelVariant(Family.II, Nonlinearity.WESTERVELT)) == "residual-only"
+        assert route(ModelVariant(Family.II, Nonlinearity.LINEAR)) == "memory"
 
     def test_family_iii_backend_and_z_order(self):
         d = describe(ModelVariant(Family.III, Nonlinearity.KUZNETSOV))
@@ -131,6 +140,81 @@ class TestCatalog:
             d = describe(v)
             assert "= f" in d["terms"]
             assert "Lap psi" in d["terms"]
+
+
+# (family, nonlinearity, alpha, the nonzero one of psi1/psi2 or None, with
+# an alpha sweep): every combination of what admission reads
+ADMISSION_ROWS = list(
+    itertools.product(Family, Nonlinearity, (0.75, 1.0), (None, "psi1", "psi2"), (False, True))
+)
+
+
+def _row_id(row):
+    family, nonlinearity, alpha, nonzero, study = row
+    sweep = "-sweep" if study else ""
+    return f"{family.value}-{nonlinearity.value}-{alpha}-{nonzero or 'psi0'}{sweep}"
+
+
+class TestAdmissionTable:
+    @staticmethod
+    def _refused_key(family, nonlinearity, alpha, nonzero, study):
+        """The config key each row is refused at, stated here independently of
+        the table: no solver for nonlinear ii; no psi1 in a limit study; no
+        psi1 or psi2 for the z-form at alpha < 1, nor psi2 in its study."""
+        if family is Family.II and nonlinearity is not Nonlinearity.LINEAR:
+            return "model.nonlinearity"
+        if nonzero == "psi1" and (study or (family is Family.II and alpha < 1.0)):
+            return "data.psi1"
+        if nonzero == "psi2" and family is Family.II and (study or alpha < 1.0):
+            return "data.psi2"
+        return None
+
+    @pytest.mark.parametrize("row", ADMISSION_ROWS, ids=_row_id)
+    def test_config_study_and_solver_give_one_reason(self, row, monkeypatch):
+        family, nonlinearity, alpha, nonzero, study = row
+        variant = ModelVariant(family, nonlinearity)
+        key = self._refused_key(*row)
+        reason = route_refusal(variant) or data_refusal(
+            variant, alpha, {nonzero} - {None}, study
+        )
+        assert (reason is None) == (key is None)
+
+        text = (
+            f"schema = 1\nmodel.family = {family.value}\nmodel.nonlinearity = "
+            f"{nonlinearity.value}\nmodel.k = 0.1\nmodel.alpha = {alpha}\n"
+            "domain.cutoff = 2\ntime.N = 16\n"
+        )
+        text += f"data.{nonzero} = 1e-3\n" if nonzero else ""
+        text += "study.alpha_sweep = 0.75\n" if study else ""
+        if key is None:
+            RunConfig.from_text(text)
+        else:
+            with pytest.raises(ConfigError) as refused:
+                RunConfig.from_text(text)
+            assert str(refused.value).startswith(f"key {key}: {reason}")
+
+        basis = EigenBasis(Domain.interval(1.0), 2)
+        fields = {"psi1": basis.zero_field(), "psi2": basis.zero_field()}
+        if nonzero:
+            fields[nonzero] = basis.unit_mode(0, 1e-3)
+        data = InitialData(basis.unit_mode(0, 1e-3), fields["psi1"], fields["psi2"])
+        grid = TimeGrid(1.0, 16)
+        params = MediumParams(k=0.1)
+        if study:
+            # the study refuses before any solve
+            def admitted(*args, **kwargs):
+                raise LookupError("admitted")
+
+            monkeypatch.setattr(fmgt.analysis, "solve_all", admitted)
+            with pytest.raises(ModelError if key else LookupError) as refused:
+                limit_study(variant, params, data, grid, [0.75])
+            assert str(refused.value) == (reason or "admitted")
+        elif key:
+            with pytest.raises(ModelError) as refused:
+                solve(ModelSpec(variant, params, alpha), data, grid)
+            assert str(refused.value) == reason
+        else:
+            assert isinstance(solve(ModelSpec(variant, params, alpha), data, grid), Trajectory)
 
 
 def polynomial_trajectory(basis, grid, ac, bc, cc, mode=0):

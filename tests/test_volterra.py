@@ -526,7 +526,7 @@ class TestPicard:
     @pytest.mark.parametrize("nonlinearity", [Nonlinearity.WESTERVELT, Nonlinearity.KUZNETSOV])
     def test_solve_linear_refuses_nonlinear_specs(self, nonlinearity):
         spec = ModelSpec(ModelVariant(Family.III, nonlinearity), MediumParams(k=0.1), 0.7)
-        with pytest.raises(ModelError, match="serves linear models"):
+        with pytest.raises(ModelError, match="takes the picard solver, not the linear solver"):
             solve_linear(spec, self.data, TimeGrid(1.0, 64))
 
     def test_family_ii_rejected(self):
