@@ -185,13 +185,26 @@ class RunConfig:
             beta_of(variant, alpha)
         except ModelError as exc:
             raise ConfigError(f"key model.alpha: {exc}") from exc
+        for key in ("model.tau", "model.c", "model.delta", "time.T"):
+            if not self._float(key) > 0:
+                raise ConfigError(f"key {key}: must be positive, got {self.entries[key]}")
+        for key in ("model.k", "model.l", "data.amplitude", "source.amplitude", "source.omega"):
+            self._float(key)  # a number even where the presets do not read it
         kind = self.entries["domain.kind"]
         if kind not in ("interval", "rectangle"):
             raise ConfigError(f"key domain.kind: must be interval or rectangle, got {kind!r}")
+        lengths, ndim = self._floats("domain.lengths"), {"interval": 1, "rectangle": 2}[kind]
+        if len(lengths) != ndim or not all(L > 0 for L in lengths):
+            raise ConfigError(
+                f"key domain.lengths: domain.kind = {kind} takes {ndim} positive "
+                f"length{'s' * (ndim > 1)}, got {self.entries['domain.lengths']}"
+            )
+        cutoff = self._int("domain.cutoff")
+        if cutoff < 1:
+            raise ConfigError(f"key domain.cutoff: must be at least 1, got {cutoff}")
+        size = cutoff**ndim  # the basis size, without building the basis
         if self._int("time.N") < 4:
             raise ConfigError(f"key time.N: must be at least 4, got {self.entries['time.N']}")
-        if self._float("time.T") <= 0:
-            raise ConfigError(f"key time.T: must be positive, got {self.entries['time.T']}")
         preset = self.entries["data.preset"]
         if preset not in ("zero", "bump", "mode", "coeffs"):
             raise ConfigError(f"key data.preset: must be zero/bump/mode/coeffs, got {preset!r}")
@@ -202,6 +215,13 @@ class RunConfig:
                 "key data.psi0: read only under data.preset = coeffs, "
                 f"got data.preset = {preset}"
             )
+        mode = self._int("data.mode")
+        if preset == "mode" and not 1 <= mode <= size:
+            raise ConfigError(f"key data.mode: must be in 1..{size}, got {mode}")
+        for key in ("data.psi0", "data.psi1", "data.psi2"):
+            count = len(self._floats(key)) if key in self.entries else 0
+            if count > size:
+                raise ConfigError(f"key {key}: {count} coefficients for {size} modes")
         study = "study.alpha_sweep" in self.entries
         for key in ("data.psi1", "data.psi2"):
             if key in self.entries and any(self._floats(key)):
@@ -252,14 +272,7 @@ class RunConfig:
         return ModelSpec(variant, params, self._float("model.alpha"))
 
     def basis(self) -> EigenBasis:
-        lengths = self._floats("domain.lengths")
-        kind = self.entries["domain.kind"]
-        count = {"interval": 1, "rectangle": 2}[kind]
-        if len(lengths) != count:
-            raise ConfigError(
-                f"key domain.lengths: domain.kind = {kind} takes {count}, got {len(lengths)}"
-            )
-        return EigenBasis(Domain(tuple(lengths)), self._int("domain.cutoff"))
+        return EigenBasis(Domain(tuple(self._floats("domain.lengths"))), self._int("domain.cutoff"))
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self._float("time.T"), self._int("time.N"))
@@ -274,10 +287,7 @@ class RunConfig:
             scale = amp / np.max(np.abs(raw.coeffs))
             psi0 = SpectralField(basis, raw.coeffs * scale)
         elif preset == "mode":
-            mode = self._int("data.mode")
-            if not 1 <= mode <= basis.size:
-                raise ConfigError(f"key data.mode: must be in 1..{basis.size}, got {mode}")
-            psi0 = basis.unit_mode(mode - 1, amp)
+            psi0 = basis.unit_mode(self._int("data.mode") - 1, amp)
         else:  # explicit coefficient lists
             psi0 = self._field_from_key(basis, "data.psi0")
         psi1 = self._field_from_key(basis, "data.psi1") if "data.psi1" in self.entries else basis.zero_field()
@@ -287,8 +297,6 @@ class RunConfig:
     def _field_from_key(self, basis, key):
         """The coefficients listed at key, zero-padded to the basis size."""
         vals = self._floats(key)
-        if len(vals) > basis.size:
-            raise ConfigError(f"key {key}: {len(vals)} coefficients for {basis.size} modes")
         coeffs = np.zeros(basis.size)
         coeffs[: len(vals)] = vals
         return SpectralField(basis, coeffs)

@@ -9,15 +9,17 @@ With mu = D^{2+g} xi the kernel exponents are {g-1, 1, 1+g-beta, g+1}:
 powers p^e(u) = u^e/Gamma(e+1) with e > -1, so one product-integration
 scheme covers every family: the power kernel is integrated exactly against
 a piecewise interpolant of mu (linear on the first cell, backward quadratic
-afterwards, third order on smooth problems).  ``solve_mu`` solves the
-resulting equations without a loop over nodes: a triangular Toeplitz
-inverse for the diagonal terms and waveform relaxation over windows of
-nodes for the frozen coefficients.
+afterwards, third order on smooth problems).  A problem states its equation
+once: ``diag`` maps each exponent to a per-mode multiplier, and ``frozen``
+holds the terms whose coefficient comes from a Picard iterate.
+``solve_mu`` solves the resulting equations without a loop over nodes: a
+triangular Toeplitz inverse for the diagonal terms and waveform relaxation
+over windows of nodes for the frozen ones.
 
 Nonlinear solves are a Picard iteration on one assembled linear problem, to
-which ``freeze`` adds each iterate's coefficients sigma = 2k w_t and grad w,
-handed over as w's coefficients and formed on the grid a block of nodes at
-a time.
+which ``freeze`` adds each iterate's two ``FrozenTerm``s: Westervelt's
+sigma = 2k w_t on psi_tt and Kuznetsov's 2 l~ grad w on grad psi_t, handed
+over as w's coefficients and formed on the grid a block of nodes at a time.
 """
 from __future__ import annotations
 
@@ -56,65 +58,32 @@ class InnerSolveError(SolverError):
 
 
 @dataclass
-class DiagonalTerm:
-    """A per-mode multiplier, v_n -> diag ⊙ v_n, on (p^exponent * mu)(t_n).
-    ``solve_mu`` folds these into its Toeplitz symbol."""
-
-    exponent: float
-    diag: np.ndarray  # (modes,), the coefficient included
-
-
-@dataclass
-class CollocationTerm:
-    """The collocation multiplier v_n -> P(sigma_n ⊙ E v_n) on
-    (p^exponent * mu)(t_n).  E and P stand for the basis's separable
-    transforms ``evaluate`` and ``project_values``.  ``grid_values`` gives
-    sigma_n ⊙ E v_n for the nodes ``rows`` and their vectors v at once; the
-    solver sums its terms' grid values and projects them per block of
-    nodes.  sigma is read only as values[rows]: an (N+1, Mgrid) array,
-    where rows may be an index or a slice, or Picard's ``_Synthesis`` of
-    2k w_t, which forms the rows of a slice when they are read.
+class FrozenTerm:
+    """v_n -> coeff P(sum_f values_f,n ⊙ S_f v_n) on (p^exponent * mu)(t_n):
+    a coefficient of the previous iterate times a field of the unknown.  P
+    is ``project_values`` and S_f ``synthesize`` along the factor's axis:
+    one factor (sigma, None) is sigma ⊙ E v, one factor (g_axis, axis) per
+    axis is grad w . grad v.  Each coefficient is read only as
+    values[rows]: an (N+1, Mgrid) array, where rows may be an index or a
+    slice, or Picard's ``_Synthesis``, which forms the rows of a slice when
+    they are read.  ``grid_values`` gives the unscaled sum for the nodes
+    ``rows`` and their vectors v at once; its callers apply coeff.
     """
 
     exponent: float
-    values: object  # values[rows]: sigma on the collocation grid
-
-    def grid_values(self, basis: EigenBasis, rows, v: np.ndarray) -> np.ndarray:
-        vals = basis.evaluate(v)
-        return np.multiply(self.values[rows], vals, out=vals)
-
-
-@dataclass
-class GradientTerm:
-    """v_n -> coeff P(sum_axis g_axis,n ⊙ G_axis v_n) on
-    (p^exponent * mu)(t_n), G_axis being ``evaluate_grad``; its grid values,
-    coeff included, are formed per block of nodes like CollocationTerm's.
-    Each g_axis is read as grads[axis][rows], an (N+1, Mgrid) array or
-    Picard's ``_Synthesis`` of that axis of grad w."""
-
-    exponent: float
     coeff: float
-    grads: list  # per axis: g_axis[rows] on the collocation grid
+    factors: list  # (values, axis) pairs; axis None: the field itself
 
     def grid_values(self, basis: EigenBasis, rows, v: np.ndarray) -> np.ndarray:
-        grads = basis.evaluate_grad(v)
-        acc = np.multiply(self.grads[0][rows], grads[0], out=grads[0])
-        for g_vals, g in zip(self.grads[1:], grads[1:]):
-            acc += np.multiply(g_vals[rows], g, out=g)
-        acc *= self.coeff
+        layout = basis.tensor_layout(v)
+        (values, axis), *rest = self.factors
+        # a new array: ``freeze`` hands psi_tt's data xi2 as one row for all rows
+        acc = values[rows] * basis.synthesize(layout, axis)
+        for values, axis in rest:
+            vals = basis.synthesize(layout, axis)
+            vals *= values[rows]
+            acc += vals
         return acc
-
-
-@dataclass
-class PowerKernelSum:
-    """K(t,s) = sum of Op_k(t) p^{g_k}(t-s); exponents all > -1."""
-
-    terms: list
-
-    def __post_init__(self):
-        for t in self.terms:
-            if t.exponent <= -1:
-                raise DomainError(f"kernel exponent must exceed -1, got {t.exponent}")
 
 
 @dataclass
@@ -132,17 +101,21 @@ class _Tables:
 
 @dataclass
 class VolterraProblem:
-    """lead * mu(t) + sum_k Op_k(t) (p^{g_k} * mu)(t) = forcing(t).
+    """lead mu(t) + sum_e diag[e] ⊙ (p^e * mu)(t)
+        + sum_S S(t) (p^{e_S} * mu)(t) = forcing(t),
 
-    forcing already contains the data terms; it is finite at every node
-    (the singular p-power data contributions of the energy analysis never
-    appear in these assembled systems: all data exponents are >= 0).
+    S running over the ``frozen`` terms.  forcing already contains the data
+    terms, the frozen terms' included; it is finite at every node (the
+    singular p-power data contributions of the energy analysis never appear
+    in these assembled systems: all data exponents are >= 0).  Every
+    exponent must exceed -1, which ``_PIWeights`` checks.
     """
 
     basis: EigenBasis
     grid: TimeGrid
     lead: float
-    kernel: PowerKernelSum
+    diag: dict  # exponent -> (modes,) multiplier, the coefficient included
+    frozen: tuple  # FrozenTerm of each frozen coefficient, in summation order
     forcing: np.ndarray  # (N+1, modes)
     recon_exponents: tuple  # conv exponents for (psi, psi_t, psi_tt)
     xi0: np.ndarray
@@ -205,6 +178,8 @@ class _PIWeights:
     """
 
     def __init__(self, gamma_: float, n_steps: int, h: float):
+        if gamma_ <= -1:
+            raise DomainError(f"kernel exponent must exceed -1, got {gamma_}")
         W0, W1, W2, A0, A1 = _cell_weights(gamma_, n_steps, h)
         # mu_j (j >= 2) meets W2 of cell j-1, W1 of cell j and W0 of cell j+1
         self.C = W2.copy()
@@ -280,32 +255,29 @@ def _sigma_grid_values(basis, grid, sigma):
 
 
 def freeze(problem: VolterraProblem, sigma=None, grad_w=None) -> VolterraProblem:
-    """The assembled linear ``problem`` plus one Picard iterate's terms, their
-    data parts taken from the forcing: sigma on psi_tt's exponent, with data
-    part sigma xi2, and 2 l~ grad w . grad psi_t on psi_t's, with data part
-    2 l~ P(sum_axis grad_w G(xi1 + t xi2)).
+    """The assembled linear ``problem`` plus one Picard iterate's frozen
+    terms, their data parts taken from the forcing: sigma on psi_tt's
+    exponent and 2 l~ grad w . grad psi_t on psi_t's.  A term's data part is
+    coeff P(its ``grid_values`` of the data polynomial its exponent reads):
+    xi2 for psi_tt, xi1 + t xi2 for psi_t.
 
     sigma is an (N+1, Mgrid) array of grid values, which freeze validates,
     or Picard's ``_Synthesis`` of 2k w_t, which ``picard_nonlinear`` has
     validated; grad_w is a list of either form, one per axis of the domain,
     its arrays checked for shape and finiteness.  Both are read a block of
-    nodes at a time, so neither a coefficient form nor G(xi1 + t xi2) is
-    ever formed on all nodes: the data parts are summed, projected and
-    taken from the forcing in one blockwise pass.  A data part is built
-    only when its data are nonzero; a zero one would subtract zeros from
-    the forcing.  Freezing adds no diagonal term, so the iterate shares the
-    problem's tables."""
+    nodes at a time, so neither a coefficient form nor a data part is ever
+    formed on all nodes: the data parts are projected and taken from the
+    forcing in one blockwise pass.  A data part is built only when its data
+    are nonzero; a zero one would subtract zeros from the forcing.  Freezing
+    leaves ``diag`` alone, so the iterate shares the problem's tables."""
     basis = problem.basis
     _, e_psit, e_psitt = problem.recon_exponents
-    terms = list(problem.kernel.terms)
-    e_xi2 = None  # E xi2, when the collocation term has a data part
+    xi1, xi2 = problem.xi1, problem.xi2
+    terms = []
     if sigma is not None:
         if not isinstance(sigma, _Synthesis):
             sigma = _sigma_grid_values(basis, problem.grid, sigma)
-        terms.append(CollocationTerm(e_psitt, sigma))
-        if np.any(problem.xi2):
-            e_xi2 = basis.evaluate(problem.xi2)
-    grad_data = False  # whether the gradient term has a data part
+        terms.append(FrozenTerm(e_psitt, 1.0, [(sigma, None)]))
     if grad_w is not None:
         ndim = basis.domain.ndim  # a missing axis would drop its term, an extra one go unread
         if len(grad_w) != ndim:
@@ -314,23 +286,20 @@ def freeze(problem: VolterraProblem, sigma=None, grad_w=None) -> VolterraProblem
             grad_w = [_grid_values("grad_w", basis, problem.grid, g) for g in grad_w]
             if not all(np.all(np.isfinite(g)) for g in grad_w):
                 raise DomainError("grad_w must hold finite grid values")
-        coeff = 2.0 * problem.spec.l_eff
-        terms.append(GradientTerm(e_psit, coeff, grad_w))
-        grad_data = bool(np.any(problem.xi1) or np.any(problem.xi2))
+        factors = [(g, axis) for axis, g in enumerate(grad_w)]
+        terms.append(FrozenTerm(e_psit, 2.0 * problem.spec.l_eff, factors))
+    nonzero = {e_psitt: np.any(xi2), e_psit: np.any(xi1) or np.any(xi2)}
+    parts = [term for term in terms if nonzero[term.exponent]]
     F = problem.forcing
-    if e_xi2 is not None or grad_data:
+    if parts:
         F = F.copy()
         t = problem.grid.nodes
         for a, b in _blocks(len(F), basis.grid_size):
-            if e_xi2 is not None:
-                F[a:b] -= basis.project_values(sigma[a:b] * e_xi2)
-            if grad_data:
-                data = basis.evaluate_grad(problem.xi1 + t[a:b, None] * problem.xi2)
-                acc = grad_w[0][a:b] * data[0]
-                for gw, gd in zip(grad_w[1:], data[1:]):
-                    acc += gw[a:b] * gd
-                F[a:b] -= coeff * basis.project_values(acc)
-    frozen = replace(problem, kernel=PowerKernelSum(terms), forcing=F)
+            data = {e_psitt: xi2, e_psit: xi1 + t[a:b, None] * xi2}
+            for term in parts:
+                vals = term.grid_values(basis, slice(a, b), data[term.exponent])
+                F[a:b] -= term.coeff * basis.project_values(vals)
+    frozen = replace(problem, frozen=problem.frozen + tuple(terms), forcing=F)
     frozen.tables = problem.tables
     return frozen
 
@@ -346,11 +315,11 @@ def assemble(
 
     in mu = D^{2+g} xi.  A term D^r psi is p^{1+g-r} * mu plus its data part
     sum_{ceil(r) <= k <= 2} p^{k-r}(t) xi_k, so one row (r, coefficient,
-    per-mode factor) gives its kernel term and its share of the forcing.
-    Terms of one exponent share a kernel term, their coefficients summed: at
-    alpha = 1 the stiffness and damping terms merge into exponent 1.  Orders
-    are differenced as (n, m) pairs of n + m alpha, so every exponent and
-    data power is exact.
+    per-mode factor) gives its multiplier and its share of the forcing.
+    Terms of one exponent share one ``diag`` entry, their coefficients
+    summed: at alpha = 1 the stiffness and damping terms merge into exponent
+    1.  Orders are differenced as (n, m) pairs of n + m alpha, so every
+    exponent and data power is exact.
     """
     validate(spec, "linear", "picard")
     basis = data.basis
@@ -383,10 +352,10 @@ def assemble(
         data_terms += (coeff * factor) * sum(
             p_power(q, t)[:, None] * x for q, x in powers if q >= 0.0
         )
-    terms = [DiagonalTerm(e, c * factors[e]) for e, c in coeffs.items()]
+    diag = {e: c * factors[e] for e, c in coeffs.items()}
     F = _forcing_array(f, basis, grid) - data_terms
     recon = tuple(gap(top, (k, 0)) for k in range(3))
-    return VolterraProblem(basis, grid, lead, PowerKernelSum(terms), F, recon, *xi, spec)
+    return VolterraProblem(basis, grid, lead, diag, (), F, recon, *xi, spec)
 
 
 # The names of the two assemblers that ``assemble`` replaced: the benchmark's
@@ -415,8 +384,9 @@ def solve_mu(
     exponent fold into one lower-triangular Toeplitz system per mode, with
     symbol T = lead δ + sum_e D_e C_e (the lag kernels of ``_PIWeights``),
     inverted by ``series_reciprocal`` once per problem and its frozen
-    iterates.  The collocation and gradient terms S go to the right-hand side
-    and are relaxed over a window of nodes at once (waveform relaxation):
+    iterates; D_e is diag[e], zero for an exponent only a frozen term has.
+    The frozen terms S go to the right-hand side and are relaxed over a
+    window of nodes at once (waveform relaxation):
     x <- T^{-1}(F - boundary terms - S(conv(x))).  Node 1, whose self
     weights differ, is a window of its own.
 
@@ -435,27 +405,22 @@ def solve_mu(
 
     ``guess`` ((N+1, modes), such as the previous Picard iterate) starts the
     sweeps; they start from zero otherwise.  If ``diagnostics`` is given,
-    "relaxation_sweeps" receives the largest sweep count of a window (0 when
-    every kernel term is diagonal) and "relaxation_windows" the number of
+    "relaxation_sweeps" receives the largest sweep count of a window (0
+    without frozen terms) and "relaxation_windows" the number of
     windows nodes 2..N were solved in.
     """
     basis, grid, tables = problem.basis, problem.grid, problem.tables
     n_steps = grid.steps
-    exponents = list(dict.fromkeys(term.exponent for term in problem.kernel.terms))
+    # the exponents the frozen terms act on: one lag stack
+    op_exponents = list(dict.fromkeys(term.exponent for term in problem.frozen))
+    exponents = list(dict.fromkeys([*problem.diag, *op_exponents]))
     weights = [problem.weights(g) for g in exponents]
-    slot = {g: i for i, g in enumerate(exponents)}
     diag = np.zeros((len(exponents), basis.size))
-    ops = []
-    for term in problem.kernel.terms:
-        if isinstance(term, DiagonalTerm):
-            diag[slot[term.exponent]] += term.diag
-        else:
-            ops.append(term)
-    # the exponents the collocation and gradient terms act on: one lag stack
-    op_exponents = list(dict.fromkeys(term.exponent for term in ops))
-    op_slots = [slot[g] for g in op_exponents]
-    ops = [(term, op_exponents.index(term.exponent)) for term in ops]
-    shape = (len(exponents), n_steps + 1)  # also when no kernel term exists
+    for row, d in zip(diag, problem.diag.values()):
+        row += d
+    op_slots = [exponents.index(g) for g in op_exponents]
+    ops = [(term, op_exponents.index(term.exponent)) for term in problem.frozen]
+    shape = (len(exponents), n_steps + 1)  # also when the equation has no term
     lags = np.reshape([w.C for w in weights], shape)
     b0 = np.reshape([w.b0 for w in weights], shape)
     b1 = np.reshape([w.b1 for w in weights], shape)
@@ -521,13 +486,13 @@ def _relax(problem, ops, rows, rhs, known, filters, start):
     """Solve the mu equations of the nodes ``rows``, whose earlier nodes are
     final: ``rhs`` is F - sum_e D_e known_e, where known_e holds what those
     nodes contribute to exponent e's convolution, and ``known`` (op
-    exponents, nodes, modes) the known_e of the exponents the collocation
-    and gradient terms act on, None without such terms.  ``ops`` pairs each
-    of these terms with the row of its exponent in ``known``.  With
-    ``filters`` = (T^{-1}, the stacked C_e of those exponents) on the
-    window, it sweeps x <- T^{-1}(rhs - P(sum_S S(known + C x))) from
+    exponents, nodes, modes) the known_e of the exponents the frozen terms
+    act on, None without frozen terms.  ``ops`` pairs each frozen term with
+    the row of its exponent in ``known``.  With ``filters`` = (T^{-1}, the
+    stacked C_e of those exponents) on the window, it sweeps x <- T^{-1}(rhs - P(sum_S S(known + C x))) from
     start[rows]: each sweep transforms x once for the whole stack, then
-    sums the terms' grid values and projects them per block of nodes.
+    forms the terms' grid values and projects them per block of nodes
+    (``_frozen_terms``).
 
     Returns (x, sweeps); x is None when a window of several nodes did not
     converge.  A window of one node raises instead.
@@ -609,9 +574,9 @@ class _Synthesis:
 
 def _frozen_terms(basis, ops, rows, known, lag, x):
     """P(sum_S S(known + C x)) on the window ``rows``: one transform of x
-    for the stacked lag kernels, then per block of nodes (``_blocks``) the
-    terms' grid values, summed where the first term formed them, and one
-    projection.  The result does not depend on the blocks."""
+    for the stacked lag kernels, then per block of nodes (``_blocks``) each
+    term's grid values times its coeff, summed where the first term formed
+    them, and one projection.  The result does not depend on the blocks."""
     conv = lag(x)
     for conv_e, known_e in zip(conv, known):
         conv_e += known_e
@@ -620,8 +585,11 @@ def _frozen_terms(basis, ops, rows, known, lag, x):
     for a, b in _blocks(len(x), basis.grid_size):
         block = slice(rows.start + a, rows.start + b)
         vals = first.grid_values(basis, block, conv[e0][a:b])
+        vals *= first.coeff
         for term, e in rest:
-            vals += term.grid_values(basis, block, conv[e][a:b])
+            term_vals = term.grid_values(basis, block, conv[e][a:b])
+            term_vals *= term.coeff
+            vals += term_vals
         out[a:b] = basis.project_values(vals)
     return out
 
@@ -658,7 +626,7 @@ def solve(problem: VolterraProblem, guess: np.ndarray | None = None) -> Trajecto
 def solve_linear(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
     """Linear solve for families base, I, III through the mu reformulation."""
     validate(spec, "linear")
-    # every kernel term is diagonal, so there is no sweep count to record
+    # no term is frozen, so there is no sweep count to record
     problem = assemble(spec, data, f, grid)
     return reconstruct(problem, solve_mu(problem))
 

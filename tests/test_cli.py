@@ -459,6 +459,22 @@ class TestExitCodes:
             ("time.T = 0", "time.T"),
             ("data.preset = wave", "data.preset"),
             ("source.preset = wave", "source.preset"),
+            ("model.tau = -1", "model.tau"),
+            ("model.c = 0", "model.c"),
+            ("model.delta = -0.1", "model.delta"),
+            ("model.k = abc", "model.k"),
+            ("model.l = abc", "model.l"),
+            ("data.amplitude = x", "data.amplitude"),
+            ("source.preset = mode-cos\nsource.omega = x", "source.omega"),
+            ("source.preset = pulse\nsource.amplitude = x", "source.amplitude"),
+            ("domain.cutoff = 0", "domain.cutoff"),
+            ("domain.cutoff = -3", "domain.cutoff"),
+            ("domain.cutoff = 1.5", "domain.cutoff"),
+            ("domain.lengths = -1", "domain.lengths"),
+            ("domain.kind = rectangle\ndomain.lengths = 1.0,0", "domain.lengths"),
+            ("data.preset = mode\ndata.mode = 5", "data.mode"),
+            ("data.preset = mode\ndata.mode = x", "data.mode"),
+            ("domain.kind = rectangle\ndomain.lengths = 1,1\ndata.psi1 = 1,2,3,4,5", "data.psi1"),
         ],
     )
     def test_bad_data_or_lengths_is_2(self, tmp_path, monkeypatch, capsys, entries, key):
@@ -466,15 +482,19 @@ class TestExitCodes:
         # ran on the first, and data.psi0 without coeffs ran from the bump)
         # instead of naming its key, or named its key in a form of its own;
         # the study keys failed only after the main solve; nonlinear ii
-        # failed in the solver, after the output directory was made
+        # failed in the solver, and the medium, cutoff, length, mode and
+        # coefficient-count refusals came from building the run, after the
+        # output directory was made
         monkeypatch.setattr(fmgt.cli, "solve_all", self._no_solve)
         cfg = tmp_path / "data.cfg"
-        cfg.write_text(f"schema = 1\ndomain.cutoff = 2\n{entries}\n")
+        # the base's cutoff of 2 (a basis of 2 or 4 modes) unless the entries set one
+        base = "" if "domain.cutoff" in entries else "domain.cutoff = 2\n"
+        cfg.write_text(f"schema = 1\n{base}{entries}\n")
         assert run_cli(["--out", tmp_path / "o", "run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: key {key}: ")
         assert "Traceback" not in err
-        assert list(tmp_path.glob("o/*")) == []  # no artifact
+        assert not (tmp_path / "o").exists()
 
     def test_fractional_ii_psi1_is_2_before_the_output_directory(
         self, tmp_path, monkeypatch, capsys

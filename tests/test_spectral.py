@@ -300,15 +300,15 @@ class TestSeparableTransforms:
         # P(sum_axis g_n ⊙ G_axis v), spelled out with the dense matrices
         from fmgt import TimeGrid
         from fmgt.fractional import p_power
-        from fmgt.volterra import CollocationTerm, GradientTerm, PowerKernelSum, VolterraProblem
+        from fmgt.volterra import FrozenTerm, VolterraProblem
 
         b = sep_basis
         grid = TimeGrid(1.0, self.N1 - 1)
         rng = np.random.default_rng(24)
         sigma = rng.normal(size=(self.N1, b.grid_size))
         grads = [rng.normal(size=(self.N1, b.grid_size)) for _ in range(b.domain.ndim)]
-        colloc = CollocationTerm(0.0, 0.8 * sigma)
-        graddot = GradientTerm(1.0, -0.3, grads)
+        colloc = FrozenTerm(0.0, 1.0, [(0.8 * sigma, None)])
+        graddot = FrozenTerm(1.0, -0.3, list(zip(grads, range(b.domain.ndim))))
         zeros = np.zeros(b.size)
         lead = 1.7
         v = rng.normal(size=b.size)
@@ -325,7 +325,7 @@ class TestSeparableTransforms:
         ]
         for term, want in dense:
             prob = VolterraProblem(
-                b, grid, lead, PowerKernelSum([term]), np.zeros((self.N1, b.size)),
+                b, grid, lead, {}, (term,), np.zeros((self.N1, b.size)),
                 (2.0, 1.0, 0.0), zeros, zeros, zeros,
             )
             got = kernel_apply(prob, t, s, v, node=node)
@@ -334,7 +334,7 @@ class TestSeparableTransforms:
     def test_term_operators_batched_over_nodes(self, sep_basis):
         # the projected grid values of one call over a slice of nodes equal
         # the dense formula node by node
-        from fmgt.volterra import CollocationTerm, GradientTerm
+        from fmgt.volterra import FrozenTerm
 
         b = sep_basis
         rng = np.random.default_rng(25)
@@ -343,8 +343,9 @@ class TestSeparableTransforms:
         rows = slice(2, 7)
         V = rng.normal(size=(5, b.size))
         E, P, G = b.eval_matrix(), b.proj_matrix(), b.grad_matrices()
-        colloc = b.project_values(CollocationTerm(0.0, sigma).grid_values(b, rows, V))
-        graddot = b.project_values(GradientTerm(1.0, -0.3, grads).grid_values(b, rows, V))
+        colloc = b.project_values(FrozenTerm(0.0, 1.0, [(sigma, None)]).grid_values(b, rows, V))
+        graddot = FrozenTerm(1.0, -0.3, list(zip(grads, range(b.domain.ndim))))
+        graddot = graddot.coeff * b.project_values(graddot.grid_values(b, rows, V))
         for i, n in enumerate(range(2, 7)):
             assert _rel_err(colloc[i], P @ (sigma[n] * (E @ V[i]))) < 1e-13
             want = -0.3 * (P @ sum(g[n] * (Gm @ V[i]) for g, Gm in zip(grads, G)))

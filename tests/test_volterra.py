@@ -24,9 +24,7 @@ from fmgt.spectral import SpectralField
 from fmgt.volterra import (
     MAX_SWEEPS,
     InnerSolveError,
-    CollocationTerm,
-    DiagonalTerm,
-    PowerKernelSum,
+    FrozenTerm,
     VolterraProblem,
     _PIWeights,
     assemble,
@@ -39,10 +37,10 @@ from fmgt.volterra import (
 from ml_reference import ml_scalar
 
 
-def scalar_problem(grid, terms, forcing, lead=1.0):
+def scalar_problem(grid, diag, frozen, forcing, lead=1.0):
     b = EigenBasis(Domain.interval(1.0), 1)
     return VolterraProblem(
-        b, grid, lead, PowerKernelSum(terms), forcing,
+        b, grid, lead, diag, tuple(frozen), forcing,
         (2.0, 1.0, 0.0), np.zeros(1), np.zeros(1), np.zeros(1),
     )
 
@@ -108,7 +106,7 @@ class TestScalarSolves:
     def test_no_kernel_gives_forcing_over_lead(self):
         grid = TimeGrid(1.0, 64)
         F = np.sin(grid.nodes)[:, None]
-        prob = scalar_problem(grid, [], F, lead=2.0)
+        prob = scalar_problem(grid, {}, (), F, lead=2.0)
         mu = solve_mu(prob)
         assert np.max(np.abs(mu - F / 2.0)) == 0.0
 
@@ -116,9 +114,7 @@ class TestScalarSolves:
         # mu(t) = 1 + int_0^t mu: mu = e^t
         grid = TimeGrid(1.0, 512)
         F = np.ones((513, 1))
-        prob = scalar_problem(
-            grid, [DiagonalTerm(0.0, -np.ones(1))], F
-        )
+        prob = scalar_problem(grid, {0.0: -np.ones(1)}, (), F)
         mu = solve_mu(prob)
         assert np.max(np.abs(mu[:, 0] - np.exp(grid.nodes))) < 1e-6
 
@@ -126,22 +122,39 @@ class TestScalarSolves:
         # mu(t) = 1 - int (t-s)^{-1/2}/Gamma(1/2) mu: mu = E_{1/2,1}(-sqrt(t))
         grid = TimeGrid(1.0, 512)
         F = np.ones((513, 1))
-        prob = scalar_problem(
-            grid, [DiagonalTerm(-0.5, np.ones(1))], F
-        )
+        prob = scalar_problem(grid, {-0.5: np.ones(1)}, (), F)
         mu = solve_mu(prob)
         exact = np.array([ml_scalar(0.5, 1.0, -np.sqrt(t)) for t in grid.nodes])
         err = np.abs(mu[:, 0] - exact)
         assert err.max() < 5e-4  # sqrt-cusp at the first node limits the rate
         assert err[-1] < 1e-5
 
+    @pytest.mark.parametrize("where", ["diag", "frozen"])
+    def test_exponent_minus_one_refused_before_any_transform(self, monkeypatch, where):
+        # p^-1 = u^-1/Gamma(0) is no kernel: the weights refuse it, and
+        # solve_mu builds every exponent's weights before it transforms
+        grid = TimeGrid(1.0, 64)
+        if where == "diag":
+            prob = scalar_problem(grid, {0.0: np.ones(1), -1.0: np.ones(1)}, (), np.ones((65, 1)))
+        else:
+            sigma = np.ones((65, EigenBasis(Domain.interval(1.0), 1).grid_size))
+            frozen = [FrozenTerm(-1.0, 1.0, [(sigma, None)])]
+            prob = scalar_problem(grid, {0.0: np.ones(1)}, frozen, np.ones((65, 1)))
+        calls = _record_transforms(monkeypatch)
+        ffts = []
+        rfft = fmgt.convolution.rfft
+        monkeypatch.setattr(
+            fmgt.convolution, "rfft", lambda *a, **k: ffts.append(1) or rfft(*a, **k)
+        )
+        with pytest.raises(DomainError, match="kernel exponent must exceed -1, got -1.0"):
+            solve_mu(prob)
+        assert calls == [] and ffts == []
+
     def test_blowup_reported_with_node(self):
         # mu = 1e300 e^t overflows float range near t = ln(1.8e308/1e300) ~ 19
         grid = TimeGrid(25.0, 64)
         F = np.full((65, 1), 1e300)
-        prob = scalar_problem(
-            grid, [DiagonalTerm(0.0, -np.ones(1))], F
-        )
+        prob = scalar_problem(grid, {0.0: -np.ones(1)}, (), F)
         with pytest.raises(SolverBlowUpError) as exc:
             solve_mu(prob)
         # an overflow turns the whole FFT solve non-finite: the windows are
@@ -154,25 +167,24 @@ class TestScalarSolves:
         # with the full convolution taken from the complete mu afterwards
         grid = TimeGrid(1.0, 100)  # crosses leaf and block boundaries
         F = np.cos(3.0 * grid.nodes)[:, None]
-        terms = [
-            DiagonalTerm(g, np.full(1, c))
-            for g, c in ((-0.5, 0.8), (0.0, -1.0), (0.7, 2.0), (2.0, 0.5))
-        ]
-        prob = scalar_problem(grid, terms, F, lead=1.5)
+        diag = {
+            g: np.full(1, c) for g, c in ((-0.5, 0.8), (0.0, -1.0), (0.7, 2.0), (2.0, 0.5))
+        }
+        prob = scalar_problem(grid, diag, (), F, lead=1.5)
         mu = solve_mu(prob)
         lhs = 1.5 * mu
-        for term in terms:
-            lhs += term.diag * _PIWeights(term.exponent, grid.steps, grid.h).conv_all(mu)
+        for g, d in diag.items():
+            lhs += d * _PIWeights(g, grid.steps, grid.h).conv_all(mu)
         assert np.max(np.abs(lhs[1:] - F[1:])) < 1e-12 * np.max(np.abs(F))
 
     def test_inner_solve_failure_is_loud(self):
-        # a collocation term whose self weight outweighs the lead makes the
+        # a frozen sigma term whose self weight outweighs the lead makes the
         # per-node fixed point diverge: the marcher refuses, naming the node
         grid = TimeGrid(1.0, 64)
         b = EigenBasis(Domain.interval(1.0), 1)
         sigma = np.full((65, b.eval_matrix().shape[0]), -1000.0)
         prob = scalar_problem(
-            grid, [CollocationTerm(0.0, sigma)], np.ones((65, 1))
+            grid, {}, [FrozenTerm(0.0, 1.0, [(sigma, None)])], np.ones((65, 1))
         )
         with pytest.raises(InnerSolveError) as exc:
             solve_mu(prob)
@@ -185,14 +197,12 @@ class TestScalarSolves:
         b = EigenBasis(Domain.interval(1.0), 1)
         sigma = np.ones((65, b.eval_matrix().shape[0]))
         prob = scalar_problem(
-            grid, [CollocationTerm(0.0, sigma)], np.ones((65, 1))
+            grid, {}, [FrozenTerm(0.0, 1.0, [(sigma, None)])], np.ones((65, 1))
         )
         traj = solve(prob)
         assert 1 <= traj.diagnostics["relaxation_sweeps"] < MAX_SWEEPS
         assert traj.diagnostics["relaxation_windows"] == 1
-        diag_only = scalar_problem(
-            grid, [DiagonalTerm(0.0, np.ones(1))], np.ones((65, 1))
-        )
+        diag_only = scalar_problem(grid, {0.0: np.ones(1)}, (), np.ones((65, 1)))
         assert solve(diag_only).diagnostics == {
             "relaxation_sweeps": 0, "relaxation_windows": 1
         }
@@ -206,8 +216,8 @@ class TestScalarSolves:
         vals = 20.0 * (1.0 + 0.5 * np.sin(3.0 * grid.nodes))
         sigma = np.tile(vals[:, None], (1, b.grid_size))
         F = np.cos(2.0 * grid.nodes)[:, None]
-        terms = [DiagonalTerm(0.7, np.full(1, 2.0)), CollocationTerm(0.0, sigma)]
-        prob = scalar_problem(grid, terms, F, lead=1.5)
+        frozen = [FrozenTerm(0.0, 1.0, [(sigma, None)])]
+        prob = scalar_problem(grid, {0.7: np.full(1, 2.0)}, frozen, F, lead=1.5)
         diagnostics = {}
         mu = solve_mu(prob, diagnostics)
         # the record of the halving rule: a window is halved as soon as an
@@ -263,7 +273,7 @@ class TestAssembly:
         grid = TimeGrid(1.0, 16)
         spec = ModelSpec(ModelVariant(Family.III, Nonlinearity.LINEAR), MediumParams(), 1.0)
         prob = assemble(spec, data, None, grid)
-        exps = sorted(t.exponent for t in prob.kernel.terms)
+        exps = sorted(prob.diag)
         assert exps == [0.0, 1.0, 2.0]  # the alpha term merged into exponent 1
 
     def test_fmgt1_exponent_set(self, single_mode_setup):
@@ -272,7 +282,7 @@ class TestAssembly:
         a = 0.75
         spec = ModelSpec(ModelVariant(Family.I, Nonlinearity.LINEAR), MediumParams(), a)
         prob = assemble(spec, data, None, grid)
-        exps = sorted(t.exponent for t in prob.kernel.terms)
+        exps = sorted(prob.diag)
         assert exps == pytest.approx([a - 1.0, 2 * a - 1.0, 1.0, a + 1.0])
 
     def test_one_assembly_for_base_i_and_iii(self, single_mode_setup):
@@ -297,7 +307,7 @@ class TestAssembly:
         for family, exponents in expected.items():
             spec = ModelSpec(ModelVariant(family, Nonlinearity.LINEAR), MediumParams(), alpha)
             prob = assemble(spec, data, None, TimeGrid(1.0, 16))
-            assert sorted(t.exponent for t in prob.kernel.terms) == sorted(exponents)
+            assert sorted(prob.diag) == sorted(exponents)
             g = 1.0 if family is Family.III else alpha
             assert prob.recon_exponents == (g + 1.0, g, g - 1.0)
 
@@ -628,8 +638,7 @@ class TestFrozenProblem:
     def test_freeze_without_coefficients_keeps_the_problem(self):
         linear = assemble(self.spec, self.data, None, TimeGrid(1.0, 32))
         frozen = freeze(linear)
-        assert len(frozen.kernel.terms) == len(linear.kernel.terms)
-        assert all(a is b for a, b in zip(frozen.kernel.terms, linear.kernel.terms))
+        assert frozen.diag is linear.diag and frozen.frozen == () == linear.frozen
         assert frozen.forcing is linear.forcing
         assert frozen.tables is linear.tables
 
@@ -661,7 +670,7 @@ class TestFrozenProblem:
         linear = assemble(spec, data, None, grid)
         calls = _record_transforms(monkeypatch)
         frozen = freeze(linear, sigma, grad_w)
-        assert len(frozen.kernel.terms) == len(linear.kernel.terms) + 2
+        assert frozen.diag is linear.diag and len(frozen.frozen) == 2
         assert frozen.forcing is linear.forcing
         assert calls == []
         assembled = []
@@ -703,6 +712,35 @@ class TestFrozenProblem:
         # each node once, and kept nowhere
         assert max(rows for _, rows in in_freeze) <= block
         assert sum(rows for name, rows in in_freeze if name == "project_values") == len(got)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_data_parts_match_the_dense_formula(self, ndim):
+        # psi1 and psi2 nonzero: freezing takes P(sigma ⊙ E xi2) +
+        # 2 l~ P(sum_axis g_axis ⊙ G_axis(xi1 + t xi2)) from the forcing,
+        # here spelled out with the dense Kronecker matrices
+        if ndim == 1:
+            basis = EigenBasis(Domain.interval(1.0), 6)
+        else:
+            basis = EigenBasis(Domain.rectangle(1.0, 1.5), (4, 3))
+        rng = np.random.default_rng(11)
+        xi = [1e-3 * rng.normal(size=basis.size) for _ in range(3)]
+        data = InitialData(*(SpectralField(basis, x) for x in xi))
+        spec = ModelSpec(
+            ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
+            MediumParams(k=0.1, l_tilde=0.2),
+            0.7,
+        )
+        grid = TimeGrid(1.0, 32)
+        sigma = 0.1 * rng.normal(size=(grid.steps + 1, basis.grid_size))
+        grad_w = [rng.normal(size=sigma.shape) for _ in range(ndim)]
+        linear = assemble(spec, data, None, grid)
+        frozen = freeze(linear, sigma, grad_w)
+        E, P, G = basis.eval_matrix(), basis.proj_matrix(), basis.grad_matrices()
+        psi_t = xi[1] + grid.nodes[:, None] * xi[2]
+        grad_dot = sum(g * (psi_t @ Gm.T) for g, Gm in zip(grad_w, G))
+        want = (sigma * (E @ xi[2])) @ P.T + 2.0 * spec.l_eff * (grad_dot @ P.T)
+        got = linear.forcing - frozen.forcing
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def _freeze_grad(self, grad_w):
         spec, data, grid, _, _ = self._kuznetsov_2d(0.0)
@@ -1005,20 +1043,21 @@ class TestTwoDimensional:
             assert transforms == (0 if nodes == 1 else 2 * sweeps)  # node 1: plain products
 
     def test_frozen_terms_leave_their_data(self):
-        # the terms multiply into the arrays evaluate and evaluate_grad return
+        # the terms multiply the arrays synthesize returns, never their own
         spec, data, grid = self._kuznetsov(16)
         linear = assemble(spec, data, None, grid)
         rng = np.random.default_rng(7)
         sigma = 0.1 * rng.normal(size=(grid.steps + 1, self.basis.grid_size))
         grad_w = [rng.normal(size=sigma.shape) for _ in range(2)]
         frozen = freeze(linear, sigma, grad_w)
-        colloc, graddot = frozen.kernel.terms[-2:]
-        stored = [colloc.values.copy()] + [g.copy() for g in graddot.grads]
+        values = [values for term in frozen.frozen for values, _ in term.factors]
+        assert len(values) == 3  # sigma and both axes of grad w
+        stored = [v.copy() for v in values]
         v = rng.normal(size=(5, self.basis.size))
-        for term in (colloc, graddot):
+        for term in frozen.frozen:
             first = term.grid_values(self.basis, slice(3, 8), v)
             assert np.array_equal(term.grid_values(self.basis, slice(3, 8), v), first)
-        for kept, now in zip(stored, [colloc.values] + graddot.grads):
+        for kept, now in zip(stored, values):
             assert np.array_equal(kept, now)
 
     def test_picard_numerics_unchanged(self):
@@ -1095,9 +1134,9 @@ def _whole_window_frozen_terms(basis, ops, rows, known, lag, x):
     for conv_e, known_e in zip(conv, known):
         conv_e += known_e
     (term, e), *rest = ops
-    vals = term.grid_values(basis, rows, conv[e])
+    vals = term.coeff * term.grid_values(basis, rows, conv[e])
     for term, e in rest:
-        vals += term.grid_values(basis, rows, conv[e])
+        vals += term.coeff * term.grid_values(basis, rows, conv[e])
     return basis.project_values(vals)
 
 
@@ -1197,9 +1236,9 @@ class TestBlockedSweeps:
             assert np.array_equal(getattr(small.trajectory, name), getattr(default.trajectory, name))
 
     def test_no_transform_in_a_sweep_sees_more_than_one_block(self, monkeypatch):
-        # the memory bound: every evaluate, evaluate_grad and project_values
-        # call of a sweep gets at most one block of rows, and each node of a
-        # window is projected once per sweep
+        # the memory bound: every synthesize and project_values call of a
+        # sweep gets at most one block of rows, and each node of a window is
+        # projected once per sweep
         case = _kuznetsov_2d_case(32)
         block = 5
         _block_budget(monkeypatch, case[1].basis, block)
@@ -1209,13 +1248,13 @@ class TestBlockedSweeps:
         def record(name):
             original = getattr(EigenBasis, name)
 
-            def recording(basis, values):
+            def recording(basis, values, *args):
                 calls.append((name, len(values)))
-                return original(basis, values)
+                return original(basis, values, *args)
 
             monkeypatch.setattr(EigenBasis, name, recording)
 
-        for name in ("evaluate", "evaluate_grad", "project_values"):
+        for name in ("synthesize", "project_values"):
             record(name)
         relax = fmgt.volterra._relax
 
@@ -1231,7 +1270,7 @@ class TestBlockedSweeps:
         assert res.iterations >= 2
         assert [w[0] for w in windows] == [1, 31] * res.iterations
         for nodes, sweeps, seen in windows:
-            assert {name for name, _ in seen} == {"evaluate", "evaluate_grad", "project_values"}
+            assert {name for name, _ in seen} == {"synthesize", "project_values"}
             assert max(rows for _, rows in seen) <= block
             assert sum(rows for name, rows in seen if name == "project_values") == sweeps * nodes
 
