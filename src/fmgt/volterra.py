@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .convolution import CausalFilter, causal_conv, series_reciprocal
+from .convolution import CausalFilter, series_reciprocal
 from .fractional import DomainError, TimeGrid, _cell_moments, gamma, p_power
 from .models import (
     InitialData,
@@ -132,11 +132,12 @@ class VolterraProblem:
 
     def lag_filter(self, exponents, length: int) -> CausalFilter:
         """The lag kernels C_g of ``exponents`` as one stack on signals of
-        ``length`` rows; each kernel's spectrum is built once per length."""
+        ``length`` rows (``_PIWeights.filter``); each kernel's filter is
+        built once per length."""
         lags = self.tables.lags
         for g in exponents:
             if (g, length) not in lags:
-                lags[g, length] = CausalFilter([self.weights(g).C], length)
+                lags[g, length] = self.weights(g).filter(length)
         return CausalFilter.stack([lags[g, length] for g in exponents])
 
 
@@ -175,6 +176,13 @@ class _PIWeights:
 
     where b1[1] is the self weight of the first node and C[0] that of every
     later node.
+
+    For an integer g >= 0 the kernel p^g is a polynomial of degree g, and so
+    is C past its first lags: its (g+1)-th difference vanishes past lag
+    g + 2 (to within 3.5e-15 of max C at N = 65536, g <= 2).  Those first
+    g + 3 entries are the ``stencil`` d, with C = S^(g+1) d for the running
+    sum S to within 6.7e-16 of max C, and ``filter`` applies C as d and
+    g + 1 running sums.  A fractional g has no stencil; its C is transformed.
     """
 
     def __init__(self, gamma_: float, n_steps: int, h: float):
@@ -192,12 +200,26 @@ class _PIWeights:
         self.b1[1:] = A1
         self.b1[2:] += W1[: n_steps - 1]
         self.b1[3:] += W0[: max(n_steps - 2, 0)]
+        self.stencil = None
+        if float(gamma_).is_integer():  # g >= 0, as g > -1
+            self.sums = int(gamma_) + 1
+            self.stencil = self.C[: self.sums + 2]
+            for _ in range(self.sums):
+                self.stencil = np.diff(self.stencil, prepend=0.0)
+
+    def filter(self, n: int) -> CausalFilter:
+        """C's filter on signals of n rows: the running sums of the stencil
+        where there is one, C's spectrum otherwise."""
+        if self.stencil is None:
+            return CausalFilter([self.C], n)
+        return CausalFilter.running_sums(self.stencil, self.sums, n)
 
     def conv_all(self, mu: np.ndarray, lagged: np.ndarray | None = None) -> np.ndarray:
         """The convolution at every node, from the complete mu; ``lagged``
-        is causal_conv(C, mu[2:]) where the caller has it already."""
+        is C's ``filter`` applied to mu[2:], where the caller has it
+        already."""
         out = np.outer(self.b0, mu[0]) + np.outer(self.b1, mu[1])
-        out[2:] += causal_conv(self.C, mu[2:]) if lagged is None else lagged
+        out[2:] += self.filter(len(mu) - 2)(mu[2:])[0] if lagged is None else lagged
         return out
 
 
@@ -368,11 +390,24 @@ assemble_fmgt1 = assemble_fmgt3 = assemble
 
 
 MAX_SWEEPS = 60  # sweeps of one window before it is halved (one node: InnerSolveError)
-# A window has converged once its update, relative to the solution, is below
-# _SWEEP_RTOL, or once it stops shrinking below _FLOOR_RTOL: the rounding
-# floor of the FFT products, which a stiff window can reach above 1e-14
+# A window has converged once its update, or the error estimate of
+# ``_converged``, is below _SWEEP_RTOL of 1 + max|mu| (an absolute test
+# where |mu| is small, as on every preset), or once its update stops
+# shrinking below _FLOOR_RTOL of 1 + max|mu|: the rounding floor of the
+# products, which a stiff window can reach above 1e-14
 _SWEEP_RTOL = 1e-14
 _FLOOR_RTOL = 1e-12
+
+
+def _converged(update: float, last: float, tol: float) -> bool:
+    """Whether a sweep whose update is ``update``, after one of ``last``,
+    ends its window: the update is within tol, or the error estimate
+    theta/(1 - theta) update is, with theta = update/last in (0, 1), the
+    rate at which the sweeps contract (Hairer & Wanner, Solving ODEs II,
+    IV.8).  A first sweep (last = inf) has no estimate, and a theta >= 1
+    none that counts."""
+    theta = update / last
+    return update <= tol or (0.0 < theta < 1.0 and theta / (1.0 - theta) * update <= tol)
 
 
 def solve_mu(
@@ -388,7 +423,12 @@ def solve_mu(
     The frozen terms S go to the right-hand side and are relaxed over a
     window of nodes at once (waveform relaxation):
     x <- T^{-1}(F - boundary terms - S(conv(x))).  Node 1, whose self
-    weights differ, is a window of its own.
+    weights differ, is a window of its own.  A window converges when a
+    sweep's update, or that update's error estimate theta/(1 - theta)
+    update (theta the ratio of the last two updates, in (0, 1);
+    ``_converged``), is below _SWEEP_RTOL of 1 + max|mu|: an absolute
+    test where |mu| is small.  It converges too when an update stops
+    shrinking below _FLOOR_RTOL of 1 + max|mu|.
 
     The first window holds all of nodes 2..N.  A window whose sweeps stop
     contracting (an update no smaller than the one before, unless it is at
@@ -435,9 +475,8 @@ def solve_mu(
         if n_steps >= 1:
             # node 1: the first-cell self weights b1_e[1] make a 1 x 1 symbol
             symbol = problem.lead + b1[:, 1] @ diag
-            known = (b0[:, 1, None] * mu[0])[:, None]
-            rhs = problem.forcing[1:2] - np.einsum("em,elm->lm", diag, known)
-            known = known[op_slots] if ops else None
+            rhs = problem.forcing[1:2] - (b0[:, 1:2].T @ diag) * mu[0]
+            known = b0[op_slots, 1:2, None] * mu[0]
             window = (
                 CausalFilter((1.0 / symbol)[None, None], 1),
                 CausalFilter(b1[op_slots, 1:2], 1),
@@ -454,17 +493,24 @@ def solve_mu(
             while first <= n_steps:
                 length = min(length, n_steps + 1 - first)
                 rows = slice(first, first + length)
-                known = b0[:, rows, None] * mu[0] + b1[:, rows, None] * mu[1]
-                if first > 2:
+                # the boundary terms, summed over the exponents by two
+                # (nodes x exponents) @ (exponents x modes) products
+                rhs = problem.forcing[rows] - (b0[:, rows].T @ diag) * mu[0]
+                rhs -= (b1[:, rows].T @ diag) * mu[1]
+                # the sweeps' known_e: only for the exponents the frozen terms act on
+                known = b0[op_slots, rows, None] * mu[0] + b1[op_slots, rows, None] * mu[1]
+                if first > 2 and exponents:
                     # what the solved nodes 2..first-1 add to the window
                     prefix = np.zeros((first - 2 + length, basis.size))
                     prefix[: first - 2] = mu[2:first]
-                    solved = CausalFilter(lags, len(prefix))(prefix)
-                    for known_e, solved_e in zip(known, solved):
-                        known_e += solved_e[first - 2 :]
-                rhs = problem.forcing[rows] - np.einsum("em,elm->lm", diag, known)
-                # the sweeps keep only the slots the frozen terms act on
-                known = known[op_slots] if ops else None
+                    solved = [
+                        s[first - 2 :]
+                        for s in CausalFilter.stack([w.filter(len(prefix)) for w in weights])(prefix)
+                    ]
+                    for d, solved_e in zip(diag, solved):
+                        rhs -= d * solved_e
+                    for known_e, slot in zip(known, op_slots):
+                        known_e += solved[slot]
                 if tables.solve_t is None or tables.solve_t.n != length:
                     tables.solve_t = CausalFilter(recip[None], length)
                 lag = problem.lag_filter(op_exponents, length) if ops else None
@@ -487,12 +533,14 @@ def _relax(problem, ops, rows, rhs, known, filters, start):
     final: ``rhs`` is F - sum_e D_e known_e, where known_e holds what those
     nodes contribute to exponent e's convolution, and ``known`` (op
     exponents, nodes, modes) the known_e of the exponents the frozen terms
-    act on, None without frozen terms.  ``ops`` pairs each frozen term with
-    the row of its exponent in ``known``.  With ``filters`` = (T^{-1}, the
-    stacked C_e of those exponents) on the window, it sweeps x <- T^{-1}(rhs - P(sum_S S(known + C x))) from
-    start[rows]: each sweep transforms x once for the whole stack, then
-    forms the terms' grid values and projects them per block of nodes
-    (``_frozen_terms``).
+    act on.  ``ops`` pairs each frozen term with the row of its exponent in
+    ``known``.  With ``filters`` = (T^{-1}, the stacked C_e of those
+    exponents) on the window, it sweeps
+    x <- T^{-1}(rhs - P(sum_S S(known + C x))) from start[rows] until
+    ``_converged``: each sweep applies the whole stack to x at once (one
+    transform of x where a C_e has a spectrum; type III's have running
+    sums), then forms the terms' grid values and projects them per block
+    of nodes (``_frozen_terms``).
 
     Returns (x, sweeps); x is None when a window of several nodes did not
     converge.  A window of one node raises instead.
@@ -512,7 +560,7 @@ def _relax(problem, ops, rows, rhs, known, filters, start):
             if not np.all(np.isfinite(x)):
                 break
             scale = 1.0 + np.max(np.abs(x))
-            if update <= _SWEEP_RTOL * scale:
+            if _converged(update, last, _SWEEP_RTOL * scale):
                 converged = True
                 break
             if update >= last and not single:
@@ -573,10 +621,12 @@ class _Synthesis:
 
 
 def _frozen_terms(basis, ops, rows, known, lag, x):
-    """P(sum_S S(known + C x)) on the window ``rows``: one transform of x
-    for the stacked lag kernels, then per block of nodes (``_blocks``) each
-    term's grid values times its coeff, summed where the first term formed
-    them, and one projection.  The result does not depend on the blocks."""
+    """P(sum_S S(known + C x)) on the window ``rows``: the stacked lag
+    kernels applied to x at once (running sums for type III's polynomial
+    kernels, one transform of x for fractional ones), then per block of
+    nodes (``_blocks``) each term's grid values times its coeff, summed
+    where the first term formed them, and one projection.  The result does
+    not depend on the blocks."""
     conv = lag(x)
     for conv_e, known_e in zip(conv, known):
         conv_e += known_e
@@ -595,10 +645,14 @@ def _frozen_terms(basis, ops, rows, known, lag, x):
 
 
 def reconstruct(problem: VolterraProblem, mu: np.ndarray) -> Trajectory:
+    """psi, psi_t and psi_tt from mu: each the data polynomial plus the
+    product integral of its exponent's kernel against mu.  The three lag
+    kernels are one stack on mu[2:]: running sums for type III's exponents
+    2, 1 and 0, one transform of mu[2:] for the fractional exponents of
+    base and I."""
     grid = problem.grid
     t = grid.nodes
     e_psi, e_psit, e_psitt = problem.recon_exponents
-    # one transform of mu[2:] for the lag kernels of all three exponents
     exponents = list(dict.fromkeys(problem.recon_exponents))
     lagged = problem.lag_filter(exponents, grid.steps - 1)(mu[2:])
     conv = {e: problem.weights(e).conv_all(mu, h) for e, h in zip(exponents, lagged)}

@@ -364,3 +364,160 @@ def test_convolution_is_the_one_transform_layer():
     assert len(calls) >= 3
     for call in calls:
         assert len(call.args) <= 2 and not call.keywords, ast.unparse(call)
+
+
+# Running-sum rows: a kernel S^k d, S the running sum along time and d a
+# short stencil, applied as the stencil and k running sums
+
+
+def running_sum_kernel(stencil, sums, length):
+    """S^sums stencil as a plain kernel of ``length`` lags."""
+    kernel = np.zeros((length,) + np.shape(stencil)[1:])
+    kernel[: min(len(stencil), length)] = stencil[:length]
+    for _ in range(sums):
+        kernel = np.cumsum(kernel, axis=0)
+    return kernel
+
+
+def stencils(cols):
+    """A 1-D stencil of 5 lags, and a per-column one for ``cols`` columns."""
+    rng = np.random.default_rng(5)
+    return [rng.normal(size=5)] + ([] if cols is None else [rng.normal(size=(5, cols))])
+
+
+# 1000: past two blocks of _running_sum, with a partial block at the end
+RUNNING_SIZES = [0, 1, 2, 3, 4, 5, 257, 1000]
+
+
+@pytest.mark.parametrize("n", RUNNING_SIZES)
+@pytest.mark.parametrize("cols", [None, 3])
+@pytest.mark.parametrize("sums", [0, 1, 2, 3])
+def test_running_sums_match_naive(n, cols, sums):
+    # a 1-D stencil, and a per-column one where the signal has columns;
+    # stencils of 5 lags are longer than the shortest signals
+    x = signal(n, cols)
+    for stencil in stencils(cols):
+        got = CausalFilter.running_sums(stencil, sums, n)(x)
+        assert len(got) == 1 and got[0].flags.c_contiguous
+        kernel = running_sum_kernel(stencil, sums, n + 4)
+        if kernel.ndim == 1:
+            assert_close(got[0], naive_sum(kernel, x))
+        else:
+            for c in range(cols):
+                assert_close(got[0][:, c], naive_sum(kernel[:, c], x[:, c]))
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 257])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_integer_exponent_filters_match_naive(g, n, cols):
+    # _PIWeights' stencil of g + 3 lags and g + 1 running sums, against the
+    # naive sum of its lag kernel C, on signals shorter and longer than it
+    w = _PIWeights(g, n + 1, 1.0 / (n + 1))
+    assert w.sums == g + 1 and len(w.stencil) == min(g + 3, n + 2)
+    x = signal(n, cols)
+    f = w.filter(n)
+    assert all(spec is None for _, spec, _, _ in f.rows)
+    assert_close(f(x)[0], naive_sum(w.C, x))
+
+
+def test_fractional_exponent_filter_keeps_its_spectrum():
+    w = _PIWeights(0.7, 64, 1.0 / 64)
+    assert w.stencil is None
+    f = w.filter(63)
+    assert [spec is not None for _, spec, _, _ in f.rows] == [True]
+    x = signal(63, 2)
+    assert np.array_equal(f(x)[0], causal_conv(w.C, x))
+
+
+@pytest.mark.parametrize("n", [2, 257, 1000])
+def test_mixed_stack_equals_its_rows(n):
+    # running-sum rows of exponents 2, 1 and 0 between spectrum and
+    # plain-product rows: each row of the stack equals its own filter bit
+    # for bit, and so does a second call
+    x = signal(n, 3)
+    ws = [_PIWeights(g, n + 1, 1.0 / (n + 1)) for g in (2.0, 0.7, 1.0, 0.0)]
+    plain = np.zeros((1, n + 4))
+    plain[0, 0] = -1.5
+    filters = [ws[0].filter(n), ws[1].filter(n), CausalFilter(plain, n), ws[2].filter(n),
+               CausalFilter(kernels(n + 4), n), ws[3].filter(n)]
+    kinds = [row[1] is None for f in filters for row in f.rows]
+    assert any(kinds) and not all(kinds)
+    stacked = CausalFilter.stack(filters)
+    want = [got for f in filters for got in f(x)]
+    for _ in range(2):
+        got = stacked(x)
+        assert len(got) == len(want)
+        assert all(g.shape == x.shape and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_stack_refuses_spectra_of_two_sizes():
+    a = CausalFilter(kernels(5), 10)
+    b = CausalFilter(kernels(20), 10)
+    with pytest.raises(ValueError):
+        CausalFilter.stack([a, b])
+    # running-sum rows have no transform size, so they stack with either
+    sums = CausalFilter.running_sums(np.ones(3), 2, 10)
+    assert len(CausalFilter.stack([a, sums]).rows) == 4
+    assert len(CausalFilter.stack([sums, b]).rows) == 4
+    with pytest.raises(ValueError):
+        CausalFilter.stack([sums, CausalFilter.running_sums(np.ones(3), 2, 11)])
+
+
+def test_wide_running_sums_equal_their_slices():
+    # 48 per-column stencils and signals of mixed binades, past two blocks
+    # of _running_sum: each column rounds alike in a batch of any width
+    n = 600
+    rng = np.random.default_rng(49)
+    scales = 2.0 ** rng.integers(-40, 40, size=48)
+    stencil = rng.normal(size=(5, 48)) * scales
+    x = rng.normal(size=(n, 48)) * scales[::-1]
+    for sums in (1, 3):
+        wide = CausalFilter.running_sums(stencil, sums, n)(x)[0]
+        one_d = CausalFilter.running_sums(stencil[:, 0], sums, n)(x)[0]
+        for cols in (slice(i, i + 8) for i in range(0, 48, 8)):
+            alone = CausalFilter.running_sums(stencil[:, cols], sums, n)(x[:, cols])[0]
+            assert np.array_equal(wide[:, cols], alone)
+            # a 1-D stencil serves every column alike, too
+            one_d_alone = CausalFilter.running_sums(stencil[:, 0], sums, n)(x[:, cols])[0]
+            assert np.array_equal(one_d[:, cols], one_d_alone)
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, 2.0])
+def test_running_sums_agree_with_the_transform_at_65536(g):
+    # the same kernel C by both row kinds, on 65,536 nodes: within 1e-14 of
+    # the largest result
+    n = 65536
+    w = _PIWeights(g, n, 1.0 / n)
+    x = signal(n, 3)
+    got = w.filter(n)(x)[0]
+    want = CausalFilter([w.C], n)(x)[0]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_running_sums_overflow_only_with_the_sums():
+    # the running sums of 2e307 reach the float limit at row 8; a stencil
+    # [1, -1] and one running sum give back the signal itself, though the
+    # difference of two of its alternating 1.5e308 entries overflows
+    x = np.full((64, 2), 2e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = CausalFilter.running_sums(np.array([1.0]), 1, 64)(x)[0]
+        want = naive_sum(np.ones(64), x)
+    assert np.all(np.isfinite(got[:8])) and np.all(np.isinf(got[8:]))
+    assert_close(got[:8], want[:8])
+    alternating = 1.5e308 * (-1.0) ** np.arange(64.0)
+    identity = CausalFilter.running_sums(np.array([1.0, -1.0]), 1, 64)(alternating)[0]
+    assert np.array_equal(identity, alternating)
+
+
+def test_stacked_running_sums_do_not_overflow_before_the_stencil():
+    # the stack sums x once for all its rows and applies each stencil to
+    # S^k x: unscaled, S^3 of 1e306 on 1000 rows would overflow (about
+    # 1.7e8 times 1e306), but p^2's own sums, about 1e306 / 6, do not
+    n = 1000
+    x = np.full((n, 2), 1e306)
+    ws = [_PIWeights(g, n + 1, 1.0 / (n + 1)) for g in (0.0, 2.0, 1.0)]
+    got = CausalFilter.stack([w.filter(n) for w in ws])(x)
+    for w, row in zip(ws, got):
+        assert np.all(np.isfinite(row))
+        assert_close(row, np.ldexp(naive_sum(w.C, np.ldexp(x, -1000)), 1000))

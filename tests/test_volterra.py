@@ -27,6 +27,8 @@ from fmgt.volterra import (
     FrozenTerm,
     VolterraProblem,
     _PIWeights,
+    _SWEEP_RTOL,
+    _converged,
     assemble,
     freeze,
     picard_nonlinear,
@@ -221,13 +223,66 @@ class TestScalarSolves:
         diagnostics = {}
         mu = solve_mu(prob, diagnostics)
         # the record of the halving rule: a window is halved as soon as an
-        # update stops shrinking, so 16 windows take at most 21 sweeps
-        assert diagnostics == {"relaxation_sweeps": 21, "relaxation_windows": 16}
+        # update stops shrinking, so 16 windows take at most 20 sweeps
+        assert diagnostics == {"relaxation_sweeps": 20, "relaxation_windows": 16}
         lhs = 1.5 * mu
         lhs += 2.0 * _PIWeights(0.7, grid.steps, grid.h).conv_all(mu)
         conv0 = _PIWeights(0.0, grid.steps, grid.h).conv_all(mu)
         lhs += b.project_values(sigma * b.evaluate(conv0))
         assert np.max(np.abs(lhs[1:] - F[1:])) < 1e-12 * np.max(np.abs(F))
+
+    @pytest.mark.parametrize("c", [1.0, -5.0])
+    def test_estimate_stops_within_tolerance_of_the_floor(self, monkeypatch, c):
+        # the windows that the error estimate ends, against the same windows
+        # swept on until an update vanishes or stops shrinking (the rounding
+        # floor): the same windows, fewer sweeps, and a mu within
+        # _SWEEP_RTOL of 1 + max|mu|.  c = -5 halves the first window three
+        # times
+        grid = TimeGrid(1.0, 64)
+        b = EigenBasis(Domain.interval(1.0), 1)
+        sigma = np.tile(c * (1.0 + 0.5 * np.sin(grid.nodes))[:, None], (1, b.grid_size))
+        frozen = [FrozenTerm(0.0, 1.0, [(sigma, None)])]
+        prob = scalar_problem(grid, {0.7: np.full(1, 2.0)}, frozen, np.cos(grid.nodes)[:, None])
+        estimated = {}
+        mu = solve_mu(prob, estimated)
+        monkeypatch.setattr(fmgt.volterra, "_converged", lambda update, last, tol: update == 0.0)
+        floor = {}
+        mu_floor = solve_mu(prob, floor)
+        # the stiff window is still halved under the estimate
+        assert estimated["relaxation_windows"] == (1 if c > 0 else 8)
+        assert estimated["relaxation_windows"] == floor["relaxation_windows"]
+        assert estimated["relaxation_sweeps"] < floor["relaxation_sweeps"]
+        assert np.max(np.abs(mu - mu_floor)) <= _SWEEP_RTOL * (1.0 + np.max(np.abs(mu_floor)))
+
+    def test_one_node_blowup_under_the_estimate(self):
+        # a frozen term 1e200 times the lead: each sweep of node 1 grows
+        # the iterate (theta >= 1, no estimate) until it overflows, and the
+        # one-node window names its node
+        grid = TimeGrid(1.0, 64)
+        b = EigenBasis(Domain.interval(1.0), 1)
+        sigma = np.full((65, b.grid_size), -1e200)
+        prob = scalar_problem(
+            grid, {}, [FrozenTerm(0.0, 1.0, [(sigma, None)])], np.ones((65, 1))
+        )
+        with pytest.raises(SolverBlowUpError) as exc:
+            solve_mu(prob)
+        assert exc.value.node == 1
+
+
+@pytest.mark.parametrize(
+    "update, last, want",
+    [
+        (1e-14, np.inf, True),  # the update itself is within tol
+        (2e-14, np.inf, False),  # a first sweep has no estimate
+        (2e-14, 1e-10, True),  # theta 2e-4: the estimate is 4e-18
+        (2e-14, 4e-14, False),  # theta 1/2: the estimate is 2e-14
+        (2e-14, 2e-14, False),  # theta 1: no estimate counts
+        (2e-14, 1e-14, False),  # theta 2: a growing update is none either
+        (0.0, 1e-3, True),
+    ],
+)
+def test_converged_on_the_update_or_its_estimate(update, last, want):
+    assert _converged(update, last, 1e-14) is want
 
 
 @pytest.fixture
@@ -833,7 +888,7 @@ class TestFrozenProblem:
         res = picard_nonlinear(spec, self.data, TimeGrid(1.0, 64), tol=1e-12)
         psi = res.trajectory.psi
         assert res.iterations == 3
-        assert res.trajectory.diagnostics["relaxation_sweeps"] == [4, 3, 2]
+        assert res.trajectory.diagnostics["relaxation_sweeps"] == [3, 2, 2]
         for got, want in (
             (psi[-1], np.array(psi_last)),
             (np.sum(np.abs(psi), axis=0), np.array(psi_abs_sum)),
@@ -922,9 +977,9 @@ class TestVariableCoefficient:
             freeze(assemble(spec, self.data, None, self.grid), sigma=bad)
 
 
-def _kuznetsov_2d_case(steps):
-    """Kuznetsov III on a 2-D rectangle, with psi1 != 0 so that the gradient
-    term has a data part."""
+def _kuznetsov_2d_case(steps, family=Family.III):
+    """Kuznetsov III (or ``family``) on a 2-D rectangle, with psi1 != 0 so
+    that the gradient term has a data part."""
     basis = EigenBasis(Domain.rectangle(1.0, 1.5), (4, 3))
     bump = basis.project(lambda x, y: x * (1 - x) * y * (1.5 - y)).coeffs
     data = InitialData(
@@ -933,7 +988,7 @@ def _kuznetsov_2d_case(steps):
         basis.zero_field(),
     )
     spec = ModelSpec(
-        ModelVariant(Family.III, Nonlinearity.KUZNETSOV),
+        ModelVariant(family, Nonlinearity.KUZNETSOV),
         MediumParams(k=0.1, l_tilde=0.1),
         0.7,
     )
@@ -982,12 +1037,26 @@ class TestTwoDimensional:
     def _kuznetsov(self, steps):
         return _kuznetsov_2d_case(steps)
 
-    def test_picard_does_each_transform_once(self, monkeypatch):
-        # T^{-1}'s spectrum is built once per run and each lag kernel's once
-        # per window length; each sweep transforms its two signals (x for the
-        # stacked lag kernels, the right-hand side for T^{-1}) once each and
-        # projects the grid values of both frozen terms once
+    @pytest.mark.parametrize(
+        "family, lag_spectra, running_sums, sweep_transforms",
+        [
+            # type III's lag kernels p^2, p^1, p^0 are running sums: a
+            # sweep transforms only its right-hand side, for T^{-1}
+            (Family.III, 0, 3, 1),
+            # family I's exponents alpha + 1, alpha, alpha - 1 are
+            # fractional: a sweep also transforms x, for the lag stack
+            (Family.I, 3, 0, 2),
+        ],
+    )
+    def test_picard_does_each_transform_once(
+        self, monkeypatch, family, lag_spectra, running_sums, sweep_transforms
+    ):
+        # T^{-1}'s spectrum is built once per run and each lag kernel's
+        # filter once per window length; each sweep transforms each of its
+        # signals (x for a stack with lag spectra, the right-hand side for
+        # T^{-1}) once and projects the grid values of both frozen terms once
         spectra = []  # (kernel dimensions, kernel bytes, signal length)
+        sums = []  # (stencil bytes, running sums, signal length)
         forward = []
         projections = []
         relaxed = []  # (window nodes, sweeps, forward transforms, projections)
@@ -995,9 +1064,14 @@ class TestTwoDimensional:
         class CountingFilter(fmgt.convolution.CausalFilter):
             def _row(self, kernel):
                 row = super()._row(kernel)
-                if row[2] is not None:
+                if row[1] is not None:
                     spectra.append((kernel.ndim, kernel.tobytes(), self.n))
                 return row
+
+            @classmethod
+            def running_sums(cls, stencil, k, n):
+                sums.append((stencil.tobytes(), k, n))
+                return super().running_sums(stencil, k, n)
 
         rfft = fmgt.convolution.rfft
         project_values = EigenBasis.project_values
@@ -1027,7 +1101,7 @@ class TestTwoDimensional:
         monkeypatch.setattr(fmgt.convolution, "rfft", counting_rfft)
         monkeypatch.setattr(EigenBasis, "project_values", counting_projection)
         monkeypatch.setattr(fmgt.volterra, "_relax", counting_relax)
-        res = picard_nonlinear(*self._kuznetsov(32), tol=1e-10)
+        res = picard_nonlinear(*_kuznetsov_2d_case(32, family), tol=1e-10)
         diagnostics = res.trajectory.diagnostics
         assert res.iterations >= 2
         assert diagnostics["relaxation_windows"] == [1] * res.iterations
@@ -1035,12 +1109,16 @@ class TestTwoDimensional:
         reciprocal = [s for s in spectra if s[0] == 2]
         lag = [s[1:] for s in spectra if s[0] == 1]
         assert len(reciprocal) == 1
-        assert len(lag) == len(set(lag)) == 3  # psi, psi_t and psi_tt's on nodes 2..N
+        # psi, psi_t and psi_tt's on nodes 2..N, one kind or the other
+        assert len(lag) == len(set(lag)) == lag_spectra
+        assert len(sums) == len(set(sums)) == running_sums
+        assert all(n == 31 for *_, n in sums)
         # node 1 and then nodes 2..N per iterate
         assert [r[0] for r in relaxed] == [1, 31] * res.iterations
         for nodes, sweeps, transforms, projected in relaxed:
             assert projected == sweeps
-            assert transforms == (0 if nodes == 1 else 2 * sweeps)  # node 1: plain products
+            # node 1: plain products
+            assert transforms == (0 if nodes == 1 else sweep_transforms * sweeps)
 
     def test_frozen_terms_leave_their_data(self):
         # the terms multiply the arrays synthesize returns, never their own
@@ -1084,7 +1162,7 @@ class TestTwoDimensional:
         psi = res.trajectory.psi
         assert res.iterations == 3
         assert res.trajectory.diagnostics["picard_iterations"] == 3
-        assert res.trajectory.diagnostics["relaxation_sweeps"] == [4, 3, 2]
+        assert res.trajectory.diagnostics["relaxation_sweeps"] == [3, 2, 2]
         assert res.trajectory.diagnostics["relaxation_windows"] == [1, 1, 1]
         for got, want in (
             (psi[-1], KUZNETSOV_2D_PSI_LAST),
