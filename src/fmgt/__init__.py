@@ -3,8 +3,10 @@ Moore-Gibson-Thompson acoustics.
 
 Subpackages by responsibility:
 
-- ``convolution``: the causal-convolution primitive behind every history sum
-- ``fractional``: discrete Caputo/Abel operators and coercivity forms
+- ``convolution``: the causal-convolution primitive behind every history
+  sum, and the discrete Caputo/Abel operators and coercivity forms built on it
+- ``fractional``: time grids, product-integration and L1 weights, and the
+  transform-free Toeplitz substitution of the check routes
 - ``mittag_leffler``: two-parameter Mittag-Leffler functions and relaxation kernels
 - ``spectral``: Dirichlet-Laplacian sine bases on intervals and rectangles
 - ``models``: the catalog of fractional (J)MGT variants, validation, the
@@ -20,14 +22,12 @@ Subpackages by responsibility:
 - ``cli``: configuration-driven runs with deterministic CSV/JSON artifacts
 """
 
-from .fractional import (
-    DomainError,
-    TimeGrid,
+from .fractional import DomainError, TimeGrid, gamma_kernel
+from .convolution import (
     abel_integral,
     alikhanov_gap,
     caputo_derivative,
     coercivity_quadform,
-    gamma_kernel,
     limit_discrepancy,
 )
 from .mittag_leffler import RelaxationKernel, kernel_mass, kernel_value, ml

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fractional import TimeGrid, _trapezoid_weights, abel_integral
+from .convolution import abel_integral
+from .fractional import TimeGrid, _trapezoid_weights
 from .memory import solve_fmgt2_all
 from .mittag_leffler import RelaxationKernel, kernel_mass, kernel_value
 from .models import (

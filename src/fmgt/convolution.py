@@ -16,9 +16,13 @@ run and signal length.  ``series_reciprocal`` inverts a lower-triangular
 Toeplitz matrix, so one more product solves the system it defines.  The
 solvers apply them to whole time axes: the Volterra solver relaxes windows
 of nodes against the reciprocal, and the z-form solver is one Toeplitz
-solve per mode.  The direct L1 solver and the recovery check of ``memory``
-use none of this module: the first loops node by node, the second solves
-its Toeplitz system by plain dense substitution.
+solve per mode.  The fractional operators on samples (Abel integrals, L1
+and product-integration Caputo derivatives, the coercivity and Alikhanov
+forms, the limit defect) take their weights from ``fractional`` and their
+history sums from ``causal_conv``; each acts along the first axis of its
+samples alone and returns floats.  The two check routes, the direct L1
+oracle and the recovery check of ``memory``, use none of this module: both
+solve by ``fractional._forward_substitution``, with no transform.
 
 Signals and kernels come time-first, as the solvers hold them, but every
 transform runs along the last, contiguous axis: each operand is transposed
@@ -34,6 +38,9 @@ import functools
 
 import numpy as np
 from numpy.fft import irfft, rfft
+
+from .fractional import DomainError, _trapezoid_weights, first_derivative, gamma, l1_weights
+from .fractional import power_weights_linear, second_derivative
 
 
 def causal_conv(kernel, x) -> np.ndarray:
@@ -268,3 +275,92 @@ def series_reciprocal(symbol) -> np.ndarray:
         y[..., m:m2] = -np.ldexp(irfft(prod, size)[..., : m2 - m], ey + ee)
         m = m2
     return y.T.copy()
+
+
+# ---------------------------------------------------------------------------
+# fractional operators on samples, their history sums by ``causal_conv``
+
+
+def _power_convolve_linear(values: np.ndarray, p: float, h: float) -> np.ndarray:
+    """Evaluate int_0^{t_n} (t_n-s)^p w(s) ds at every node, linear interpolant."""
+    c0, d = power_weights_linear(p, values.shape[0] - 1, h)
+    out = np.zeros(values.shape)
+    # sum_{j=1..n} d[n-j] w_j is a causal convolution of d with w_1..w_n
+    out[1:] = causal_conv(d, values[1:]) + np.multiply.outer(c0[1:], values[0])
+    return out
+
+
+def abel_integral(values: np.ndarray, order: float, h: float) -> np.ndarray:
+    """Fractional integral I^order, order in (0, 1], of samples: the power
+    kernel integrated exactly against their piecewise-linear interpolant."""
+    if not (0 < order <= 1):
+        raise DomainError(f"integration order must lie in (0, 1], got {order}")
+    return _power_convolve_linear(values, order - 1.0, h) / gamma(order)
+
+
+def caputo_derivative(values: np.ndarray, order: float, h: float) -> np.ndarray:
+    """Caputo derivative of order in (0,1) u (1,2); L1 product integration.
+
+    Order 1 delegates to the standard difference derivative.  Orders in
+    (1, 2) are realized as I^{2-order} applied to the second difference.
+    The first node is defined as 0 for fractional orders.
+    """
+    if order == 1.0:
+        return first_derivative(values, h)
+    if 0 < order < 1:
+        out = np.zeros(values.shape)
+        b = l1_weights(order, len(values) - 1)
+        out[1:] = causal_conv(b, np.diff(values, axis=0)) * (h ** (-order) / gamma(2 - order))
+        return out
+    if 1 < order < 2:
+        conv = _power_convolve_linear(second_derivative(values, h), (2 - order) - 1.0, h)
+        return conv / gamma(2 - order)
+    raise DomainError(f"Caputo order must lie in (0,2), got {order}")
+
+
+def _node_sums(values: np.ndarray) -> np.ndarray:
+    """The sum over every axis but the first (time) one, one per node."""
+    return np.sum(values.reshape(values.shape[0], -1), axis=1)
+
+
+def coercivity_quadform(values: np.ndarray, alpha: float, h: float) -> float:
+    """Discrete Abel quadratic form int_0^T <I^{1-alpha} w, w> dt.
+
+    Nonnegative up to quadrature error; the discrete face of the
+    Abel-operator coercivity bound.
+    """
+    if not (0 < alpha < 1):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    inner = _node_sums(abel_integral(values, 1 - alpha, h) * values)
+    return float(np.dot(_trapezoid_weights(len(values) - 1, h), inner))
+
+
+def alikhanov_gap(values: np.ndarray, order: float, h: float) -> np.ndarray:
+    """Node-wise w * D^order w - (1/2) D^order (w^2), computed with L1.
+
+    Every entry is nonnegative up to quadrature error for the L1 operator
+    (discrete face of the Alikhanov inequality).
+    """
+    if values.ndim != 1:
+        raise DomainError("alikhanov_gap expects one scalar sample per node")
+    if not (0 < order < 1):
+        raise DomainError(f"order must lie in (0, 1), got {order}")
+    dw = caputo_derivative(values, order, h)
+    return values * dw - 0.5 * caputo_derivative(values**2, order, h)
+
+
+def limit_discrepancy(values: np.ndarray, alpha: float, h: float) -> float:
+    """Discrete L2(0,T) norm of the damping-order defect D^{2-alpha} w - w_t.
+
+    Realized as I^alpha applied to the second difference of w minus the
+    difference derivative.  As alpha -> 1^- the operator order 2-alpha
+    approaches 1 from above, so the defect vanishes iff w_t(0) = 0 (right-
+    sided discontinuity at integer orders); alpha = 1 returns exactly 0.
+    """
+    if not (0 < alpha <= 1):
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    if alpha == 1.0:
+        return 0.0
+    defect = caputo_derivative(values, 2 - alpha, h) - first_derivative(values, h)
+    wq = _trapezoid_weights(len(values) - 1, h)
+    return float(np.sqrt(np.dot(wq, _node_sums(defect**2))))

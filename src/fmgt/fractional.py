@@ -1,14 +1,16 @@
-"""Discrete fractional calculus on uniform time grids.
+"""Discrete fractional calculus on uniform time grids, without transforms.
 
-Singular power kernels, Abel (fractional) integrals, Caputo derivatives of
-orders in (0,1) and (1,2), and the quadratic forms behind the coercivity and
-Alikhanov-type inequalities used by the energy analysis.  All operators are
-product-integration rules that integrate the power kernel exactly against a
-piecewise-linear interpolant of the smooth factor (the classical L1 scheme
-for the Caputo derivative).  Each operator takes a sample array with one
-row per node, of any shape, and the grid spacing h, and acts along that
-first axis alone: each column of a stack gets the result it gets on its
-own.  Results are float arrays whatever the samples' dtype.
+Time grids, Gamma, the singular power kernel, the product-integration
+weights of the power kernels (exact against a piecewise-linear interpolant)
+and the L1 weights of the Caputo derivative, difference derivatives, and
+``_forward_substitution``, the blocked solve of lower-triangular Toeplitz
+systems.  Both check routes solve their systems by it: the direct L1
+oracle of ``oracles`` and the recovery check of ``memory``.  This module
+imports no other module of fmgt and makes no transform, so the oracles,
+which read it, stay apart from the FFT primitive of ``convolution``; the
+Abel integrals, Caputo derivatives and energy forms built on these weights
+live there.  Each operator takes a sample array with one row per node and
+acts along that first axis alone.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .convolution import causal_conv
 
 class DomainError(ValueError):
     """Argument outside the operator's admissible range."""
@@ -115,24 +117,7 @@ def power_weights_linear(p: float, n_steps: int, h: float):
     return c0, J0 - J1 + c0
 
 
-def _power_convolve_linear(values: np.ndarray, p: float, h: float) -> np.ndarray:
-    """Evaluate int_0^{t_n} (t_n-s)^p w(s) ds at every node, linear interpolant."""
-    c0, d = power_weights_linear(p, values.shape[0] - 1, h)
-    out = np.zeros(values.shape)
-    # sum_{j=1..n} d[n-j] w_j is a causal convolution of d with w_1..w_n
-    out[1:] = causal_conv(d, values[1:]) + np.multiply.outer(c0[1:], values[0])
-    return out
-
-
-def abel_integral(values: np.ndarray, order: float, h: float) -> np.ndarray:
-    """Fractional integral I^order, order in (0, 1], of samples: the power
-    kernel integrated exactly against their piecewise-linear interpolant."""
-    if not (0 < order <= 1):
-        raise DomainError(f"integration order must lie in (0, 1], got {order}")
-    return _power_convolve_linear(values, order - 1.0, h) / gamma(order)
-
-
-def l1_weights(gamma_: float, n_steps: int, h: float) -> np.ndarray:
+def l1_weights(gamma_: float, n_steps: int) -> np.ndarray:
     """Kernel moments b_m = (m+1)^{1-gamma} - m^{1-gamma} of the L1 scheme,
     as m^{1-gamma} expm1((1-gamma) log1p(1/m)): the difference of the
     powers loses about m ulps (9e-11 relative at m = 65535, gamma = 0.95),
@@ -170,75 +155,70 @@ def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def caputo_derivative(values: np.ndarray, order: float, h: float) -> np.ndarray:
-    """Caputo derivative of order in (0,1) u (1,2); L1 product integration.
-
-    Order 1 delegates to the standard difference derivative.  Orders in
-    (1, 2) are realized as I^{2-order} applied to the second difference.
-    The first node is defined as 0 for fractional orders.
-    """
-    if order == 1.0:
-        return first_derivative(values, h)
-    if 0 < order < 1:
-        out = np.zeros(values.shape)
-        b = l1_weights(order, len(values) - 1, h)
-        out[1:] = causal_conv(b, np.diff(values, axis=0)) * (h ** (-order) / gamma(2 - order))
-        return out
-    if 1 < order < 2:
-        conv = _power_convolve_linear(second_derivative(values, h), (2 - order) - 1.0, h)
-        return conv / gamma(2 - order)
-    raise DomainError(f"Caputo order must lie in (0,2), got {order}")
-
-
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     wq = np.full(n + 1, h)
     wq[0] = wq[-1] = h / 2
     return wq
 
 
-def _node_sums(values: np.ndarray) -> np.ndarray:
-    """The sum over every axis but the first (time) one, one per node."""
-    return np.sum(values.reshape(values.shape[0], -1), axis=1)
+# rows per block of ``_forward_substitution``
+_BLOCK = 32
 
 
-def coercivity_quadform(values: np.ndarray, alpha: float, h: float) -> float:
-    """Discrete Abel quadratic form int_0^T <I^{1-alpha} w, w> dt.
+def _forward_substitution(d: np.ndarray, x: np.ndarray):
+    """Solve sum_{k=0}^{n} d[s, k] x[s, n-k] = rhs[s, n] in place for every
+    system s, row n and column: x, shaped (systems, rows, columns), holds
+    rhs on entry and the solution on return.  System s is lower-triangular
+    Toeplitz with first column d[s].  Entries of d beyond the rows of x
+    are unused; missing ones count as zero.
 
-    Nonnegative up to quadrature error; the discrete face of the
-    Abel-operator coercivity bound.
+    Blocked forward substitution over blocks of 32 rows, all systems at
+    once.  Every diagonal block of a system is the same matrix, whose
+    inverse is built once, by doubling.  Each block then takes two matrix
+    products, batched over the systems (BLAS, one call per system): the
+    history of the rows already solved, and the inverse.  The history's
+    matrix, d[s, start + i - q] for block row i and solved row q, is a
+    column slice of one contiguous panel of 32 rows per system, built
+    once, and the history lands in one reused work block: the work memory
+    is 32 doubles per system and row (4 MiB per system at n = 16384),
+    never O(n^2), and no block copies a view (64-row blocks would double
+    the panel: a fresh zform-limit process peaked 0.5 MiB higher, and
+    they were no faster).  O(n^2) operations per column, no transform.
+    Each system's x equals its solve alone bit for bit.
     """
-    if not (0 < alpha < 1):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    inner = _node_sums(abel_integral(values, 1 - alpha, h) * values)
-    return float(np.dot(_trapezoid_weights(len(values) - 1, h), inner))
-
-
-def alikhanov_gap(values: np.ndarray, order: float, h: float) -> np.ndarray:
-    """Node-wise w * D^order w - (1/2) D^order (w^2), computed with L1.
-
-    Every entry is nonnegative up to quadrature error for the L1 operator
-    (discrete face of the Alikhanov inequality).
-    """
-    if values.ndim != 1:
-        raise DomainError("alikhanov_gap expects one scalar sample per node")
-    if not (0 < order < 1):
-        raise DomainError(f"order must lie in (0, 1), got {order}")
-    dw = caputo_derivative(values, order, h)
-    return values * dw - 0.5 * caputo_derivative(values**2, order, h)
-
-
-def limit_discrepancy(values: np.ndarray, alpha: float, h: float) -> float:
-    """Discrete L2(0,T) norm of the damping-order defect D^{2-alpha} w - w_t.
-
-    Realized as I^alpha applied to the second difference of w minus the
-    difference derivative.  As alpha -> 1^- the operator order 2-alpha
-    approaches 1 from above, so the defect vanishes iff w_t(0) = 0 (right-
-    sided discontinuity at integer orders); alpha = 1 returns exactly 0.
-    """
-    if not (0 < alpha <= 1):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if alpha == 1.0:
-        return 0.0
-    defect = caputo_derivative(values, 2 - alpha, h) - first_derivative(values, h)
-    wq = _trapezoid_weights(len(values) - 1, h)
-    return float(np.sqrt(np.dot(wq, _node_sums(defect**2))))
+    count, n, columns = x.shape
+    size = min(_BLOCK, n)
+    used = min(n, d.shape[1])
+    # rev[s, j] = d[s, n + size - 1 - j], zero where d has no entry
+    rev = np.zeros((count, n + 2 * size - 1))
+    rev[:, n + size - used : n + size] = d[:, used - 1 :: -1]
+    step = rev.strides[1]
+    # panel[s, i, p] = d[s, n + i - p]: block row i against solved row q at
+    # column p = n - start + q, and the diagonal block in the last columns
+    panel = as_strided(
+        rev[:, size - 1 :], (count, size, n + size), (rev.strides[0], -step, step)
+    ).copy()
+    # the inverse of the diagonal block by doubling: the inverse of a
+    # lower-triangular Toeplitz matrix of k + m rows has the one of k rows
+    # top left, its leading m rows bottom right and -B_m S B_k between,
+    # S[i, j] = d[k + i - j]
+    block_inv = np.zeros((count, size, size))
+    block_inv[:, 0, 0] = 1.0 / panel[:, 0, n]
+    k = 1
+    while k < size:
+        m = min(k, size - k)
+        lead = block_inv[:, :m, :m]
+        block_inv[:, k : k + m, :k] = -(lead @ panel[:, :m, n - k : n] @ block_inv[:, :k, :k])
+        block_inv[:, k : k + m, k : k + m] = lead
+        k += m
+    work = np.empty((count, size, columns))
+    for start in range(0, n, size):
+        rows = min(size, n - start)
+        block, r = x[:, start : start + rows], work[:, :rows]
+        if start:
+            # r[s, i] = rhs[s, start + i] - sum_{q < start} d[s, start + i - q] x[s, q]
+            np.matmul(panel[:, :rows, n - start : n], x[:, :start], out=r)
+            np.subtract(block, r, out=r)
+        else:
+            r[...] = block
+        np.matmul(block_inv[:, :rows, :rows], r, out=block)

@@ -16,9 +16,10 @@ two independent ways which must agree:
 (a) psi = E_{a,1}(-(t/tau)^a) psi0 + k_a * z by product integration, and
 (b) the L1 scheme of tau^a D^a psi + psi = z (the trapezoidal rule at
     a = 1), one lower-triangular Toeplitz system for every mode, the
-    systems of every spec solved together by one blocked forward
-    substitution whose products are BLAS matrix products: this check
-    route uses nothing of ``convolution`` and no transform.
+    systems of every spec solved together by
+    ``fractional._forward_substitution``, the blocked BLAS solve that the
+    direct L1 oracle uses too: this check route uses nothing of
+    ``convolution`` and no transform.
 
 Each stage is one function over a list of specs: ``solve_zform`` (z and
 z_t of every spec), ``recover_psi`` (psi of every spec by route (a), and
@@ -34,10 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .convolution import CausalFilter, causal_conv, series_reciprocal
-from .fractional import TimeGrid, first_derivative, gamma, l1_weights, second_derivative
+from .fractional import (
+    TimeGrid,
+    _forward_substitution,
+    first_derivative,
+    gamma,
+    l1_weights,
+    second_derivative,
+)
 from .mittag_leffler import RelaxationKernel, kernel_cell_moments
 from .models import (
     InitialData,
@@ -239,8 +246,8 @@ def relaxation_check(specs, grid: TimeGrid, z: np.ndarray, psi0_coeffs):
     is the same for every mode of a spec: d_0 = scale b_0 + 1 and d_k =
     scale (b_k - b_{k-1}) for L1 with weights b, and tau + h/2, -(tau -
     h/2) for the trapezoidal rule.  Every spec's systems are solved by one
-    ``_forward_substitution``, which shares no code with the convolution
-    route that this one checks.
+    ``fractional._forward_substitution``, which shares no code with the
+    convolution route that this one checks.
     """
     h, n = grid.h, grid.steps
     z = z.reshape(n + 1, len(specs), -1)
@@ -251,7 +258,7 @@ def relaxation_check(specs, grid: TimeGrid, z: np.ndarray, psi0_coeffs):
     for i, spec in enumerate(specs):
         p, a = spec.params, spec.alpha
         if a < 1.0:
-            b = l1_weights(a, n, h)
+            b = l1_weights(a, n)
             scale = p.tau**a * h ** (-a) / gamma(2.0 - a)
             d[i, 0] = scale * b[0] + 1.0
             d[i, 1:] = scale * np.diff(b)
@@ -263,69 +270,6 @@ def relaxation_check(specs, grid: TimeGrid, z: np.ndarray, psi0_coeffs):
             psi[1, i] += (p.tau - 0.5 * h) * psi0_coeffs
     _forward_substitution(d, psi[1:].transpose(1, 0, 2))
     return psi.reshape(n + 1, -1)
-
-
-# rows per block of ``_forward_substitution``
-_BLOCK = 32
-
-
-def _forward_substitution(d: np.ndarray, x: np.ndarray):
-    """Solve sum_{k=0}^{n} d[s, k] x[s, n-k] = rhs[s, n] in place for every
-    system s, row n and column: x, shaped (systems, rows, columns), holds
-    rhs on entry and the solution on return.  System s is lower-triangular
-    Toeplitz with first column d[s].  Entries of d beyond the rows of x
-    are unused; missing ones count as zero.
-
-    Blocked forward substitution over blocks of 32 rows, all systems at
-    once.  Every diagonal block of a system is the same matrix, whose
-    inverse is built once, by doubling.  Each block then takes two matrix
-    products, batched over the systems (BLAS, one call per system): the
-    history of the rows already solved, and the inverse.  The history's
-    matrix, d[s, start + i - q] for block row i and solved row q, is a
-    column slice of one contiguous panel of 32 rows per system, built
-    once, and the history lands in one reused work block: the work memory
-    is 32 doubles per system and row (4 MiB per system at n = 16384),
-    never O(n^2), and no block copies a view (64-row blocks would double
-    the panel: a fresh zform-limit process peaked 0.5 MiB higher, and
-    they were no faster).  O(n^2) operations per column, no transform.
-    Each system's x equals its solve alone bit for bit.
-    """
-    count, n, columns = x.shape
-    size = min(_BLOCK, n)
-    used = min(n, d.shape[1])
-    # rev[s, j] = d[s, n + size - 1 - j], zero where d has no entry
-    rev = np.zeros((count, n + 2 * size - 1))
-    rev[:, n + size - used : n + size] = d[:, used - 1 :: -1]
-    step = rev.strides[1]
-    # panel[s, i, p] = d[s, n + i - p]: block row i against solved row q at
-    # column p = n - start + q, and the diagonal block in the last columns
-    panel = as_strided(
-        rev[:, size - 1 :], (count, size, n + size), (rev.strides[0], -step, step)
-    ).copy()
-    # the inverse of the diagonal block by doubling: the inverse of a
-    # lower-triangular Toeplitz matrix of k + m rows has the one of k rows
-    # top left, its leading m rows bottom right and -B_m S B_k between,
-    # S[i, j] = d[k + i - j]
-    block_inv = np.zeros((count, size, size))
-    block_inv[:, 0, 0] = 1.0 / panel[:, 0, n]
-    k = 1
-    while k < size:
-        m = min(k, size - k)
-        lead = block_inv[:, :m, :m]
-        block_inv[:, k : k + m, :k] = -(lead @ panel[:, :m, n - k : n] @ block_inv[:, :k, :k])
-        block_inv[:, k : k + m, k : k + m] = lead
-        k += m
-    work = np.empty((count, size, columns))
-    for start in range(0, n, size):
-        rows = min(size, n - start)
-        block, r = x[:, start : start + rows], work[:, :rows]
-        if start:
-            # r[s, i] = rhs[s, start + i] - sum_{q < start} d[s, start + i - q] x[s, q]
-            np.matmul(panel[:, :rows, n - start : n], x[:, :start], out=r)
-            np.subtract(block, r, out=r)
-        else:
-            r[...] = block
-        np.matmul(block_inv[:, :rows, :rows], r, out=block)
 
 
 def solve_fmgt2_all(specs, data: InitialData, grid: TimeGrid, f=None) -> list:

@@ -3,8 +3,9 @@ checks its solvers against.
 
 - ``classical_mgt_reference``: the classical (alpha = 1) linear MGT
   equation per mode, integrated by scipy's adaptive DOP853;
-- ``solve_direct_l1``: a node-by-node linear-PI/L1 discretization of the
-  fractional-leading linear families at alpha < 1;
+- ``solve_direct_l1``: a linear-PI/L1 discretization of the
+  fractional-leading linear families at alpha < 1, one lower-triangular
+  Toeplitz solve per mode;
 - ``residual``: the model operator of any catalog entry applied to a
   supplied trajectory, the ``residual-only`` backend of the catalog.
 
@@ -16,8 +17,10 @@ convergence table); ``tests/test_cli.py`` tests these rules.  The
 residual takes only the product-integration weights from ``fractional``
 and sums its Abel integrals and L1 Caputo derivatives densely, so no sum
 of it runs on ``convolution.causal_conv``, the FFT product behind the
-solvers' history sums.  ``fractional`` itself still imports
-``convolution``, so importing this module loads it.
+solvers' history sums; the L1 oracle solves by
+``fractional._forward_substitution``, which the z-form's recovery check
+shares.  ``fractional`` imports no module of fmgt, so no module that this
+one imports reaches a transform.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import numpy as np
 
 from .fractional import (
     TimeGrid,
+    _forward_substitution,
     first_derivative,
     gamma,
     l1_weights,
@@ -106,7 +110,7 @@ def classical_mgt_reference(
 
 
 def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) -> Trajectory:
-    """Brute-force linear-PI/L1 discretization of the fractional-leading-term
+    """Direct linear-PI/L1 discretization of the fractional-leading-term
     equation in the unknown w = psi_tt (families base, I, II; linear only;
     alpha < 1).
 
@@ -114,8 +118,13 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
     psi, D^a psi, damp reconstructed from w by classical piecewise-linear
     product integration and D^a w by the L1 scheme: a genuinely different
     algorithm from both the quadratic-PI mu solver and the z-form stepper.
-    ModelError refuses the specs that ``reference_refusal`` refuses for
-    ``l1``; at alpha = 1 the oracle is ``classical_mgt_reference``.
+    Every term is a lower-triangular Toeplitz product in w_1..w_N, so the
+    scheme is one such system per mode, solved by
+    ``fractional._forward_substitution`` with no transform; psi_t and psi
+    are the exact integrals of the piecewise-linear w.  The first node where
+    w, psi_t or psi is non-finite raises SolverBlowUpError.  ModelError
+    refuses the specs that ``reference_refusal`` refuses for ``l1``; at
+    alpha = 1 the oracle is ``classical_mgt_reference``.
     """
     refusal = reference_refusal("l1", spec.variant, spec.alpha)
     if refusal:
@@ -124,84 +133,50 @@ def solve_direct_l1(spec: ModelSpec, data: InitialData, grid: TimeGrid, f=None) 
     basis = data.basis
     lam = basis.eigenvalues
     p = spec.params
-    h = grid.h
-    n_steps = grid.steps
-    t = grid.nodes
-    xi0, xi1, xi2 = data.psi0.coeffs, data.psi1.coeffs, data.psi2.coeffs
+    h, n = grid.h, grid.steps
+    t = grid.nodes[1:, None]
+    xi0, xi1, w0 = data.psi0.coeffs, data.psi1.coeffs, data.psi2.coeffs
     farr = _forcing_array(f, basis, grid)
 
-    # linear-PI weights for I^2, I^{2-a}, and the damping integral
-    def pi_pack(order):
-        c0, d = power_weights_linear(order - 1.0, n_steps, h)
-        return c0 / gamma(order), d / gamma(order)
-
-    c0_2, d_2 = pi_pack(2.0)
-    c0_2a, d_2a = pi_pack(2.0 - a)
-    c0_1, d_1 = pi_pack(1.0)
-    if spec.family is Family.I:
-        c0_d, d_d = pi_pack(a)
-    elif spec.family is Family.II:
-        c0_d, d_d = c0_2a, d_2a  # D^a psi, shared with the stiffness term
-    else:
-        c0_d, d_d = c0_1, d_1  # psi_t (base)
-
-    b = l1_weights(a, n_steps, h)
-    l1_scale = h ** (-a) / gamma(2.0 - a)
-
-    w = np.zeros((n_steps + 1, basis.size))
-    w[0] = xi2
-
-    def hist(c0, d, n):
-        return c0[n] * w[0] + d[n - 1 : 0 : -1].T @ w[1:n] if n >= 2 else c0[n] * w[0]
-
-    for n in range(1, n_steps + 1):
-        tn = t[n]
-        # I^2 w history (for psi), I^{2-a} w (for D^a psi) and the damping's
-        h_2 = hist(c0_2, d_2, n)
-        h_2a = hist(c0_2a, d_2a, n)
-        h_d = hist(c0_d, d_d, n)
-
-        psi_part = xi0 + tn * xi1 + h_2
-        dapsi_part = p_power(1.0 - a, tn) * xi1 + h_2a
-        if spec.family is Family.I:
-            damp_part = h_d  # I^a w = D^{2-a} psi
-        elif spec.family is Family.II:
-            damp_part = dapsi_part
-        else:
-            damp_part = xi1 + h_d  # psi_t
-
-        l1_hist = -b[n - 1] * w[0]
-        if n >= 2:
-            l1_hist = l1_hist - (b[n - 2 :: -1] - b[n - 1 : 0 : -1]).T @ w[1:n]
-        lead_known = p.tau**a * l1_scale * l1_hist
-        lead_self = p.tau**a * l1_scale * b[0]
-
-        rhs = (
-            farr[n]
-            - lead_known
-            - p.c**2 * lam * psi_part
-            - p.tau**a * p.c**2 * lam * dapsi_part
-            - p.delta * lam * damp_part
-        )
-        dcoef = (
-            lead_self
-            + 1.0
-            + p.c**2 * lam * d_2[0]
-            + p.tau**a * p.c**2 * lam * d_2a[0]
-            + p.delta * lam * d_d[0]
-        )
-        w[n] = rhs / dcoef
-        if not np.all(np.isfinite(w[n])):
-            raise SolverBlowUpError(n)
-
-    # reconstruct psi and psi_t with the same linear-PI weights
-    conv2 = np.zeros_like(w)
-    conv1 = np.zeros_like(w)
-    for n in range(1, n_steps + 1):
-        conv2[n] = hist(c0_2, d_2, n) + d_2[0] * w[n]
-        conv1[n] = hist(c0_1, d_1, n) + d_1[0] * w[n]
-    psi = xi0[None, :] + t[:, None] * xi1[None, :] + conv2
-    psi_t = xi1[None, :] + conv1
+    # tau^a D^a w by L1: lead (sum_{j<=n} e[n-j] w_j - b[n-1] w_0), e = [b_0, diff(b)]
+    b = l1_weights(a, n)
+    lead = p.tau**a * h ** (-a) / gamma(2.0 - a)
+    symbol = np.empty((basis.size, n))
+    symbol[:] = lead * np.concatenate([b[:1], np.diff(b)])
+    symbol[:, 0] += 1.0
+    # the K psi, K D^a psi and damping terms: (coefficient, known part, order
+    # of the integral of w), as psi = xi0 + t xi1 + I^2 w, D^a psi = p^{1-a}
+    # xi1 + I^{2-a} w, and the damping psi_t = xi1 + I^1 w (base), I^a w
+    # (I) or D^a psi (II)
+    dapsi_known = p_power(1.0 - a, t) * xi1
+    damping = {Family.BASE: (xi1, 1.0), Family.I: (0.0, a), Family.II: (dapsi_known, 2.0 - a)}
+    terms = [(p.c**2, xi0 + t * xi1, 2.0), (p.tau**a * p.c**2, dapsi_known, 2.0 - a)]
+    terms.append((p.delta, *damping[spec.family]))
+    # overflow shows as non-finite rows, which are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = farr[1:] + lead * b[:, None] * w0
+        for coef, known, order in terms:
+            # linear-PI weights of I^order: w_0's on the nodes 1..N, the lags'
+            c0, d = power_weights_linear(order - 1.0, n, h)
+            symbol += np.multiply.outer(coef * lam, d[:n] / gamma(order))
+            rhs -= coef * lam * (known + c0[1:, None] / gamma(order) * w0)
+        # a non-finite row of rhs is one of w: only the rows before it are
+        # solved, so that no block of the substitution spreads it to them
+        rows = np.isfinite(rhs).all(axis=1)
+        solved = n if rows.all() else int(np.argmin(rows))
+        x = np.ascontiguousarray(rhs.T)[:, :, None]
+        if solved:
+            _forward_substitution(symbol, x[:, :solved])
+        w = np.vstack([w0, x[:, :, 0].T])
+        # the exact integrals of the piecewise-linear w over each cell: its
+        # trapezoid for psi_t, h psi_t(t_{j-1}) + h^2 (w_{j-1}/3 + w_j/6) for psi
+        half = 0.5 * h * w
+        psi_t = np.vstack([xi1, xi1 + np.cumsum(half[:-1] + half[1:], axis=0)])
+        cells = h * (psi_t[:-1] + (2.0 * half[:-1] + half[1:]) / 3.0)
+        psi = np.vstack([xi0, xi0 + np.cumsum(cells, axis=0)])
+    finite = np.isfinite(np.hstack([w, psi_t, psi])).all(axis=1)
+    if not finite.all():
+        raise SolverBlowUpError(int(np.argmin(finite)))
     mu = np.gradient(w, h, axis=0)
     return Trajectory(basis, grid, mu, psi, psi_t, w)
 
@@ -219,7 +194,7 @@ def _causal_sum(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _abel(values: np.ndarray, order: float, h: float) -> np.ndarray:
     """I^order of samples along axis 0, order in (0, 1]: the product
-    integration of ``fractional.abel_integral``, summed densely."""
+    integration of ``convolution.abel_integral``, summed densely."""
     c0, d = power_weights_linear(order - 1.0, len(values) - 1, h)
     out = np.zeros_like(values)
     out[1:] = _causal_sum(d, values[1:]) + np.multiply.outer(c0[1:], values[0])
@@ -228,8 +203,8 @@ def _abel(values: np.ndarray, order: float, h: float) -> np.ndarray:
 
 def _l1_caputo(values: np.ndarray, order: float, h: float) -> np.ndarray:
     """D^order of samples along axis 0, order in (0, 1): the L1 scheme of
-    ``fractional.caputo_derivative``, summed densely."""
-    b = l1_weights(order, len(values) - 1, h)
+    ``convolution.caputo_derivative``, summed densely."""
+    b = l1_weights(order, len(values) - 1)
     out = np.zeros_like(values)
     out[1:] = _causal_sum(b, np.diff(values, axis=0)) * (h ** (-order) / gamma(2 - order))
     return out

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import fmgt.analysis
 import fmgt.cli
-import fmgt.fractional
+import fmgt.convolution
 import fmgt.memory
 import fmgt.oracles
 from fmgt.analysis import convergence_table
@@ -140,6 +140,18 @@ def _fmgt_imports(path):
             continue
         found.update(name.split(".")[1] for name in names if name.startswith("fmgt."))
     return found
+
+
+def _reached(imports, *roots):
+    """The fmgt modules that importing ``roots`` reaches, given each
+    module's direct fmgt imports, the roots included."""
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in imports and name not in reached:
+            reached.add(name)
+            todo.extend(imports[name])
+    return reached
 
 
 def _admission_decided_outside_models(package):
@@ -698,17 +710,25 @@ class TestArtifacts:
         assert [name for name in solvers if "oracles" in imports[name]] == []
         assert "volterra" not in imports["memory"]
         assert imports["analysis"] >= {"memory", "volterra"}  # the helper sees them
+        # all the way down: no module that the oracles reach is a solver
+        # module, and fractional, which both check routes solve by, imports
+        # no fmgt module and no transform
+        assert _reached(imports, "oracles").isdisjoint(solvers)
+        assert imports["fractional"] == set()
+        named = set()  # every module, imported name and attribute
+        for node in ast.walk(ast.parse((SRC / "fmgt" / "fractional.py").read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named |= {getattr(node, "module", None)} | {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        assert "numpy" in named
+        assert [name for name in named if name and "fft" in name] == []
 
     def test_config_loads_no_solver(self):
         # a config parses without the solver layers: nothing that importing
         # fmgt.config reaches (the package's __init__ included) imports them
         imports = {path.stem: _fmgt_imports(path) for path in (SRC / "fmgt").glob("*.py")}
-        reached, todo = set(), ["__init__", "config"]
-        while todo:
-            name = todo.pop()
-            if name in imports and name not in reached:
-                reached.add(name)
-                todo.extend(imports[name])
+        reached = _reached(imports, "__init__", "config")
         assert "models" in reached
         assert reached.isdisjoint({"analysis", "volterra", "memory", "oracles"})
 
@@ -929,13 +949,13 @@ class TestWorkPerRun:
         # both energy levels report one damping form and one Alikhanov
         # accumulation: one Abel integral of order alpha, one of 1 - alpha
         orders = []
-        abel = fmgt.fractional.abel_integral
+        abel = fmgt.convolution.abel_integral
 
         def counting(values, order, h):
             orders.append(order)
             return abel(values, order, h)
 
-        for module in (fmgt.fractional, fmgt.analysis):
+        for module in (fmgt.convolution, fmgt.analysis):
             monkeypatch.setattr(module, "abel_integral", counting)
         cfg = tmp_path / "iii.cfg"
         cfg.write_text(

@@ -120,7 +120,7 @@ class TestL1Weights:
         # double precision loses about m ulps of (9e-11 at m = 65535)
         mpmath = pytest.importorskip("mpmath")
         for n in (2048, 65536):
-            b = l1_weights(g, n, 1.0 / n)
+            b = l1_weights(g, n)
             lags = [m for m in (0, 1, 2, 7, 8, 100, 1000, 10000, n // 2, n - 1) if m < n]
             with mpmath.workdps(40):
                 e = 1 - mpmath.mpf(g)

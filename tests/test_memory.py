@@ -12,10 +12,9 @@ import fmgt.convolution
 import fmgt.memory
 import fmgt.mittag_leffler
 from fmgt import Domain, EigenBasis, TimeGrid
-from fmgt.fractional import l1_weights
+from fmgt.fractional import _forward_substitution, l1_weights
 from fmgt.memory import (
     ZTrajectory,
-    _forward_substitution,
     memory_tables,
     recover_psi,
     relaxation_check,
@@ -443,7 +442,7 @@ def forward_substitution_by_rows(d, rhs):
 
 def l1_symbol(alpha, n, tau=0.25, horizon=2.0):
     h = horizon / n
-    b = l1_weights(alpha, n, h)
+    b = l1_weights(alpha, n)
     d = tau**alpha * h ** (-alpha) / gamma(2.0 - alpha) * np.concatenate([b[:1], np.diff(b)])
     d[0] += 1.0
     return d
